@@ -59,14 +59,30 @@ def expert_distance(matrix: np.ndarray, i: ExpertId, j: ExpertId) -> float:
     return float(np.abs(m[:, i] - m[:, j]).max())
 
 
-def distance_matrix(matrix: np.ndarray, chunk_rounds: int = 4096) -> np.ndarray:
+#: Entries (float64) of the ``rounds x K x K`` block :func:`distance_matrix` may hold.
+DISTANCE_BLOCK_ENTRIES = 1 << 22
+
+
+def distance_block_rounds(experts: int, max_entries: int = DISTANCE_BLOCK_ENTRIES) -> int:
+    """Rounds per block so that a ``rounds x K x K`` temporary stays within ``max_entries``.
+
+    At least one round, so the temporary is never larger than ``K x K``, the
+    size of the result itself.
+    """
+    return max(1, max_entries // max(1, experts * experts))
+
+
+def distance_matrix(matrix: np.ndarray, max_entries: int = DISTANCE_BLOCK_ENTRIES) -> np.ndarray:
     """All pairwise sup-norm column distances, streamed over round blocks."""
     m = np.asarray(matrix, dtype=np.float64)
     rounds, experts = m.shape
     dist = np.zeros((experts, experts), dtype=np.float64)
-    for start in range(0, rounds, chunk_rounds):
-        block = m[start : start + chunk_rounds]
-        np.maximum(dist, np.abs(block[:, :, None] - block[:, None, :]).max(axis=0), out=dist)
+    step = distance_block_rounds(experts, max_entries)
+    for start in range(0, rounds, step):
+        block = m[start : start + step]
+        gaps = np.subtract(block[:, :, None], block[:, None, :])
+        np.abs(gaps, out=gaps)
+        np.maximum(dist, gaps.max(axis=0), out=dist)
     return dist
 
 

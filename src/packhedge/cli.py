@@ -219,7 +219,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trajectory = _play(game, oracle)
+    try:
+        trajectory = _play(game, oracle)
+    except ValueError as exc:
+        raise ConfigError(f"game: {exc}") from exc
     trajectory.validate()
 
     trajectory_path = out_dir / "trajectory.csv"
@@ -459,7 +462,10 @@ def cmd_export_env(args: argparse.Namespace) -> int:
     env_spec = build_env_spec(cfg, game)
     oracle = _build_oracle(env_spec)
     out_base = Path(args.out_dir) / (args.name or env_spec.kind)
-    written = environments.export_environment(oracle, out_base, args.format)
+    try:
+        written = environments.export_environment(oracle, out_base, args.format)
+    except ValueError as exc:
+        raise ConfigError(f"export: {exc}") from exc
     for key, path in sorted(written.items()):
         print(f"{key}: {path}")
     return EXIT_OK

@@ -70,7 +70,29 @@ def sample_categorical(weights: Sequence[float] | np.ndarray, rng: np.random.Gen
     if total <= 0.0:
         raise ValueError("degenerate distribution: no positive mass")
     u = rng.random() * total
-    return int(cumulative.searchsorted(u, side="right"))
+    i = int(cumulative.searchsorted(u, side="right"))
+    if i == w.size:
+        # u rounded up to a (subnormal) total: fall back to the last positive weight.
+        i = int(np.flatnonzero(w)[-1])
+    return i
+
+
+def uncovered_mask(
+    values: np.ndarray, reference: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Which ``values`` lie farther than ``threshold`` from every ``reference`` value.
+
+    The coverage kernel of the package: ``min_s |values[i] - reference[s]| >
+    threshold`` for every ``i`` in ``O((n + m) log m)``.  Only the two sorted
+    neighbours of a value can attain the minimum, and rounded subtraction is
+    monotone, so the answer is bit-identical to the dense ``n x m`` scan.
+    """
+    ordered = np.sort(reference)
+    pos = ordered.searchsorted(values)
+    padded = np.concatenate(([-np.inf], ordered, [np.inf]))
+    # padded[pos] is the largest reference below the value, padded[pos + 1]
+    # the smallest at or above it; the infinities stand in for a missing side.
+    return (values - padded[pos] > threshold) & (padded[pos + 1] - values > threshold)
 
 
 def expected_loss(distribution: Sequence[float] | np.ndarray, losses: Sequence[float] | np.ndarray) -> float:
@@ -206,10 +228,12 @@ class TrajectoryRecorder:
 class LossOracle(ABC):
     """Loss access for one environment instance.
 
-    The interface deliberately includes :meth:`uncovered_expert` so that large
-    or structured expert sets can answer coverage queries without enumerating
-    every expert; the dense implementations in :mod:`packhedge.environments`
-    fall back to a vectorized linear scan.
+    Coverage queries go through :meth:`coverage_candidates`: an oracle hands
+    out one candidate loss per group of identical experts (by default every
+    expert), so structured expert sets such as clusters never enumerate every
+    expert.  The one coverage kernel, :func:`uncovered_mask`, then answers a
+    whole round in ``O(K log K_p)`` for ``K`` candidates and ``K_p`` active
+    experts.
     """
 
     @abstractmethod
@@ -233,6 +257,17 @@ class LossOracle(ABC):
             experts = range(k)
         return np.array([self.loss(t, int(i)) for i in experts], dtype=np.float64)
 
+    def coverage_candidates(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Round-``t`` losses that coverage queries must consider, with their expert ids.
+
+        Ids are strictly ascending, and every expert not listed copies (at
+        every round) a listed expert with a smaller id.  So the first
+        uncovered candidate is the smallest-id uncovered expert, and no two
+        separated experts share a candidate.  Default: every expert.
+        """
+        row = self.losses(t)
+        return row, np.arange(row.size)
+
     def uncovered_expert(
         self, t: int, active: Sequence[ExpertId] | np.ndarray, threshold: float
     ) -> ExpertId | None:
@@ -241,12 +276,9 @@ class LossOracle(ABC):
         Returns ``None`` when every expert is within ``threshold`` of some
         member of ``active``.
         """
-        row = self.losses(t)
-        reference = row[np.asarray(active, dtype=np.int64)]
-        gap = np.abs(row[:, None] - reference[None, :]).min(axis=1)
-        mask = gap > threshold
-        idx = int(np.argmax(mask))
-        return idx if mask[idx] else None
+        values, ids = self.coverage_candidates(t)
+        hits = np.flatnonzero(uncovered_mask(values, self.losses(t, active), threshold))
+        return int(ids[hits[0]]) if hits.size else None
 
     def column_sums(self) -> np.ndarray:
         """Cumulative loss of every expert over the full horizon."""

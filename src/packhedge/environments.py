@@ -62,7 +62,7 @@ class EnvironmentSpec:
 
 
 class MatrixOracle(LossOracle):
-    """Dense ``T x K`` loss matrix with vectorized coverage queries."""
+    """Dense ``T x K`` loss matrix; every expert is a coverage candidate."""
 
     def __init__(
         self,
@@ -74,6 +74,7 @@ class MatrixOracle(LossOracle):
         self.spec = spec
         self.ground_truth = dict(ground_truth or {})
         self._column_sums: np.ndarray | None = None
+        self._ids = np.arange(self._m.shape[1])
 
     def horizon(self) -> int:
         return int(self._m.shape[0])
@@ -90,15 +91,8 @@ class MatrixOracle(LossOracle):
             return row
         return row[np.asarray(experts, dtype=np.int64)]
 
-    def uncovered_expert(
-        self, t: int, active: Sequence[ExpertId] | np.ndarray, threshold: float
-    ) -> ExpertId | None:
-        row = self._m[t - 1]
-        reference = row[np.asarray(active, dtype=np.int64)]
-        gap = np.abs(row[:, None] - reference[None, :]).min(axis=1)
-        mask = gap > threshold
-        idx = int(np.argmax(mask))
-        return idx if mask[idx] else None
+    def coverage_candidates(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        return self._m[t - 1], self._ids
 
     def column_sums(self) -> np.ndarray:
         if self._column_sums is None:
@@ -114,9 +108,10 @@ class MatrixOracle(LossOracle):
 class ClusteredBinaryOracle(LossOracle):
     """Experts grouped into clusters sharing identical +/-1 loss rows.
 
-    Stores only the ``N x T`` distinct rows plus a cluster assignment, so
-    coverage queries and column sums cost ``O(N)`` instead of ``O(K)`` while
-    answering exactly as a dense linear scan would.
+    Stores only the ``N x T`` distinct rows plus a cluster assignment.  The
+    coverage candidates are the ``N`` cluster values, each under its cluster's
+    smallest expert id, so coverage and column sums cost ``O(N)`` instead of
+    ``O(K)`` while answering exactly as a scan over all ``K`` experts would.
     """
 
     def __init__(
@@ -127,11 +122,14 @@ class ClusteredBinaryOracle(LossOracle):
         n = self._rows.shape[0]
         if self._assign.min(initial=0) < 0 or self._assign.max(initial=-1) >= n:
             raise ValueError("assignment references a missing cluster row")
-        # Smallest expert id per cluster; answers "first uncovered expert" queries.
-        self._first_expert = np.full(n, self._assign.size, dtype=np.int64)
-        np.minimum.at(self._first_expert, self._assign, np.arange(self._assign.size))
-        if np.any(self._first_expert == self._assign.size):
+        # Smallest expert id per cluster: cluster mates share every loss, so
+        # only that expert can be the first uncovered one of its cluster.
+        first_expert = np.full(n, self._assign.size, dtype=np.int64)
+        np.minimum.at(first_expert, self._assign, np.arange(self._assign.size))
+        if np.any(first_expert == self._assign.size):
             raise ValueError("every cluster must have at least one expert")
+        self._candidate_clusters = np.argsort(first_expert)
+        self._candidate_ids = first_expert[self._candidate_clusters]
         self.spec = spec
         self.ground_truth = {"rows": self._rows, "assignment": self._assign}
         self._cluster_sums = self._rows.sum(axis=1)
@@ -155,24 +153,18 @@ class ClusteredBinaryOracle(LossOracle):
             return col[self._assign]
         return col[self._assign[np.asarray(experts, dtype=np.int64)]]
 
-    def uncovered_expert(
-        self, t: int, active: Sequence[ExpertId] | np.ndarray, threshold: float
-    ) -> ExpertId | None:
-        # Cluster mates share every loss, so scanning representatives is exact.
-        col = self._rows[:, t - 1]
-        reference = col[self._assign[np.asarray(active, dtype=np.int64)]]
-        gap = np.abs(col[:, None] - reference[None, :]).min(axis=1)
-        mask = gap > threshold
-        if not mask.any():
-            return None
-        return int(self._first_expert[mask].min())
+    def coverage_candidates(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        return self._rows[self._candidate_clusters, t - 1], self._candidate_ids
 
     def column_sums(self) -> np.ndarray:
         return self._cluster_sums[self._assign]
 
     def to_matrix(self, max_entries: int = 50_000_000) -> np.ndarray:
         if self.horizon() * self.num_experts() > max_entries:
-            raise ValueError("clustered matrix too large to materialize")
+            raise ValueError(
+                f"clustered matrix of {self.horizon()} x {self.num_experts()} entries is too"
+                f" large to materialize (guard: {max_entries} entries)"
+            )
         return self._rows[self._assign].T.copy()
 
 

@@ -10,6 +10,7 @@ restarts the learner behaves exactly like plain exponential weights on ``S``.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -24,6 +25,7 @@ from .core import (
     TrajectoryRecorder,
     normalize_rng,
     sample_categorical,
+    uncovered_mask,
 )
 
 
@@ -68,25 +70,37 @@ def expand_packing(
 ) -> tuple[PackingState, list[ExpertId]]:
     """Admit uncovered experts at round ``t`` until every expert is covered.
 
-    Repeatedly asks the oracle for the smallest-index expert whose round-``t``
-    loss differs by more than ``2 * epsilon`` from every active expert; each
-    admission can cover further candidates, so the query is re-run after every
-    append.  Returns the (possibly unchanged) state and the admitted ids.
+    One coverage-kernel call finds the candidates farther than ``2 *
+    epsilon`` from every active expert.  They are walked in ascending expert
+    id, and each one still farther than ``2 * epsilon`` from every expert
+    admitted earlier in the round is admitted.  This is the sequence that
+    re-asking for the smallest uncovered expert after every admission
+    produces, since admissions only shrink the uncovered set.  Returns the
+    (possibly unchanged) state and the admitted ids.
     """
-    threshold = 2.0 * state.epsilon
-    added: list[ExpertId] = []
+    values, ids = oracle.coverage_candidates(t)
     active = state.active
-    while True:
-        j = oracle.uncovered_expert(t, active, threshold)
-        if j is None:
-            break
-        active = np.append(active, np.int64(j))
-        added.append(int(j))
-    if not added:
+    if active.size >= values.size:
+        # Active experts are pairwise separated, so they copy distinct
+        # candidates: the set already covers every one of them.
         return state, []
+    threshold = 2.0 * state.epsilon
+    uncovered = np.flatnonzero(uncovered_mask(values, oracle.losses(t, active), threshold))
+    if uncovered.size == 0:
+        return state, []
+    admitted: list[float] = []  # values admitted this round, kept sorted
+    added: list[ExpertId] = []
+    for k, value in zip(uncovered.tolist(), values[uncovered].tolist()):
+        pos = bisect.bisect_left(admitted, value)
+        if pos > 0 and value - admitted[pos - 1] <= threshold:
+            continue
+        if pos < len(admitted) and admitted[pos] - value <= threshold:
+            continue
+        admitted.insert(pos, value)
+        added.append(int(ids[k]))
     new_state = replace(
         state,
-        active=active,
+        active=np.concatenate((active, np.array(added, dtype=np.int64))),
         admitted_at=state.admitted_at + [t] * len(added),
     )
     return new_state, added

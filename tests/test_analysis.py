@@ -90,6 +90,27 @@ class TestExpertDistance:
             for j in range(matrix.shape[1]):
                 assert dist[i, j] == pytest.approx(brute_distance(matrix, i, j))
 
+    @settings(max_examples=20)
+    @given(small_matrices, st.integers(min_value=1, max_value=200))
+    def test_blocked_distance_matrix_is_exact(self, matrix, max_entries):
+        # Tiny budgets force one- or few-round blocks; the result must not move.
+        dist = analysis.distance_matrix(matrix, max_entries=max_entries)
+        for i in range(matrix.shape[1]):
+            for j in range(matrix.shape[1]):
+                assert dist[i, j] == analysis.expert_distance(matrix, i, j)
+
+    def test_block_rounds_bound_the_temporary(self):
+        budget = analysis.DISTANCE_BLOCK_ENTRIES
+        # K=1000 with the old fixed 4096-round block needed 32 GB.
+        assert analysis.distance_block_rounds(1000) == budget // 1_000_000
+        for experts in (1, 2, 24, 100, 1000, 2048):
+            rounds = analysis.distance_block_rounds(experts)
+            assert rounds >= 1
+            assert rounds * experts * experts <= budget
+        # Past sqrt(budget) experts a single round is the floor: K x K, the result's size.
+        assert analysis.distance_block_rounds(5000) == 1
+        assert analysis.distance_block_rounds(10, max_entries=250) == 2
+
 
 class TestCoveringNumberExact:
     def test_identical_columns_cover_with_one(self):

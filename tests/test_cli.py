@@ -162,6 +162,20 @@ class TestRun:
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
         assert "environment.T" in capsys.readouterr().err
 
+    def test_learner_value_error_is_config_error(self, tmp_path, capsys):
+        # The meta-tuner needs T >= 2, which the generic game section allows.
+        config = write_config(
+            tmp_path / "bad.yaml",
+            {
+                "game": {"algorithm": "meta_tuner", "T": 1, "seed": 0},
+                "environment": {"kind": "clustered_binary", "K": 4, "N": 2},
+            },
+        )
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("configuration error: game:")
+        assert "horizon" in err
+
     def test_unreadable_out_dir_is_io_error(self, tmp_path):
         config = iid_config(tmp_path, T=5)
         blocker = tmp_path / "blocker"
@@ -351,3 +365,13 @@ class TestExportEnv:
              "--format", "binary", "--name", "demo"]
         ) == EXIT_OK
         assert first == (tmp_path / "out2" / "demo.bin").read_bytes()
+
+    def test_oversize_readme_config_is_config_error(self, tmp_path, capsys):
+        # The README's clustered config (T=5000, K=1e5) is too large to materialise.
+        config = clustered_config(tmp_path, T=5000, K=100_000, N=8)
+        assert cli.main(
+            ["export-env", "--config", config, "--out-dir", str(tmp_path / "out")]
+        ) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("configuration error: export:")
+        assert "too large" in err

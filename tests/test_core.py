@@ -2,7 +2,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -63,6 +63,9 @@ class TestSampleCategorical:
 
     @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=10),
            st.integers(min_value=0, max_value=2**31))
+    # A subnormal total: u = random() * total rounds up to total itself.
+    @example(weights=[5e-324], seed=0)
+    @example(weights=[0.0, 5e-324, 0.0], seed=0)
     def test_never_returns_zero_weight_index(self, weights, seed):
         if sum(weights) <= 0:
             return

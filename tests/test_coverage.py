@@ -1,0 +1,293 @@
+"""Differential tests of the coverage path against slow dense references.
+
+``dense_uncovered`` is the ``K x K_p`` broadcast gap scan and
+``requery_expand`` the admission loop that re-asks for the smallest uncovered
+expert after every admission.  The sorted-neighbour kernel and the one-pass
+``expand_packing`` must agree with them bit for bit.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from packhedge import cli, environments, many_experts, meta_tuner
+from packhedge.core import LossOracle, game_rng, uncovered_mask
+from packhedge.many_experts import PackingState, expand_packing
+
+
+def dense_uncovered(values, reference, threshold):
+    """Broadcast scan: ``min_s |values[i] - reference[s]| > threshold``."""
+    gap = np.abs(values[:, None] - reference[None, :]).min(axis=1)
+    return gap > threshold
+
+
+def requery_expand(state, t, oracle):
+    """The admission loop before the one-pass rewrite, on the full loss row."""
+    threshold = 2.0 * state.epsilon
+    row = oracle.losses(t)
+    active = state.active
+    added = []
+    while True:
+        mask = dense_uncovered(row, row[active], threshold)
+        j = int(np.argmax(mask))
+        if not mask[j]:
+            break
+        active = np.append(active, np.int64(j))
+        added.append(j)
+    if not added:
+        return state, []
+    return replace(state, active=active, admitted_at=state.admitted_at + [t] * len(added)), added
+
+
+class LossOnlyOracle(LossOracle):
+    """Implements only the abstract methods; everything else is the base default."""
+
+    def __init__(self, matrix):
+        self._m = np.asarray(matrix, dtype=np.float64)
+
+    def horizon(self):
+        return self._m.shape[0]
+
+    def num_experts(self):
+        return self._m.shape[1]
+
+    def loss(self, t, i):
+        return float(self._m[t - 1, i])
+
+
+def schedule(oracle, epsilon, expand, initial_expert=0):
+    """Admissions of every round, driving the packing state with ``expand`` only."""
+    state = PackingState.fresh(epsilon, initial_expert)
+    admissions = []
+    for t in range(1, oracle.horizon() + 1):
+        state, added = expand(state, t, oracle)
+        admissions.append(added)
+    return list(state.active), state.admitted_at, admissions
+
+
+# Values a round can take: few distinct ones so duplicates and exact gaps are
+# common, the boundary values, and both zeros.
+EDGE_VALUES = [-1.0, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0, 0.1, 0.3, -0.7]
+edge_rows = st.lists(
+    st.one_of(st.sampled_from(EDGE_VALUES), st.floats(min_value=-1.0, max_value=1.0)),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestKernel:
+    @settings(max_examples=300)
+    @given(edge_rows, st.data())
+    def test_matches_dense_scan(self, values, data):
+        values = np.array(values)
+        size = data.draw(st.integers(min_value=1, max_value=len(values)))
+        active = data.draw(st.permutations(range(len(values))))[:size]
+        reference = values[active]
+        # Thresholds equal to an observed gap test the strict inequality.
+        gaps = np.abs(values[:, None] - values[None, :]).ravel().tolist()
+        threshold = data.draw(
+            st.one_of(st.sampled_from(gaps), st.floats(min_value=0.0, max_value=2.5))
+        )
+        assert np.array_equal(
+            uncovered_mask(values, reference, threshold),
+            dense_uncovered(values, reference, threshold),
+        )
+
+    def test_gap_equal_to_threshold_is_covered(self):
+        values = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        mask = uncovered_mask(values, np.array([0.0]), 0.5)
+        assert mask.tolist() == [True, False, False, False, True]
+
+    def test_binary_rows(self):
+        values = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
+        assert uncovered_mask(values, np.array([1.0]), 1.0).tolist() == [
+            False, True, True, False, False
+        ]
+        assert not uncovered_mask(values, np.array([1.0, -1.0]), 1.0).any()
+        # Cross-cluster gap is exactly 2: never uncovered at threshold 2.
+        assert not uncovered_mask(values, np.array([-1.0]), 2.0).any()
+
+    def test_signed_zeros_are_one_value(self):
+        values = np.array([0.0, -0.0, 1e-300, -1e-300])
+        assert not uncovered_mask(values, np.array([-0.0]), 0.0)[:2].any()
+        assert uncovered_mask(values, np.array([-0.0]), 0.0)[2:].all()
+        assert np.array_equal(
+            uncovered_mask(values, np.array([0.0]), 0.0),
+            dense_uncovered(values, np.array([0.0]), 0.0),
+        )
+
+    def test_single_active_expert(self):
+        values = game_rng(3).uniform(-1.0, 1.0, 500)
+        for threshold in (0.0, 0.01, 0.5, 2.0):
+            assert np.array_equal(
+                uncovered_mask(values, values[:1], threshold),
+                dense_uncovered(values, values[:1], threshold),
+            )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_rows_large_reference(self, seed):
+        rng = game_rng(seed)
+        values = rng.uniform(-1.0, 1.0, 2000)
+        reference = values[rng.choice(2000, size=300, replace=False)]
+        for threshold in (2.0**-7, 2.0**-4, 0.3):
+            assert np.array_equal(
+                uncovered_mask(values, reference, threshold),
+                dense_uncovered(values, reference, threshold),
+            )
+
+
+def oracles():
+    """A dense matrix, a clustered and a loss()-only oracle, by name."""
+    low_rank = environments.make_low_rank(40, 60, 2, 0.05, seed=5)
+    clustered = environments.make_clustered_binary(40, 80, 7, seed=6)
+    loss_only = LossOnlyOracle(game_rng(7).uniform(-1.0, 1.0, size=(30, 25)))
+    return {"matrix": low_rank, "clustered": clustered, "loss_only": loss_only}
+
+
+class TestOnePassExpansion:
+    @pytest.mark.parametrize("kind", ["matrix", "clustered", "loss_only"])
+    @pytest.mark.parametrize("epsilon", [1.0, 0.5, 0.25, 2.0**-4, 2.0**-7])
+    def test_schedule_matches_requery_loop(self, kind, epsilon):
+        oracle = oracles()[kind]
+        assert schedule(oracle, epsilon, expand_packing) == schedule(
+            oracle, epsilon, requery_expand
+        )
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda rounds: st.lists(
+                st.lists(st.sampled_from(EDGE_VALUES), min_size=rounds, max_size=rounds),
+                min_size=1,
+                max_size=12,
+            )
+        ),
+        st.sampled_from([1.0, 0.5, 0.25, 0.125, 0.05]),
+        st.booleans(),
+    )
+    def test_schedule_matches_requery_on_tied_gaps(self, columns, epsilon, loss_only):
+        # Few distinct values: gaps of exactly 2 * epsilon between candidates
+        # admitted in the same round are common.
+        matrix = np.array(columns).T
+        oracle = LossOnlyOracle(matrix) if loss_only else environments.make_finite_matrix(matrix)
+        assert schedule(oracle, epsilon, expand_packing) == schedule(
+            oracle, epsilon, requery_expand
+        )
+
+    def test_same_round_gap_equal_to_threshold_blocks_admission(self):
+        oracle = environments.make_finite_matrix(np.array([[-1.0, 0.0, 0.5, 1.0, -0.5]]))
+        state, added = expand_packing(PackingState.fresh(0.25), 1, oracle)
+        assert added == [1, 3]
+
+    @pytest.mark.parametrize("initial_expert", [3, 41, 79])
+    def test_clustered_initial_expert_off_representative(self, initial_expert):
+        # The seed expert need not be its cluster's smallest id.
+        oracle = oracles()["clustered"]
+        assert schedule(oracle, 0.5, expand_packing, initial_expert) == schedule(
+            oracle, 0.5, requery_expand, initial_expert
+        )
+
+    @pytest.mark.parametrize("kind", ["matrix", "clustered", "loss_only"])
+    def test_uncovered_expert_matches_dense_scan(self, kind):
+        oracle = oracles()[kind]
+        rng = game_rng(11)
+        k = oracle.num_experts()
+        for _ in range(40):
+            t = int(rng.integers(1, oracle.horizon() + 1))
+            active = rng.choice(k, size=int(rng.integers(1, 6)), replace=False)
+            threshold = float(rng.uniform(0.0, 2.2))
+            row = oracle.losses(t)
+            mask = dense_uncovered(row, row[active], threshold)
+            expected = int(np.argmax(mask)) if mask.any() else None
+            assert oracle.uncovered_expert(t, active, threshold) == expected
+
+    def test_saturated_set_stops_querying(self):
+        # Every expert separated at round 1: the set saturates, later rounds admit nothing.
+        oracle = environments.make_finite_matrix(
+            np.array([[-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0]])
+        )
+        state, added = expand_packing(PackingState.fresh(0.1), 1, oracle)
+        assert added == [1, 2, 3, 4]
+
+        def no_query(*args):
+            raise AssertionError("a saturated set must not gather active losses")
+
+        oracle.losses = no_query
+        assert expand_packing(state, 2, oracle) == (state, [])
+
+    def test_meta_game_matches_requery_loop(self, monkeypatch):
+        oracle = environments.make_low_rank(64, 30, 2, 0.05, seed=2)
+        fast = meta_tuner.play_meta(oracle, seed=4)
+        monkeypatch.setattr(many_experts, "expand_packing", requery_expand)
+        slow = meta_tuner.play_meta(oracle, seed=4)
+        assert np.array_equal(fast.chosen, slow.chosen)
+        assert np.array_equal(fast.incurred, slow.incurred)
+        for a, b in zip(fast.extras["copies"], slow.extras["copies"]):
+            assert np.array_equal(a.chosen, b.chosen)
+            assert a.extras == b.extras
+
+    def test_run_outputs_match_requery_loop(self, tmp_path, monkeypatch):
+        config = tmp_path / "config.yaml"
+        config.write_text(
+            "game: {algorithm: many_experts, T: 200, epsilon: 0.0625, seed: 1}\n"
+            "environment: {kind: low_rank, K: 80, d: 2, epsilon_noise: 0.05}\n"
+        )
+        assert cli.main(["run", "--config", str(config), "--out-dir", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(many_experts, "expand_packing", requery_expand)
+        assert cli.main(["run", "--config", str(config), "--out-dir", str(tmp_path / "b")]) == 0
+        for name in ("trajectory.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+small_games = st.tuples(
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([1.0, 0.5, 0.25, 0.125, 0.05]),
+    st.booleans(),
+)
+
+
+def small_game_oracle(seed, rounds, experts, binary):
+    rng = game_rng(seed)
+    if binary:
+        matrix = rng.integers(0, 2, size=(rounds, experts)) * 2.0 - 1.0
+    else:
+        matrix = rng.uniform(-1.0, 1.0, size=(rounds, experts))
+    return environments.make_finite_matrix(matrix)
+
+
+class TestPackingProperties:
+    @settings(max_examples=60)
+    @given(small_games)
+    def test_final_active_set_is_a_packing(self, game):
+        seed, rounds, experts, epsilon, binary = game
+        oracle = small_game_oracle(seed, rounds, experts, binary)
+        trajectory = many_experts.play_many_experts(oracle, epsilon=epsilon, rng=seed)
+        columns = oracle.to_matrix()[:, trajectory.extras["final_active"]]
+        sup_gaps = np.abs(columns[:, :, None] - columns[:, None, :]).max(axis=0)
+        off_diagonal = ~np.eye(columns.shape[1], dtype=bool)
+        assert np.all(sup_gaps[off_diagonal] > 2.0 * epsilon)
+
+    @settings(max_examples=60)
+    @given(small_games)
+    def test_phases_at_most_packing_size(self, game):
+        seed, rounds, experts, epsilon, binary = game
+        oracle = small_game_oracle(seed, rounds, experts, binary)
+        extras = many_experts.play_many_experts(oracle, epsilon=epsilon, rng=seed).extras
+        assert 1 <= extras["num_phases"] <= extras["final_packing"]
+
+    @settings(max_examples=60)
+    @given(small_games, st.integers(min_value=0, max_value=2**31))
+    def test_schedule_independent_of_rng_seed(self, game, other_seed):
+        seed, rounds, experts, epsilon, binary = game
+        oracle = small_game_oracle(seed, rounds, experts, binary)
+        a = many_experts.play_many_experts(oracle, epsilon=epsilon, rng=seed)
+        b = many_experts.play_many_experts(oracle, epsilon=epsilon, rng=other_seed)
+        for key in ("final_active", "admitted_at", "restarts", "num_phases"):
+            assert a.extras[key] == b.extras[key]
+        assert np.array_equal(a.packing_size, b.packing_size)
+        assert np.array_equal(a.phase, b.phase)
