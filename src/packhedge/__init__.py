@@ -22,9 +22,8 @@ from .many_experts import (
     expand_packing,
     packing_regret_bound,
     play_many_experts,
-    restart,
 )
-from .meta_tuner import EpsilonGrid, MetaState, build_grid, play_meta
+from .meta_tuner import EpsilonGrid, build_grid, play_meta
 from .environments import (
     EnvironmentSpec,
     MatrixOracle,
@@ -67,9 +66,7 @@ __all__ = [
     "expand_packing",
     "packing_regret_bound",
     "play_many_experts",
-    "restart",
     "EpsilonGrid",
-    "MetaState",
     "build_grid",
     "play_meta",
     "EnvironmentSpec",

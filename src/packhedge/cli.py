@@ -31,6 +31,9 @@ EXIT_BOUND_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+#: Trajectory rows formatted per write.
+CSV_BLOCK_ROWS = 1024
+
 
 class ConfigError(Exception):
     """Invalid or incomplete configuration; the message names the field."""
@@ -133,21 +136,15 @@ def _play(game: GameConfig, oracle) -> GameTrajectory:
 
 
 def write_trajectory_csv(path: str | Path, trajectory: GameTrajectory) -> None:
-    """Stream the per-round table; rows are appended in order, header first."""
+    """Write the per-round table in ``csv.writer``'s dialect, header first."""
+    columns = (trajectory.t, trajectory.phase, trajectory.packing_size, trajectory.chosen,
+               trajectory.incurred, trajectory.cumulative)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "phase", "packing_size", "chosen_expert", "loss", "cumulative_loss"])
-        for i in range(len(trajectory)):
-            writer.writerow(
-                [
-                    int(trajectory.t[i]),
-                    int(trajectory.phase[i]),
-                    int(trajectory.packing_size[i]),
-                    int(trajectory.chosen[i]),
-                    repr(float(trajectory.incurred[i])),
-                    repr(float(trajectory.cumulative[i])),
-                ]
-            )
+        fh.write("t,phase,packing_size,chosen_expert,loss,cumulative_loss\r\n")
+        # A block of rows at a time keeps the text and its Python objects small.
+        for start in range(0, len(trajectory), CSV_BLOCK_ROWS):
+            rows = zip(*(column[start : start + CSV_BLOCK_ROWS].tolist() for column in columns))
+            fh.write("".join(f"{t},{p},{k},{i},{l!r},{c!r}\r\n" for t, p, k, i, l, c in rows))
 
 
 def build_summary(

@@ -116,9 +116,11 @@ def validate_loss_matrix(matrix: np.ndarray) -> np.ndarray:
     m = np.ascontiguousarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"loss matrix must be 2-D (rounds x experts), got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    # Extremes instead of |m|: no T x K temporary, and NaN or inf shows in one of them.
+    high, low = float(m.max(initial=0.0)), float(m.min(initial=0.0))
+    if not (np.isfinite(high) and np.isfinite(low)):
         raise ValueError("loss matrix contains non-finite values")
-    overshoot = float(np.abs(m).max(initial=0.0)) - 1.0
+    overshoot = max(high, -low) - 1.0
     if overshoot > BOUNDARY_SLACK:
         raise ValueError(f"loss values exceed [-1, 1] by {overshoot:.3g}")
     if overshoot > 0.0:
@@ -163,6 +165,30 @@ class GameTrajectory:
     seed: int | None = None
     extras: dict[str, Any] = field(default_factory=dict)
 
+    @classmethod
+    def from_rounds(
+        cls,
+        chosen: np.ndarray,
+        incurred: np.ndarray,
+        packing_size: np.ndarray,
+        phase: np.ndarray,
+        seed: int | None = None,
+        extras: dict[str, Any] | None = None,
+    ) -> "GameTrajectory":
+        """Trajectory of rounds ``1 .. T`` from its per-round columns."""
+        incurred = np.asarray(incurred, dtype=np.float64)
+        return cls(
+            t=np.arange(1, incurred.size + 1, dtype=np.int64),
+            chosen=np.asarray(chosen, dtype=np.int64),
+            incurred=incurred,
+            # A running total started at 0.0: adding 0.0 turns a -0.0 prefix into 0.0.
+            cumulative=np.cumsum(incurred) + 0.0,
+            packing_size=np.asarray(packing_size, dtype=np.int64),
+            phase=np.asarray(phase, dtype=np.int64),
+            seed=seed,
+            extras=dict(extras or {}),
+        )
+
     def __len__(self) -> int:
         return int(self.t.size)
 
@@ -184,47 +210,6 @@ class GameTrajectory:
             raise ValueError("packing_size must be non-decreasing over rounds")
 
 
-class TrajectoryRecorder:
-    """Preallocated builder for :class:`GameTrajectory` (hot path)."""
-
-    __slots__ = ("_t", "_chosen", "_incurred", "_cumulative", "_packing", "_phase", "_i", "_running")
-
-    def __init__(self, horizon: int) -> None:
-        self._t = np.empty(horizon, dtype=np.int64)
-        self._chosen = np.empty(horizon, dtype=np.int64)
-        self._incurred = np.empty(horizon, dtype=np.float64)
-        self._cumulative = np.empty(horizon, dtype=np.float64)
-        self._packing = np.empty(horizon, dtype=np.int64)
-        self._phase = np.empty(horizon, dtype=np.int64)
-        self._i = 0
-        self._running = 0.0
-
-    def add(self, t: int, chosen: int, incurred: float, packing_size: int, phase: int) -> None:
-        i = self._i
-        self._t[i] = t
-        self._chosen[i] = chosen
-        self._incurred[i] = incurred
-        self._running += incurred
-        self._cumulative[i] = self._running
-        self._packing[i] = packing_size
-        self._phase[i] = phase
-        self._i = i + 1
-
-    def finish(self, seed: int | None, extras: dict[str, Any] | None = None) -> GameTrajectory:
-        if self._i != self._t.size:
-            raise RuntimeError(f"recorded {self._i} rounds, expected {self._t.size}")
-        return GameTrajectory(
-            t=self._t,
-            chosen=self._chosen,
-            incurred=self._incurred,
-            cumulative=self._cumulative,
-            packing_size=self._packing,
-            phase=self._phase,
-            seed=seed,
-            extras=dict(extras or {}),
-        )
-
-
 class LossOracle(ABC):
     """Loss access for one environment instance.
 
@@ -233,7 +218,8 @@ class LossOracle(ABC):
     expert), so structured expert sets such as clusters never enumerate every
     expert.  The one coverage kernel, :func:`uncovered_mask`, then answers a
     whole round in ``O(K log K_p)`` for ``K`` candidates and ``K_p`` active
-    experts.
+    experts.  The hedge kernel reads losses a block of rounds at a time
+    through :meth:`rows`.
     """
 
     @abstractmethod
@@ -256,6 +242,12 @@ class LossOracle(ABC):
                 raise ValueError("cannot enumerate losses of an unbounded expert set")
             experts = range(k)
         return np.array([self.loss(t, int(i)) for i in experts], dtype=np.float64)
+
+    def rows(
+        self, t0: int, t1: int, experts: np.ndarray | Sequence[int] | None = None
+    ) -> np.ndarray:
+        """Losses of rounds ``t0 + 1 .. t1`` (one row each) for ``experts`` (default: all)."""
+        return np.vstack([self.losses(t, experts) for t in range(t0 + 1, t1 + 1)])
 
     def coverage_candidates(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Round-``t`` losses that coverage queries must consider, with their expert ids.

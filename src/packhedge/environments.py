@@ -91,6 +91,12 @@ class MatrixOracle(LossOracle):
             return row
         return row[np.asarray(experts, dtype=np.int64)]
 
+    def rows(
+        self, t0: int, t1: int, experts: np.ndarray | Sequence[int] | None = None
+    ) -> np.ndarray:
+        block = self._m[t0:t1]
+        return block if experts is None else block.take(np.asarray(experts, dtype=np.int64), 1)
+
     def coverage_candidates(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         return self._m[t - 1], self._ids
 
@@ -152,6 +158,12 @@ class ClusteredBinaryOracle(LossOracle):
         if experts is None:
             return col[self._assign]
         return col[self._assign[np.asarray(experts, dtype=np.int64)]]
+
+    def rows(
+        self, t0: int, t1: int, experts: np.ndarray | Sequence[int] | None = None
+    ) -> np.ndarray:
+        assign = self._assign if experts is None else self._assign[np.asarray(experts, np.int64)]
+        return self._rows[assign, t0:t1].T
 
     def coverage_candidates(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         return self._rows[self._candidate_clusters, t - 1], self._candidate_ids

@@ -2,25 +2,25 @@
 
 Weights live in the natural-log domain with max-subtraction normalization, so
 distributions stay finite for arbitrarily long games and arbitrarily large
-cumulative losses.  The same engine drives each phase of the packing learner
-and the accuracy-grid meta-learner.
+cumulative losses.  One kernel, :func:`exponential_weights`, plays a whole
+game over a fixed expert set; it drives plain hedge, each phase of the
+packing learner and the accuracy-grid meta-learner.  :class:`HedgeState`,
+:func:`distribution` and :func:`update` are the same learner one step at a
+time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from .core import (
-    GameTrajectory,
-    LossOracle,
-    TrajectoryRecorder,
-    normalize_rng,
-    sample_categorical,
-)
+from .core import GameTrajectory, LossOracle, normalize_rng
+
+#: Loss entries per kernel block, so each float64 temporary of a block is 128 KB.
+BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass
@@ -77,6 +77,74 @@ def hedge_regret_bound(horizon: int, num_experts: int) -> float:
     return 4.0 * math.sqrt(horizon * math.log(num_experts))
 
 
+def block_rounds(num_experts: int) -> int:
+    """Rounds per kernel block over ``num_experts`` columns (at least one)."""
+    return max(1, BLOCK_ENTRIES // num_experts)
+
+
+def exponential_weights(
+    rows: Callable[[int, int], np.ndarray],
+    num_rounds: int,
+    num_experts: int,
+    uniforms: np.ndarray,
+    normalize: bool = False,
+    expected: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Exponential weights over a fixed set of ``num_experts`` columns for ``num_rounds`` rounds.
+
+    ``rows(j0, j1)`` gives the losses of rounds ``j0 + 1 .. j1`` as a
+    ``(j1 - j0) x num_experts`` block, and ``uniforms[j]`` is the one draw of
+    round ``j + 1``.  The log-weights of round ``j`` are ``-sum_{s < j} eta_s
+    l_s`` with ``eta_s = sqrt(8 ln K / s)``, summed in round order (a running
+    row carried across blocks, then one ``cumsum`` per block), so they carry
+    the bits of :func:`update` applied round by round.  Each round picks the
+    expert of :func:`~packhedge.core.sample_categorical` on the weights
+    ``exp(lw - max lw)``, or on their normalisation with ``normalize``.
+
+    Returns the chosen column and the incurred loss of every round and, with
+    ``expected``, the expected loss ``p @ l`` per round under the normalised
+    distribution ``p`` (so ``expected`` needs ``normalize``), else ``None``.
+    """
+    n, k = int(num_rounds), int(num_experts)
+    if k < 1:
+        raise ValueError(f"need at least one expert, got {k}")
+    chosen = np.empty(n, dtype=np.int64)
+    incurred = np.empty(n, dtype=np.float64)
+    means = np.empty(n, dtype=np.float64) if expected else None
+    scale = 8.0 * math.log(k)
+    step = block_rounds(k)
+    carry = np.zeros(k)  # sum of eta_s * l_s over the rounds before the block
+    for j0 in range(0, n, step):
+        j1 = min(n, j0 + step)
+        block = rows(j0, j1)
+        if block.shape != (j1 - j0, k):
+            raise ValueError(f"loss block has shape {block.shape}, expected {(j1 - j0, k)}")
+        # total[i] sums the rounds before round j0 + 1 + i; its last row carries on.
+        total = np.empty((j1 - j0 + 1, k))
+        total[0] = carry
+        np.multiply(np.sqrt(scale / np.arange(j0 + 1, j1 + 1))[:, None], block, out=total[1:])
+        np.cumsum(total, axis=0, out=total)
+        carry = total[-1].copy()
+        # lw - max(lw) for lw = -total is min(total) - total, bit for bit.
+        weights = total[:-1]
+        np.subtract(weights.min(axis=1, keepdims=True), weights, out=weights)
+        np.exp(weights, out=weights)
+        if normalize:
+            weights /= weights.sum(axis=1, keepdims=True)
+        cumulative = np.cumsum(weights, axis=1)
+        threshold = uniforms[j0:j1] * cumulative[:, -1]
+        pick = np.count_nonzero(cumulative <= threshold[:, None], axis=1)
+        for i in np.flatnonzero(pick == k):
+            # The draw rounded up to a subnormal total: take the last positive weight.
+            pick[i] = np.flatnonzero(weights[i])[-1]
+        chosen[j0:j1] = pick
+        incurred[j0:j1] = block[np.arange(j1 - j0), pick]
+        if means is not None:
+            block = np.ascontiguousarray(block)
+            means[j0:j1] = [p @ l for p, l in zip(weights, block)]
+    return chosen, incurred, means
+
+
 def play_hedge(
     oracle: LossOracle,
     horizon: int | None = None,
@@ -84,8 +152,9 @@ def play_hedge(
 ) -> GameTrajectory:
     """Run exponential weights for ``horizon`` rounds against ``oracle``.
 
-    Each round samples an expert from the current distribution (one uniform
-    draw), records the incurred loss, then updates on the full loss vector.
+    Each round samples an expert from the current weights (one uniform draw)
+    and incurs its loss; the weights then update on the full loss vector.
+    The whole game is one :func:`exponential_weights` pass.
     """
     T = oracle.horizon() if horizon is None else int(horizon)
     if T < 1 or T > oracle.horizon():
@@ -94,16 +163,9 @@ def play_hedge(
     if K is None:
         raise ValueError("plain exponential weights needs a finite expert set")
     gen, seed = normalize_rng(rng)
-
-    state = HedgeState.fresh(K)
-    recorder = TrajectoryRecorder(T)
-    for t in range(1, T + 1):
-        # Sampling is scale-invariant, so the unnormalized weights suffice.
-        weights = np.exp(state.log_weights - state.log_weights.max())
-        i = sample_categorical(weights, gen)
-        row = oracle.losses(t)
-        recorder.add(t, i, float(row[i]), K, 1)
-        state = update(state, row)
-
+    # Sampling is scale-invariant, so the unnormalized weights suffice.
+    chosen, incurred, _ = exponential_weights(oracle.rows, T, K, gen.random(T))
     extras: dict[str, Any] = {"algorithm": "hedge", "num_experts": K}
-    return recorder.finish(seed, extras)
+    return GameTrajectory.from_rounds(
+        chosen, incurred, np.full(T, K), np.ones(T), seed, extras
+    )

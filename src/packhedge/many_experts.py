@@ -6,6 +6,10 @@ expert sits farther than ``2*epsilon`` from every member of ``S`` at the
 current round, it is admitted and the inner exponential-weights engine is
 restarted over the enlarged set with a fresh learning-rate clock.  Between
 restarts the learner behaves exactly like plain exponential weights on ``S``.
+
+The admission schedule never depends on the learner's draws, so a game is a
+schedule pass (one :func:`expand_packing` per round) followed by one
+:func:`hedge.exponential_weights` pass per phase.
 """
 
 from __future__ import annotations
@@ -18,34 +22,20 @@ from typing import Any
 import numpy as np
 
 from . import hedge
-from .core import (
-    ExpertId,
-    GameTrajectory,
-    LossOracle,
-    TrajectoryRecorder,
-    normalize_rng,
-    sample_categorical,
-    uncovered_mask,
-)
+from .core import ExpertId, GameTrajectory, LossOracle, normalize_rng, uncovered_mask
 
 
 @dataclass
 class PackingState:
-    """Active set, phase bookkeeping, and the inner hedge of the packing learner.
+    """Active set of the packing learner, grown by :func:`expand_packing`.
 
-    ``active`` is ordered by admission.  ``restarts`` records one
-    ``(phase_start, active_size)`` pair per phase; sizes are strictly
-    increasing because every restart admits at least one expert.
-    ``admitted_at[j]`` is the round at which ``active[j]`` joined (0 for the
-    seed expert), which certifies the pairwise separation of the packing.
+    ``active`` is ordered by admission.  ``admitted_at[j]`` is the round at
+    which ``active[j]`` joined (0 for the seed expert), which certifies the
+    pairwise separation of the packing; the phases are its distinct rounds.
     """
 
     active: np.ndarray
-    phase: int
-    phase_start: int
-    inner: hedge.HedgeState
     epsilon: float
-    restarts: list[tuple[int, int]] = field(default_factory=list)
     admitted_at: list[int] = field(default_factory=list)
 
     @classmethod
@@ -56,11 +46,7 @@ class PackingState:
             raise ValueError(f"initial expert id must be non-negative, got {initial_expert}")
         return cls(
             active=np.array([initial_expert], dtype=np.int64),
-            phase=1,
-            phase_start=0,
-            inner=hedge.HedgeState.fresh(1),
             epsilon=float(epsilon),
-            restarts=[(0, 1)],
             admitted_at=[0],
         )
 
@@ -106,24 +92,6 @@ def expand_packing(
     return new_state, added
 
 
-def restart(state: PackingState, t: int) -> PackingState:
-    """Reset the inner hedge over the enlarged active set and open a new phase.
-
-    All weights return to 1 and the inner round clock returns to 1, so the
-    first post-restart step size is finite by construction.
-    """
-    size = int(state.active.size)
-    inner = hedge.HedgeState.fresh(size)
-    assert inner.t == 1
-    return replace(
-        state,
-        phase=state.phase + 1,
-        phase_start=t,
-        inner=inner,
-        restarts=state.restarts + [(t, size)],
-    )
-
-
 def packing_regret_bound(
     final_packing: int, phases: int, epsilon: float, horizon: int
 ) -> float:
@@ -147,31 +115,6 @@ def packing_regret_bound(
     )
 
 
-def _advance(
-    state: PackingState, t: int, oracle: LossOracle, gen: np.random.Generator
-) -> tuple[PackingState, ExpertId, float, float]:
-    """One round: sample from the pre-expansion distribution, then grow/update.
-
-    Returns ``(state, chosen expert, incurred loss, expected loss)`` where the
-    expected loss is taken under the sampling distribution; the meta-learner
-    consumes it as low-variance feedback.
-    """
-    p = hedge.distribution(state.inner)
-    idx = sample_categorical(p, gen)
-    row = oracle.losses(t, state.active)
-    chosen = int(state.active[idx])
-    incurred = float(row[idx])
-    mean_loss = float(p @ row)
-
-    state, added = expand_packing(state, t, oracle)
-    if added:
-        # The losses of the restart round update nothing: weights reset after it.
-        state = restart(state, t)
-    else:
-        state = replace(state, inner=hedge.update(state.inner, row))
-    return state, chosen, incurred, mean_loss
-
-
 def play_many_experts(
     oracle: LossOracle,
     horizon: int | None = None,
@@ -181,9 +124,28 @@ def play_many_experts(
 ) -> GameTrajectory:
     """Run the packing learner for ``horizon`` rounds at accuracy ``epsilon``.
 
-    The trajectory records the phase and active-set size at the end of every
-    round; its extras expose the final packing, the phase count, and the
-    admission certificate.
+    Each round samples an expert from the current phase's distribution (one
+    uniform draw), then admits the round's uncovered experts; an admission
+    restarts the inner hedge over the enlarged set, and otherwise the weights
+    update on the active losses.  The trajectory records the phase and
+    active-set size at the end of every round; its extras expose the final
+    packing, the phase count, and the admission certificate.
+    """
+    return packing_game(oracle, horizon, epsilon, rng, initial_expert)[0]
+
+
+def packing_game(
+    oracle: LossOracle,
+    horizon: int | None = None,
+    epsilon: float = 0.5,
+    rng: int | np.random.Generator = 0,
+    initial_expert: ExpertId = 0,
+    expected: bool = False,
+) -> tuple[GameTrajectory, np.ndarray | None]:
+    """:func:`play_many_experts`, plus with ``expected`` the expected loss of each round.
+
+    The expected loss is taken under the sampling distribution; the
+    meta-learner consumes it as low-variance feedback.
     """
     T = oracle.horizon() if horizon is None else int(horizon)
     if T < 1 or T > oracle.horizon():
@@ -196,19 +158,48 @@ def play_many_experts(
     gen, seed = normalize_rng(rng)
 
     state = PackingState.fresh(epsilon, initial_expert)
-    recorder = TrajectoryRecorder(T)
     for t in range(1, T + 1):
-        state, chosen, incurred, _ = _advance(state, t, oracle, gen)
-        recorder.add(t, chosen, incurred, int(state.active.size), state.phase)
+        state, _ = expand_packing(state, t, oracle)
+    admitted_at = np.array(state.admitted_at, dtype=np.int64)
+    # Phase p plays rounds starts[p] + 1 .. starts[p + 1] over the first sizes[p]
+    # active experts; the losses of its last round update nothing.
+    starts = np.array(sorted(set(state.admitted_at)), dtype=np.int64)
+    sizes = admitted_at.searchsorted(starts, side="right")
+    ends = np.append(starts[1:], T)
 
+    uniforms = gen.random(T)
+    chosen = np.empty(T, dtype=np.int64)
+    incurred = np.empty(T, dtype=np.float64)
+    means = np.empty(T, dtype=np.float64) if expected else None
+    for start, end, size in zip(starts.tolist(), ends.tolist(), sizes.tolist()):
+        if start == end:  # an admission at round T opens a phase with no rounds
+            continue
+        columns = state.active[:size]
+        picks, incurred[start:end], phase_means = hedge.exponential_weights(
+            lambda j0, j1: oracle.rows(start + j0, start + j1, columns),
+            end - start, size, uniforms[start:end], normalize=True, expected=expected,
+        )
+        chosen[start:end] = columns[picks]
+        if means is not None:
+            means[start:end] = phase_means
+
+    rounds = np.arange(1, T + 1)
     extras: dict[str, Any] = {
         "algorithm": "many_experts",
         "epsilon": epsilon,
         "initial_expert": int(initial_expert),
-        "final_active": [int(i) for i in state.active],
+        "final_active": state.active.tolist(),
         "admitted_at": list(state.admitted_at),
         "final_packing": int(state.active.size),
-        "num_phases": state.phase,
-        "restarts": list(state.restarts),
+        "num_phases": int(starts.size),
+        "restarts": list(zip(starts.tolist(), sizes.tolist())),
     }
-    return recorder.finish(seed, extras)
+    trajectory = GameTrajectory.from_rounds(
+        chosen,
+        incurred,
+        admitted_at.searchsorted(rounds, side="right"),
+        starts.searchsorted(rounds, side="right"),
+        seed,
+        extras,
+    )
+    return trajectory, means

@@ -8,6 +8,7 @@ with ``repr`` so both formats round-trip bit-exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -48,19 +49,24 @@ def write_matrix_binary(path: str | Path, matrix: np.ndarray) -> None:
 
 
 def read_matrix_binary(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    magic, version, rounds, experts = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    expected = _HEADER.size + 8 * rounds * experts
-    if len(raw) != expected:
-        raise ValueError(f"{path}: size {len(raw)} does not match header ({expected} bytes)")
-    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    return data.reshape(rounds, experts).astype(np.float64)
+    """Read a binary matrix file straight into the returned array (one copy)."""
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"{path}: truncated header")
+        magic, version, rounds, experts = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported format version {version}")
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER.size + 8 * rounds * experts
+        if size != expected:
+            raise ValueError(f"{path}: size {size} does not match header ({expected} bytes)")
+        matrix = np.empty((rounds, experts), dtype="<f8")
+        if fh.readinto(matrix.data) != matrix.nbytes:
+            raise ValueError(f"{path}: file shrank while it was read")
+    return matrix.astype(np.float64, copy=False)
 
 
 def save_matrix(path: str | Path, matrix: np.ndarray, fmt: str = "csv") -> None:

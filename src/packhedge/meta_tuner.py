@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from . import hedge, many_experts
-from .core import GameTrajectory, LossOracle, TrajectoryRecorder, game_rng, sample_categorical
+from .core import GameTrajectory, LossOracle, game_rng
 
 FEEDBACK_MODES = ("expected", "realized")
 
@@ -44,22 +44,6 @@ def build_grid(horizon: int) -> EpsilonGrid:
     return EpsilonGrid(tuple((r, 2.0 ** (1 - r)) for r in range(1, num_levels + 1)))
 
 
-@dataclass
-class MetaState:
-    """Grid, per-copy packing states, and the meta-level hedge."""
-
-    grid: EpsilonGrid
-    copies: list[many_experts.PackingState]
-    meta: hedge.HedgeState
-    feedback_mode: str = "expected"
-
-    def __post_init__(self) -> None:
-        if self.feedback_mode not in FEEDBACK_MODES:
-            raise ValueError(f"feedback_mode must be one of {FEEDBACK_MODES}")
-        if len(self.copies) != self.grid.num_levels or self.meta.num_experts != self.grid.num_levels:
-            raise ValueError("copies and meta weights must both match the grid size")
-
-
 def play_meta(
     oracle: LossOracle,
     horizon: int | None = None,
@@ -69,10 +53,11 @@ def play_meta(
     """Run the accuracy grid for ``horizon`` rounds from one master seed.
 
     Copy ``r`` draws from the stream ``game_rng(seed, r)`` and the meta layer
-    from ``game_rng(seed, 0)``, so any copy can be replayed standalone.  The
-    meta hedge updates on each copy's expected loss by default
-    (``feedback_mode="expected"``); ``"realized"`` feeds it the copies'
-    sampled losses instead.
+    from ``game_rng(seed, 0)``, so any copy can be replayed standalone; here
+    each copy is that standalone game, and the meta layer is one hedge pass
+    over the ``T x R`` feedback of the copies.  The meta hedge updates on
+    each copy's expected loss by default (``feedback_mode="expected"``);
+    ``"realized"`` feeds it the copies' sampled losses instead.
 
     The returned trajectory records the actually played expert per round; its
     extras carry the full per-copy trajectories and running totals.
@@ -80,76 +65,34 @@ def play_meta(
     T = oracle.horizon() if horizon is None else int(horizon)
     if T < 2 or T > oracle.horizon():
         raise ValueError(f"horizon must be in [2, {oracle.horizon()}], got {T}")
+    if feedback_mode not in FEEDBACK_MODES:
+        raise ValueError(f"feedback_mode must be one of {FEEDBACK_MODES}, got {feedback_mode!r}")
     grid = build_grid(T)
     R = grid.num_levels
 
-    state = MetaState(
-        grid=grid,
-        copies=[many_experts.PackingState.fresh(eps) for _, eps in grid.levels],
-        meta=hedge.HedgeState.fresh(R),
-        feedback_mode=feedback_mode,
+    expected = feedback_mode == "expected"
+    copies, means = zip(*(
+        many_experts.packing_game(oracle, T, eps, game_rng(seed, r), expected=expected)
+        for r, eps in grid.levels
+    ))
+    realized = np.column_stack([copy.incurred for copy in copies])
+    feedback = np.column_stack(means) if expected else realized
+    # Sampling is scale-invariant, so the unnormalized weights suffice.
+    chosen_copy, _, _ = hedge.exponential_weights(
+        lambda j0, j1: feedback[j0:j1], T, R, game_rng(seed, 0).random(T)
     )
-    meta_gen = game_rng(seed, 0)
-    copy_gens = [game_rng(seed, r) for r, _ in grid.levels]
-
-    recorder = TrajectoryRecorder(T)
-    copy_recorders = [TrajectoryRecorder(T) for _ in range(R)]
-    chosen_copy = np.empty(T, dtype=np.int64)
-    copy_cumulative = np.empty((T, R), dtype=np.float64)
-    running = np.zeros(R, dtype=np.float64)
-
-    for t in range(1, T + 1):
-        chosen = np.empty(R, dtype=np.int64)
-        realized = np.empty(R, dtype=np.float64)
-        expected = np.empty(R, dtype=np.float64)
-        for r in range(R):
-            state.copies[r], chosen_r, incurred_r, mean_r = many_experts._advance(
-                state.copies[r], t, oracle, copy_gens[r]
-            )
-            chosen[r] = chosen_r
-            realized[r] = incurred_r
-            expected[r] = mean_r
-            copy_recorders[r].add(
-                t, chosen_r, incurred_r, int(state.copies[r].active.size), state.copies[r].phase
-            )
-        running += realized
-        copy_cumulative[t - 1] = running
-
-        r_star = sample_categorical(
-            np.exp(state.meta.log_weights - state.meta.log_weights.max()), meta_gen
-        )
-        chosen_copy[t - 1] = r_star
-        recorder.add(t, int(chosen[r_star]), float(realized[r_star]), R, 1)
-
-        feedback = expected if state.feedback_mode == "expected" else realized
-        state.meta = hedge.update(state.meta, feedback)
-
-    copy_trajectories = []
-    for r in range(R):
-        copy = state.copies[r]
-        copy_trajectories.append(
-            copy_recorders[r].finish(
-                None,
-                {
-                    "algorithm": "many_experts",
-                    "epsilon": grid.epsilons[r],
-                    "initial_expert": 0,
-                    "final_active": [int(i) for i in copy.active],
-                    "admitted_at": list(copy.admitted_at),
-                    "final_packing": int(copy.active.size),
-                    "num_phases": copy.phase,
-                    "restarts": list(copy.restarts),
-                },
-            )
-        )
+    rounds = np.arange(T)
+    chosen = np.column_stack([copy.chosen for copy in copies])[rounds, chosen_copy]
 
     extras: dict[str, Any] = {
         "algorithm": "meta_tuner",
         "num_copies": R,
         "epsilons": list(grid.epsilons),
-        "feedback_mode": state.feedback_mode,
+        "feedback_mode": feedback_mode,
         "chosen_copy": chosen_copy,
-        "copy_cumulative": copy_cumulative,
-        "copies": copy_trajectories,
+        "copy_cumulative": np.column_stack([copy.cumulative for copy in copies]),
+        "copies": list(copies),
     }
-    return recorder.finish(seed, extras)
+    return GameTrajectory.from_rounds(
+        chosen, realized[rounds, chosen_copy], np.full(T, R), np.ones(T), seed, extras
+    )

@@ -1,0 +1,311 @@
+"""Slow per-round reference learners for differential tests.
+
+These are the round-by-round loops the closed-form kernel replaced, kept
+verbatim: every round allocates a hedge state, draws one uniform through
+``sample_categorical`` and applies ``hedge.update``.  The packing loop calls
+``many_experts.expand_packing`` through the module, so a test can swap in
+another admission rule for both sides.  The kernel-based learners must
+reproduce these trajectories and extras bit for bit.  ``LossOnlyOracle`` is
+the slowest oracle: every other access goes through the base-class defaults.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, replace
+from typing import Any
+
+import numpy as np
+
+from packhedge import hedge, many_experts
+from packhedge.core import (
+    ExpertId,
+    GameTrajectory,
+    LossOracle,
+    game_rng,
+    normalize_rng,
+    sample_categorical,
+)
+from packhedge.meta_tuner import FEEDBACK_MODES, EpsilonGrid, build_grid
+
+
+class LossOnlyOracle(LossOracle):
+    """Implements only the abstract methods; everything else is the base default."""
+
+    def __init__(self, matrix):
+        self._m = np.asarray(matrix, dtype=np.float64)
+
+    def horizon(self):
+        return self._m.shape[0]
+
+    def num_experts(self):
+        return self._m.shape[1]
+
+    def loss(self, t, i):
+        return float(self._m[t - 1, i])
+
+
+class TrajectoryRecorder:
+    """Preallocated per-round recorder of a :class:`GameTrajectory`."""
+
+    __slots__ = ("_t", "_chosen", "_incurred", "_cumulative", "_packing", "_phase", "_i", "_running")
+
+    def __init__(self, horizon: int) -> None:
+        self._t = np.empty(horizon, dtype=np.int64)
+        self._chosen = np.empty(horizon, dtype=np.int64)
+        self._incurred = np.empty(horizon, dtype=np.float64)
+        self._cumulative = np.empty(horizon, dtype=np.float64)
+        self._packing = np.empty(horizon, dtype=np.int64)
+        self._phase = np.empty(horizon, dtype=np.int64)
+        self._i = 0
+        self._running = 0.0
+
+    def add(self, t: int, chosen: int, incurred: float, packing_size: int, phase: int) -> None:
+        i = self._i
+        self._t[i] = t
+        self._chosen[i] = chosen
+        self._incurred[i] = incurred
+        self._running += incurred
+        self._cumulative[i] = self._running
+        self._packing[i] = packing_size
+        self._phase[i] = phase
+        self._i = i + 1
+
+    def finish(self, seed: int | None, extras: dict[str, Any] | None = None) -> GameTrajectory:
+        if self._i != self._t.size:
+            raise RuntimeError(f"recorded {self._i} rounds, expected {self._t.size}")
+        return GameTrajectory(
+            t=self._t,
+            chosen=self._chosen,
+            incurred=self._incurred,
+            cumulative=self._cumulative,
+            packing_size=self._packing,
+            phase=self._phase,
+            seed=seed,
+            extras=dict(extras or {}),
+        )
+
+
+def play_hedge(
+    oracle: LossOracle,
+    horizon: int | None = None,
+    rng: int | np.random.Generator = 0,
+) -> GameTrajectory:
+    T = oracle.horizon() if horizon is None else int(horizon)
+    if T < 1 or T > oracle.horizon():
+        raise ValueError(f"horizon must be in [1, {oracle.horizon()}], got {T}")
+    K = oracle.num_experts()
+    if K is None:
+        raise ValueError("plain exponential weights needs a finite expert set")
+    gen, seed = normalize_rng(rng)
+
+    state = hedge.HedgeState.fresh(K)
+    recorder = TrajectoryRecorder(T)
+    for t in range(1, T + 1):
+        # Sampling is scale-invariant, so the unnormalized weights suffice.
+        weights = np.exp(state.log_weights - state.log_weights.max())
+        i = sample_categorical(weights, gen)
+        row = oracle.losses(t)
+        recorder.add(t, i, float(row[i]), K, 1)
+        state = hedge.update(state, row)
+
+    extras: dict[str, Any] = {"algorithm": "hedge", "num_experts": K}
+    return recorder.finish(seed, extras)
+
+
+@dataclass
+class PackingState:
+    """Active set, phase bookkeeping, and the inner hedge of the packing learner."""
+
+    active: np.ndarray
+    phase: int
+    phase_start: int
+    inner: hedge.HedgeState
+    epsilon: float
+    restarts: list[tuple[int, int]] = field(default_factory=list)
+    admitted_at: list[int] = field(default_factory=list)
+
+    @classmethod
+    def fresh(cls, epsilon: float, initial_expert: ExpertId = 0) -> "PackingState":
+        if not (0.0 < epsilon <= 1.0):
+            raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+        if initial_expert < 0:
+            raise ValueError(f"initial expert id must be non-negative, got {initial_expert}")
+        return cls(
+            active=np.array([initial_expert], dtype=np.int64),
+            phase=1,
+            phase_start=0,
+            inner=hedge.HedgeState.fresh(1),
+            epsilon=float(epsilon),
+            restarts=[(0, 1)],
+            admitted_at=[0],
+        )
+
+
+def restart(state: PackingState, t: int) -> PackingState:
+    """Reset the inner hedge over the enlarged active set and open a new phase."""
+    size = int(state.active.size)
+    inner = hedge.HedgeState.fresh(size)
+    assert inner.t == 1
+    return replace(
+        state,
+        phase=state.phase + 1,
+        phase_start=t,
+        inner=inner,
+        restarts=state.restarts + [(t, size)],
+    )
+
+
+def advance(
+    state: PackingState, t: int, oracle: LossOracle, gen: np.random.Generator
+) -> tuple[PackingState, ExpertId, float, float]:
+    """One round: sample from the pre-expansion distribution, then grow/update."""
+    p = hedge.distribution(state.inner)
+    idx = sample_categorical(p, gen)
+    row = oracle.losses(t, state.active)
+    chosen = int(state.active[idx])
+    incurred = float(row[idx])
+    mean_loss = float(p @ row)
+
+    state, added = many_experts.expand_packing(state, t, oracle)
+    if added:
+        # The losses of the restart round update nothing: weights reset after it.
+        state = restart(state, t)
+    else:
+        state = replace(state, inner=hedge.update(state.inner, row))
+    return state, chosen, incurred, mean_loss
+
+
+def play_many_experts(
+    oracle: LossOracle,
+    horizon: int | None = None,
+    epsilon: float = 0.5,
+    rng: int | np.random.Generator = 0,
+    initial_expert: ExpertId = 0,
+) -> GameTrajectory:
+    T = oracle.horizon() if horizon is None else int(horizon)
+    if T < 1 or T > oracle.horizon():
+        raise ValueError(f"horizon must be in [1, {oracle.horizon()}], got {T}")
+    num_experts = oracle.num_experts()
+    if num_experts is not None and not (0 <= initial_expert < num_experts):
+        raise ValueError(
+            f"initial expert {initial_expert} out of range for {num_experts} experts"
+        )
+    gen, seed = normalize_rng(rng)
+
+    state = PackingState.fresh(epsilon, initial_expert)
+    recorder = TrajectoryRecorder(T)
+    for t in range(1, T + 1):
+        state, chosen, incurred, _ = advance(state, t, oracle, gen)
+        recorder.add(t, chosen, incurred, int(state.active.size), state.phase)
+
+    extras: dict[str, Any] = {
+        "algorithm": "many_experts",
+        "epsilon": epsilon,
+        "initial_expert": int(initial_expert),
+        "final_active": [int(i) for i in state.active],
+        "admitted_at": list(state.admitted_at),
+        "final_packing": int(state.active.size),
+        "num_phases": state.phase,
+        "restarts": list(state.restarts),
+    }
+    return recorder.finish(seed, extras)
+
+
+@dataclass
+class MetaState:
+    """Grid, per-copy packing states, and the meta-level hedge."""
+
+    grid: EpsilonGrid
+    copies: list[PackingState]
+    meta: hedge.HedgeState
+    feedback_mode: str = "expected"
+
+    def __post_init__(self) -> None:
+        if self.feedback_mode not in FEEDBACK_MODES:
+            raise ValueError(f"feedback_mode must be one of {FEEDBACK_MODES}")
+        if len(self.copies) != self.grid.num_levels or self.meta.num_experts != self.grid.num_levels:
+            raise ValueError("copies and meta weights must both match the grid size")
+
+
+def play_meta(
+    oracle: LossOracle,
+    horizon: int | None = None,
+    seed: int = 0,
+    feedback_mode: str = "expected",
+) -> GameTrajectory:
+    T = oracle.horizon() if horizon is None else int(horizon)
+    if T < 2 or T > oracle.horizon():
+        raise ValueError(f"horizon must be in [2, {oracle.horizon()}], got {T}")
+    grid = build_grid(T)
+    R = grid.num_levels
+
+    state = MetaState(
+        grid=grid,
+        copies=[PackingState.fresh(eps) for _, eps in grid.levels],
+        meta=hedge.HedgeState.fresh(R),
+        feedback_mode=feedback_mode,
+    )
+    meta_gen = game_rng(seed, 0)
+    copy_gens = [game_rng(seed, r) for r, _ in grid.levels]
+
+    recorder = TrajectoryRecorder(T)
+    copy_recorders = [TrajectoryRecorder(T) for _ in range(R)]
+    chosen_copy = np.empty(T, dtype=np.int64)
+    copy_cumulative = np.empty((T, R), dtype=np.float64)
+    running = np.zeros(R, dtype=np.float64)
+
+    for t in range(1, T + 1):
+        chosen = np.empty(R, dtype=np.int64)
+        realized = np.empty(R, dtype=np.float64)
+        expected = np.empty(R, dtype=np.float64)
+        for r in range(R):
+            state.copies[r], chosen_r, incurred_r, mean_r = advance(
+                state.copies[r], t, oracle, copy_gens[r]
+            )
+            chosen[r] = chosen_r
+            realized[r] = incurred_r
+            expected[r] = mean_r
+            copy_recorders[r].add(
+                t, chosen_r, incurred_r, int(state.copies[r].active.size), state.copies[r].phase
+            )
+        running += realized
+        copy_cumulative[t - 1] = running
+
+        r_star = sample_categorical(
+            np.exp(state.meta.log_weights - state.meta.log_weights.max()), meta_gen
+        )
+        chosen_copy[t - 1] = r_star
+        recorder.add(t, int(chosen[r_star]), float(realized[r_star]), R, 1)
+
+        feedback = expected if state.feedback_mode == "expected" else realized
+        state.meta = hedge.update(state.meta, feedback)
+
+    copy_trajectories = []
+    for r in range(R):
+        copy = state.copies[r]
+        copy_trajectories.append(
+            copy_recorders[r].finish(
+                None,
+                {
+                    "algorithm": "many_experts",
+                    "epsilon": grid.epsilons[r],
+                    "initial_expert": 0,
+                    "final_active": [int(i) for i in copy.active],
+                    "admitted_at": list(copy.admitted_at),
+                    "final_packing": int(copy.active.size),
+                    "num_phases": copy.phase,
+                    "restarts": list(copy.restarts),
+                },
+            )
+        )
+
+    extras: dict[str, Any] = {
+        "algorithm": "meta_tuner",
+        "num_copies": R,
+        "epsilons": list(grid.epsilons),
+        "feedback_mode": state.feedback_mode,
+        "chosen_copy": chosen_copy,
+        "copy_cumulative": copy_cumulative,
+        "copies": copy_trajectories,
+    }
+    return recorder.finish(seed, extras)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from packhedge import analysis, environments
-from packhedge.core import TrajectoryRecorder, game_rng
+from packhedge.core import GameTrajectory, game_rng
 
 
 def brute_distance(matrix, i, j):
@@ -234,10 +234,10 @@ class TestDualityCertificate:
 
 
 def _constant_choice_trajectory(matrix, expert):
-    recorder = TrajectoryRecorder(matrix.shape[0])
-    for t in range(1, matrix.shape[0] + 1):
-        recorder.add(t, expert, float(matrix[t - 1, expert]), matrix.shape[1], 1)
-    return recorder.finish(seed=0)
+    T, K = matrix.shape
+    return GameTrajectory.from_rounds(
+        np.full(T, expert), matrix[:, expert], np.full(T, K), np.ones(T), seed=0
+    )
 
 
 class TestEmpiricalRegret:

@@ -131,8 +131,17 @@ class TestValidateLossMatrix:
             validate_loss_matrix(np.array([[1.5, 0.0]]))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            validate_loss_matrix(np.array([[np.nan, 0.0]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            for position in (0, 1, 2):
+                m = np.array([[0.5, 0.0, -0.5]])
+                m[0, position] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    validate_loss_matrix(m)
+
+    def test_negative_side_checked(self):
+        with pytest.raises(ValueError, match="exceed"):
+            validate_loss_matrix(np.array([[0.5, -1.5]]))
+        assert validate_loss_matrix(np.array([[0.5, -1.0 - 1e-13]])).min() == -1.0
 
 
 class TestGameConfig:

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from packhedge import cli, environments, many_experts, meta_tuner
-from packhedge.core import LossOracle, game_rng, uncovered_mask
+from packhedge.core import game_rng, uncovered_mask
 from packhedge.many_experts import PackingState, expand_packing
+from reference import LossOnlyOracle
 
 
 def dense_uncovered(values, reference, threshold):
@@ -40,22 +41,6 @@ def requery_expand(state, t, oracle):
     if not added:
         return state, []
     return replace(state, active=active, admitted_at=state.admitted_at + [t] * len(added)), added
-
-
-class LossOnlyOracle(LossOracle):
-    """Implements only the abstract methods; everything else is the base default."""
-
-    def __init__(self, matrix):
-        self._m = np.asarray(matrix, dtype=np.float64)
-
-    def horizon(self):
-        return self._m.shape[0]
-
-    def num_experts(self):
-        return self._m.shape[1]
-
-    def loss(self, t, i):
-        return float(self._m[t - 1, i])
 
 
 def schedule(oracle, epsilon, expand, initial_expert=0):

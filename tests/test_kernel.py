@@ -1,0 +1,327 @@
+"""Differential tests of the closed-form hedge kernel against the per-round loops.
+
+``reference`` keeps the loops that :func:`hedge.exponential_weights` replaced.
+Plain hedge, every packing phase and the meta layer must reproduce their
+trajectories and extras bit for bit: across kernel block boundaries, with
+one expert, with one-round phases and admissions at the first and last
+round, on every oracle kind and in both meta feedback modes.  Small block
+sizes are patched in so that games of a few rounds cross many blocks.
+"""
+
+import csv
+import tracemalloc
+
+import numpy as np
+import pytest
+import yaml
+
+import reference
+from packhedge import cli, environments, hedge, many_experts, matrix_io, meta_tuner
+from packhedge.core import GameTrajectory, game_rng
+from reference import LossOnlyOracle
+
+#: Block sizes (loss entries per block): a tiny one and the module's own.
+BLOCK_SIZES = [12, hedge.BLOCK_ENTRIES]
+
+
+@pytest.fixture(params=BLOCK_SIZES, ids=["tiny_blocks", "module_blocks"])
+def block_entries(request, monkeypatch):
+    monkeypatch.setattr(hedge, "BLOCK_ENTRIES", request.param)
+    return request.param
+
+
+def assert_same(fast, slow):
+    """Bit-for-bit equality of two trajectories, their extras and nested copies."""
+    for name in ("t", "chosen", "incurred", "cumulative", "packing_size", "phase"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert fast.seed == slow.seed
+    assert fast.extras.keys() == slow.extras.keys()
+    for key, value in fast.extras.items():
+        other = slow.extras[key]
+        if key == "copies":
+            assert len(value) == len(other)
+            for a, b in zip(value, other):
+                assert_same(a, b)
+        elif isinstance(value, np.ndarray):
+            assert value.dtype == other.dtype and value.tobytes() == other.tobytes(), key
+        else:
+            assert repr(value) == repr(other), key
+
+
+def make_oracle(kind, rounds, experts, seed=0):
+    rng = game_rng(seed)
+    if kind == "clustered":
+        return environments.make_clustered_binary(rounds, experts, min(experts, 5), seed=seed)
+    matrix = rng.uniform(-1.0, 1.0, size=(rounds, experts))
+    if kind == "loss_only":
+        return LossOnlyOracle(matrix)
+    return environments.make_finite_matrix(matrix)
+
+
+def horizons(block):
+    return sorted({1, max(1, block - 1), block, block + 1, 2 * block + 3})
+
+
+KINDS = ["matrix", "clustered", "loss_only"]
+
+
+class TestHedge:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "entries, experts",
+        [(12, 1), (12, 3), (12, 40), (hedge.BLOCK_ENTRIES, 100), (hedge.BLOCK_ENTRIES, 300)],
+    )
+    def test_matches_reference_across_blocks(self, monkeypatch, kind, entries, experts):
+        monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
+        block = hedge.block_rounds(experts)
+        oracle = make_oracle(kind, 2 * block + 3, experts, seed=experts)
+        for T in horizons(block):
+            for seed in range(2):
+                assert_same(
+                    hedge.play_hedge(oracle, T, rng=seed), reference.play_hedge(oracle, T, rng=seed)
+                )
+
+    def test_one_expert_at_module_block(self):
+        oracle = make_oracle("matrix", 300, 1)
+        assert_same(hedge.play_hedge(oracle, rng=3), reference.play_hedge(oracle, rng=3))
+
+    def test_negative_zero_losses(self, block_entries):
+        # A running total started at 0.0 never records -0.0.
+        oracle = environments.make_finite_matrix(np.array([[-0.0, 0.0]] * 5 + [[0.5, -0.5]]))
+        trajectory = hedge.play_hedge(oracle, rng=0)
+        assert_same(trajectory, reference.play_hedge(oracle, rng=0))
+        assert not np.signbit(trajectory.cumulative[:5]).any()
+
+
+def one_admission_per_round(rounds):
+    """Expert t stands out at round t only, so every round admits one expert."""
+    matrix = np.zeros((rounds, rounds + 1))
+    matrix[np.arange(rounds), np.arange(1, rounds + 1)] = 1.0
+    return matrix
+
+
+class TestManyExperts:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("epsilon", [1.0, 0.25, 2.0**-4, 2.0**-7])
+    def test_matches_reference(self, block_entries, kind, epsilon):
+        oracle = make_oracle(kind, 60, 24, seed=5)
+        for T in (1, 2, 17, 60):
+            for seed in range(2):
+                assert_same(
+                    many_experts.play_many_experts(oracle, T, epsilon, rng=seed),
+                    reference.play_many_experts(oracle, T, epsilon, rng=seed),
+                )
+
+    @pytest.mark.parametrize("initial_expert", [0, 3, 23])
+    def test_initial_expert(self, block_entries, initial_expert):
+        oracle = make_oracle("clustered", 50, 24, seed=2)
+        assert_same(
+            many_experts.play_many_experts(oracle, 50, 0.5, rng=1, initial_expert=initial_expert),
+            reference.play_many_experts(oracle, 50, 0.5, rng=1, initial_expert=initial_expert),
+        )
+
+    def test_one_round_phases_and_admission_at_last_round(self, block_entries):
+        oracle = environments.make_finite_matrix(one_admission_per_round(6))
+        fast = many_experts.play_many_experts(oracle, epsilon=0.25, rng=4)
+        assert_same(fast, reference.play_many_experts(oracle, epsilon=0.25, rng=4))
+        assert fast.extras["admitted_at"] == [0, 1, 2, 3, 4, 5, 6]
+        assert fast.extras["restarts"][-1] == (6, 7)
+        assert fast.phase.tolist() == [2, 3, 4, 5, 6, 7]
+
+    def test_one_expert(self, block_entries):
+        oracle = make_oracle("matrix", 40, 1)
+        assert_same(
+            many_experts.play_many_experts(oracle, epsilon=0.1, rng=2),
+            reference.play_many_experts(oracle, epsilon=0.1, rng=2),
+        )
+
+    def test_long_phases_cross_module_blocks(self):
+        # One expert per cluster after round 1: phases far longer than a block.
+        oracle = environments.make_clustered_binary(1500, 60, 12, seed=4)
+        assert hedge.block_rounds(12) < 1500
+        assert_same(
+            many_experts.play_many_experts(oracle, epsilon=0.5, rng=6),
+            reference.play_many_experts(oracle, epsilon=0.5, rng=6),
+        )
+
+    def test_large_packing(self):
+        oracle = environments.make_low_rank(300, 200, 2, 0.05, seed=3)
+        fast = many_experts.play_many_experts(oracle, epsilon=2.0**-7, rng=2)
+        assert fast.extras["final_packing"] > 60
+        assert_same(fast, reference.play_many_experts(oracle, epsilon=2.0**-7, rng=2))
+
+
+class TestMeta:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("feedback_mode", meta_tuner.FEEDBACK_MODES)
+    def test_matches_reference(self, block_entries, kind, feedback_mode):
+        oracle = make_oracle(kind, 40, 16, seed=8)
+        for T in (2, 3, 40):
+            assert_same(
+                meta_tuner.play_meta(oracle, T, seed=5, feedback_mode=feedback_mode),
+                reference.play_meta(oracle, T, seed=5, feedback_mode=feedback_mode),
+            )
+
+    @pytest.mark.parametrize("feedback_mode", meta_tuner.FEEDBACK_MODES)
+    def test_low_rank_game(self, feedback_mode):
+        oracle = environments.make_low_rank(200, 120, 2, 0.05, seed=1)
+        assert_same(
+            meta_tuner.play_meta(oracle, seed=2, feedback_mode=feedback_mode),
+            reference.play_meta(oracle, seed=2, feedback_mode=feedback_mode),
+        )
+
+    def test_one_expert(self):
+        oracle = make_oracle("matrix", 20, 1)
+        assert_same(meta_tuner.play_meta(oracle, seed=1), reference.play_meta(oracle, seed=1))
+
+
+class TestKernel:
+    def test_uniform_block_is_the_per_call_stream(self):
+        a, b = game_rng(3, 1), game_rng(3, 1)
+        block = a.random(1000)
+        assert block.tobytes() == np.array([b.random() for _ in range(1000)]).tobytes()
+
+    def test_round_clock_restarts_with_each_call(self):
+        # Two calls over the halves of a game equal two fresh per-round hedges.
+        losses = game_rng(5).uniform(-1.0, 1.0, size=(40, 4))
+        uniforms = game_rng(6).random(40)
+        for j0, j1 in ((0, 25), (25, 40)):
+            chosen, _, _ = hedge.exponential_weights(
+                lambda a, b: losses[j0 + a : j0 + b], j1 - j0, 4, uniforms[j0:j1]
+            )
+            state = hedge.HedgeState.fresh(4)
+            for j in range(j0, j1):
+                cumulative = np.exp(state.log_weights - state.log_weights.max()).cumsum()
+                assert chosen[j - j0] == np.count_nonzero(cumulative <= uniforms[j] * cumulative[-1])
+                state = hedge.update(state, losses[j])
+
+    def test_wrong_block_width_rejected(self):
+        with pytest.raises(ValueError):
+            hedge.exponential_weights(lambda a, b: np.zeros((b - a, 2)), 4, 3, np.zeros(4))
+
+    def test_no_experts_rejected(self):
+        with pytest.raises(ValueError, match="expert"):
+            hedge.exponential_weights(lambda a, b: np.zeros((b - a, 0)), 4, 0, np.zeros(4))
+
+
+class TestRows:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_stack_losses(self, kind):
+        oracle = make_oracle(kind, 30, 12, seed=9)
+        experts = np.array([7, 0, 11, 7])
+        for t0, t1 in ((0, 30), (4, 5), (10, 21)):
+            stacked = np.vstack([oracle.losses(t) for t in range(t0 + 1, t1 + 1)])
+            assert np.array_equal(oracle.rows(t0, t1), stacked)
+            assert np.array_equal(oracle.rows(t0, t1, experts), stacked[:, experts])
+
+
+class CountingOracle(environments.MatrixOracle):
+    """Counts the per-round loss gathers of a game."""
+
+    gathers = 0
+
+    def losses(self, t, experts=None):
+        self.gathers += 1
+        return super().losses(t, experts)
+
+
+def test_one_active_gather_per_unsaturated_round():
+    matrix = environments.make_low_rank(400, 60, 2, 0.05, seed=4).to_matrix()
+    for epsilon in (0.25, 2.0**-5, 2.0**-9):
+        oracle = CountingOracle(matrix)
+        trajectory = many_experts.play_many_experts(oracle, epsilon=epsilon, rng=1)
+        size_before = np.concatenate(([1], trajectory.packing_size[:-1]))
+        assert oracle.gathers == np.count_nonzero(size_before < 60)
+    assert trajectory.packing_size[-1] == 60  # the finest accuracy saturated
+
+
+class TestBoundedMemory:
+    def peak(self, play):
+        play()  # first calls import and cache what later games reuse
+        tracemalloc.start()
+        try:
+            play()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_hedge_dense(self):
+        oracle = environments.make_finite_matrix(game_rng(1).uniform(-1.0, 1.0, (4096, 200)))
+        one_matrix = 4096 * 200 * 8
+        assert self.peak(lambda: hedge.play_hedge(oracle, rng=1)) < one_matrix / 4
+
+    def test_packing_clustered(self):
+        oracle = environments.make_clustered_binary(5000, 100_000, 8, seed=7)
+        # One K-long float64 vector is 0.8 MB; a T x K array would be 4 GB.
+        peak = self.peak(lambda: many_experts.play_many_experts(oracle, epsilon=0.5, rng=7))
+        assert peak < 2 * 100_000 * 8
+
+
+class TestRunOutputs:
+    KIND_PARAMETERS = {
+        "clustered_binary": {"K": 40, "N": 5},
+        "low_rank": {"K": 30, "d": 2, "epsilon_noise": 0.05},
+        "sparse_dictionary": {"K": 30, "n": 6, "k": 2, "epsilon_noise": 0.05},
+        "bounded_variation": {"K": 64},
+        "iid_stochastic": {"K": 6, "means": [0.1, -0.2, 0.3, 0.0, 0.5, -0.5],
+                           "noise": "uniform", "noise_scale": 0.4},
+        "finite_matrix": {"format": "binary"},
+    }
+
+    @pytest.mark.parametrize("kind", list(KIND_PARAMETERS))
+    @pytest.mark.parametrize("algorithm", ["hedge", "many_experts", "meta_tuner"])
+    def test_run_bytes_match_reference(self, tmp_path, monkeypatch, kind, algorithm):
+        parameters = dict(self.KIND_PARAMETERS[kind])
+        if kind == "finite_matrix":
+            parameters["path"] = str(tmp_path / "losses.bin")
+            matrix_io.write_matrix_binary(parameters["path"], game_rng(4).uniform(-1, 1, (48, 9)))
+        config = tmp_path / "config.yaml"
+        config.write_text(
+            yaml.safe_dump(
+                {
+                    "game": {"algorithm": algorithm, "T": 48, "epsilon": 0.125, "seed": 3},
+                    "environment": {"kind": kind, **parameters},
+                }
+            )
+        )
+        argv = ["run", "--config", str(config), "--out-dir"]
+        assert cli.main(argv + [str(tmp_path / "fast")]) == 0
+        monkeypatch.setattr(hedge, "play_hedge", reference.play_hedge)
+        monkeypatch.setattr(many_experts, "play_many_experts", reference.play_many_experts)
+        monkeypatch.setattr(meta_tuner, "play_meta", reference.play_meta)
+        assert cli.main(argv + [str(tmp_path / "slow")]) == 0
+        for name in ("trajectory.csv", "summary.json"):
+            assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "slow" / name).read_bytes()
+
+
+@pytest.mark.parametrize("block_rows", [3, cli.CSV_BLOCK_ROWS])
+def test_trajectory_csv_matches_csv_writer(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+    incurred = np.array([-0.0, 1e-05, 1.0, -1.0, 0.1, 2.0**-60, -0.5])
+    trajectory = GameTrajectory.from_rounds(
+        chosen=np.array([0, 3, 2, 0, 9, 1, 5]),
+        incurred=incurred,
+        packing_size=np.array([1, 2, 2, 3, 3, 3, 4]),
+        phase=np.array([1, 2, 2, 3, 3, 3, 4]),
+    )
+    trajectory.cumulative[2] = 3.0  # an integer-valued float
+    cli.write_trajectory_csv(tmp_path / "fast.csv", trajectory)
+    with open(tmp_path / "slow.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "phase", "packing_size", "chosen_expert", "loss", "cumulative_loss"])
+        for i in range(len(trajectory)):
+            writer.writerow(
+                [
+                    int(trajectory.t[i]),
+                    int(trajectory.phase[i]),
+                    int(trajectory.packing_size[i]),
+                    int(trajectory.chosen[i]),
+                    repr(float(trajectory.incurred[i])),
+                    repr(float(trajectory.cumulative[i])),
+                ]
+            )
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "slow.csv").read_bytes()
+    assert b"\r\n2,2,2,3,1e-05," in fast and b",-0.0,0.0\r\n" in fast

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packhedge import analysis, environments, hedge, many_experts
+import reference
+from packhedge import analysis, environments, many_experts
 from packhedge.core import game_rng
-from packhedge.many_experts import PackingState, expand_packing, packing_regret_bound, restart
+from packhedge.many_experts import PackingState, expand_packing, packing_regret_bound
 
 
 def reference_expand(matrix, t, active, threshold):
@@ -69,17 +70,22 @@ class TestExpandPacking:
 
 class TestRestart:
     def test_first_expansion_bookkeeping(self):
-        state = PackingState.fresh(0.1)
         env = environments.make_finite_matrix(
-            np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [-0.9, 0.9, 0.0, -0.45]])
+            np.array(
+                [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [-0.9, 0.9, 0.0, -0.45], [0.5] * 4]
+            )
         )
-        state, added = expand_packing(state, 3, env)
+        state, added = expand_packing(PackingState.fresh(0.1), 3, env)
         assert len(added) == 3
-        state = restart(state, 3)
-        assert state.phase == 2
-        assert state.phase_start == 3
-        assert np.allclose(hedge.distribution(state.inner), 0.25)
-        assert state.restarts == [(0, 1), (3, 4)]
+        assert state.admitted_at == [0, 3, 3, 3]
+        trajectory = many_experts.play_many_experts(env, 4, 0.1, rng=0)
+        assert trajectory.extras["restarts"] == [(0, 1), (3, 4)]
+        assert trajectory.extras["num_phases"] == 2
+        assert trajectory.phase.tolist() == [1, 1, 2, 2]
+        assert trajectory.packing_size.tolist() == [1, 1, 4, 4]
+        # Round 4 samples the restarted hedge: uniform over the four active experts.
+        u = game_rng(0, 0).random(4)[3]
+        assert trajectory.chosen[3] == state.active[int(4 * u)]
 
     def test_restart_sizes_strictly_increase(self):
         env = environments.make_clustered_binary(200, 50, 5, seed=8)
@@ -90,12 +96,19 @@ class TestRestart:
         assert starts == sorted(set(starts))
 
     def test_learning_rate_clock_tracks_phase_start(self):
+        # The per-round reference restarts its hedge clock at every phase start,
+        # and the phase kernels replay it bit for bit.
         env = environments.make_clustered_binary(60, 30, 4, seed=3)
-        state = PackingState.fresh(0.5)
+        state = reference.PackingState.fresh(0.5)
         gen = game_rng(3, 0)
         for t in range(1, 61):
             assert state.inner.t == t - state.phase_start
-            state, *_ = many_experts._advance(state, t, env, gen)
+            state, *_ = reference.advance(state, t, env, gen)
+        fast = many_experts.play_many_experts(env, 60, 0.5, rng=game_rng(3, 0))
+        slow = reference.play_many_experts(env, 60, 0.5, rng=game_rng(3, 0))
+        assert fast.extras == slow.extras
+        assert np.array_equal(fast.chosen, slow.chosen)
+        assert np.array_equal(fast.phase, slow.phase)
 
 
 class TestPackingRegretBound:

@@ -3,7 +3,7 @@ import pytest
 
 from packhedge import environments, hedge, many_experts, meta_tuner
 from packhedge.core import game_rng
-from packhedge.meta_tuner import MetaState, build_grid, play_meta
+from packhedge.meta_tuner import build_grid, play_meta
 
 
 class TestBuildGrid:
@@ -40,24 +40,17 @@ class TestBuildGrid:
 
 
 class TestMetaState:
+    """The meta layer's state: one hedge column per grid level, a known feedback mode."""
+
     def test_mismatched_sizes_rejected(self):
-        grid = build_grid(8)
+        # Feedback with fewer columns than the meta hedge has experts.
         with pytest.raises(ValueError):
-            MetaState(
-                grid=grid,
-                copies=[many_experts.PackingState.fresh(1.0)],
-                meta=hedge.HedgeState.fresh(3),
-            )
+            hedge.exponential_weights(lambda a, b: np.zeros((b - a, 1)), 8, 3, np.zeros(8))
 
     def test_unknown_feedback_mode_rejected(self):
-        grid = build_grid(8)
+        env = environments.make_clustered_binary(8, 5, 2, seed=0)
         with pytest.raises(ValueError, match="feedback_mode"):
-            MetaState(
-                grid=grid,
-                copies=[many_experts.PackingState.fresh(e) for e in grid.epsilons],
-                meta=hedge.HedgeState.fresh(3),
-                feedback_mode="sampled",
-            )
+            play_meta(env, 8, seed=0, feedback_mode="sampled")
 
 
 class TestPlayMeta:
