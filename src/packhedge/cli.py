@@ -16,7 +16,6 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -37,22 +36,6 @@ CSV_BLOCK_ROWS = 1024
 
 class ConfigError(Exception):
     """Invalid or incomplete configuration; the message names the field."""
-
-
-@dataclass
-class RunManifest:
-    config: dict[str, Any]
-    outputs: dict[str, str]
-    code_version: str = __version__
-    wall_time: float = 0.0
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "config": self.config,
-            "outputs": self.outputs,
-            "code_version": self.code_version,
-            "wall_time": self.wall_time,
-        }
 
 
 # ----------------------------------------------------------------------------
@@ -227,8 +210,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     write_trajectory_csv(trajectory_path, trajectory)
     _write_json(summary_path, build_summary(trajectory, oracle, game, env_spec))
 
-    manifest = RunManifest(
-        config={
+    manifest = {
+        "config": {
             "game": {
                 "algorithm": game.algorithm,
                 "T": game.T,
@@ -237,11 +220,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             },
             "environment": env_spec.as_dict(),
         },
-        outputs={"trajectory": str(trajectory_path), "summary": str(summary_path)},
-        wall_time=time.perf_counter() - started,
-    )
-    _write_json(out_dir / "manifest.json", manifest.as_dict())
-    print(json.dumps(manifest.as_dict(), indent=2, sort_keys=True))
+        "outputs": {"trajectory": str(trajectory_path), "summary": str(summary_path)},
+        "code_version": __version__,
+        "wall_time": time.perf_counter() - started,
+    }
+    _write_json(out_dir / "manifest.json", manifest)
+    print(json.dumps(manifest, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -269,11 +253,7 @@ def _sweep_cell_run(payload: dict[str, Any]) -> dict[str, Any]:
         spec = environments.EnvironmentSpec(
             payload["env_kind"], dict(payload["env_parameters"])
         )
-        oracle = environments.make_environment(spec)
-        if oracle.horizon() != game.T:
-            raise ValueError(
-                f"environment horizon {oracle.horizon()} must equal game T {game.T}"
-            )
+        oracle = _build_oracle(spec, game.T)
         trajectory = _play(game, oracle)
         ledger = analysis.empirical_regret(trajectory, oracle)
         extras = trajectory.extras

@@ -213,13 +213,13 @@ class GameTrajectory:
 class LossOracle(ABC):
     """Loss access for one environment instance.
 
-    Coverage queries go through :meth:`coverage_candidates`: an oracle hands
-    out one candidate loss per group of identical experts (by default every
-    expert), so structured expert sets such as clusters never enumerate every
-    expert.  The one coverage kernel, :func:`uncovered_mask`, then answers a
-    whole round in ``O(K log K_p)`` for ``K`` candidates and ``K_p`` active
-    experts.  The hedge kernel reads losses a block of rounds at a time
-    through :meth:`rows`.
+    An oracle serves two things: loss rows, a block of rounds at a time
+    (:meth:`rows`), and one coverage candidate per group of identical experts
+    (:meth:`coverage_candidates`); everything else derives from them.  The
+    hedge kernel reads :meth:`rows`; the one coverage kernel,
+    :func:`uncovered_mask`, answers a whole round over the candidates in
+    ``O(K log K_p)`` for ``K`` candidates and ``K_p`` active experts, so
+    structured expert sets such as clusters never enumerate every expert.
     """
 
     @abstractmethod
@@ -227,68 +227,40 @@ class LossOracle(ABC):
         """Number of rounds the environment defines."""
 
     @abstractmethod
-    def num_experts(self) -> int | None:
-        """Number of experts, or ``None`` when the set is not enumerable."""
+    def num_experts(self) -> int:
+        """Number of experts."""
 
     @abstractmethod
-    def loss(self, t: int, i: ExpertId) -> float:
-        """Loss of expert ``i`` at round ``t`` (1-based), deterministic per instance."""
-
-    def losses(self, t: int, experts: np.ndarray | Sequence[int] | None = None) -> np.ndarray:
-        """Loss vector at round ``t`` for ``experts`` (default: all experts)."""
-        if experts is None:
-            k = self.num_experts()
-            if k is None:
-                raise ValueError("cannot enumerate losses of an unbounded expert set")
-            experts = range(k)
-        return np.array([self.loss(t, int(i)) for i in experts], dtype=np.float64)
-
     def rows(
         self, t0: int, t1: int, experts: np.ndarray | Sequence[int] | None = None
     ) -> np.ndarray:
         """Losses of rounds ``t0 + 1 .. t1`` (one row each) for ``experts`` (default: all)."""
-        return np.vstack([self.losses(t, experts) for t in range(t0 + 1, t1 + 1)])
 
+    @abstractmethod
     def coverage_candidates(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Round-``t`` losses that coverage queries must consider, with their expert ids.
 
-        Ids are strictly ascending, and every expert not listed copies (at
-        every round) a listed expert with a smaller id.  So the first
-        uncovered candidate is the smallest-id uncovered expert, and no two
-        separated experts share a candidate.  Default: every expert.
+        Ids are strictly ascending and the same at every round, and every
+        expert not listed copies (at every round) a listed expert with a
+        smaller id.  So the first uncovered candidate is the smallest-id
+        uncovered expert, no two separated experts share a candidate, and an
+        active set as large as the candidate set covers every round.
         """
-        row = self.losses(t)
-        return row, np.arange(row.size)
 
-    def uncovered_expert(
-        self, t: int, active: Sequence[ExpertId] | np.ndarray, threshold: float
-    ) -> ExpertId | None:
-        """Smallest-index expert farther than ``threshold`` from every active expert at round ``t``.
-
-        Returns ``None`` when every expert is within ``threshold`` of some
-        member of ``active``.
-        """
-        values, ids = self.coverage_candidates(t)
-        hits = np.flatnonzero(uncovered_mask(values, self.losses(t, active), threshold))
-        return int(ids[hits[0]]) if hits.size else None
+    def losses(self, t: int, experts: np.ndarray | Sequence[int] | None = None) -> np.ndarray:
+        """Loss vector at round ``t`` for ``experts`` (default: all experts)."""
+        return self.rows(t - 1, t, experts)[0]
 
     def column_sums(self) -> np.ndarray:
         """Cumulative loss of every expert over the full horizon."""
-        k = self.num_experts()
-        if k is None:
-            raise ValueError("cannot sum losses of an unbounded expert set")
-        total = np.zeros(k, dtype=np.float64)
-        for t in range(1, self.horizon() + 1):
-            total += self.losses(t)
-        return total
+        return self.rows(0, self.horizon()).sum(axis=0)
 
     def to_matrix(self, max_entries: int = 50_000_000) -> np.ndarray:
         """Materialize the full ``T x K`` loss matrix (guarded by ``max_entries``)."""
-        k = self.num_experts()
-        if k is None:
-            raise ValueError("cannot materialize an unbounded expert set")
-        if self.horizon() * k > max_entries:
+        T, K = self.horizon(), self.num_experts()
+        if T * K > max_entries:
             raise ValueError(
-                f"matrix of {self.horizon()} x {k} entries exceeds the {max_entries} entry guard"
+                f"matrix of {T} x {K} entries is too large to materialize"
+                f" (guard: {max_entries} entries)"
             )
-        return np.vstack([self.losses(t) for t in range(1, self.horizon() + 1)])
+        return np.ascontiguousarray(self.rows(0, T))

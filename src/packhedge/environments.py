@@ -16,7 +16,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import matrix_io
-from .core import ExpertId, LossOracle, game_rng, validate_loss_matrix
+from .core import LossOracle, game_rng, validate_loss_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -82,15 +82,6 @@ class MatrixOracle(LossOracle):
     def num_experts(self) -> int:
         return int(self._m.shape[1])
 
-    def loss(self, t: int, i: ExpertId) -> float:
-        return float(self._m[t - 1, i])
-
-    def losses(self, t: int, experts: np.ndarray | Sequence[int] | None = None) -> np.ndarray:
-        row = self._m[t - 1]
-        if experts is None:
-            return row
-        return row[np.asarray(experts, dtype=np.int64)]
-
     def rows(
         self, t0: int, t1: int, experts: np.ndarray | Sequence[int] | None = None
     ) -> np.ndarray:
@@ -104,11 +95,6 @@ class MatrixOracle(LossOracle):
         if self._column_sums is None:
             self._column_sums = self._m.sum(axis=0)
         return self._column_sums
-
-    def to_matrix(self, max_entries: int = 50_000_000) -> np.ndarray:
-        if self._m.size > max_entries:
-            raise ValueError(f"matrix of {self._m.size} entries exceeds the {max_entries} guard")
-        return self._m
 
 
 class ClusteredBinaryOracle(LossOracle):
@@ -140,24 +126,11 @@ class ClusteredBinaryOracle(LossOracle):
         self.ground_truth = {"rows": self._rows, "assignment": self._assign}
         self._cluster_sums = self._rows.sum(axis=1)
 
-    @property
-    def num_clusters(self) -> int:
-        return int(self._rows.shape[0])
-
     def horizon(self) -> int:
         return int(self._rows.shape[1])
 
     def num_experts(self) -> int:
         return int(self._assign.size)
-
-    def loss(self, t: int, i: ExpertId) -> float:
-        return float(self._rows[self._assign[i], t - 1])
-
-    def losses(self, t: int, experts: np.ndarray | Sequence[int] | None = None) -> np.ndarray:
-        col = self._rows[:, t - 1]
-        if experts is None:
-            return col[self._assign]
-        return col[self._assign[np.asarray(experts, dtype=np.int64)]]
 
     def rows(
         self, t0: int, t1: int, experts: np.ndarray | Sequence[int] | None = None
@@ -170,14 +143,6 @@ class ClusteredBinaryOracle(LossOracle):
 
     def column_sums(self) -> np.ndarray:
         return self._cluster_sums[self._assign]
-
-    def to_matrix(self, max_entries: int = 50_000_000) -> np.ndarray:
-        if self.horizon() * self.num_experts() > max_entries:
-            raise ValueError(
-                f"clustered matrix of {self.horizon()} x {self.num_experts()} entries is too"
-                f" large to materialize (guard: {max_entries} entries)"
-            )
-        return self._rows[self._assign].T.copy()
 
 
 def _distinct_binary_rows(num_rows: int, horizon: int, rng: np.random.Generator) -> np.ndarray:
@@ -218,6 +183,26 @@ def make_clustered_binary(T: int, K: int, N: int, seed: int) -> ClusteredBinaryO
     return ClusteredBinaryOracle(rows, assignment, spec)
 
 
+def _add_noise(
+    structure: np.ndarray, epsilon_noise: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(clip(structure + E, -1, 1), E)`` for noise ``E`` uniform on ``[-eps, eps]``.
+
+    Checks that no loss lies farther than ``epsilon_noise`` from ``structure``,
+    whose buffer it overwrites with that residual, so the step holds three
+    ``T x K`` arrays at once.
+    """
+    shape = structure.shape
+    E = rng.uniform(-epsilon_noise, epsilon_noise, size=shape) if epsilon_noise > 0 else np.zeros(shape)
+    L = np.add(structure, E)
+    np.clip(L, -1.0, 1.0, out=L)
+    residual = np.subtract(L, structure, out=structure)
+    deviation = max(float(residual.max()), -float(residual.min()))
+    if deviation > epsilon_noise + 1e-12:
+        raise AssertionError(f"structure residual {deviation} exceeds epsilon_noise")
+    return L, E
+
+
 def make_low_rank(T: int, K: int, d: int, epsilon_noise: float, seed: int) -> MatrixOracle:
     """Rank-``d`` product plus entrywise noise of magnitude ``epsilon_noise``.
 
@@ -233,16 +218,12 @@ def make_low_rank(T: int, K: int, d: int, epsilon_noise: float, seed: int) -> Ma
     U = rng.uniform(-1.0, 1.0, size=(T, d))
     W = rng.uniform(-1.0, 1.0, size=(d, K))
     product = U @ W
-    peak = float(np.abs(product).max())
+    peak = max(float(product.max()), -float(product.min()))
     if peak > 0.0:
         scale = (1.0 - epsilon_noise) / peak
         W *= scale
         product *= scale
-    E = rng.uniform(-epsilon_noise, epsilon_noise, size=(T, K)) if epsilon_noise > 0 else np.zeros((T, K))
-    L = np.clip(product + E, -1.0, 1.0)
-    residual = float(np.abs(L - product).max())
-    if residual > epsilon_noise + 1e-12:
-        raise AssertionError(f"structure residual {residual} exceeds epsilon_noise")
+    L, E = _add_noise(product, epsilon_noise, rng)
     spec = EnvironmentSpec(
         "low_rank", {"T": T, "K": K, "d": d, "epsilon_noise": epsilon_noise, "seed": seed}
     )
@@ -271,12 +252,7 @@ def make_sparse_dictionary(
         if k > 0:
             support = rng.choice(n, size=k, replace=False)
             V[support, j] = rng.uniform(-1.0, 1.0, size=k)
-    structure = D @ V
-    E = rng.uniform(-epsilon_noise, epsilon_noise, size=(T, K)) if epsilon_noise > 0 else np.zeros((T, K))
-    L = np.clip(structure + E, -1.0, 1.0)
-    residual = float(np.abs(L - structure).max())
-    if residual > epsilon_noise + 1e-12:
-        raise AssertionError(f"structure residual {residual} exceeds epsilon_noise")
+    L, E = _add_noise(D @ V, epsilon_noise, rng)
     spec = EnvironmentSpec(
         "sparse_dictionary",
         {"T": T, "K": K, "n": n, "k": k, "epsilon_noise": epsilon_noise, "seed": seed},

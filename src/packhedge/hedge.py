@@ -160,8 +160,6 @@ def play_hedge(
     if T < 1 or T > oracle.horizon():
         raise ValueError(f"horizon must be in [1, {oracle.horizon()}], got {T}")
     K = oracle.num_experts()
-    if K is None:
-        raise ValueError("plain exponential weights needs a finite expert set")
     gen, seed = normalize_rng(rng)
     # Sampling is scale-invariant, so the unnormalized weights suffice.
     chosen, incurred, _ = exponential_weights(oracle.rows, T, K, gen.random(T))

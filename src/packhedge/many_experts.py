@@ -8,7 +8,8 @@ restarted over the enlarged set with a fresh learning-rate clock.  Between
 restarts the learner behaves exactly like plain exponential weights on ``S``.
 
 The admission schedule never depends on the learner's draws, so a game is a
-schedule pass (one :func:`expand_packing` per round) followed by one
+schedule pass (one :func:`expand_packing` per round until the active set
+holds every coverage candidate) followed by one
 :func:`hedge.exponential_weights` pass per phase.
 """
 
@@ -151,14 +152,19 @@ def packing_game(
     if T < 1 or T > oracle.horizon():
         raise ValueError(f"horizon must be in [1, {oracle.horizon()}], got {T}")
     num_experts = oracle.num_experts()
-    if num_experts is not None and not (0 <= initial_expert < num_experts):
+    if not (0 <= initial_expert < num_experts):
         raise ValueError(
             f"initial expert {initial_expert} out of range for {num_experts} experts"
         )
     gen, seed = normalize_rng(rng)
 
     state = PackingState.fresh(epsilon, initial_expert)
+    # The candidate ids are the same at every round, so once the active set is
+    # as large as the candidate set no later round admits anyone.
+    num_candidates = oracle.coverage_candidates(1)[1].size
     for t in range(1, T + 1):
+        if state.active.size >= num_candidates:
+            break
         state, _ = expand_packing(state, t, oracle)
     admitted_at = np.array(state.admitted_at, dtype=np.int64)
     # Phase p plays rounds starts[p] + 1 .. starts[p + 1] over the first sizes[p]

@@ -7,6 +7,8 @@ verbatim: every round allocates a hedge state, draws one uniform through
 another admission rule for both sides.  The kernel-based learners must
 reproduce these trajectories and extras bit for bit.  ``LossOnlyOracle`` is
 the slowest oracle: every other access goes through the base-class defaults.
+``first_uncovered`` is a single coverage query, for comparison with dense
+scans.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ from packhedge.core import (
     game_rng,
     normalize_rng,
     sample_categorical,
+    uncovered_mask,
 )
 from packhedge.meta_tuner import FEEDBACK_MODES, EpsilonGrid, build_grid
 
 
 class LossOnlyOracle(LossOracle):
-    """Implements only the abstract methods; everything else is the base default."""
+    """Implements only the abstract methods, element by element; the rest is the base default."""
 
     def __init__(self, matrix):
         self._m = np.asarray(matrix, dtype=np.float64)
@@ -40,8 +43,24 @@ class LossOnlyOracle(LossOracle):
     def num_experts(self):
         return self._m.shape[1]
 
-    def loss(self, t, i):
-        return float(self._m[t - 1, i])
+    def rows(self, t0, t1, experts=None):
+        experts = range(self.num_experts()) if experts is None else experts
+        block = [[float(self._m[t, int(i)]) for i in experts] for t in range(t0, t1)]
+        return np.array(block, dtype=np.float64).reshape(t1 - t0, len(experts))
+
+    def coverage_candidates(self, t):
+        return self.losses(t), np.arange(self.num_experts())
+
+
+def first_uncovered(oracle, t, active, threshold):
+    """Smallest expert id farther than ``threshold`` from every active expert at round ``t``.
+
+    One coverage query over the oracle's candidates; ``None`` when every
+    expert is covered.
+    """
+    values, ids = oracle.coverage_candidates(t)
+    hits = np.flatnonzero(uncovered_mask(values, oracle.losses(t, active), threshold))
+    return int(ids[hits[0]]) if hits.size else None
 
 
 class TrajectoryRecorder:

@@ -16,6 +16,7 @@ from packhedge.core import (
     sample_categorical,
     validate_loss_matrix,
 )
+from reference import LossOnlyOracle, first_uncovered
 
 
 class TestSampleCategorical:
@@ -164,26 +165,17 @@ class TestGameConfig:
 
 
 class TestLossOracleDefaults:
-    """The ABC's loss()-based fallbacks must agree with vectorized overrides."""
+    """The ABC's rows()-based defaults must agree with vectorized overrides."""
 
-    class MinimalOracle(LossOracle):
-        def __init__(self, matrix):
-            self._m = matrix
-
-        def horizon(self):
-            return self._m.shape[0]
-
-        def num_experts(self):
-            return self._m.shape[1]
-
-        def loss(self, t, i):
-            return float(self._m[t - 1, i])
+    def test_contract_is_rows_and_candidates(self):
+        abstract = {"horizon", "num_experts", "rows", "coverage_candidates"}
+        assert LossOracle.__abstractmethods__ == abstract
 
     def _pair(self, seed):
         from packhedge.environments import MatrixOracle
 
         matrix = game_rng(seed).uniform(-1.0, 1.0, size=(12, 9))
-        return self.MinimalOracle(matrix), MatrixOracle(matrix)
+        return LossOnlyOracle(matrix), MatrixOracle(matrix)
 
     def test_losses_agree(self):
         minimal, vectorized = self._pair(0)
@@ -198,8 +190,8 @@ class TestLossOracleDefaults:
             t = int(rng.integers(1, 13))
             active = list(rng.choice(9, size=int(rng.integers(1, 4)), replace=False))
             threshold = float(rng.uniform(0.0, 2.0))
-            assert minimal.uncovered_expert(t, active, threshold) == vectorized.uncovered_expert(
-                t, active, threshold
+            assert first_uncovered(minimal, t, active, threshold) == first_uncovered(
+                vectorized, t, active, threshold
             )
 
     def test_column_sums_and_matrix_agree(self):

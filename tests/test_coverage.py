@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from packhedge import cli, environments, many_experts, meta_tuner
 from packhedge.core import game_rng, uncovered_mask
 from packhedge.many_experts import PackingState, expand_packing
-from reference import LossOnlyOracle
+from reference import LossOnlyOracle, first_uncovered
 
 
 def dense_uncovered(values, reference, threshold):
@@ -187,7 +187,7 @@ class TestOnePassExpansion:
             row = oracle.losses(t)
             mask = dense_uncovered(row, row[active], threshold)
             expected = int(np.argmax(mask)) if mask.any() else None
-            assert oracle.uncovered_expert(t, active, threshold) == expected
+            assert first_uncovered(oracle, t, active, threshold) == expected
 
     def test_saturated_set_stops_querying(self):
         # Every expert separated at round 1: the set saturates, later rounds admit nothing.

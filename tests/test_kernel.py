@@ -218,13 +218,20 @@ class TestRows:
 
 
 class CountingOracle(environments.MatrixOracle):
-    """Counts the per-round loss gathers of a game."""
+    """Counts the per-round loss gathers and records the rounds of candidate fetches."""
 
-    gathers = 0
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.gathers = 0
+        self.fetched = []
 
     def losses(self, t, experts=None):
         self.gathers += 1
         return super().losses(t, experts)
+
+    def coverage_candidates(self, t):
+        self.fetched.append(t)
+        return super().coverage_candidates(t)
 
 
 def test_one_active_gather_per_unsaturated_round():
@@ -233,8 +240,12 @@ def test_one_active_gather_per_unsaturated_round():
         oracle = CountingOracle(matrix)
         trajectory = many_experts.play_many_experts(oracle, epsilon=epsilon, rng=1)
         size_before = np.concatenate(([1], trajectory.packing_size[:-1]))
-        assert oracle.gathers == np.count_nonzero(size_before < 60)
+        unsaturated = np.flatnonzero(size_before < 60) + 1
+        assert oracle.gathers == unsaturated.size
+        # Nothing is fetched once the active set holds every candidate.
+        assert set(oracle.fetched) <= set(unsaturated.tolist())
     assert trajectory.packing_size[-1] == 60  # the finest accuracy saturated
+    assert unsaturated.size < 400
 
 
 class TestBoundedMemory:
@@ -251,6 +262,12 @@ class TestBoundedMemory:
         oracle = environments.make_finite_matrix(game_rng(1).uniform(-1.0, 1.0, (4096, 200)))
         one_matrix = 4096 * 200 * 8
         assert self.peak(lambda: hedge.play_hedge(oracle, rng=1)) < one_matrix / 4
+
+    def test_low_rank_generation(self):
+        # The generator holds the structure, the noise and the losses: three matrices.
+        one_matrix = 1024 * 500 * 8
+        peak = self.peak(lambda: environments.make_low_rank(1024, 500, 2, 0.05, 3))
+        assert peak < 3.5 * one_matrix
 
     def test_packing_clustered(self):
         oracle = environments.make_clustered_binary(5000, 100_000, 8, seed=7)
