@@ -452,10 +452,19 @@ def cmd_export_env(args: argparse.Namespace) -> int:
 # entry point
 
 
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="packhedge",
         description="Expert-advice games at scale: run, sweep, validate, export.",
+    )
+    parser.add_argument(
+        "--log-level",
+        choices=LOG_LEVELS,
+        default="INFO",
+        help="least severe log message shown (default: INFO)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -488,9 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(args.log_level)
     try:
         return args.func(args)
     except ConfigError as exc:

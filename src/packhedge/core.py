@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import logging
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -93,6 +94,55 @@ def uncovered_mask(
     # padded[pos] is the largest reference below the value, padded[pos + 1]
     # the smallest at or above it; the infinities stand in for a missing side.
     return (values - padded[pos] > threshold) & (padded[pos + 1] - values > threshold)
+
+
+def uncovered_rows(
+    values: np.ndarray,
+    reference: np.ndarray,
+    threshold: float,
+    max_entries: int,
+    max_gaps: int | None = None,
+) -> np.ndarray:
+    """Which rows of ``values`` may hold a value farther than ``threshold`` from its ``reference`` row.
+
+    The block certificate of the coverage kernel, for ``b x n`` values and
+    ``b x m`` references (``m >= 1``).  A value can only be uncovered inside a
+    *wide gap* of its sorted reference row padded with ``-inf`` and ``+inf``:
+    two neighbours at least ``2 * threshold`` apart, since rounded
+    subtraction is monotone and doubling is exact.  Each wide gap ``(lo,
+    hi)`` is tested with the kernel's own expressions, so a row with at most
+    ``max_gaps`` wide gaps is flagged exactly when ``uncovered_mask(values[r],
+    reference[r], threshold).any()``.  A row with more (``max_gaps`` defaults
+    to ``log2(m) + 2``, where the ``O(n * gaps)`` test outgrows the ``O(n log
+    m)`` query) is flagged untested.  Each gap test holds at most
+    ``max_entries`` values.
+    """
+    width, m = values.shape[1], reference.shape[1]
+    if max_gaps is None:
+        max_gaps = int(math.log2(m)) + 2
+    ordered = np.sort(reference, axis=1)
+    # The two outer gaps are always wide, and by monotone subtraction the
+    # row's extreme value passes their test if any value does.
+    flagged = (ordered[:, 0] - values.min(axis=1) > threshold) | (
+        values.max(axis=1) - ordered[:, -1] > threshold
+    )
+    wide = np.diff(ordered, axis=1) >= 2.0 * threshold
+    flagged |= np.count_nonzero(wide, axis=1) > max_gaps - 2
+    wide &= ~flagged[:, None]
+    # Inner gap (r, g), flat index r * (m - 1) + g, opens at ordered[r, g],
+    # flat index r * m + g.
+    gaps = np.flatnonzero(wide)
+    gap_rows = gaps // (m - 1)
+    lows = ordered.ravel()[gaps + gap_rows]
+    highs = ordered.ravel()[gaps + gap_rows + 1]
+    step = max(1, max_entries // width)
+    for g0 in range(0, gaps.size, step):
+        r = gap_rows[g0 : g0 + step]
+        block = values[r]
+        lo, hi = lows[g0 : g0 + step, None], highs[g0 : g0 + step, None]
+        hit = ((block - lo > threshold) & (hi - block > threshold)).any(axis=1)
+        flagged[r[hit]] = True
+    return flagged
 
 
 def expected_loss(distribution: Sequence[float] | np.ndarray, losses: Sequence[float] | np.ndarray) -> float:
@@ -214,12 +264,14 @@ class LossOracle(ABC):
     """Loss access for one environment instance.
 
     An oracle serves two things: loss rows, a block of rounds at a time
-    (:meth:`rows`), and one coverage candidate per group of identical experts
-    (:meth:`coverage_candidates`); everything else derives from them.  The
-    hedge kernel reads :meth:`rows`; the one coverage kernel,
-    :func:`uncovered_mask`, answers a whole round over the candidates in
-    ``O(K log K_p)`` for ``K`` candidates and ``K_p`` active experts, so
-    structured expert sets such as clusters never enumerate every expert.
+    (:meth:`rows`), and the ids of one coverage candidate per group of
+    identical experts (:meth:`coverage_ids`); everything else derives from
+    them.  The hedge kernel and the coverage queries both read :meth:`rows`:
+    the block certificate :func:`uncovered_rows` screens a block of rounds
+    and the one coverage kernel, :func:`uncovered_mask`, answers a flagged
+    round over the candidates in ``O(K log K_p)`` for ``K`` candidates and
+    ``K_p`` active experts, so structured expert sets such as clusters never
+    enumerate every expert.
     """
 
     @abstractmethod
@@ -237,14 +289,14 @@ class LossOracle(ABC):
         """Losses of rounds ``t0 + 1 .. t1`` (one row each) for ``experts`` (default: all)."""
 
     @abstractmethod
-    def coverage_candidates(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Round-``t`` losses that coverage queries must consider, with their expert ids.
+    def coverage_ids(self) -> np.ndarray:
+        """Ids of the experts whose losses coverage queries must consider.
 
-        Ids are strictly ascending and the same at every round, and every
-        expert not listed copies (at every round) a listed expert with a
-        smaller id.  So the first uncovered candidate is the smallest-id
-        uncovered expert, no two separated experts share a candidate, and an
-        active set as large as the candidate set covers every round.
+        Ids are strictly ascending, and every expert not listed copies (at
+        every round) a listed expert with a smaller id.  So the first
+        uncovered candidate is the smallest-id uncovered expert, no two
+        separated experts share a candidate, and an active set as large as
+        the candidate set covers every round.
         """
 
     def losses(self, t: int, experts: np.ndarray | Sequence[int] | None = None) -> np.ndarray:

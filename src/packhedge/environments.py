@@ -88,8 +88,8 @@ class MatrixOracle(LossOracle):
         block = self._m[t0:t1]
         return block if experts is None else block.take(np.asarray(experts, dtype=np.int64), 1)
 
-    def coverage_candidates(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._m[t - 1], self._ids
+    def coverage_ids(self) -> np.ndarray:
+        return self._ids
 
     def column_sums(self) -> np.ndarray:
         if self._column_sums is None:
@@ -101,9 +101,9 @@ class ClusteredBinaryOracle(LossOracle):
     """Experts grouped into clusters sharing identical +/-1 loss rows.
 
     Stores only the ``N x T`` distinct rows plus a cluster assignment.  The
-    coverage candidates are the ``N`` cluster values, each under its cluster's
-    smallest expert id, so coverage and column sums cost ``O(N)`` instead of
-    ``O(K)`` while answering exactly as a scan over all ``K`` experts would.
+    coverage candidates are each cluster's smallest expert id, so coverage
+    and column sums cost ``O(N)`` instead of ``O(K)`` while answering exactly
+    as a scan over all ``K`` experts would.
     """
 
     def __init__(
@@ -120,8 +120,7 @@ class ClusteredBinaryOracle(LossOracle):
         np.minimum.at(first_expert, self._assign, np.arange(self._assign.size))
         if np.any(first_expert == self._assign.size):
             raise ValueError("every cluster must have at least one expert")
-        self._candidate_clusters = np.argsort(first_expert)
-        self._candidate_ids = first_expert[self._candidate_clusters]
+        self._candidate_ids = np.sort(first_expert)
         self.spec = spec
         self.ground_truth = {"rows": self._rows, "assignment": self._assign}
         self._cluster_sums = self._rows.sum(axis=1)
@@ -138,8 +137,8 @@ class ClusteredBinaryOracle(LossOracle):
         assign = self._assign if experts is None else self._assign[np.asarray(experts, np.int64)]
         return self._rows[assign, t0:t1].T
 
-    def coverage_candidates(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._rows[self._candidate_clusters, t - 1], self._candidate_ids
+    def coverage_ids(self) -> np.ndarray:
+        return self._candidate_ids
 
     def column_sums(self) -> np.ndarray:
         return self._cluster_sums[self._assign]

@@ -8,9 +8,13 @@ restarted over the enlarged set with a fresh learning-rate clock.  Between
 restarts the learner behaves exactly like plain exponential weights on ``S``.
 
 The admission schedule never depends on the learner's draws, so a game is a
-schedule pass (one :func:`expand_packing` per round until the active set
-holds every coverage candidate) followed by one
-:func:`hedge.exponential_weights` pass per phase.
+schedule pass followed by one :func:`hedge.exponential_weights` pass per
+phase.  The schedule pass reads a block of rounds at a time and certifies
+with :func:`~packhedge.core.uncovered_rows` that the active set at the start
+of the block covers every candidate of a round; coverage only grows with the
+active set, so :func:`expand_packing`, the exact query and admission walk,
+runs only on the rounds left flagged, until the active set holds every
+coverage candidate.
 """
 
 from __future__ import annotations
@@ -23,7 +27,14 @@ from typing import Any
 import numpy as np
 
 from . import hedge
-from .core import ExpertId, GameTrajectory, LossOracle, normalize_rng, uncovered_mask
+from .core import (
+    ExpertId,
+    GameTrajectory,
+    LossOracle,
+    normalize_rng,
+    uncovered_mask,
+    uncovered_rows,
+)
 
 
 @dataclass
@@ -65,12 +76,13 @@ def expand_packing(
     produces, since admissions only shrink the uncovered set.  Returns the
     (possibly unchanged) state and the admitted ids.
     """
-    values, ids = oracle.coverage_candidates(t)
+    ids = oracle.coverage_ids()
     active = state.active
-    if active.size >= values.size:
+    if active.size >= ids.size:
         # Active experts are pairwise separated, so they copy distinct
         # candidates: the set already covers every one of them.
         return state, []
+    values = oracle.rows(t - 1, t, ids)[0]
     threshold = 2.0 * state.epsilon
     uncovered = np.flatnonzero(uncovered_mask(values, oracle.losses(t, active), threshold))
     if uncovered.size == 0:
@@ -91,6 +103,38 @@ def expand_packing(
         admitted_at=state.admitted_at + [t] * len(added),
     )
     return new_state, added
+
+
+def _schedule(
+    oracle: LossOracle, horizon: int, epsilon: float, initial_expert: ExpertId
+) -> PackingState:
+    """The packing after ``horizon`` rounds: the schedule pass of :func:`packing_game`.
+
+    Blocks of ``hedge.block_rounds(K)`` rounds over the ``K`` candidates are
+    certified at once against the active set at the start of the block; only
+    the rounds the certificate flags run :func:`expand_packing`, in order.
+    Once the active set is as large as the candidate set no later round
+    admits anyone, so nothing more is read.
+    """
+    state = PackingState.fresh(epsilon, initial_expert)
+    ids = oracle.coverage_ids()
+    threshold = 2.0 * state.epsilon
+    step = hedge.block_rounds(ids.size)
+    for t0 in range(0, horizon, step):
+        if state.active.size >= ids.size:
+            break
+        t1 = min(horizon, t0 + step)
+        flagged = uncovered_rows(
+            oracle.rows(t0, t1, ids),
+            oracle.rows(t0, t1, state.active),
+            threshold,
+            hedge.BLOCK_ENTRIES,
+        )
+        for t in (np.flatnonzero(flagged) + t0 + 1).tolist():
+            if state.active.size >= ids.size:
+                break
+            state, _ = expand_packing(state, t, oracle)
+    return state
 
 
 def packing_regret_bound(
@@ -158,14 +202,7 @@ def packing_game(
         )
     gen, seed = normalize_rng(rng)
 
-    state = PackingState.fresh(epsilon, initial_expert)
-    # The candidate ids are the same at every round, so once the active set is
-    # as large as the candidate set no later round admits anyone.
-    num_candidates = oracle.coverage_candidates(1)[1].size
-    for t in range(1, T + 1):
-        if state.active.size >= num_candidates:
-            break
-        state, _ = expand_packing(state, t, oracle)
+    state = _schedule(oracle, T, epsilon, initial_expert)
     admitted_at = np.array(state.admitted_at, dtype=np.int64)
     # Phase p plays rounds starts[p] + 1 .. starts[p + 1] over the first sizes[p]
     # active experts; the losses of its last round update nothing.

@@ -48,8 +48,8 @@ class LossOnlyOracle(LossOracle):
         block = [[float(self._m[t, int(i)]) for i in experts] for t in range(t0, t1)]
         return np.array(block, dtype=np.float64).reshape(t1 - t0, len(experts))
 
-    def coverage_candidates(self, t):
-        return self.losses(t), np.arange(self.num_experts())
+    def coverage_ids(self):
+        return np.arange(self.num_experts())
 
 
 def first_uncovered(oracle, t, active, threshold):
@@ -58,7 +58,8 @@ def first_uncovered(oracle, t, active, threshold):
     One coverage query over the oracle's candidates; ``None`` when every
     expert is covered.
     """
-    values, ids = oracle.coverage_candidates(t)
+    ids = oracle.coverage_ids()
+    values = oracle.rows(t - 1, t, ids)[0]
     hits = np.flatnonzero(uncovered_mask(values, oracle.losses(t, active), threshold))
     return int(ids[hits[0]]) if hits.size else None
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 
 import numpy as np
@@ -182,6 +183,43 @@ class TestRun:
         blocker.write_text("file, not a directory")
         code = cli.main(["run", "--config", config, "--out-dir", str(blocker / "sub")])
         assert code == EXIT_IO
+
+
+class TestLogLevel:
+    def run_grazing_matrix(self, tmp_path, caplog, *flags):
+        matrix_path = tmp_path / "grazing.bin"
+        matrix = np.zeros((4, 3))
+        matrix[2, 1] = 1.0 + 1e-13  # clamped with a warning
+        matrix_io.write_matrix_binary(matrix_path, matrix)
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "hedge", "T": 4, "seed": 0},
+                "environment": {"kind": "finite_matrix", "path": str(matrix_path)},
+            },
+        )
+        root = logging.getLogger()
+        level = root.level
+        caplog.clear()
+        try:
+            argv = [*flags, "run", "--config", config, "--out-dir", str(tmp_path / "out")]
+            assert cli.main(argv) == EXIT_OK
+        finally:
+            root.setLevel(level)
+        return [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+    def test_default_shows_the_clamp_warning(self, tmp_path, caplog):
+        warnings = self.run_grazing_matrix(tmp_path, caplog)
+        assert any("clamping losses" in w for w in warnings)
+
+    def test_error_level_suppresses_the_clamp_warning(self, tmp_path, caplog):
+        assert self.run_grazing_matrix(tmp_path, caplog, "--log-level", "ERROR") == []
+
+    def test_unknown_level_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--log-level", "LOUD", "validate", "logsum"])
+        assert exc.value.code == 2
+        assert "--log-level" in capsys.readouterr().err
 
 
 class TestSweep:

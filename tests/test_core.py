@@ -168,7 +168,7 @@ class TestLossOracleDefaults:
     """The ABC's rows()-based defaults must agree with vectorized overrides."""
 
     def test_contract_is_rows_and_candidates(self):
-        abstract = {"horizon", "num_experts", "rows", "coverage_candidates"}
+        abstract = {"horizon", "num_experts", "rows", "coverage_ids"}
         assert LossOracle.__abstractmethods__ == abstract
 
     def _pair(self, seed):

@@ -2,8 +2,10 @@
 
 ``dense_uncovered`` is the ``K x K_p`` broadcast gap scan and
 ``requery_expand`` the admission loop that re-asks for the smallest uncovered
-expert after every admission.  The sorted-neighbour kernel and the one-pass
-``expand_packing`` must agree with them bit for bit.
+expert after every admission.  The sorted-neighbour kernel, the block
+certificate ``uncovered_rows`` and the one-pass ``expand_packing`` must agree
+with them bit for bit, and the block schedule pass with ``expand_packing``
+called on every round.
 """
 
 from dataclasses import replace
@@ -13,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packhedge import cli, environments, many_experts, meta_tuner
-from packhedge.core import game_rng, uncovered_mask
+from packhedge import cli, environments, hedge, many_experts, meta_tuner
+from packhedge.core import game_rng, uncovered_mask, uncovered_rows
 from packhedge.many_experts import PackingState, expand_packing
 from reference import LossOnlyOracle, first_uncovered
 
@@ -43,11 +45,11 @@ def requery_expand(state, t, oracle):
     return replace(state, active=active, admitted_at=state.admitted_at + [t] * len(added)), added
 
 
-def schedule(oracle, epsilon, expand, initial_expert=0):
+def schedule(oracle, epsilon, expand, initial_expert=0, horizon=None):
     """Admissions of every round, driving the packing state with ``expand`` only."""
     state = PackingState.fresh(epsilon, initial_expert)
     admissions = []
-    for t in range(1, oracle.horizon() + 1):
+    for t in range(1, (horizon or oracle.horizon()) + 1):
         state, added = expand(state, t, oracle)
         admissions.append(added)
     return list(state.active), state.admitted_at, admissions
@@ -124,11 +126,138 @@ class TestKernel:
             )
 
 
-def oracles():
+def exact_rows(values, reference, threshold):
+    """Row by row: does the sorted-neighbour kernel find an uncovered value?"""
+    return np.array([uncovered_mask(v, r, threshold).any() for v, r in zip(values, reference)])
+
+
+def dense_rows(values, reference, threshold):
+    return np.array([dense_uncovered(v, r, threshold).any() for v, r in zip(values, reference)])
+
+
+def wide_gaps(reference, threshold):
+    """Wide gaps per row, the two outer ones included."""
+    return (np.diff(np.sort(reference, axis=1), axis=1) >= 2.0 * threshold).sum(axis=1) + 2
+
+
+# A block of rounds: b rows of n values, and m reference values per row,
+# drawn from the row's values (active experts are candidates) or anywhere.
+# The thresholds put gaps of exactly 2 eps and 4 eps on the 0.25 grid of
+# EDGE_VALUES.
+blocks = st.tuples(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=16),
+).flatmap(
+    lambda shape: st.tuples(
+        st.lists(
+            st.lists(
+                st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-1.0, 1.0)),
+                min_size=shape[1],
+                max_size=shape[1],
+            ),
+            min_size=shape[0],
+            max_size=shape[0],
+        ),
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(min_value=0, max_value=shape[1] - 1),
+                    st.sampled_from(EDGE_VALUES),
+                ),
+                min_size=shape[2],
+                max_size=shape[2],
+            ),
+            min_size=shape[0],
+            max_size=shape[0],
+        ),
+    )
+)
+thresholds = st.one_of(
+    st.sampled_from([0.0, 0.0625, 0.125, 0.25, 0.5, 1.0, 2.0]), st.floats(0.0, 2.5)
+)
+
+
+def draw_block(block):
+    rows, picks = block
+    values = np.array(rows)
+    # An integer pick names a value of the same row; a float is a value itself.
+    reference = np.array(
+        [
+            [row[p] if isinstance(p, int) else p for p in pick]
+            for row, pick in zip(rows, picks)
+        ]
+    )
+    return values, reference
+
+
+class TestBlockCertificate:
+    @settings(max_examples=300)
+    @given(blocks, thresholds)
+    def test_matches_kernel_and_dense_scan(self, block, threshold):
+        values, reference = draw_block(block)
+        exact = exact_rows(values, reference, threshold)
+        assert np.array_equal(exact, dense_rows(values, reference, threshold))
+        every_gap = reference.shape[1] + 1
+        for entries in (1, 7, hedge.BLOCK_ENTRIES):
+            assert np.array_equal(
+                uncovered_rows(values, reference, threshold, entries, every_gap), exact
+            )
+        # Past the gap cutoff a row is flagged untested; below it, exactly.
+        flagged = uncovered_rows(values, reference, threshold, hedge.BLOCK_ENTRIES)
+        tested = wide_gaps(reference, threshold) <= int(np.log2(reference.shape[1])) + 2
+        assert np.array_equal(flagged[tested], exact[tested])
+        assert flagged[~tested].all()
+
+    @settings(max_examples=200)
+    @given(blocks, thresholds, st.data())
+    def test_subset_never_misses(self, block, threshold, data):
+        # Coverage is monotone in the reference set: certifying against the
+        # active set at the start of a block flags every round that a larger
+        # set leaves uncovered.
+        values, reference = draw_block(block)
+        size = data.draw(st.integers(min_value=1, max_value=reference.shape[1]))
+        subset = reference[:, :size]
+        flagged = uncovered_rows(values, subset, threshold, hedge.BLOCK_ENTRIES)
+        assert not (exact_rows(values, reference, threshold) & ~flagged).any()
+        assert not (exact_rows(values, subset, threshold) & ~flagged).any()
+
+    def test_signed_zeros_and_single_reference(self):
+        values = np.array([[0.0, -0.0, 1e-300], [-0.0, 0.5, -0.5], [1.0, -1.0, 0.0]])
+        for reference in (np.array([[-0.0], [0.0], [0.0]]), np.array([[0.0], [-0.0], [-0.0]])):
+            for threshold in (0.0, 0.5, 1.0):
+                exact = exact_rows(values, reference, threshold)
+                assert np.array_equal(exact, dense_rows(values, reference, threshold))
+                assert np.array_equal(uncovered_rows(values, reference, threshold, 4), exact)
+
+    @pytest.mark.parametrize("epsilon", [2.0**-5, 2.0**-7, 0.1])
+    def test_references_spaced_four_epsilon(self, epsilon):
+        # Every gap is wide: values at lo + 2 eps (covered) and just past it.
+        threshold = 2.0 * epsilon
+        count = int(2.0 / (2.0 * threshold))
+        reference = np.tile(-1.0 + 2.0 * threshold * np.arange(count), (6, 1))
+        lows = reference[0, :-1]
+        values = np.stack(
+            [
+                lows + threshold,
+                np.nextafter(lows + threshold, 2.0),
+                np.nextafter(lows + threshold, -2.0),
+                lows + threshold / 2,
+                game_rng(3).uniform(-1.0, 1.0, lows.size),
+                np.full(lows.size, 1.0),
+            ]
+        )
+        exact = exact_rows(values, reference, threshold)
+        assert np.array_equal(exact, dense_rows(values, reference, threshold))
+        assert np.array_equal(uncovered_rows(values, reference, threshold, 64, count + 1), exact)
+        assert uncovered_rows(values, reference, threshold, 64).all()
+
+
+def oracles(rounds=None):
     """A dense matrix, a clustered and a loss()-only oracle, by name."""
-    low_rank = environments.make_low_rank(40, 60, 2, 0.05, seed=5)
-    clustered = environments.make_clustered_binary(40, 80, 7, seed=6)
-    loss_only = LossOnlyOracle(game_rng(7).uniform(-1.0, 1.0, size=(30, 25)))
+    low_rank = environments.make_low_rank(rounds or 40, 60, 2, 0.05, seed=5)
+    clustered = environments.make_clustered_binary(rounds or 40, 80, 7, seed=6)
+    loss_only = LossOnlyOracle(game_rng(7).uniform(-1.0, 1.0, size=(rounds or 30, 25)))
     return {"matrix": low_rank, "clustered": clustered, "loss_only": loss_only}
 
 
@@ -225,6 +354,67 @@ class TestOnePassExpansion:
         assert cli.main(["run", "--config", str(config), "--out-dir", str(tmp_path / "b")]) == 0
         for name in ("trajectory.csv", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def block_schedule(oracle, epsilon, initial_expert=0, horizon=None):
+    state = many_experts._schedule(oracle, horizon or oracle.horizon(), epsilon, initial_expert)
+    return state.active.tolist(), state.admitted_at
+
+
+def per_round_schedule(oracle, epsilon, initial_expert=0, horizon=None):
+    active, admitted_at, _ = schedule(oracle, epsilon, expand_packing, initial_expert, horizon)
+    return [int(i) for i in active], admitted_at
+
+
+class TestBlockSchedule:
+    """The block pass against ``expand_packing`` on every round."""
+
+    @pytest.mark.parametrize("entries", [12, hedge.BLOCK_ENTRIES])
+    @pytest.mark.parametrize("kind", ["matrix", "clustered", "loss_only"])
+    @pytest.mark.parametrize("epsilon", [1.0, 0.25, 2.0**-4, 2.0**-7])
+    def test_matches_per_round_pass(self, monkeypatch, entries, kind, epsilon):
+        monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
+        oracle = oracles()[kind]
+        assert block_schedule(oracle, epsilon) == per_round_schedule(oracle, epsilon)
+
+    @pytest.mark.parametrize("entries", [12, hedge.BLOCK_ENTRIES])
+    @pytest.mark.parametrize("initial_expert", [3, 41, 79])
+    def test_clustered_initial_expert_off_representative(
+        self, monkeypatch, entries, initial_expert
+    ):
+        monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
+        oracle = oracles()["clustered"]
+        for epsilon in (0.5, 0.25):
+            assert block_schedule(oracle, epsilon, initial_expert) == per_round_schedule(
+                oracle, epsilon, initial_expert
+            )
+
+    @pytest.mark.parametrize("entries", [12, 300, hedge.BLOCK_ENTRIES])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_horizons_around_the_block(self, monkeypatch, entries, offset):
+        monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
+        for kind, candidates in (("matrix", 60), ("clustered", 7), ("loss_only", 25)):
+            horizon = hedge.block_rounds(candidates) + offset
+            if horizon < 1:  # a one-round block
+                continue
+            oracle = oracles(max(horizon, 3))[kind]
+            assert oracle.coverage_ids().size == candidates
+            for epsilon in (0.5, 2.0**-4):
+                assert block_schedule(oracle, epsilon, horizon=horizon) == per_round_schedule(
+                    oracle, epsilon, horizon=horizon
+                )
+
+    @pytest.mark.parametrize("entries", [12, hedge.BLOCK_ENTRIES])
+    @pytest.mark.parametrize("kind", ["matrix", "clustered", "loss_only"])
+    def test_every_meta_copy_matches_per_round_pass(self, monkeypatch, entries, kind):
+        monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
+        oracle = oracles()[kind]
+        copies = meta_tuner.play_meta(oracle, seed=4).extras["copies"]
+        assert len(copies) == meta_tuner.build_grid(oracle.horizon()).num_levels
+        for copy in copies:
+            active, admitted_at = per_round_schedule(oracle, copy.extras["epsilon"])
+            assert copy.extras["final_active"] == active
+            assert copy.extras["admitted_at"] == admitted_at
 
 
 small_games = st.tuples(

@@ -16,7 +16,7 @@ import pytest
 import yaml
 
 import reference
-from packhedge import cli, environments, hedge, many_experts, matrix_io, meta_tuner
+from packhedge import cli, core, environments, hedge, many_experts, matrix_io, meta_tuner
 from packhedge.core import GameTrajectory, game_rng
 from reference import LossOnlyOracle
 
@@ -218,34 +218,54 @@ class TestRows:
 
 
 class CountingOracle(environments.MatrixOracle):
-    """Counts the per-round loss gathers and records the rounds of candidate fetches."""
+    """Records the rounds of the per-round active-loss gathers and the range of every read."""
 
     def __init__(self, matrix):
         super().__init__(matrix)
-        self.gathers = 0
-        self.fetched = []
+        self.gathered = []
+        self.reads = []
 
     def losses(self, t, experts=None):
-        self.gathers += 1
+        self.gathered.append(t)
         return super().losses(t, experts)
 
-    def coverage_candidates(self, t):
-        self.fetched.append(t)
-        return super().coverage_candidates(t)
+    def rows(self, t0, t1, experts=None):
+        self.reads.append((t0, t1))
+        return super().rows(t0, t1, experts)
 
 
-def test_one_active_gather_per_unsaturated_round():
+@pytest.mark.parametrize("entries", [600, hedge.BLOCK_ENTRIES])
+def test_active_gathers_only_on_flagged_rounds(monkeypatch, entries):
+    monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
     matrix = environments.make_low_rank(400, 60, 2, 0.05, seed=4).to_matrix()
+    step = hedge.block_rounds(60)
+    certified = []
+
+    def recording(values, reference, threshold, max_entries):
+        flags = core.uncovered_rows(values, reference, threshold, max_entries)
+        t0 = len(certified) * step
+        certified.append((np.flatnonzero(flags) + t0 + 1).tolist())
+        return flags
+
+    monkeypatch.setattr(many_experts, "uncovered_rows", recording)
+    gathered = 0
     for epsilon in (0.25, 2.0**-5, 2.0**-9):
+        certified.clear()
         oracle = CountingOracle(matrix)
-        trajectory = many_experts.play_many_experts(oracle, epsilon=epsilon, rng=1)
-        size_before = np.concatenate(([1], trajectory.packing_size[:-1]))
-        unsaturated = np.flatnonzero(size_before < 60) + 1
-        assert oracle.gathers == unsaturated.size
-        # Nothing is fetched once the active set holds every candidate.
-        assert set(oracle.fetched) <= set(unsaturated.tolist())
-    assert trajectory.packing_size[-1] == 60  # the finest accuracy saturated
-    assert unsaturated.size < 400
+        state = many_experts._schedule(oracle, 400, epsilon, 0)
+        # The last unsaturated round: the pass stops once all 60 candidates are active.
+        last = state.admitted_at[-1] if state.active.size == 60 else 400
+        flagged = [t for block in certified for t in block if t <= last]
+        # One exact query per flagged round, in order, and every admission round among them.
+        assert oracle.gathered == flagged
+        assert set(state.admitted_at[1:]) <= set(flagged)
+        assert all(t0 < last for t0, _ in oracle.reads)
+        gathered += len(flagged)
+    assert last < 400  # the finest accuracy saturated
+    unsaturated = 400 + 400 + last
+    # Far fewer exact queries than unsaturated rounds: under a quarter with
+    # 10-round blocks, under two thirds with the module's 273-round blocks.
+    assert gathered < unsaturated * (0.25 if entries == 600 else 2 / 3)
 
 
 class TestBoundedMemory:
@@ -268,6 +288,50 @@ class TestBoundedMemory:
         one_matrix = 1024 * 500 * 8
         peak = self.peak(lambda: environments.make_low_rank(1024, 500, 2, 0.05, 3))
         assert peak < 3.5 * one_matrix
+
+    #: Bytes of one float64 temporary of a kernel block.
+    BLOCK_BYTES = hedge.BLOCK_ENTRIES * 8
+
+    def test_schedule_pass_meta_lowrank(self):
+        # The meta_lowrank shape: every copy of the grid, one 0.8 MB matrix.
+        oracle = environments.make_low_rank(512, 200, 2, 0.05, 3)
+        epsilons = meta_tuner.build_grid(512).epsilons
+        assert len(epsilons) == 9
+        peak = self.peak(lambda: [many_experts._schedule(oracle, 512, e, 0) for e in epsilons])
+        assert peak < 8 * self.BLOCK_BYTES
+
+    def test_schedule_pass_packing_lowrank(self):
+        oracle = environments.make_low_rank(1024, 500, 2, 0.05, 3)
+        state = many_experts._schedule(oracle, 1024, 2.0**-7, 0)
+        assert state.active.size > 250  # a large packing
+        peak = self.peak(lambda: many_experts._schedule(oracle, 1024, 2.0**-7, 0))
+        assert peak < 8 * self.BLOCK_BYTES
+
+    @pytest.mark.parametrize("active", [125, 250, 499])
+    def test_certificate_on_references_spaced_four_epsilon(self, active):
+        # Every gap of every row is wide, the most the certificate can test.
+        epsilon = 2.0**-9
+        rounds = hedge.block_rounds(500)
+        reference = np.tile(-1.0 + 4.0 * epsilon * np.arange(active), (rounds, 1))
+        values = game_rng(1).uniform(-1.0, 1.0, (rounds, 500))
+        for max_gaps in (None, active + 1):
+            peak = self.peak(
+                lambda: core.uncovered_rows(
+                    values, reference, 2.0 * epsilon, hedge.BLOCK_ENTRIES, max_gaps
+                )
+            )
+            assert peak < 8 * self.BLOCK_BYTES
+
+    def test_schedule_pass_on_references_spaced_four_epsilon(self):
+        # 250 experts 4 eps apart join at round 1; the other 250 sit eps from
+        # one of them, so the set never saturates and every row has 251 wide gaps.
+        epsilon = 2.0**-9
+        spaced = -1.0 + 4.0 * epsilon * np.arange(250)
+        matrix = np.tile(np.concatenate((spaced, spaced + epsilon)), (256, 1))
+        oracle = environments.make_finite_matrix(matrix)
+        assert many_experts._schedule(oracle, 256, epsilon, 0).active.size == 250
+        peak = self.peak(lambda: many_experts._schedule(oracle, 256, epsilon, 0))
+        assert peak < 8 * self.BLOCK_BYTES
 
     def test_packing_clustered(self):
         oracle = environments.make_clustered_binary(5000, 100_000, 8, seed=7)
