@@ -464,7 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-level",
         choices=LOG_LEVELS,
         default="INFO",
-        help="least severe log message shown (default: INFO)",
+        help=(
+            "least severe log message shown (default: INFO); "
+            "an existing logging setup is left as it is"
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -498,8 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger().setLevel(args.log_level)
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -101,7 +101,6 @@ def uncovered_rows(
     reference: np.ndarray,
     threshold: float,
     max_entries: int,
-    max_gaps: int | None = None,
 ) -> np.ndarray:
     """Which rows of ``values`` may hold a value farther than ``threshold`` from its ``reference`` row.
 
@@ -111,15 +110,13 @@ def uncovered_rows(
     two neighbours at least ``2 * threshold`` apart, since rounded
     subtraction is monotone and doubling is exact.  Each wide gap ``(lo,
     hi)`` is tested with the kernel's own expressions, so a row with at most
-    ``max_gaps`` wide gaps is flagged exactly when ``uncovered_mask(values[r],
-    reference[r], threshold).any()``.  A row with more (``max_gaps`` defaults
-    to ``log2(m) + 2``, where the ``O(n * gaps)`` test outgrows the ``O(n log
-    m)`` query) is flagged untested.  Each gap test holds at most
-    ``max_entries`` values.
+    ``log2(m) + 2`` wide gaps is flagged exactly when
+    ``uncovered_mask(values[r], reference[r], threshold).any()``.  A row with
+    more, where the ``O(n * gaps)`` test outgrows the ``O(n log m)`` query, is
+    flagged untested.  Each gap test holds at most ``max_entries`` values.
     """
     width, m = values.shape[1], reference.shape[1]
-    if max_gaps is None:
-        max_gaps = int(math.log2(m)) + 2
+    max_gaps = int(math.log2(m)) + 2
     ordered = np.sort(reference, axis=1)
     # The two outer gaps are always wide, and by monotone subtraction the
     # row's extreme value passes their test if any value does.

@@ -2,6 +2,9 @@ import csv
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -186,7 +189,12 @@ class TestRun:
 
 
 class TestLogLevel:
-    def run_grazing_matrix(self, tmp_path, caplog, *flags):
+    def run_grazing_matrix(self, tmp_path, *flags):
+        """Run a game on a matrix the loader clamps with a warning, in a fresh interpreter.
+
+        ``main`` configures logging only where nothing is set up yet, as in a
+        shell; under pytest the root logger already has handlers.
+        """
         matrix_path = tmp_path / "grazing.bin"
         matrix = np.zeros((4, 3))
         matrix[2, 1] = 1.0 + 1e-13  # clamped with a warning
@@ -198,22 +206,29 @@ class TestLogLevel:
                 "environment": {"kind": "finite_matrix", "path": str(matrix_path)},
             },
         )
+        argv = [*flags, "run", "--config", config, "--out-dir", str(tmp_path / "out")]
+        script = "import sys; from packhedge import cli; sys.exit(cli.main(sys.argv[1:]))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, sys.path)))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        return done.stderr
+
+    def test_default_shows_the_clamp_warning(self, tmp_path):
+        assert "WARNING packhedge.core: clamping losses" in self.run_grazing_matrix(tmp_path)
+
+    def test_error_level_suppresses_the_clamp_warning(self, tmp_path):
+        assert "clamping losses" not in self.run_grazing_matrix(tmp_path, "--log-level", "ERROR")
+
+    def test_existing_logging_setup_is_left_alone(self, tmp_path):
         root = logging.getLogger()
-        level = root.level
-        caplog.clear()
-        try:
-            argv = [*flags, "run", "--config", config, "--out-dir", str(tmp_path / "out")]
-            assert cli.main(argv) == EXIT_OK
-        finally:
-            root.setLevel(level)
-        return [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-
-    def test_default_shows_the_clamp_warning(self, tmp_path, caplog):
-        warnings = self.run_grazing_matrix(tmp_path, caplog)
-        assert any("clamping losses" in w for w in warnings)
-
-    def test_error_level_suppresses_the_clamp_warning(self, tmp_path, caplog):
-        assert self.run_grazing_matrix(tmp_path, caplog, "--log-level", "ERROR") == []
+        level, handlers = root.level, list(root.handlers)
+        assert handlers  # pytest's capture handlers
+        config = iid_config(tmp_path, T=5)
+        argv = ["--log-level", "DEBUG", "run", "--config", config, "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == EXIT_OK
+        assert root.level == level and root.handlers == handlers
 
     def test_unknown_level_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -198,16 +198,12 @@ class TestBlockCertificate:
         values, reference = draw_block(block)
         exact = exact_rows(values, reference, threshold)
         assert np.array_equal(exact, dense_rows(values, reference, threshold))
-        every_gap = reference.shape[1] + 1
-        for entries in (1, 7, hedge.BLOCK_ENTRIES):
-            assert np.array_equal(
-                uncovered_rows(values, reference, threshold, entries, every_gap), exact
-            )
         # Past the gap cutoff a row is flagged untested; below it, exactly.
-        flagged = uncovered_rows(values, reference, threshold, hedge.BLOCK_ENTRIES)
         tested = wide_gaps(reference, threshold) <= int(np.log2(reference.shape[1])) + 2
-        assert np.array_equal(flagged[tested], exact[tested])
-        assert flagged[~tested].all()
+        for entries in (1, 7, hedge.BLOCK_ENTRIES):
+            flagged = uncovered_rows(values, reference, threshold, entries)
+            assert np.array_equal(flagged[tested], exact[tested])
+            assert flagged[~tested].all()
 
     @settings(max_examples=200)
     @given(blocks, thresholds, st.data())
@@ -232,15 +228,22 @@ class TestBlockCertificate:
 
     @pytest.mark.parametrize("epsilon", [2.0**-5, 2.0**-7, 0.1])
     def test_references_spaced_four_epsilon(self, epsilon):
-        # Every gap is wide: values at lo + 2 eps (covered) and just past it.
+        # Eight references: four with wide inner gaps of 4 eps and 5 eps, the
+        # most the cutoff int(log2(8)) tests exactly, and four close ones.
+        # Values sit 2 eps from either end of a gap (covered), one ulp
+        # farther in, and inside the gap.
         threshold = 2.0 * epsilon
-        count = int(2.0 / (2.0 * threshold))
-        reference = np.tile(-1.0 + 2.0 * threshold * np.arange(count), (6, 1))
-        lows = reference[0, :-1]
+        spaced = -1.0 + threshold * np.array([0.0, 2.0, 4.5, 7.0])
+        dense = spaced[-1] + threshold / 2 * np.arange(1, 5)
+        reference = np.tile(np.concatenate((spaced, dense)), (8, 1))
+        assert (wide_gaps(reference, threshold) == 5).all()
+        lows, highs = spaced[:-1], spaced[1:]
         values = np.stack(
             [
                 lows + threshold,
+                highs - threshold,
                 np.nextafter(lows + threshold, 2.0),
+                np.nextafter(highs - threshold, -2.0),
                 np.nextafter(lows + threshold, -2.0),
                 lows + threshold / 2,
                 game_rng(3).uniform(-1.0, 1.0, lows.size),
@@ -249,8 +252,12 @@ class TestBlockCertificate:
         )
         exact = exact_rows(values, reference, threshold)
         assert np.array_equal(exact, dense_rows(values, reference, threshold))
-        assert np.array_equal(uncovered_rows(values, reference, threshold, 64, count + 1), exact)
-        assert uncovered_rows(values, reference, threshold, 64).all()
+        for entries in (1, 2, 64):
+            assert np.array_equal(uncovered_rows(values, reference, threshold, entries), exact)
+        # Spaced 4 eps across [-1, 1], every row is past the cutoff.
+        count = int(2.0 / (2.0 * threshold))
+        spread = np.tile(-1.0 + 2.0 * threshold * np.arange(count), (8, 1))
+        assert uncovered_rows(values, spread, threshold, 64).all()
 
 
 def oracles(rounds=None):

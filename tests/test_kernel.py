@@ -309,18 +309,15 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize("active", [125, 250, 499])
     def test_certificate_on_references_spaced_four_epsilon(self, active):
-        # Every gap of every row is wide, the most the certificate can test.
+        # Every gap of every row is wide: the rows are past the gap cutoff.
         epsilon = 2.0**-9
         rounds = hedge.block_rounds(500)
         reference = np.tile(-1.0 + 4.0 * epsilon * np.arange(active), (rounds, 1))
         values = game_rng(1).uniform(-1.0, 1.0, (rounds, 500))
-        for max_gaps in (None, active + 1):
-            peak = self.peak(
-                lambda: core.uncovered_rows(
-                    values, reference, 2.0 * epsilon, hedge.BLOCK_ENTRIES, max_gaps
-                )
-            )
-            assert peak < 8 * self.BLOCK_BYTES
+        peak = self.peak(
+            lambda: core.uncovered_rows(values, reference, 2.0 * epsilon, hedge.BLOCK_ENTRIES)
+        )
+        assert peak < 8 * self.BLOCK_BYTES
 
     def test_schedule_pass_on_references_spaced_four_epsilon(self):
         # 250 experts 4 eps apart join at round 1; the other 250 sit eps from
