@@ -14,6 +14,7 @@ import csv
 import itertools
 import json
 import logging
+import platform
 import sys
 import time
 from pathlib import Path
@@ -33,6 +34,12 @@ EXIT_IO = 3
 #: Trajectory rows formatted per write.
 CSV_BLOCK_ROWS = 1024
 
+#: libyaml's parser where PyYAML was built with it (several times faster on a
+#: config); the pure-Python safe loader otherwise.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+logger = logging.getLogger(__name__)
+
 
 class ConfigError(Exception):
     """Invalid or incomplete configuration; the message names the field."""
@@ -45,7 +52,7 @@ class ConfigError(Exception):
 def load_config(path: str | Path) -> dict[str, Any]:
     raw = Path(path).read_text()
     try:
-        cfg = yaml.safe_load(raw)
+        cfg = yaml.load(raw, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config: not valid YAML ({exc})") from exc
     if not isinstance(cfg, dict):
@@ -222,6 +229,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         },
         "outputs": {"trajectory": str(trajectory_path), "summary": str(summary_path)},
         "code_version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": f"{platform.system()} {platform.machine()}",
         "wall_time": time.perf_counter() - started,
     }
     _write_json(out_dir / "manifest.json", manifest)
@@ -265,6 +275,18 @@ def _sweep_cell_run(payload: dict[str, Any]) -> dict[str, Any]:
         }
     except Exception as exc:  # per-cell failures are recorded, not fatal
         return {"regret": None, "final_packing": None, "phases": None, "error": str(exc)}
+
+
+def _run_jobs(jobs: list[dict[str, Any]], parallelism: int):
+    """Yield ``(index, result)`` of every sweep job as it finishes."""
+    if parallelism > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
+            futures = {pool.submit(_sweep_cell_run, job): i for i, job in enumerate(jobs)}
+            for future in concurrent.futures.as_completed(futures):
+                yield futures[future], future.result()
+    else:
+        for index, job in enumerate(jobs):
+            yield index, _sweep_cell_run(job)
 
 
 def _aggregate(rows: list[dict[str, Any]]) -> dict[str, Any]:
@@ -356,11 +378,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cells.append((label, payloads))
             jobs.extend(payloads)
 
-    if args.parallelism > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallelism) as pool:
-            results = list(pool.map(_sweep_cell_run, jobs))
-    else:
-        results = [_sweep_cell_run(job) for job in jobs]
+    # Progress is logged per cell as its seeds finish; sweep.csv keeps cell order.
+    names = [", ".join(f"{k}={v}" for k, v in label.items()) for label, _ in cells]
+    cell_of_job = [c for c, (_, payloads) in enumerate(cells) for _ in payloads]
+    pending = [len(payloads) for _, payloads in cells]
+    failures = [0] * len(cells)
+    results: list[dict[str, Any] | None] = [None] * len(jobs)
+    for index, result in _run_jobs(jobs, args.parallelism):
+        results[index] = result
+        c = cell_of_job[index]
+        if result["error"] is not None:
+            failures[c] += 1
+            if failures[c] == 1:
+                logger.warning(
+                    "sweep cell %d/%d (%s) failed: %s", c + 1, len(cells), names[c], result["error"]
+                )
+        pending[c] -= 1
+        if pending[c] == 0:
+            logger.info(
+                "sweep cell %d/%d (%s) finished: %d of %d seeds failed",
+                c + 1, len(cells), names[c], failures[c], len(cells[c][1]),
+            )
 
     rows: list[dict[str, Any]] = []
     any_failure = False

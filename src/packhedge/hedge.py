@@ -3,8 +3,10 @@
 Weights live in the natural-log domain with max-subtraction normalization, so
 distributions stay finite for arbitrarily long games and arbitrarily large
 cumulative losses.  One kernel, :func:`exponential_weights`, plays a whole
-game over a fixed expert set; it drives plain hedge, each phase of the
-packing learner and the accuracy-grid meta-learner.  :class:`HedgeState`,
+game in one call: a sequence of segments, each a fresh hedge over a prefix of
+the columns.  Plain hedge and the accuracy-grid meta-learner are one segment,
+and a packing game is one segment per phase, played in blocks of rounds that
+span many short phases at once.  :class:`HedgeState`,
 :func:`distribution` and :func:`update` are the same learner one step at a
 time.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -83,66 +85,153 @@ def block_rounds(num_experts: int) -> int:
 
 
 def exponential_weights(
-    rows: Callable[[int, int], np.ndarray],
-    num_rounds: int,
-    num_experts: int,
+    rows: Callable[[int, int, int], np.ndarray],
+    starts: Sequence[int],
+    widths: Sequence[int],
     uniforms: np.ndarray,
     normalize: bool = False,
     expected: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Exponential weights over a fixed set of ``num_experts`` columns for ``num_rounds`` rounds.
+    """Exponential weights over a game of consecutive segments, one round per uniform.
 
-    ``rows(j0, j1)`` gives the losses of rounds ``j0 + 1 .. j1`` as a
-    ``(j1 - j0) x num_experts`` block, and ``uniforms[j]`` is the one draw of
-    round ``j + 1``.  The log-weights of round ``j`` are ``-sum_{s < j} eta_s
-    l_s`` with ``eta_s = sqrt(8 ln K / s)``, summed in round order (a running
-    row carried across blocks, then one ``cumsum`` per block), so they carry
-    the bits of :func:`update` applied round by round.  Each round picks the
-    expert of :func:`~packhedge.core.sample_categorical` on the weights
-    ``exp(lw - max lw)``, or on their normalisation with ``normalize``.
+    Segment ``p`` plays rounds ``starts[p] + 1 .. starts[p + 1]`` (the last
+    one up to ``T = len(uniforms)``) over the first ``widths[p]`` columns,
+    from uniform weights and with its own round clock: the packing learner's
+    phases, or one segment for plain hedge.  ``starts`` begins at 0 and
+    increases strictly below ``T``.  ``rows(j0, j1, width)`` gives the losses
+    of rounds ``j0 + 1 .. j1`` over the first ``width`` columns as a
+    ``(j1 - j0) x width`` block, and ``uniforms[j]`` is the one draw of round
+    ``j + 1``.  The log-weights of the ``s``-th round of a segment of width
+    ``K`` are ``-sum_{r < s} eta_r l_r`` with ``eta_r = sqrt(8 ln K / r)``,
+    summed in round order (a running row carried across blocks, then one
+    ``cumsum`` per segment in a block), so they carry the bits of
+    :func:`update` applied round by round.  Each round picks the expert of
+    :func:`~packhedge.core.sample_categorical` on the weights ``exp(lw - max
+    lw)``, or on their normalisation with ``normalize``.
+
+    A block reads as many rounds as fit in ``BLOCK_ENTRIES`` entries at the
+    width of its widest segment, in one ``rows`` call, however many segments
+    it spans.  Columns beyond a round's own width hold ``+inf`` log-loss, so
+    they get zero weight; the row sums of the normalisation and the expected
+    losses are taken per segment over its exact width, since zero padding
+    regroups their pairwise sums.
 
     Returns the chosen column and the incurred loss of every round and, with
     ``expected``, the expected loss ``p @ l`` per round under the normalised
     distribution ``p`` (so ``expected`` needs ``normalize``), else ``None``.
     """
-    n, k = int(num_rounds), int(num_experts)
-    if k < 1:
-        raise ValueError(f"need at least one expert, got {k}")
+    n = len(uniforms)
+    starts = np.asarray(starts, dtype=np.int64)
+    widths = np.asarray(widths, dtype=np.int64)
+    if widths.shape != starts.shape or starts.size < 1 or widths.min() < 1:
+        raise ValueError(f"need at least one segment of at least one expert, got widths {widths}")
+    if starts[0] != 0 or starts[-1] >= n or (np.diff(starts) < 1).any():
+        raise ValueError(f"segment starts must rise strictly from 0 below {n}, got {starts}")
+    lengths = np.diff(starts, append=n)
+    # Round clock within its segment, and the segment's scale 8 ln K.
+    clock = np.arange(1, n + 1) - np.repeat(starts, lengths)
+    scales = np.array([8.0 * math.log(k) for k in widths.tolist()])
+    eta = np.sqrt(np.repeat(scales, lengths) / clock)
+    last_column = np.repeat(widths - 1, lengths)
+
     chosen = np.empty(n, dtype=np.int64)
     incurred = np.empty(n, dtype=np.float64)
     means = np.empty(n, dtype=np.float64) if expected else None
-    scale = 8.0 * math.log(k)
-    step = block_rounds(k)
-    carry = np.zeros(k)  # sum of eta_s * l_s over the rounds before the block
-    for j0 in range(0, n, step):
-        j1 = min(n, j0 + step)
-        block = rows(j0, j1)
-        if block.shape != (j1 - j0, k):
-            raise ValueError(f"loss block has shape {block.shape}, expected {(j1 - j0, k)}")
-        # total[i] sums the rounds before round j0 + 1 + i; its last row carries on.
-        total = np.empty((j1 - j0 + 1, k))
-        total[0] = carry
-        np.multiply(np.sqrt(scale / np.arange(j0 + 1, j1 + 1))[:, None], block, out=total[1:])
-        np.cumsum(total, axis=0, out=total)
-        carry = total[-1].copy()
-        # lw - max(lw) for lw = -total is min(total) - total, bit for bit.
-        weights = total[:-1]
-        np.subtract(weights.min(axis=1, keepdims=True), weights, out=weights)
-        np.exp(weights, out=weights)
-        if normalize:
-            weights /= weights.sum(axis=1, keepdims=True)
-        cumulative = np.cumsum(weights, axis=1)
-        threshold = uniforms[j0:j1] * cumulative[:, -1]
-        pick = np.count_nonzero(cumulative <= threshold[:, None], axis=1)
-        for i in np.flatnonzero(pick == k):
-            # The draw rounded up to a subnormal total: take the last positive weight.
-            pick[i] = np.flatnonzero(weights[i])[-1]
-        chosen[j0:j1] = pick
-        incurred[j0:j1] = block[np.arange(j1 - j0), pick]
+    carry = None  # sum of eta_s * l_s over the rounds of a segment before the block
+    for j0, j1, width, lanes, continues in _blocks(starts.tolist(), widths.tolist(), n):
+        # The block's temporaries live in _play_block only, so they are freed
+        # before the next block allocates its own.
+        chosen[j0:j1], incurred[j0:j1], block_means, last = _play_block(
+            rows(j0, j1, width), lanes, eta[j0:j1], carry, uniforms[j0:j1],
+            last_column[j0:j1], normalize, expected,
+        )
         if means is not None:
-            block = np.ascontiguousarray(block)
-            means[j0:j1] = [p @ l for p, l in zip(weights, block)]
+            means[j0:j1] = block_means
+        carry = last[: lanes[-1][2]] if continues else None
     return chosen, incurred, means
+
+
+def _blocks(starts: list[int], widths: list[int], n: int):
+    """Yield ``(j0, j1, width, lanes, continues)`` for each block of rounds ``j0 + 1 .. j1``.
+
+    A block extends over the next segment while its rounds still fit in
+    ``BLOCK_ENTRIES`` at the width of its widest segment.  Segment ``q`` of
+    the block is its own lane ``(a, b, k)``: rows ``a .. b - 1`` of the block,
+    ``k`` columns.  ``continues`` says that the last segment goes on past the
+    block.
+    """
+    ends = starts[1:] + [n]
+    s = j0 = 0  # s is the segment of round j0 + 1
+    while j0 < n:
+        width = widths[s]
+        j1 = min(ends[s], j0 + block_rounds(width))
+        e = s + 1
+        while e < len(starts) and j1 == starts[e]:
+            wider = max(width, widths[e])
+            if j0 + block_rounds(wider) <= j1:
+                break
+            width, j1 = wider, min(ends[e], j0 + block_rounds(wider))
+            e += 1
+        lanes = [(max(starts[q], j0) - j0, min(ends[q], j1) - j0, widths[q]) for q in range(s, e)]
+        continues = j1 < ends[e - 1]
+        yield j0, j1, width, lanes, continues
+        j0, s = j1, (e - 1 if continues else e)
+
+
+def _play_block(
+    block: np.ndarray,
+    lanes: list[tuple[int, int, int]],
+    eta: np.ndarray,
+    carry: np.ndarray | None,
+    uniforms: np.ndarray,
+    last_column: np.ndarray,
+    normalize: bool,
+    expected: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """Picks, incurred losses, expected losses (or None) and the last running row of a block."""
+    m, width = eta.size, max(k for _, _, k in lanes)
+    if block.shape != (m, width):
+        raise ValueError(f"loss block has shape {block.shape}, expected {(m, width)}")
+    # total[i] sums the rounds of its segment before the block's round i + 1;
+    # a segment's sum restarts at a zero row, and the last row carries on.
+    total = np.empty((m + 1, width))
+    np.multiply(eta[:, None], block, out=total[1:])
+    if carry is None:
+        total[0] = 0.0
+    else:
+        total[0, : carry.size] = carry
+    if len(lanes) > 1:
+        total[[a for a, _, _ in lanes[1:]]] = 0.0
+    for a, b, k in lanes:
+        lane = total[a : b + (b == m), :k]
+        np.cumsum(lane, axis=0, out=lane)
+        if k < width:
+            total[a:b, k:] = np.inf
+    last = total[-1].copy()
+    # lw - max(lw) for lw = -total is min(total) - total, bit for bit.
+    weights = total[:-1]
+    np.subtract(weights.min(axis=1, keepdims=True), weights, out=weights)
+    np.exp(weights, out=weights)
+    if normalize:
+        for a, b, k in lanes:
+            p = weights[a:b, :k]
+            p /= p.sum(axis=1, keepdims=True)
+    cumulative = np.cumsum(weights, axis=1)
+    index = np.arange(m)
+    threshold = uniforms * cumulative[index, last_column]
+    pick = np.count_nonzero(cumulative <= threshold[:, None], axis=1)
+    for i in np.flatnonzero(pick > last_column).tolist():
+        # The draw reached the row total (a subnormal total can round it
+        # up), so the zero-weight padding counted too: take the last
+        # positive weight, which lies inside the round's width.
+        pick[i] = np.flatnonzero(weights[i])[-1]
+    means = None
+    if expected:
+        block = np.ascontiguousarray(block)
+        means = np.empty(m)
+        for a, b, k in lanes:
+            means[a:b] = np.vecdot(weights[a:b, :k], block[a:b, :k])
+    return pick, block[index, pick], means, last
 
 
 def play_hedge(
@@ -162,7 +251,9 @@ def play_hedge(
     K = oracle.num_experts()
     gen, seed = normalize_rng(rng)
     # Sampling is scale-invariant, so the unnormalized weights suffice.
-    chosen, incurred, _ = exponential_weights(oracle.rows, T, K, gen.random(T))
+    chosen, incurred, _ = exponential_weights(
+        lambda j0, j1, _: oracle.rows(j0, j1), [0], [K], gen.random(T)
+    )
     extras: dict[str, Any] = {"algorithm": "hedge", "num_experts": K}
     return GameTrajectory.from_rounds(
         chosen, incurred, np.full(T, K), np.ones(T), seed, extras

@@ -8,8 +8,9 @@ restarted over the enlarged set with a fresh learning-rate clock.  Between
 restarts the learner behaves exactly like plain exponential weights on ``S``.
 
 The admission schedule never depends on the learner's draws, so a game is a
-schedule pass followed by one :func:`hedge.exponential_weights` pass per
-phase.  The schedule pass reads a block of rounds at a time and certifies
+schedule pass followed by one :func:`hedge.exponential_weights` pass over all
+of its phases, each phase a segment of the kernel over a prefix of the active
+set.  The schedule pass reads a block of rounds at a time and certifies
 with :func:`~packhedge.core.uncovered_rows` that the active set at the start
 of the block covers every candidate of a round; coverage only grows with the
 active set, so :func:`expand_packing`, the exact query and admission walk,
@@ -205,26 +206,17 @@ def packing_game(
     state = _schedule(oracle, T, epsilon, initial_expert)
     admitted_at = np.array(state.admitted_at, dtype=np.int64)
     # Phase p plays rounds starts[p] + 1 .. starts[p + 1] over the first sizes[p]
-    # active experts; the losses of its last round update nothing.
+    # active experts (a prefix, since active is in admission order); the
+    # losses of its last round update nothing.  An admission at round T opens
+    # a phase with no rounds.
     starts = np.array(sorted(set(state.admitted_at)), dtype=np.int64)
     sizes = admitted_at.searchsorted(starts, side="right")
-    ends = np.append(starts[1:], T)
-
-    uniforms = gen.random(T)
-    chosen = np.empty(T, dtype=np.int64)
-    incurred = np.empty(T, dtype=np.float64)
-    means = np.empty(T, dtype=np.float64) if expected else None
-    for start, end, size in zip(starts.tolist(), ends.tolist(), sizes.tolist()):
-        if start == end:  # an admission at round T opens a phase with no rounds
-            continue
-        columns = state.active[:size]
-        picks, incurred[start:end], phase_means = hedge.exponential_weights(
-            lambda j0, j1: oracle.rows(start + j0, start + j1, columns),
-            end - start, size, uniforms[start:end], normalize=True, expected=expected,
-        )
-        chosen[start:end] = columns[picks]
-        if means is not None:
-            means[start:end] = phase_means
+    played = starts < T
+    picks, incurred, means = hedge.exponential_weights(
+        lambda j0, j1, width: oracle.rows(j0, j1, state.active[:width]),
+        starts[played], sizes[played], gen.random(T), normalize=True, expected=expected,
+    )
+    chosen = state.active[picks]
 
     rounds = np.arange(1, T + 1)
     extras: dict[str, Any] = {

@@ -79,7 +79,7 @@ def play_meta(
     feedback = np.column_stack(means) if expected else realized
     # Sampling is scale-invariant, so the unnormalized weights suffice.
     chosen_copy, _, _ = hedge.exponential_weights(
-        lambda j0, j1: feedback[j0:j1], T, R, game_rng(seed, 0).random(T)
+        lambda j0, j1, _: feedback[j0:j1], [0], [R], game_rng(seed, 0).random(T)
     )
     rounds = np.arange(T)
     chosen = np.column_stack([copy.chosen for copy in copies])[rounds, chosen_copy]

@@ -8,7 +8,8 @@ another admission rule for both sides.  The kernel-based learners must
 reproduce these trajectories and extras bit for bit.  ``LossOnlyOracle`` is
 the slowest oracle: every other access goes through the base-class defaults.
 ``first_uncovered`` is a single coverage query, for comparison with dense
-scans.
+scans, and ``segmented_hedge`` plays the kernel's segments round by round
+from given uniforms.
 """
 
 from __future__ import annotations
@@ -62,6 +63,43 @@ def first_uncovered(oracle, t, active, threshold):
     values = oracle.rows(t - 1, t, ids)[0]
     hits = np.flatnonzero(uncovered_mask(values, oracle.losses(t, active), threshold))
     return int(ids[hits[0]]) if hits.size else None
+
+
+class Draws:
+    """Stands in for a generator: ``random()`` replays the given uniforms in order."""
+
+    def __init__(self, uniforms):
+        self._draws = iter(np.asarray(uniforms, dtype=np.float64).tolist())
+
+    def random(self):
+        return next(self._draws)
+
+
+def segmented_hedge(losses, starts, widths, uniforms, normalize=True):
+    """Hedge restarted at every segment start over the first ``widths[p]`` columns.
+
+    Round ``j`` of ``losses`` draws ``uniforms[j]``; a segment plays from a
+    fresh :class:`hedge.HedgeState`, one :func:`hedge.update` per round, as
+    a packing phase does.  Returns the chosen column, incurred loss and
+    expected loss ``p @ l`` (under the normalised distribution) per round.
+    """
+    gen = Draws(uniforms)
+    ends = list(starts[1:]) + [losses.shape[0]]
+    chosen, incurred, means = [], [], []
+    for start, end, width in zip(starts, ends, widths):
+        state = hedge.HedgeState.fresh(int(width))
+        for t in range(start, end):
+            row = losses[t, :width]
+            if normalize:
+                weights = hedge.distribution(state)
+            else:
+                weights = np.exp(state.log_weights - state.log_weights.max())
+            i = sample_categorical(weights, gen)
+            chosen.append(i)
+            incurred.append(float(row[i]))
+            means.append(float(weights @ row))
+            state = hedge.update(state, row)
+    return np.array(chosen, dtype=np.int64), np.array(incurred), np.array(means)
 
 
 class TrajectoryRecorder:

@@ -3,6 +3,8 @@ import json
 import logging
 import math
 import os
+import platform
+import re
 import subprocess
 import sys
 
@@ -77,6 +79,17 @@ class TestRun:
         assert summary["K"] == 2 and summary["seed"] == 7 and summary["K_p"] == 2
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["outputs"]["summary"].endswith("summary.json")
+
+    def test_manifest_records_versions_and_summary_does_not(self, tmp_path):
+        config = iid_config(tmp_path, T=5)
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["platform"] == f"{platform.system()} {platform.machine()}"
+        # summary.json is hashed by the repeat-run checks: no run-environment keys.
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert not {"python", "numpy", "platform", "wall_time"} & summary.keys()
 
     def test_clustered_run_meets_cluster_bound(self, tmp_path):
         config = clustered_config(tmp_path)
@@ -186,6 +199,47 @@ class TestRun:
         blocker.write_text("file, not a directory")
         code = cli.main(["run", "--config", config, "--out-dir", str(blocker / "sub")])
         assert code == EXIT_IO
+
+
+class TestLoadConfig:
+    README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    BENCH_SHAPED = [
+        {"game": {"algorithm": "hedge", "T": 10_000},
+         "environment": {"kind": "finite_matrix", "path": "/data/losses.bin", "format": "binary"}},
+        {"game": {"algorithm": "many_experts", "T": 1024, "epsilon": 2.0**-7},
+         "environment": {"kind": "low_rank", "d": 2, "epsilon_noise": 0.05, "K": 500}},
+        {"game": {"algorithm": "meta_tuner", "T": 512},
+         "environment": {"kind": "low_rank", "d": 2, "epsilon_noise": 0.05, "K": 200}},
+        {"game": {"algorithm": "many_experts", "T": 5000, "epsilon": 0.5},
+         "environment": {"kind": "clustered_binary", "N": 8, "K": 100_000}},
+    ]
+
+    def configs(self):
+        with open(self.README) as fh:
+            blocks = re.findall(r"```yaml\n(.*?)```", fh.read(), flags=re.S)
+        assert blocks
+        return blocks + [yaml.safe_dump(payload) for payload in self.BENCH_SHAPED]
+
+    @pytest.mark.parametrize("loader", [yaml.SafeLoader, cli.YAML_LOADER])
+    def test_loaders_agree(self, tmp_path, monkeypatch, loader):
+        monkeypatch.setattr(cli, "YAML_LOADER", loader)
+        for i, text in enumerate(self.configs()):
+            path = tmp_path / f"{i}.yaml"
+            path.write_text(text)
+            loaded = cli.load_config(path)
+            assert loaded == yaml.safe_load(text)
+            assert repr(loaded) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+    def test_libyaml_loader_used_when_present(self):
+        assert cli.YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    @pytest.mark.parametrize("loader", [yaml.SafeLoader, cli.YAML_LOADER])
+    def test_invalid_yaml_is_config_error(self, tmp_path, monkeypatch, capsys, loader):
+        monkeypatch.setattr(cli, "YAML_LOADER", loader)
+        path = tmp_path / "bad.yaml"
+        path.write_text("game: {algorithm: hedge, T: [5\nenvironment: :\n")
+        assert cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+        assert "not valid YAML" in capsys.readouterr().err
 
 
 class TestLogLevel:
@@ -332,6 +386,36 @@ class TestSweep:
         bad = next(r for r in rows if r["N"] == "16" and r["algorithm"] == "many_experts")
         assert good["n_failures"] == "0" and good["mean_regret"] != ""
         assert bad["n_failures"] == "2" and "distinct binary rows" in bad["error"]
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_progress_logged_per_cell(self, tmp_path, caplog, parallelism):
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "many_experts", "T": 3, "epsilon": 0.5},
+                "environment": {"kind": "clustered_binary", "K": 100, "N": 2},
+                "sweep": {
+                    "n_seeds": 2,
+                    "epsilons": [0.5],
+                    "include_meta": False,
+                    "environment": {"N": [2, 16]},  # 16 > 2**3 rows cannot exist
+                },
+            },
+        )
+        argv = ["sweep", "--config", config, "--seed", "0", "--parallelism", parallelism]
+        caplog.set_level(logging.INFO, logger="packhedge.cli")
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_BOUND_VIOLATION
+        records = [r for r in caplog.records if r.name == "packhedge.cli"]
+        lines = [(r.levelname, r.getMessage()) for r in records]
+        # Both seeds of the N=16 cell fail: one warning, before the cell's finish line.
+        warnings = [m for level, m in lines if level == "WARNING"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("sweep cell 2/2 (algorithm=many_experts, epsilon=0.5, N=16)")
+        assert "distinct binary rows" in warnings[0]
+        good = "sweep cell 1/2 (algorithm=many_experts, epsilon=0.5, N=2) finished: 0 of 2 seeds failed"
+        bad = "sweep cell 2/2 (algorithm=many_experts, epsilon=0.5, N=16) finished: 2 of 2 seeds failed"
+        assert sorted(m for level, m in lines if level == "INFO") == [good, bad]
+        assert lines.index(("WARNING", warnings[0])) < lines.index(("INFO", bad))
 
     def test_accuracy_tradeoff_has_interior_optimum(self, tmp_path):
         matrix_path = tmp_path / "tradeoff.bin"

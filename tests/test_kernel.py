@@ -1,15 +1,18 @@
 """Differential tests of the closed-form hedge kernel against the per-round loops.
 
 ``reference`` keeps the loops that :func:`hedge.exponential_weights` replaced.
-Plain hedge, every packing phase and the meta layer must reproduce their
-trajectories and extras bit for bit: across kernel block boundaries, with
-one expert, with one-round phases and admissions at the first and last
-round, on every oracle kind and in both meta feedback modes.  Small block
-sizes are patched in so that games of a few rounds cross many blocks.
+Plain hedge, the packing learner (all of its phases in one kernel call) and
+the meta layer must reproduce their trajectories and extras bit for bit:
+across kernel block boundaries, with one expert, with one-round phases and
+admissions at the first and last round, on every oracle kind and in both
+meta feedback modes.  Small block sizes are patched in so that games of a
+few rounds cross many blocks, or one block spans many phases.  The kernel's
+segments are also checked directly against ``reference.segmented_hedge``.
 """
 
 import csv
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,11 +23,12 @@ from packhedge import cli, core, environments, hedge, many_experts, matrix_io, m
 from packhedge.core import GameTrajectory, game_rng
 from reference import LossOnlyOracle
 
-#: Block sizes (loss entries per block): a tiny one and the module's own.
-BLOCK_SIZES = [12, hedge.BLOCK_ENTRIES]
+#: Block sizes (loss entries per block): a tiny one, the module's own, and a
+#: small one whose blocks span several short phases of a few dozen experts.
+BLOCK_SIZES = [12, hedge.BLOCK_ENTRIES, 600]
 
 
-@pytest.fixture(params=BLOCK_SIZES, ids=["tiny_blocks", "module_blocks"])
+@pytest.fixture(params=BLOCK_SIZES, ids=["tiny_blocks", "module_blocks", "small_blocks"])
 def block_entries(request, monkeypatch):
     monkeypatch.setattr(hedge, "BLOCK_ENTRIES", request.param)
     return request.param
@@ -130,6 +134,18 @@ class TestManyExperts:
         assert fast.extras["restarts"][-1] == (6, 7)
         assert fast.phase.tolist() == [2, 3, 4, 5, 6, 7]
 
+    def test_admissions_at_first_and_last_round_only(self, block_entries):
+        # Expert 1 stands out at round 1 and expert 2 at round T: a one-round
+        # phase, a long one, and an empty last phase.
+        T = 700
+        matrix = np.tile(game_rng(3).uniform(-0.1, 0.1, (T, 1)), (1, 3))
+        matrix[0, 1] += 0.8
+        matrix[T - 1, 2] -= 0.8
+        oracle = environments.make_finite_matrix(matrix)
+        fast = many_experts.play_many_experts(oracle, epsilon=0.25, rng=5)
+        assert_same(fast, reference.play_many_experts(oracle, epsilon=0.25, rng=5))
+        assert fast.extras["restarts"] == [(0, 1), (1, 2), (T, 3)]
+
     def test_one_expert(self, block_entries):
         oracle = make_oracle("matrix", 40, 1)
         assert_same(
@@ -189,7 +205,7 @@ class TestKernel:
         uniforms = game_rng(6).random(40)
         for j0, j1 in ((0, 25), (25, 40)):
             chosen, _, _ = hedge.exponential_weights(
-                lambda a, b: losses[j0 + a : j0 + b], j1 - j0, 4, uniforms[j0:j1]
+                lambda a, b, _: losses[j0 + a : j0 + b], [0], [4], uniforms[j0:j1]
             )
             state = hedge.HedgeState.fresh(4)
             for j in range(j0, j1):
@@ -199,11 +215,114 @@ class TestKernel:
 
     def test_wrong_block_width_rejected(self):
         with pytest.raises(ValueError):
-            hedge.exponential_weights(lambda a, b: np.zeros((b - a, 2)), 4, 3, np.zeros(4))
+            hedge.exponential_weights(lambda a, b, _: np.zeros((b - a, 2)), [0], [3], np.zeros(4))
 
     def test_no_experts_rejected(self):
         with pytest.raises(ValueError, match="expert"):
-            hedge.exponential_weights(lambda a, b: np.zeros((b - a, 0)), 4, 0, np.zeros(4))
+            hedge.exponential_weights(lambda a, b, _: np.zeros((b - a, 0)), [0], [0], np.zeros(4))
+
+
+def segments(lengths, widths, seed=0):
+    """Segment starts, a loss matrix and uniforms for segments of these lengths and widths."""
+    starts = np.cumsum([0, *lengths[:-1]])
+    T = int(sum(lengths))
+    losses = game_rng(seed).uniform(-1.0, 1.0, (T, max(widths)))
+    return starts, losses, game_rng(seed, 1).random(T)
+
+
+def assert_segments_match(starts, widths, losses, uniforms, normalize=True):
+    """The kernel over the segments equals their per-round reference bit for bit."""
+    chosen, incurred, means = hedge.exponential_weights(
+        lambda j0, j1, width: losses[j0:j1, :width], starts, widths, uniforms,
+        normalize=normalize, expected=normalize,
+    )
+    slow = reference.segmented_hedge(losses, starts, widths, uniforms, normalize)
+    assert chosen.tobytes() == slow[0].tobytes()
+    assert incurred.tobytes() == slow[1].tobytes()
+    if normalize:
+        assert means.tobytes() == slow[2].tobytes()
+    return chosen
+
+
+class TestSegments:
+    """One kernel call over many segments, against the per-round reference."""
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_lengths_around_a_block(self, block_entries, normalize):
+        b = hedge.block_rounds(5)
+        lengths = [1, max(1, b - 1), b, b + 1, 1, 2]
+        for widths in ([5] * 6, [1, 2, 5, 3, 5, 4]):
+            starts, losses, uniforms = segments(lengths, widths, seed=len(set(widths)))
+            assert_segments_match(starts, widths, losses, uniforms, normalize)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_many_widths_in_one_block(self, block_entries, normalize):
+        # 60 short segments, widths rising and falling between 1 and 30.
+        rng = game_rng(11)
+        lengths = rng.integers(1, 4, 60).tolist()
+        widths = rng.integers(1, 31, 60).tolist()
+        starts, losses, uniforms = segments(lengths, widths, seed=11)
+        assert_segments_match(starts, widths, losses, uniforms, normalize)
+
+    @pytest.mark.parametrize("entries", [64, hedge.BLOCK_ENTRIES])
+    def test_segments_longer_than_a_block(self, monkeypatch, entries):
+        monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
+        widths = [1, 3, 2, 7]
+        lengths = [hedge.block_rounds(w) * 2 + 3 for w in widths]
+        starts, losses, uniforms = segments(lengths, widths, seed=2)
+        assert_segments_match(starts, widths, losses, uniforms)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_draw_at_the_row_total_falls_back_within_the_width(self, normalize):
+        # Segment 2 (width 3, rounds 5-10) shares a block with the wider
+        # segment 3.  Its last column's weight underflows to 0 after the
+        # segment's first round, and a draw of 1.0 in round 9 reaches the row
+        # total, which the zero-weight padding also reaches: the pick is the
+        # last positive weight inside the width, column 1.
+        widths = [2, 3, 6]
+        starts, losses, uniforms = segments([4, 6, 5], widths, seed=4)
+        losses[4:, 2] = 1000.0
+        uniforms[8] = 1.0
+        chosen = assert_segments_match(starts, widths, losses, uniforms, normalize)
+        assert chosen[8] == 1
+
+    def test_no_runtime_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            starts, losses, uniforms = segments([3, 1, 2, 40, 1], [1, 4, 2, 9, 30], seed=6)
+            losses[:, 0] = 1000.0  # weights that underflow to 0
+            assert_segments_match(starts, [1, 4, 2, 9, 30], losses, uniforms)
+            oracle = environments.make_low_rank(200, 120, 2, 0.05, seed=1)
+            meta_tuner.play_meta(oracle, seed=2)
+            many_experts.play_many_experts(oracle, epsilon=2.0**-6, rng=3)
+
+    def test_vecdot_matches_row_dots_on_column_takes(self):
+        # The expected loss of a round is p @ l over the phase's exact width;
+        # the block is a column take of the active experts, read at the
+        # block's wider width and sliced.
+        rng = game_rng(7)
+        matrix = rng.uniform(-1.0, 1.0, (64, 700))
+        for _ in range(40):
+            width = int(rng.integers(1, 400))
+            wide = width + int(rng.integers(0, 200))
+            block = matrix[3:40].take(rng.permutation(700)[:wide], axis=1)
+            weights = rng.random((37, wide))
+            weights /= weights.sum(axis=1, keepdims=True)
+            p, l = weights[:, :width], block[:, :width]
+            assert not l.flags.c_contiguous or width == wide
+            rows = np.array([np.ascontiguousarray(a) @ np.ascontiguousarray(b) for a, b in zip(p, l)])
+            assert np.vecdot(p, l).tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize(
+        "starts, widths, T",
+        [([1, 3], [2, 2], 5), ([0, 2, 2], [1, 2, 3], 5), ([0, 3, 5], [1, 2, 3], 5),
+         ([0, 2], [1, 0], 5), ([0, 2], [1], 5), ([], [], 5)],
+    )
+    def test_bad_segments_rejected(self, starts, widths, T):
+        with pytest.raises(ValueError, match="segment"):
+            hedge.exponential_weights(
+                lambda a, b, w: np.zeros((b - a, w)), starts, widths, np.zeros(T)
+            )
 
 
 class TestRows:
@@ -328,6 +447,28 @@ class TestBoundedMemory:
         oracle = environments.make_finite_matrix(matrix)
         assert many_experts._schedule(oracle, 256, epsilon, 0).active.size == 250
         peak = self.peak(lambda: many_experts._schedule(oracle, 256, epsilon, 0))
+        assert peak < 8 * self.BLOCK_BYTES
+
+    def phase_peak(self, monkeypatch, oracle, epsilons, expected):
+        """Peak of the phase pass alone: every copy's kernel call, schedules precomputed."""
+        T = oracle.horizon()
+        states = {e: many_experts._schedule(oracle, T, e, 0) for e in epsilons}
+        monkeypatch.setattr(many_experts, "_schedule", lambda o, t, e, i: states[e])
+        return self.peak(lambda: [
+            many_experts.packing_game(oracle, T, e, r, expected=expected)
+            for r, e in enumerate(epsilons)
+        ])
+
+    def test_phase_pass_meta_lowrank(self, monkeypatch):
+        # Every copy of the grid with expected losses, as the meta-tuner plays them.
+        oracle = environments.make_low_rank(512, 200, 2, 0.05, 3)
+        epsilons = meta_tuner.build_grid(512).epsilons
+        peak = self.phase_peak(monkeypatch, oracle, epsilons, expected=True)
+        assert peak < 8 * self.BLOCK_BYTES
+
+    def test_phase_pass_packing_lowrank(self, monkeypatch):
+        oracle = environments.make_low_rank(1024, 500, 2, 0.05, 3)
+        peak = self.phase_peak(monkeypatch, oracle, [2.0**-7], expected=False)
         assert peak < 8 * self.BLOCK_BYTES
 
     def test_packing_clustered(self):

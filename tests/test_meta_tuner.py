@@ -45,7 +45,7 @@ class TestMetaState:
     def test_mismatched_sizes_rejected(self):
         # Feedback with fewer columns than the meta hedge has experts.
         with pytest.raises(ValueError):
-            hedge.exponential_weights(lambda a, b: np.zeros((b - a, 1)), 8, 3, np.zeros(8))
+            hedge.exponential_weights(lambda a, b, _: np.zeros((b - a, 1)), [0], [3], np.zeros(8))
 
     def test_unknown_feedback_mode_rejected(self):
         env = environments.make_clustered_binary(8, 5, 2, seed=0)
