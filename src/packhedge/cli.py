@@ -38,7 +38,8 @@ CSV_BLOCK_ROWS = 1024
 #: config); the pure-Python safe loader otherwise.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-logger = logging.getLogger(__name__)
+# Named, not ``__name__``: under ``python -m packhedge.cli`` that is ``__main__``.
+logger = logging.getLogger("packhedge.cli")
 
 
 class ConfigError(Exception):
@@ -188,6 +189,27 @@ def build_summary(
     return summary
 
 
+#: Schedule-pass counts that add up over the copies of a meta game.
+SCHEDULE_COUNTS = ("blocks", "recertifications", "exact_queries", "admitting_rounds")
+
+
+def schedule_metrics(trajectory: GameTrajectory) -> dict[str, Any]:
+    """The ``metrics`` of a manifest: schedule-pass counts, summed over meta copies.
+
+    ``saturation_round`` is the latest round at which a copy's active set
+    became as large as its candidate set, or ``None`` if one never did.
+    Plain hedge has no schedule pass and no metrics.
+    """
+    copies = trajectory.extras.get("copies", [trajectory])
+    counts = [copy.extras["schedule"] for copy in copies if "schedule" in copy.extras]
+    if not counts:
+        return {}
+    schedule: dict[str, Any] = {key: sum(c[key] for c in counts) for key in SCHEDULE_COUNTS}
+    rounds = [c["saturation_round"] for c in counts]
+    schedule["saturation_round"] = None if None in rounds else max(rounds)
+    return {"schedule": schedule}
+
+
 def _write_json(path: Path, payload: dict[str, Any]) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -232,6 +254,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": f"{platform.system()} {platform.machine()}",
+        "metrics": schedule_metrics(trajectory),
         "wall_time": time.perf_counter() - started,
     }
     _write_json(out_dir / "manifest.json", manifest)

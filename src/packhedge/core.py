@@ -87,9 +87,13 @@ def uncovered_mask(
     threshold`` for every ``i`` in ``O((n + m) log m)``.  Only the two sorted
     neighbours of a value can attain the minimum, and rounded subtraction is
     monotone, so the answer is bit-identical to the dense ``n x m`` scan.
+    The values are searched in sorted order, where consecutive searches
+    reuse the previous position; each lands where an unsorted search would.
     """
     ordered = np.sort(reference)
-    pos = ordered.searchsorted(values)
+    order = np.argsort(values)
+    pos = np.empty(values.shape, dtype=np.intp)
+    pos[order] = ordered.searchsorted(values[order])
     padded = np.concatenate(([-np.inf], ordered, [np.inf]))
     # padded[pos] is the largest reference below the value, padded[pos + 1]
     # the smallest at or above it; the infinities stand in for a missing side.

@@ -15,7 +15,9 @@ with :func:`~packhedge.core.uncovered_rows` that the active set at the start
 of the block covers every candidate of a round; coverage only grows with the
 active set, so :func:`expand_packing`, the exact query and admission walk,
 runs only on the rounds left flagged, until the active set holds every
-coverage candidate.
+coverage candidate.  When a flagged round admits no one after the set has
+grown, the block's remaining flagged rounds are certified again against the
+grown set, so one early admission does not leave the rest of a block flagged.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ class PackingState:
     active: np.ndarray
     epsilon: float
     admitted_at: list[int] = field(default_factory=list)
+    #: Work of the schedule pass (:func:`_schedule`): blocks certified,
+    #: re-certifications of a block's flagged rows, and exact queries.
+    blocks: int = 0
+    recertifications: int = 0
+    queries: int = 0
 
     @classmethod
     def fresh(cls, epsilon: float, initial_expert: ExpertId = 0) -> "PackingState":
@@ -112,30 +119,50 @@ def _schedule(
     """The packing after ``horizon`` rounds: the schedule pass of :func:`packing_game`.
 
     Blocks of ``hedge.block_rounds(K)`` rounds over the ``K`` candidates are
-    certified at once against the active set at the start of the block; only
-    the rounds the certificate flags run :func:`expand_packing`, in order.
-    Once the active set is as large as the candidate set no later round
-    admits anyone, so nothing more is read.
+    certified at once against the active set at the start of the block; the
+    rounds the certificate flags run :func:`expand_packing`, in order.  When
+    a flagged round admits no one and the set has grown since the block's
+    last certification, the block's remaining flagged rows are certified
+    again against the grown set, whose new members' losses are columns of
+    the candidate rows already read, and only the rows still flagged are
+    walked.  Every certification but a block's first follows an admitting
+    round, so there are at most as many of them as admitting rounds.  Once
+    the active set is as large as the candidate set no later round admits
+    anyone, so nothing more is read.  The returned state counts the blocks,
+    re-certifications and exact queries of the pass.
     """
     state = PackingState.fresh(epsilon, initial_expert)
     ids = oracle.coverage_ids()
     threshold = 2.0 * state.epsilon
     step = hedge.block_rounds(ids.size)
+    blocks = recertifications = queries = 0
     for t0 in range(0, horizon, step):
         if state.active.size >= ids.size:
             break
         t1 = min(horizon, t0 + step)
-        flagged = uncovered_rows(
-            oracle.rows(t0, t1, ids),
-            oracle.rows(t0, t1, state.active),
-            threshold,
-            hedge.BLOCK_ENTRIES,
-        )
-        for t in (np.flatnonzero(flagged) + t0 + 1).tolist():
-            if state.active.size >= ids.size:
-                break
-            state, _ = expand_packing(state, t, oracle)
-    return state
+        values = oracle.rows(t0, t1, ids)
+        reference = oracle.rows(t0, t1, state.active)
+        rows = np.flatnonzero(uncovered_rows(values, reference, threshold, hedge.BLOCK_ENTRIES))
+        blocks += 1
+        start = certified = state.active.size
+        i = 0
+        while i < rows.size and state.active.size < ids.size:
+            state, added = expand_packing(state, t0 + int(rows[i]) + 1, oracle)
+            queries += 1
+            i += 1
+            if added or state.active.size == certified or i == rows.size:
+                continue
+            rest = rows[i:]
+            block = values[rest]
+            # The set active at the block's start, plus the candidates admitted since.
+            grown = np.concatenate(
+                (reference[rest], block[:, ids.searchsorted(state.active[start:])]), axis=1
+            )
+            rows = rest[uncovered_rows(block, grown, threshold, hedge.BLOCK_ENTRIES)]
+            i = 0
+            certified = state.active.size
+            recertifications += 1
+    return replace(state, blocks=blocks, recertifications=recertifications, queries=queries)
 
 
 def packing_regret_bound(
@@ -175,7 +202,8 @@ def play_many_experts(
     restarts the inner hedge over the enlarged set, and otherwise the weights
     update on the active losses.  The trajectory records the phase and
     active-set size at the end of every round; its extras expose the final
-    packing, the phase count, and the admission certificate.
+    packing, the phase count, the admission certificate, and the counts of
+    the schedule pass (``schedule``).
     """
     return packing_game(oracle, horizon, epsilon, rng, initial_expert)[0]
 
@@ -228,6 +256,18 @@ def packing_game(
         "final_packing": int(state.active.size),
         "num_phases": int(starts.size),
         "restarts": list(zip(starts.tolist(), sizes.tolist())),
+        "schedule": {
+            "blocks": state.blocks,
+            "recertifications": state.recertifications,
+            "exact_queries": state.queries,
+            "admitting_rounds": int(starts.size) - 1,
+            # The round whose admissions made the set as large as the candidate set.
+            "saturation_round": (
+                state.admitted_at[-1]
+                if state.active.size >= oracle.coverage_ids().size
+                else None
+            ),
+        },
     }
     trajectory = GameTrajectory.from_rounds(
         chosen,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from packhedge import cli, environments, matrix_io
+from packhedge import cli, environments, many_experts, matrix_io, meta_tuner
 from packhedge.cli import EXIT_BOUND_VIOLATION, EXIT_CONFIG, EXIT_IO, EXIT_OK
 
 
@@ -90,6 +90,50 @@ class TestRun:
         # summary.json is hashed by the repeat-run checks: no run-environment keys.
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert not {"python", "numpy", "platform", "wall_time"} & summary.keys()
+
+    @pytest.mark.parametrize("algorithm", ["many_experts", "meta_tuner"])
+    def test_manifest_records_schedule_counts(self, tmp_path, monkeypatch, algorithm):
+        config = clustered_config(tmp_path, algorithm=algorithm)
+        queries = []
+        expand = many_experts.expand_packing
+
+        def counting(state, t, oracle):
+            queries.append(t)
+            return expand(state, t, oracle)
+
+        monkeypatch.setattr(many_experts, "expand_packing", counting)
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        counts = manifest["metrics"]["schedule"]
+        assert counts["exact_queries"] == len(queries)
+        monkeypatch.setattr(many_experts, "expand_packing", expand)
+        # The same counts from the schedule of every copy, summed.
+        game = cli.build_game_config(cli.load_config(config), None)
+        oracle = cli._build_oracle(cli.build_env_spec(cli.load_config(config), game), game.T)
+        epsilons = (
+            meta_tuner.build_grid(game.T).epsilons if algorithm == "meta_tuner" else [game.epsilon]
+        )
+        states = [many_experts._schedule(oracle, game.T, e, 0) for e in epsilons]
+        assert counts["blocks"] == sum(state.blocks for state in states) >= len(states)
+        assert counts["recertifications"] == sum(state.recertifications for state in states)
+        assert counts["exact_queries"] == sum(state.queries for state in states)
+        admitting = sum(len(set(state.admitted_at)) - 1 for state in states)
+        assert counts["admitting_rounds"] == admitting <= len(queries)
+        # At epsilon 1 no +/-1 row is farther than 2 from another: that copy never saturates.
+        saturated = [s.active.size == oracle.coverage_ids().size for s in states]
+        assert saturated == [eps < 1.0 for eps in epsilons]
+        if all(saturated):
+            assert counts["saturation_round"] == max(s.admitted_at[-1] for s in states) > 0
+        else:
+            assert counts["saturation_round"] is None
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert not {"metrics", "schedule"} & summary.keys()
+
+    def test_hedge_manifest_has_no_schedule_counts(self, tmp_path):
+        config = iid_config(tmp_path, T=5)
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["metrics"] == {}
 
     def test_clustered_run_meets_cluster_bound(self, tmp_path):
         config = clustered_config(tmp_path)
@@ -416,6 +460,26 @@ class TestSweep:
         bad = "sweep cell 2/2 (algorithm=many_experts, epsilon=0.5, N=16) finished: 2 of 2 seeds failed"
         assert sorted(m for level, m in lines if level == "INFO") == [good, bad]
         assert lines.index(("WARNING", warnings[0])) < lines.index(("INFO", bad))
+
+    def test_module_run_logs_as_packhedge_cli(self, tmp_path):
+        # Under ``python -m`` the module is ``__main__``; its records keep the package name.
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "many_experts", "T": 3, "epsilon": 0.5},
+                "environment": {"kind": "clustered_binary", "K": 100, "N": 2},
+                "sweep": {"n_seeds": 1, "epsilons": [0.5], "include_meta": False},
+            },
+        )
+        argv = ["--log-level", "INFO", "sweep", "--config", config, "--seed", "0",
+                "--out-dir", str(tmp_path / "out")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, sys.path)))
+        done = subprocess.run(
+            [sys.executable, "-m", "packhedge.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "INFO packhedge.cli: sweep cell 1/1" in done.stderr
+        assert "__main__" not in done.stderr
 
     def test_accuracy_tradeoff_has_interior_optimum(self, tmp_path):
         matrix_path = tmp_path / "tradeoff.bin"

@@ -114,6 +114,37 @@ class TestKernel:
                 dense_uncovered(values, values[:1], threshold),
             )
 
+    def test_unsorted_duplicate_keys(self):
+        # Sorted search order must land every copy of a key on its own position.
+        values = np.array([0.9, -0.6, 0.9, 0.1, -0.6, 0.9, -1.0, 0.1])
+        reference = np.array([0.5, -0.5])
+        mask = uncovered_mask(values, reference, 0.3)
+        assert mask.tolist() == [True, False, True, True, False, True, True, True]
+        assert np.array_equal(mask, dense_uncovered(values, reference, 0.3))
+
+    def test_negative_and_positive_zero_keys(self):
+        values = np.array([0.0, 0.5, -0.0, -0.5, 0.0, -0.0])
+        for reference in (np.array([0.0]), np.array([-0.0]), np.array([-0.0, 0.0, 0.5])):
+            for threshold in (0.0, 0.25, 0.5):
+                assert np.array_equal(
+                    uncovered_mask(values, reference, threshold),
+                    dense_uncovered(values, reference, threshold),
+                )
+        assert uncovered_mask(values, np.array([1.0]), 0.75).tolist() == [
+            True, False, True, True, True, True
+        ]
+
+    def test_keys_equal_to_reference_values(self):
+        # A key equal to a reference value is covered at any threshold, on
+        # whichever side of the key the search places it.
+        reference = np.array([0.25, -0.75, 0.25, 1.0])
+        values = np.array([1.0, 0.25, -0.75, 0.25, 1.0, -0.75, 0.0])
+        for threshold in (0.0, 0.25, 1.0):
+            mask = uncovered_mask(values, reference, threshold)
+            assert not mask[:6].any()
+            assert np.array_equal(mask, dense_uncovered(values, reference, threshold))
+        assert uncovered_mask(values, reference, 0.0)[6]
+
     @pytest.mark.parametrize("seed", range(5))
     def test_random_rows_large_reference(self, seed):
         rng = game_rng(seed)
@@ -422,6 +453,73 @@ class TestBlockSchedule:
             active, admitted_at = per_round_schedule(oracle, copy.extras["epsilon"])
             assert copy.extras["final_active"] == active
             assert copy.extras["admitted_at"] == admitted_at
+
+
+# A tied-value game: cluster rows of EDGE_VALUES, an assignment of experts to
+# clusters with at least one expert more than clusters (so one expert is not
+# its cluster's candidate), whether the initial expert is a candidate, and
+# whether the game is the clustered oracle or the dense matrix it stands for.
+tied_games = st.tuples(
+    st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=6)
+).flatmap(
+    lambda shape: st.tuples(
+        st.lists(
+            st.lists(st.sampled_from(EDGE_VALUES), min_size=shape[0], max_size=shape[0]),
+            min_size=shape[1],
+            max_size=shape[1],
+        ),
+        st.lists(st.integers(min_value=0, max_value=shape[1] - 1), min_size=1, max_size=6),
+        st.permutations(range(shape[1])),
+        st.integers(min_value=0, max_value=2**16),
+        st.booleans(),
+        st.booleans(),
+    )
+)
+
+
+class TestBlockScheduleOnTiedValues:
+    @pytest.mark.parametrize("entries", [12, hedge.BLOCK_ENTRIES])
+    @settings(max_examples=150, deadline=None)
+    @given(tied_games, st.sampled_from([1.0, 0.5, 0.25, 0.125, 0.05]))
+    def test_matches_per_round_pass(self, entries, game, epsilon):
+        rows, extra, clusters, pick, off_candidate, dense = game
+        assignment = np.array(list(clusters) + extra)
+        oracle = environments.ClusteredBinaryOracle(np.array(rows), assignment)
+        ids = oracle.coverage_ids()
+        others = np.setdiff1d(np.arange(assignment.size), ids)
+        assert others.size >= 1
+        initial_expert = int(
+            others[pick % others.size] if off_candidate else ids[pick % ids.size]
+        )
+        if dense:
+            oracle = environments.make_finite_matrix(oracle.to_matrix())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hedge, "BLOCK_ENTRIES", entries)
+            assert block_schedule(oracle, epsilon, initial_expert) == per_round_schedule(
+                oracle, epsilon, initial_expert
+            )
+
+
+@pytest.mark.parametrize("seed", [0, 4242, 4243, 4244])
+def test_stale_blocks_on_the_readme_shape(monkeypatch, seed):
+    # The README shape: 8 candidates, so a block is 2048 rounds, and an early
+    # admission leaves the rest of a block flagged against its start set.
+    # Re-certifying after a false flag keeps the exact queries near the
+    # admitting rounds.
+    oracle = environments.make_clustered_binary(5000, 100_000, 8, seed=seed)
+    calls = []
+
+    def counting(state, t, oracle):
+        calls.append(t)
+        return expand_packing(state, t, oracle)
+
+    monkeypatch.setattr(many_experts, "expand_packing", counting)
+    state = many_experts._schedule(oracle, 5000, 0.5, 0)
+    admitting = len(set(state.admitted_at)) - 1
+    assert admitting >= 1
+    assert len(calls) <= 2 * admitting
+    assert state.queries == len(calls)
+    assert state.recertifications <= admitting
 
 
 small_games = st.tuples(

@@ -41,8 +41,13 @@ def assert_same(fast, slow):
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
     assert fast.seed == slow.seed
-    assert fast.extras.keys() == slow.extras.keys()
+    # ``schedule`` counts the work of the block schedule pass, which the
+    # per-round reference does not do; every other key must match.
+    assert ("schedule" in fast.extras) == (fast.extras["algorithm"] == "many_experts")
+    assert fast.extras.keys() - {"schedule"} == slow.extras.keys()
     for key, value in fast.extras.items():
+        if key == "schedule":
+            continue
         other = slow.extras[key]
         if key == "copies":
             assert len(value) == len(other)
@@ -336,51 +341,105 @@ class TestRows:
             assert np.array_equal(oracle.rows(t0, t1, experts), stacked[:, experts])
 
 
-class CountingOracle(environments.MatrixOracle):
-    """Records the rounds of the per-round active-loss gathers and the range of every read."""
+class EventOracle(environments.MatrixOracle):
+    """Logs the reads and the per-round active-loss gathers (exact queries) in order."""
 
     def __init__(self, matrix):
         super().__init__(matrix)
-        self.gathered = []
-        self.reads = []
+        self.events = []
 
     def losses(self, t, experts=None):
-        self.gathered.append(t)
-        return super().losses(t, experts)
+        self.events.append(("query", t))
+        return super().rows(t - 1, t, experts)[0]
 
     def rows(self, t0, t1, experts=None):
-        self.reads.append((t0, t1))
+        self.events.append(("read", t0, t1))
         return super().rows(t0, t1, experts)
+
+
+def replay_schedule(events, admitting):
+    """Check the logged schedule pass; return its block-flagged rounds and exact queries.
+
+    A certification right after a block read is the block's own; one with no
+    read before it re-certifies the block's pending flagged rounds.  The
+    exact queries must take the pending rounds in order, and a query that
+    admits no one after the set has grown since the last certification must
+    be followed by a re-certification while rounds are pending.
+    """
+    flagged, queries = [], []
+    pending, block, grown, due = [], None, False, False
+    for i, event in enumerate(events):
+        if event[0] == "read":
+            # An exact query reads its round of candidates just before the gather.
+            following = events[i + 1] if i + 1 < len(events) else None
+            if following != ("query", event[2]):
+                block = event[1]
+            continue
+        if event[0] == "query":
+            assert not due, "a re-certification was due before this query"
+            t = event[1]
+            assert pending and pending[0] == t
+            pending.pop(0)
+            queries.append(t)
+            if t in admitting:
+                grown = True
+            elif grown and pending:
+                due = True
+            continue
+        flags = event[1]
+        if block is not None:
+            assert not due and not pending
+            pending = (np.flatnonzero(flags) + block + 1).tolist()
+            flagged.extend(pending)
+            block = None
+        else:
+            assert due, "a re-certification must follow a false flag after growth"
+            assert flags.size == len(pending)
+            pending = [t for t, keep in zip(pending, flags.tolist()) if keep]
+        grown = due = False
+    assert not due
+    return flagged, queries
+
+
+def is_subsequence(items, sequence):
+    remaining = iter(sequence)
+    return all(any(item == other for other in remaining) for item in items)
 
 
 @pytest.mark.parametrize("entries", [600, hedge.BLOCK_ENTRIES])
 def test_active_gathers_only_on_flagged_rounds(monkeypatch, entries):
     monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
     matrix = environments.make_low_rank(400, 60, 2, 0.05, seed=4).to_matrix()
-    step = hedge.block_rounds(60)
-    certified = []
+    oracle = None
 
     def recording(values, reference, threshold, max_entries):
         flags = core.uncovered_rows(values, reference, threshold, max_entries)
-        t0 = len(certified) * step
-        certified.append((np.flatnonzero(flags) + t0 + 1).tolist())
+        oracle.events.append(("certify", flags))
         return flags
 
     monkeypatch.setattr(many_experts, "uncovered_rows", recording)
-    gathered = 0
+    gathered = recertified = 0
     for epsilon in (0.25, 2.0**-5, 2.0**-9):
-        certified.clear()
-        oracle = CountingOracle(matrix)
+        oracle = EventOracle(matrix)
         state = many_experts._schedule(oracle, 400, epsilon, 0)
+        admitting = set(state.admitted_at[1:])
+        flagged, queries = replay_schedule(oracle.events, admitting)
+        # The exact queries are an ordered subsequence of the block-flagged
+        # rounds, and every admission round is among them.
+        assert is_subsequence(queries, flagged)
+        assert admitting <= set(queries)
+        assert (state.queries, state.blocks) == (
+            len(queries),
+            sum(1 for event in oracle.events if event[0] == "certify") - state.recertifications,
+        )
+        assert state.recertifications <= len(admitting)
         # The last unsaturated round: the pass stops once all 60 candidates are active.
         last = state.admitted_at[-1] if state.active.size == 60 else 400
-        flagged = [t for block in certified for t in block if t <= last]
-        # One exact query per flagged round, in order, and every admission round among them.
-        assert oracle.gathered == flagged
-        assert set(state.admitted_at[1:]) <= set(flagged)
-        assert all(t0 < last for t0, _ in oracle.reads)
-        gathered += len(flagged)
+        assert all(event[1] < last for event in oracle.events if event[0] == "read")
+        gathered += len(queries)
+        recertified += state.recertifications
     assert last < 400  # the finest accuracy saturated
+    assert recertified > 0
     unsaturated = 400 + 400 + last
     # Far fewer exact queries than unsaturated rounds: under a quarter with
     # 10-round blocks, under two thirds with the module's 273-round blocks.
@@ -469,6 +528,14 @@ class TestBoundedMemory:
     def test_phase_pass_packing_lowrank(self, monkeypatch):
         oracle = environments.make_low_rank(1024, 500, 2, 0.05, 3)
         peak = self.phase_peak(monkeypatch, oracle, [2.0**-7], expected=False)
+        assert peak < 8 * self.BLOCK_BYTES
+
+    @pytest.mark.parametrize("seed", [0, 4242])
+    def test_schedule_pass_readme_shape(self, seed):
+        # 2048-round blocks over 8 candidates, re-certified after false flags.
+        oracle = environments.make_clustered_binary(5000, 100_000, 8, seed=seed)
+        assert many_experts._schedule(oracle, 5000, 0.5, 0).recertifications > 0
+        peak = self.peak(lambda: many_experts._schedule(oracle, 5000, 0.5, 0))
         assert peak < 8 * self.BLOCK_BYTES
 
     def test_packing_clustered(self):

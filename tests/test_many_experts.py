@@ -106,6 +106,9 @@ class TestRestart:
             state, *_ = reference.advance(state, t, env, gen)
         fast = many_experts.play_many_experts(env, 60, 0.5, rng=game_rng(3, 0))
         slow = reference.play_many_experts(env, 60, 0.5, rng=game_rng(3, 0))
+        # The per-round reference has no block schedule pass to count.
+        counts = fast.extras.pop("schedule")
+        assert counts["admitting_rounds"] == slow.extras["num_phases"] - 1
         assert fast.extras == slow.extras
         assert np.array_equal(fast.chosen, slow.chosen)
         assert np.array_equal(fast.phase, slow.phase)
