@@ -12,18 +12,16 @@ from .core import (
     GameConfig,
     GameTrajectory,
     LossOracle,
-    expected_loss,
     game_rng,
-    sample_categorical,
 )
-from .hedge import HedgeState, hedge_regret_bound, learning_rate, play_hedge
+from .hedge import hedge_regret_bound, play_hedge
 from .many_experts import (
     PackingState,
     expand_packing,
     packing_regret_bound,
     play_many_experts,
 )
-from .meta_tuner import EpsilonGrid, build_grid, play_meta
+from .meta_tuner import build_grid, play_meta
 from .environments import (
     EnvironmentSpec,
     MatrixOracle,
@@ -55,18 +53,13 @@ __all__ = [
     "GameConfig",
     "GameTrajectory",
     "LossOracle",
-    "expected_loss",
     "game_rng",
-    "sample_categorical",
-    "HedgeState",
     "hedge_regret_bound",
-    "learning_rate",
     "play_hedge",
     "PackingState",
     "expand_packing",
     "packing_regret_bound",
     "play_many_experts",
-    "EpsilonGrid",
     "build_grid",
     "play_meta",
     "EnvironmentSpec",

@@ -50,34 +50,6 @@ def normalize_rng(rng: int | np.random.Generator) -> tuple[np.random.Generator, 
     raise TypeError(f"rng must be an int seed or a numpy Generator, got {type(rng)!r}")
 
 
-def sample_categorical(weights: Sequence[float] | np.ndarray, rng: np.random.Generator) -> ExpertId:
-    """Draw an index with probability proportional to its weight.
-
-    Consumes exactly one uniform draw from ``rng``.  Weights need not be
-    normalized; zero-weight indices are never returned.
-
-    Raises:
-        ValueError: on empty, negative, non-finite, or all-zero weights
-            ("degenerate distribution").
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("degenerate distribution: weights must be a non-empty vector")
-    # NaN fails the >= comparison, so this also rejects non-finite weights.
-    if not (float(w.min()) >= 0.0 and float(w.max()) < np.inf):
-        raise ValueError("degenerate distribution: weights must be finite and non-negative")
-    cumulative = w.cumsum()
-    total = float(cumulative[-1])
-    if total <= 0.0:
-        raise ValueError("degenerate distribution: no positive mass")
-    u = rng.random() * total
-    i = int(cumulative.searchsorted(u, side="right"))
-    if i == w.size:
-        # u rounded up to a (subnormal) total: fall back to the last positive weight.
-        i = int(np.flatnonzero(w)[-1])
-    return i
-
-
 def uncovered_mask(
     values: np.ndarray, reference: np.ndarray, threshold: float
 ) -> np.ndarray:
@@ -144,17 +116,6 @@ def uncovered_rows(
         hit = ((block - lo > threshold) & (hi - block > threshold)).any(axis=1)
         flagged[r[hit]] = True
     return flagged
-
-
-def expected_loss(distribution: Sequence[float] | np.ndarray, losses: Sequence[float] | np.ndarray) -> float:
-    """Mean loss of a randomized choice: the inner product ``sum_i p(i) * l(i)``."""
-    p = np.asarray(distribution, dtype=np.float64)
-    l = np.asarray(losses, dtype=np.float64)
-    if p.shape != l.shape:
-        raise ValueError(f"length mismatch: distribution has {p.shape}, losses have {l.shape}")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError("distribution must sum to 1 within 1e-9")
-    return float(p @ l)
 
 
 def validate_loss_matrix(matrix: np.ndarray) -> np.ndarray:

@@ -6,15 +6,16 @@ cumulative losses.  One kernel, :func:`exponential_weights`, plays a whole
 game in one call: a sequence of segments, each a fresh hedge over a prefix of
 the columns.  Plain hedge and the accuracy-grid meta-learner are one segment,
 and a packing game is one segment per phase, played in blocks of rounds that
-span many short phases at once.  :class:`HedgeState`,
-:func:`distribution` and :func:`update` are the same learner one step at a
+span many short phases at once.  Each block takes three steps,
+:func:`running_totals`, :func:`totals_to_weights` and
+:func:`inverse_cdf_pick`, at the rates of :func:`learning_rates`; the
+per-round hedge in ``tests/reference.py`` is the same learner one round at a
 time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -23,53 +24,6 @@ from .core import GameTrajectory, LossOracle, normalize_rng
 
 #: Loss entries per kernel block, so each float64 temporary of a block is 128 KB.
 BLOCK_ENTRIES = 1 << 14
-
-
-@dataclass
-class HedgeState:
-    """Log-domain weight vector plus the 1-based round counter of this instance."""
-
-    log_weights: np.ndarray
-    t: int = 1
-
-    @property
-    def num_experts(self) -> int:
-        return int(self.log_weights.size)
-
-    @classmethod
-    def fresh(cls, num_experts: int) -> "HedgeState":
-        """Initial state: unit weight (zero log-weight) on every expert."""
-        if num_experts < 1:
-            raise ValueError(f"need at least one expert, got {num_experts}")
-        return cls(log_weights=np.zeros(num_experts, dtype=np.float64), t=1)
-
-
-def learning_rate(t: int, num_experts: int) -> float:
-    """Anytime step size ``sqrt(8 ln(K) / t)``; zero for a single expert."""
-    if t < 1:
-        raise ValueError(f"round index must be >= 1, got {t}")
-    if num_experts < 1:
-        raise ValueError(f"expert count must be >= 1, got {num_experts}")
-    return math.sqrt(8.0 * math.log(num_experts) / t)
-
-
-def distribution(state: HedgeState) -> np.ndarray:
-    """Probability vector proportional to the weights, normalized stably."""
-    shifted = state.log_weights - state.log_weights.max()
-    p = np.exp(shifted)
-    p /= p.sum()
-    return p
-
-
-def update(state: HedgeState, losses: np.ndarray) -> HedgeState:
-    """Multiply each weight by ``exp(-eta_t * loss)`` and advance the round clock."""
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.shape != state.log_weights.shape:
-        raise ValueError(
-            f"losses have shape {losses.shape}, state has {state.log_weights.shape}"
-        )
-    eta = learning_rate(state.t, state.num_experts)
-    return HedgeState(log_weights=state.log_weights - eta * losses, t=state.t + 1)
 
 
 def hedge_regret_bound(horizon: int, num_experts: int) -> float:
@@ -82,6 +36,24 @@ def hedge_regret_bound(horizon: int, num_experts: int) -> float:
 def block_rounds(num_experts: int) -> int:
     """Rounds per kernel block over ``num_experts`` columns (at least one)."""
     return max(1, BLOCK_ENTRIES // num_experts)
+
+
+def learning_rates(starts: Sequence[int], widths: Sequence[int], n: int) -> np.ndarray:
+    """Step size ``sqrt(8 ln K / s)`` of each of ``n`` rounds, ``s`` its clock in its segment.
+
+    Segments are as in :func:`exponential_weights`; one of width ``K = 1`` steps 0.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    widths = np.asarray(widths, dtype=np.int64)
+    if widths.shape != starts.shape or starts.size < 1 or widths.min() < 1:
+        raise ValueError(f"need at least one segment of at least one expert, got widths {widths}")
+    if starts[0] != 0 or starts[-1] >= n or (np.diff(starts) < 1).any():
+        raise ValueError(f"segment starts must rise strictly from 0 below {n}, got {starts}")
+    lengths = np.diff(starts, append=n)
+    # Round clock within its segment, and the segment's scale 8 ln K.
+    clock = np.arange(1, n + 1) - np.repeat(starts, lengths)
+    scales = np.array([8.0 * math.log(k) for k in widths.tolist()])
+    return np.sqrt(np.repeat(scales, lengths) / clock)
 
 
 def exponential_weights(
@@ -104,10 +76,10 @@ def exponential_weights(
     ``j + 1``.  The log-weights of the ``s``-th round of a segment of width
     ``K`` are ``-sum_{r < s} eta_r l_r`` with ``eta_r = sqrt(8 ln K / r)``,
     summed in round order (a running row carried across blocks, then one
-    ``cumsum`` per segment in a block), so they carry the bits of
-    :func:`update` applied round by round.  Each round picks the expert of
-    :func:`~packhedge.core.sample_categorical` on the weights ``exp(lw - max
-    lw)``, or on their normalisation with ``normalize``.
+    ``cumsum`` per segment in a block), so they carry the bits of the
+    per-round hedge in ``tests/reference.py``.  Each round picks an expert by
+    inverse CDF on the weights ``exp(lw - max lw)``, or on their
+    normalisation with ``normalize``, as that hedge samples round by round.
 
     A block reads as many rounds as fit in ``BLOCK_ENTRIES`` entries at the
     width of its widest segment, in one ``rows`` call, however many segments
@@ -120,25 +92,18 @@ def exponential_weights(
     ``expected``, the expected loss ``p @ l`` per round under the normalised
     distribution ``p`` (so ``expected`` needs ``normalize``), else ``None``.
     """
+    if expected and not normalize:
+        raise ValueError("expected losses need the normalised weights (normalize=True)")
     n = len(uniforms)
-    starts = np.asarray(starts, dtype=np.int64)
-    widths = np.asarray(widths, dtype=np.int64)
-    if widths.shape != starts.shape or starts.size < 1 or widths.min() < 1:
-        raise ValueError(f"need at least one segment of at least one expert, got widths {widths}")
-    if starts[0] != 0 or starts[-1] >= n or (np.diff(starts) < 1).any():
-        raise ValueError(f"segment starts must rise strictly from 0 below {n}, got {starts}")
-    lengths = np.diff(starts, append=n)
-    # Round clock within its segment, and the segment's scale 8 ln K.
-    clock = np.arange(1, n + 1) - np.repeat(starts, lengths)
-    scales = np.array([8.0 * math.log(k) for k in widths.tolist()])
-    eta = np.sqrt(np.repeat(scales, lengths) / clock)
-    last_column = np.repeat(widths - 1, lengths)
+    eta = learning_rates(starts, widths, n)
+    starts, widths = np.asarray(starts).tolist(), np.asarray(widths).tolist()
+    last_column = np.repeat(np.subtract(widths, 1), np.diff(starts, append=n))
 
     chosen = np.empty(n, dtype=np.int64)
     incurred = np.empty(n, dtype=np.float64)
     means = np.empty(n, dtype=np.float64) if expected else None
     carry = None  # sum of eta_s * l_s over the rounds of a segment before the block
-    for j0, j1, width, lanes, continues in _blocks(starts.tolist(), widths.tolist(), n):
+    for j0, j1, width, lanes, continues in _blocks(starts, widths, n):
         # The block's temporaries live in _play_block only, so they are freed
         # before the next block allocates its own.
         chosen[j0:j1], incurred[j0:j1], block_means, last = _play_block(
@@ -178,22 +143,19 @@ def _blocks(starts: list[int], widths: list[int], n: int):
         j0, s = j1, (e - 1 if continues else e)
 
 
-def _play_block(
-    block: np.ndarray,
-    lanes: list[tuple[int, int, int]],
-    eta: np.ndarray,
-    carry: np.ndarray | None,
-    uniforms: np.ndarray,
-    last_column: np.ndarray,
-    normalize: bool,
-    expected: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-    """Picks, incurred losses, expected losses (or None) and the last running row of a block."""
+def running_totals(
+    block: np.ndarray, eta: np.ndarray, carry: np.ndarray | None, lanes: list[tuple[int, int, int]]
+) -> np.ndarray:
+    """Sums of ``eta_r l_r`` over the earlier rounds of each round's lane: the negated log-weights.
+
+    Row ``i`` of the ``(m + 1) x width`` result is for the block's round
+    ``i + 1``.  Lane ``(a, b, k)``, rows ``a .. b - 1`` over ``k`` columns,
+    sums from a zero row (the first lane from ``carry`` if given), columns
+    past ``k`` hold ``+inf``, and the last row carries on to the next block.
+    """
     m, width = eta.size, max(k for _, _, k in lanes)
     if block.shape != (m, width):
         raise ValueError(f"loss block has shape {block.shape}, expected {(m, width)}")
-    # total[i] sums the rounds of its segment before the block's round i + 1;
-    # a segment's sum restarts at a zero row, and the last row carries on.
     total = np.empty((m + 1, width))
     np.multiply(eta[:, None], block, out=total[1:])
     if carry is None:
@@ -207,31 +169,60 @@ def _play_block(
         np.cumsum(lane, axis=0, out=lane)
         if k < width:
             total[a:b, k:] = np.inf
-    last = total[-1].copy()
+    return total
+
+
+def totals_to_weights(
+    total: np.ndarray, lanes: list[tuple[int, int, int]], normalize: bool
+) -> np.ndarray:
+    """Weights ``exp(min - total)`` of each row, in place; ``normalize`` divides by lane sums."""
     # lw - max(lw) for lw = -total is min(total) - total, bit for bit.
-    weights = total[:-1]
-    np.subtract(weights.min(axis=1, keepdims=True), weights, out=weights)
-    np.exp(weights, out=weights)
+    np.subtract(total.min(axis=1, keepdims=True), total, out=total)
+    np.exp(total, out=total)
     if normalize:
         for a, b, k in lanes:
-            p = weights[a:b, :k]
+            p = total[a:b, :k]
             p /= p.sum(axis=1, keepdims=True)
+    return total
+
+
+def inverse_cdf_pick(
+    weights: np.ndarray, uniforms: np.ndarray, last_column: np.ndarray
+) -> np.ndarray:
+    """Per row ``i``, the column of ``0 .. last_column[i]`` where its CDF passes ``uniforms[i]``."""
     cumulative = np.cumsum(weights, axis=1)
-    index = np.arange(m)
-    threshold = uniforms * cumulative[index, last_column]
+    threshold = uniforms * cumulative[np.arange(len(weights)), last_column]
     pick = np.count_nonzero(cumulative <= threshold[:, None], axis=1)
     for i in np.flatnonzero(pick > last_column).tolist():
         # The draw reached the row total (a subnormal total can round it
         # up), so the zero-weight padding counted too: take the last
         # positive weight, which lies inside the round's width.
         pick[i] = np.flatnonzero(weights[i])[-1]
+    return pick
+
+
+def _play_block(
+    block: np.ndarray,
+    lanes: list[tuple[int, int, int]],
+    eta: np.ndarray,
+    carry: np.ndarray | None,
+    uniforms: np.ndarray,
+    last_column: np.ndarray,
+    normalize: bool,
+    expected: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """Picks, incurred losses, expected losses (or None) and the last running row of a block."""
+    total = running_totals(block, eta, carry, lanes)
+    last = total[-1].copy()
+    weights = totals_to_weights(total[:-1], lanes, normalize)
+    pick = inverse_cdf_pick(weights, uniforms, last_column)
     means = None
     if expected:
         block = np.ascontiguousarray(block)
-        means = np.empty(m)
+        means = np.empty(eta.size)
         for a, b, k in lanes:
             means[a:b] = np.vecdot(weights[a:b, :k], block[a:b, :k])
-    return pick, block[index, pick], means, last
+    return pick, block[np.arange(eta.size), pick], means, last
 
 
 def play_hedge(

@@ -10,7 +10,6 @@ the same derived stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -21,27 +20,12 @@ from .core import GameTrajectory, LossOracle, game_rng
 FEEDBACK_MODES = ("expected", "realized")
 
 
-@dataclass(frozen=True)
-class EpsilonGrid:
-    """Halving accuracy ladder ``epsilon_r = 2**(1 - r)`` for ``r = 1 .. R``."""
-
-    levels: tuple[tuple[int, float], ...]
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
-
-    @property
-    def epsilons(self) -> tuple[float, ...]:
-        return tuple(eps for _, eps in self.levels)
-
-
-def build_grid(horizon: int) -> EpsilonGrid:
-    """Grid of ``ceil(log2 T)`` accuracies starting at 1 and halving."""
+def build_grid(horizon: int) -> tuple[float, ...]:
+    """Halving accuracy ladder ``epsilon_r = 2**(1 - r)`` for ``r = 1 .. ceil(log2 T)``."""
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2 to build a grid, got {horizon}")
     num_levels = (horizon - 1).bit_length()  # == ceil(log2(horizon))
-    return EpsilonGrid(tuple((r, 2.0 ** (1 - r)) for r in range(1, num_levels + 1)))
+    return tuple(2.0 ** (1 - r) for r in range(1, num_levels + 1))
 
 
 def play_meta(
@@ -68,12 +52,12 @@ def play_meta(
     if feedback_mode not in FEEDBACK_MODES:
         raise ValueError(f"feedback_mode must be one of {FEEDBACK_MODES}, got {feedback_mode!r}")
     grid = build_grid(T)
-    R = grid.num_levels
+    R = len(grid)
 
     expected = feedback_mode == "expected"
     copies, means = zip(*(
         many_experts.packing_game(oracle, T, eps, game_rng(seed, r), expected=expected)
-        for r, eps in grid.levels
+        for r, eps in enumerate(grid, 1)
     ))
     realized = np.column_stack([copy.incurred for copy in copies])
     feedback = np.column_stack(means) if expected else realized
@@ -87,7 +71,7 @@ def play_meta(
     extras: dict[str, Any] = {
         "algorithm": "meta_tuner",
         "num_copies": R,
-        "epsilons": list(grid.epsilons),
+        "epsilons": list(grid),
         "feedback_mode": feedback_mode,
         "chosen_copy": chosen_copy,
         "copy_cumulative": np.column_stack([copy.cumulative for copy in copies]),

@@ -331,7 +331,7 @@ def validate_meta(
     """
     start = time.perf_counter()
     grid = meta_tuner.build_grid(horizon)
-    num_copies = grid.num_levels
+    num_copies = len(grid)
     overhead = 4.0 * math.sqrt(horizon * math.log(num_copies))
     per_env: dict[str, dict[str, float]] = {}
     passed = True
@@ -357,7 +357,7 @@ def validate_meta(
             "mean_gap_to_best_copy": gap,
             "allowance": margin,
             "best_copy": best_copy,
-            "best_copy_epsilon": grid.epsilons[best_copy],
+            "best_copy_epsilon": grid[best_copy],
         }
         if gap > margin:
             passed = False
@@ -366,7 +366,7 @@ def validate_meta(
         trajectory = meta_tuner.play_meta(env, horizon, seed=seed)
         for r, copy_traj in enumerate(trajectory.extras["copies"], start=1):
             standalone = many_experts.play_many_experts(
-                env, horizon, grid.epsilons[r - 1], rng=game_rng(seed, r)
+                env, horizon, grid[r - 1], rng=game_rng(seed, r)
             )
             if not (
                 np.array_equal(copy_traj.chosen, standalone.chosen)

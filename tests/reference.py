@@ -1,8 +1,9 @@
 """Slow per-round reference learners for differential tests.
 
-These are the round-by-round loops the closed-form kernel replaced, kept
-verbatim: every round allocates a hedge state, draws one uniform through
-``sample_categorical`` and applies ``hedge.update``.  The packing loop calls
+These are the round-by-round loops the closed-form kernel replaced: every
+round draws one uniform through ``sample_categorical`` and applies
+``update`` to a :class:`HedgeState`, the minimal per-round hedge below (it
+validates nothing, since only tests call it).  The packing loop calls
 ``many_experts.expand_packing`` through the module, so a test can swap in
 another admission rule for both sides.  The kernel-based learners must
 reproduce these trajectories and extras bit for bit.  ``LossOnlyOracle`` is
@@ -14,22 +15,57 @@ from given uniforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
-from packhedge import hedge, many_experts
+from packhedge import many_experts
 from packhedge.core import (
     ExpertId,
     GameTrajectory,
     LossOracle,
     game_rng,
     normalize_rng,
-    sample_categorical,
     uncovered_mask,
 )
-from packhedge.meta_tuner import FEEDBACK_MODES, EpsilonGrid, build_grid
+from packhedge.meta_tuner import FEEDBACK_MODES, build_grid
+
+
+@dataclass
+class HedgeState:
+    """Log-domain weight vector plus the 1-based round counter of one hedge."""
+
+    log_weights: np.ndarray
+    t: int = 1
+
+    @classmethod
+    def fresh(cls, num_experts: int) -> "HedgeState":
+        return cls(log_weights=np.zeros(num_experts, dtype=np.float64), t=1)
+
+
+def distribution(state: HedgeState) -> np.ndarray:
+    """Probability vector proportional to the weights, normalized stably."""
+    p = np.exp(state.log_weights - state.log_weights.max())
+    p /= p.sum()
+    return p
+
+
+def update(state: HedgeState, losses: np.ndarray) -> HedgeState:
+    """Multiply each weight by ``exp(-eta_t * loss)`` with ``eta_t = sqrt(8 ln K / t)``."""
+    eta = math.sqrt(8.0 * math.log(state.log_weights.size) / state.t)
+    return HedgeState(log_weights=state.log_weights - eta * losses, t=state.t + 1)
+
+
+def sample_categorical(weights: np.ndarray, rng) -> ExpertId:
+    """Index drawn with probability proportional to its weight, from one ``rng.random()``."""
+    cumulative = np.cumsum(weights)
+    i = int(cumulative.searchsorted(rng.random() * cumulative[-1], side="right"))
+    if i == len(weights):
+        # The draw rounded up to a (subnormal) total: take the last positive weight.
+        i = int(np.flatnonzero(weights)[-1])
+    return i
 
 
 class LossOnlyOracle(LossOracle):
@@ -79,26 +115,26 @@ def segmented_hedge(losses, starts, widths, uniforms, normalize=True):
     """Hedge restarted at every segment start over the first ``widths[p]`` columns.
 
     Round ``j`` of ``losses`` draws ``uniforms[j]``; a segment plays from a
-    fresh :class:`hedge.HedgeState`, one :func:`hedge.update` per round, as
-    a packing phase does.  Returns the chosen column, incurred loss and
-    expected loss ``p @ l`` (under the normalised distribution) per round.
+    fresh :class:`HedgeState`, one :func:`update` per round, as a packing
+    phase does.  Returns the chosen column, incurred loss and expected loss
+    ``p @ l`` (under the normalised distribution) per round.
     """
     gen = Draws(uniforms)
     ends = list(starts[1:]) + [losses.shape[0]]
     chosen, incurred, means = [], [], []
     for start, end, width in zip(starts, ends, widths):
-        state = hedge.HedgeState.fresh(int(width))
+        state = HedgeState.fresh(int(width))
         for t in range(start, end):
             row = losses[t, :width]
             if normalize:
-                weights = hedge.distribution(state)
+                weights = distribution(state)
             else:
                 weights = np.exp(state.log_weights - state.log_weights.max())
             i = sample_categorical(weights, gen)
             chosen.append(i)
             incurred.append(float(row[i]))
             means.append(float(weights @ row))
-            state = hedge.update(state, row)
+            state = update(state, row)
     return np.array(chosen, dtype=np.int64), np.array(incurred), np.array(means)
 
 
@@ -156,7 +192,7 @@ def play_hedge(
         raise ValueError("plain exponential weights needs a finite expert set")
     gen, seed = normalize_rng(rng)
 
-    state = hedge.HedgeState.fresh(K)
+    state = HedgeState.fresh(K)
     recorder = TrajectoryRecorder(T)
     for t in range(1, T + 1):
         # Sampling is scale-invariant, so the unnormalized weights suffice.
@@ -164,7 +200,7 @@ def play_hedge(
         i = sample_categorical(weights, gen)
         row = oracle.losses(t)
         recorder.add(t, i, float(row[i]), K, 1)
-        state = hedge.update(state, row)
+        state = update(state, row)
 
     extras: dict[str, Any] = {"algorithm": "hedge", "num_experts": K}
     return recorder.finish(seed, extras)
@@ -177,7 +213,7 @@ class PackingState:
     active: np.ndarray
     phase: int
     phase_start: int
-    inner: hedge.HedgeState
+    inner: HedgeState
     epsilon: float
     restarts: list[tuple[int, int]] = field(default_factory=list)
     admitted_at: list[int] = field(default_factory=list)
@@ -192,7 +228,7 @@ class PackingState:
             active=np.array([initial_expert], dtype=np.int64),
             phase=1,
             phase_start=0,
-            inner=hedge.HedgeState.fresh(1),
+            inner=HedgeState.fresh(1),
             epsilon=float(epsilon),
             restarts=[(0, 1)],
             admitted_at=[0],
@@ -202,7 +238,7 @@ class PackingState:
 def restart(state: PackingState, t: int) -> PackingState:
     """Reset the inner hedge over the enlarged active set and open a new phase."""
     size = int(state.active.size)
-    inner = hedge.HedgeState.fresh(size)
+    inner = HedgeState.fresh(size)
     assert inner.t == 1
     return replace(
         state,
@@ -217,7 +253,7 @@ def advance(
     state: PackingState, t: int, oracle: LossOracle, gen: np.random.Generator
 ) -> tuple[PackingState, ExpertId, float, float]:
     """One round: sample from the pre-expansion distribution, then grow/update."""
-    p = hedge.distribution(state.inner)
+    p = distribution(state.inner)
     idx = sample_categorical(p, gen)
     row = oracle.losses(t, state.active)
     chosen = int(state.active[idx])
@@ -229,7 +265,7 @@ def advance(
         # The losses of the restart round update nothing: weights reset after it.
         state = restart(state, t)
     else:
-        state = replace(state, inner=hedge.update(state.inner, row))
+        state = replace(state, inner=update(state.inner, row))
     return state, chosen, incurred, mean_loss
 
 
@@ -273,15 +309,15 @@ def play_many_experts(
 class MetaState:
     """Grid, per-copy packing states, and the meta-level hedge."""
 
-    grid: EpsilonGrid
+    grid: tuple[float, ...]
     copies: list[PackingState]
-    meta: hedge.HedgeState
+    meta: HedgeState
     feedback_mode: str = "expected"
 
     def __post_init__(self) -> None:
         if self.feedback_mode not in FEEDBACK_MODES:
             raise ValueError(f"feedback_mode must be one of {FEEDBACK_MODES}")
-        if len(self.copies) != self.grid.num_levels or self.meta.num_experts != self.grid.num_levels:
+        if len(self.copies) != len(self.grid) or self.meta.log_weights.size != len(self.grid):
             raise ValueError("copies and meta weights must both match the grid size")
 
 
@@ -295,16 +331,16 @@ def play_meta(
     if T < 2 or T > oracle.horizon():
         raise ValueError(f"horizon must be in [2, {oracle.horizon()}], got {T}")
     grid = build_grid(T)
-    R = grid.num_levels
+    R = len(grid)
 
     state = MetaState(
         grid=grid,
-        copies=[PackingState.fresh(eps) for _, eps in grid.levels],
-        meta=hedge.HedgeState.fresh(R),
+        copies=[PackingState.fresh(eps) for eps in grid],
+        meta=HedgeState.fresh(R),
         feedback_mode=feedback_mode,
     )
     meta_gen = game_rng(seed, 0)
-    copy_gens = [game_rng(seed, r) for r, _ in grid.levels]
+    copy_gens = [game_rng(seed, r) for r in range(1, R + 1)]
 
     recorder = TrajectoryRecorder(T)
     copy_recorders = [TrajectoryRecorder(T) for _ in range(R)]
@@ -336,7 +372,7 @@ def play_meta(
         recorder.add(t, int(chosen[r_star]), float(realized[r_star]), R, 1)
 
         feedback = expected if state.feedback_mode == "expected" else realized
-        state.meta = hedge.update(state.meta, feedback)
+        state.meta = update(state.meta, feedback)
 
     copy_trajectories = []
     for r in range(R):
@@ -346,7 +382,7 @@ def play_meta(
                 None,
                 {
                     "algorithm": "many_experts",
-                    "epsilon": grid.epsilons[r],
+                    "epsilon": grid[r],
                     "initial_expert": 0,
                     "final_active": [int(i) for i in copy.active],
                     "admitted_at": list(copy.admitted_at),
@@ -360,7 +396,7 @@ def play_meta(
     extras: dict[str, Any] = {
         "algorithm": "meta_tuner",
         "num_copies": R,
-        "epsilons": list(grid.epsilons),
+        "epsilons": list(grid),
         "feedback_mode": state.feedback_mode,
         "chosen_copy": chosen_copy,
         "copy_cumulative": copy_cumulative,

@@ -125,26 +125,36 @@ class DirectWeightHedge:
 
 
 def test_criterion_9_log_domain_agrees_with_direct_weights():
+    # The kernel's own steps: running totals, then weights, at its step sizes.
     worst = 0.0
+    lanes = [(0, 100, 8)]
+    eta = hedge.learning_rates([0], [8], 100)
     for seed in range(20):
         rng = game_rng(seed, 42)
-        state = hedge.HedgeState.fresh(8)
         reference = DirectWeightHedge(8)
-        for _ in range(100):
-            gap = np.abs(hedge.distribution(state) - reference.distribution()).max()
-            worst = max(worst, float(gap))
-            losses = rng.uniform(-1.0, 1.0, size=8)
-            state = hedge.update(state, losses)
-            reference.update(losses)
+        losses = np.empty((100, 8))
+        expected = np.empty((100, 8))
+        for t in range(100):
+            expected[t] = reference.distribution()
+            losses[t] = rng.uniform(-1.0, 1.0, size=8)
+            reference.update(losses[t])
+        total = hedge.running_totals(losses, eta, None, lanes)
+        p = hedge.totals_to_weights(total[:-1], lanes, normalize=True)
+        worst = max(worst, float(np.abs(p - expected).max()))
     agree = worst <= 1e-9
 
-    # long-horizon stability: a million adversarial updates at K = 1000
-    state = hedge.HedgeState.fresh(1000)
+    # long-horizon stability: a million adversarial updates at K = 1000,
+    # chained through the running row in blocks of 256 rounds
     drift = np.ones(1000)
     drift[500:] = -1.0
-    for _ in range(1_000_000):
-        state = hedge.update(state, drift)
-    p = hedge.distribution(state)
+    rounds, block = 1_000_000, 256
+    rows = np.tile(drift, (block, 1))
+    eta = hedge.learning_rates([0], [1000], rounds)
+    carry = None
+    for j0 in range(0, rounds, block):
+        m = min(block, rounds - j0)
+        carry = hedge.running_totals(rows[:m], eta[j0 : j0 + m], carry, [(0, m, 1000)])[-1]
+    p = hedge.totals_to_weights(carry[None, :], [(0, 1, 1000)], normalize=True)[0]
     stable = bool(np.all(np.isfinite(p)) and abs(p.sum() - 1.0) <= 1e-12)
 
     report(

@@ -111,7 +111,7 @@ class TestRun:
         game = cli.build_game_config(cli.load_config(config), None)
         oracle = cli._build_oracle(cli.build_env_spec(cli.load_config(config), game), game.T)
         epsilons = (
-            meta_tuner.build_grid(game.T).epsilons if algorithm == "meta_tuner" else [game.epsilon]
+            meta_tuner.build_grid(game.T) if algorithm == "meta_tuner" else [game.epsilon]
         )
         states = [many_experts._schedule(oracle, game.T, e, 0) for e in epsilons]
         assert counts["blocks"] == sum(state.blocks for state in states) >= len(states)

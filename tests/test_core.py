@@ -6,60 +6,61 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
+from packhedge import environments, hedge
 from packhedge.core import (
     GameConfig,
     GameTrajectory,
     LossOracle,
-    expected_loss,
     game_rng,
     normalize_rng,
-    sample_categorical,
     validate_loss_matrix,
 )
 from reference import LossOnlyOracle, first_uncovered
 
 
+def pick(weights, n, seed):
+    """The kernel's picks of ``n`` rounds with these weights, on ``game_rng(seed).random(n)``."""
+    k = len(weights)
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (n, k))
+    return hedge.inverse_cdf_pick(weights, game_rng(seed).random(n), np.full(n, k - 1))
+
+
+def kernel_expected(losses):
+    """Expected loss ``p @ l`` of each round of ``losses`` under the kernel's normalised weights."""
+    losses = np.asarray(losses, dtype=np.float64)
+    _, _, means = hedge.exponential_weights(
+        lambda j0, j1, _: losses[j0:j1], [0], [losses.shape[1]], np.zeros(len(losses)),
+        normalize=True, expected=True,
+    )
+    return means
+
+
 class TestSampleCategorical:
     def test_singleton_always_zero(self):
-        rng = game_rng(0)
-        assert all(sample_categorical([1.0], rng) == 0 for _ in range(20))
+        assert np.all(pick([1.0], 20, seed=0) == 0)
 
     def test_zero_mass_never_chosen(self):
-        rng = game_rng(1)
-        draws = {sample_categorical([0.0, 3.0], rng) for _ in range(200)}
-        assert draws == {1}
-
-    @pytest.mark.parametrize(
-        "weights",
-        [[], [-1.0, 2.0], [np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0]],
-    )
-    def test_degenerate_weights_rejected(self, weights):
-        with pytest.raises(ValueError, match="degenerate distribution"):
-            sample_categorical(weights, game_rng(2))
+        assert set(pick([0.0, 3.0], 200, seed=1).tolist()) == {1}
 
     def test_uniform_frequencies(self):
-        rng = game_rng(3)
         n = 100_000
-        counts = np.bincount(
-            [sample_categorical([1.0, 1.0, 1.0, 1.0], rng) for _ in range(n)], minlength=4
-        )
+        counts = np.bincount(pick([1.0, 1.0, 1.0, 1.0], n, seed=3), minlength=4)
         frequencies = counts / n
         assert np.all(frequencies >= 0.235) and np.all(frequencies <= 0.265)
         assert stats.chisquare(counts).pvalue > 0.01
 
     def test_weighted_frequencies_match_weights(self):
-        rng = game_rng(4)
         weights = np.array([1.0, 2.0, 5.0])
         n = 100_000
-        counts = np.bincount(
-            [sample_categorical(weights, rng) for _ in range(n)], minlength=3
-        )
+        counts = np.bincount(pick(weights, n, seed=4), minlength=3)
         assert stats.chisquare(counts, f_exp=n * weights / weights.sum()).pvalue > 0.01
 
     def test_consumes_exactly_one_state_advance(self):
+        # A game of T rounds draws exactly T uniforms from its generator.
+        env = environments.make_iid_stochastic(30, 3, 0.0, seed=0)
         a, b = game_rng(5), game_rng(5)
-        sample_categorical([0.3, 0.7], a)
-        b.random()
+        hedge.play_hedge(env, 30, rng=a)
+        b.random(30)
         assert np.array_equal(a.random(8), b.random(8))
 
     @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=10),
@@ -70,27 +71,35 @@ class TestSampleCategorical:
     def test_never_returns_zero_weight_index(self, weights, seed):
         if sum(weights) <= 0:
             return
-        i = sample_categorical(weights, game_rng(seed))
+        i = pick(weights, 1, seed)[0]
         assert weights[i] > 0
 
 
 class TestExpectedLoss:
     def test_point_mass(self):
-        assert expected_loss([1.0, 0.0], [0.5, -1.0]) == pytest.approx(0.5)
+        # 10^4 rounds of [-1, 1] underflow the second weight to exactly 0.
+        losses = np.tile([-1.0, 1.0], (10_001, 1))
+        losses[-1] = 0.5, -1.0
+        assert kernel_expected(losses)[-1] == pytest.approx(0.5)
 
     def test_symmetric_cancellation(self):
-        assert expected_loss([0.5, 0.5], [1.0, -1.0]) == pytest.approx(0.0)
+        assert kernel_expected([[1.0, -1.0]])[0] == pytest.approx(0.0)
 
     def test_hand_arithmetic(self):
-        assert expected_loss([0.25, 0.75], [-1.0, 1.0]) == pytest.approx(0.5)
+        assert kernel_expected([[-1.0, 1.0, 1.0, 1.0]])[0] == pytest.approx(0.5)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            expected_loss([1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="shape"):
+            hedge.exponential_weights(
+                lambda j0, j1, _: np.zeros((j1 - j0, 1)), [0], [2], np.zeros(3),
+                normalize=True, expected=True,
+            )
 
     def test_unnormalized_distribution_rejected(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            expected_loss([0.5, 0.6], [0.0, 0.0])
+        with pytest.raises(ValueError, match="normalise"):
+            hedge.exponential_weights(
+                lambda j0, j1, w: np.zeros((j1 - j0, w)), [0], [2], np.zeros(3), expected=True
+            )
 
 
 class TestRngStreams:

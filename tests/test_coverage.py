@@ -448,7 +448,7 @@ class TestBlockSchedule:
         monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
         oracle = oracles()[kind]
         copies = meta_tuner.play_meta(oracle, seed=4).extras["copies"]
-        assert len(copies) == meta_tuner.build_grid(oracle.horizon()).num_levels
+        assert len(copies) == len(meta_tuner.build_grid(oracle.horizon()))
         for copy in copies:
             active, admitted_at = per_round_schedule(oracle, copy.extras["epsilon"])
             assert copy.extras["final_active"] == active

@@ -1,0 +1,12 @@
+import packhedge
+
+
+def test_every_exported_name_resolves():
+    assert len(set(packhedge.__all__)) == len(packhedge.__all__)
+    assert [name for name in packhedge.__all__ if not hasattr(packhedge, name)] == []
+
+
+def test_star_import_runs():
+    namespace = {}
+    exec("from packhedge import *", namespace)
+    assert set(packhedge.__all__) <= set(namespace)

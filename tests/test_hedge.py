@@ -23,37 +23,56 @@ finite_losses = st.lists(
 )
 
 
+def kernel_distribution(log_weights):
+    """The kernel's normalised weights of one round with these log-weights."""
+    total = -np.array([log_weights], dtype=np.float64)
+    return hedge.totals_to_weights(total, [(0, 1, total.shape[1])], normalize=True)[0]
+
+
+def kernel_distributions(losses, carry=None, first_round=1):
+    """The kernel's distribution before each round of ``losses`` and after the last.
+
+    One segment whose rounds ``first_round ..`` are the rows of ``losses``;
+    ``carry`` holds the running totals of the rounds before them.
+    """
+    losses = np.asarray(losses, dtype=np.float64)
+    m, k = losses.shape
+    eta = hedge.learning_rates([0], [k], first_round + m - 1)[first_round - 1 :]
+    total = hedge.running_totals(losses, eta, carry, [(0, m, k)])
+    return hedge.totals_to_weights(total, [(0, m + 1, k)], normalize=True)
+
+
 class TestLearningRate:
     def test_single_expert_is_zero(self):
-        assert hedge.learning_rate(5, 1) == 0.0
+        assert hedge.learning_rates([0], [1], 5)[4] == 0.0
 
     def test_first_round_two_experts(self):
-        assert hedge.learning_rate(1, 2) == pytest.approx(2.3548200450309493, abs=1e-12)
+        assert hedge.learning_rates([0], [2], 1)[0] == pytest.approx(2.3548200450309493, abs=1e-12)
 
     def test_round_eight_eight_experts(self):
-        assert hedge.learning_rate(8, 8) == pytest.approx(1.442026886600883, abs=1e-12)
+        assert hedge.learning_rates([0], [8], 8)[7] == pytest.approx(1.442026886600883, abs=1e-12)
 
     @pytest.mark.parametrize("t,k", [(0, 2), (-1, 2), (1, 0)])
     def test_invalid_arguments(self, t, k):
+        # A schedule needs at least one round and one expert.
         with pytest.raises(ValueError):
-            hedge.learning_rate(t, k)
+            hedge.learning_rates([0], [k], t)
 
     def test_decreasing_in_t(self):
-        rates = [hedge.learning_rate(t, 4) for t in range(1, 50)]
-        assert all(a > b for a, b in zip(rates, rates[1:]))
+        rates = hedge.learning_rates([0], [4], 49)
+        assert np.all(rates[:-1] > rates[1:])
 
 
 class TestDistribution:
     def test_fresh_state_uniform(self):
-        p = hedge.distribution(hedge.HedgeState.fresh(4))
+        p = kernel_distribution(np.zeros(4))
         assert np.allclose(p, 0.25, atol=1e-15)
 
     def test_hand_normalization(self):
-        state = hedge.HedgeState(np.array([0.0, math.log(3.0)]))
-        assert np.allclose(hedge.distribution(state), [0.25, 0.75], atol=1e-12)
+        assert np.allclose(kernel_distribution([0.0, math.log(3.0)]), [0.25, 0.75], atol=1e-12)
 
     def test_extreme_offset_is_stable(self):
-        p = hedge.distribution(hedge.HedgeState(np.array([-1000.0, 0.0])))
+        p = kernel_distribution([-1000.0, 0.0])
         assert np.all(np.isfinite(p))
         assert p[1] == pytest.approx(1.0, abs=1e-12)
         assert p[0] >= 0.0
@@ -61,13 +80,13 @@ class TestDistribution:
     @given(st.lists(st.floats(min_value=-20.0, max_value=20.0, allow_nan=False),
                     min_size=1, max_size=8))
     def test_matches_high_precision_softmax(self, log_weights):
-        p = hedge.distribution(hedge.HedgeState(np.array(log_weights)))
+        p = kernel_distribution(log_weights)
         assert np.allclose(p, softmax_oracle(log_weights), atol=1e-12)
 
     @given(st.lists(st.floats(min_value=-1e5, max_value=1e5, allow_nan=False),
                     min_size=1, max_size=16))
     def test_always_a_distribution(self, log_weights):
-        p = hedge.distribution(hedge.HedgeState(np.array(log_weights)))
+        p = kernel_distribution(log_weights)
         assert np.all(p >= 0.0) and np.all(p <= 1.0)
         assert abs(p.sum() - 1.0) <= 1e-12
         assert np.all(np.isfinite(p))
@@ -75,35 +94,39 @@ class TestDistribution:
 
 class TestUpdate:
     def test_round_clock_advances(self):
-        state = hedge.update(hedge.HedgeState.fresh(3), np.zeros(3))
-        assert state.t == 2
+        # The second round of a segment steps at clock 2.
+        eta = hedge.learning_rates([0], [3], 2)
+        total = hedge.running_totals(np.ones((2, 3)), eta, None, [(0, 2, 3)])
+        step = math.sqrt(8.0 * math.log(3.0))
+        assert total[2] == pytest.approx(step + step / math.sqrt(2.0), abs=1e-12)
 
     def test_common_loss_shift_cancels(self):
-        state = hedge.HedgeState(np.array([0.3, -0.2, 1.0]), t=4)
-        p_base = hedge.distribution(hedge.update(state, np.array([0.1, -0.5, 0.9])))
-        p_shift = hedge.distribution(hedge.update(state, np.array([0.1, -0.5, 0.9]) + 0.7))
+        # Round 4 of a segment whose log-weights are [0.3, -0.2, 1.0].
+        carry = -np.array([0.3, -0.2, 1.0])
+        losses = np.array([[0.1, -0.5, 0.9]])
+        p_base = kernel_distributions(losses, carry, first_round=4)[-1]
+        p_shift = kernel_distributions(losses + 0.7, carry, first_round=4)[-1]
         assert np.allclose(p_base, p_shift, atol=1e-9)
 
     def test_two_expert_ratio_after_one_round(self):
-        state = hedge.update(hedge.HedgeState.fresh(2), np.array([1.0, -1.0]))
-        p = hedge.distribution(state)
+        p = kernel_distributions([[1.0, -1.0]])[-1]
         # weight ratio is exp(2 * eta_1) with eta_1 = sqrt(8 ln 2)
         assert p[1] / p[0] == pytest.approx(111.01219832141852, rel=1e-9)
 
     def test_single_expert_unchanged(self):
-        state = hedge.update(hedge.HedgeState.fresh(1), np.array([0.8]))
-        assert state.log_weights[0] == 0.0
+        eta = hedge.learning_rates([0], [1], 1)
+        total = hedge.running_totals(np.array([[0.8]]), eta, None, [(0, 1, 1)])
+        assert total[1, 0] == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            hedge.update(hedge.HedgeState.fresh(2), np.zeros(3))
+            hedge.running_totals(np.zeros((1, 3)), np.ones(1), None, [(0, 1, 2)])
 
     @given(finite_losses, st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
     def test_shift_invariance_property(self, losses, shift):
-        losses = np.array(losses)
-        state = hedge.HedgeState.fresh(losses.size)
-        p_base = hedge.distribution(hedge.update(state, losses))
-        p_shift = hedge.distribution(hedge.update(state, losses + shift))
+        losses = np.array([losses])
+        p_base = kernel_distributions(losses)[-1]
+        p_shift = kernel_distributions(losses + shift)[-1]
         assert np.allclose(p_base, p_shift, atol=1e-9)
 
     @settings(max_examples=25)
@@ -112,22 +135,20 @@ class TestUpdate:
         rng = game_rng(seed)
         losses = rng.uniform(-1.0, 1.0, size=(rounds, 4))
         shifts = rng.uniform(-0.5, 0.5, size=rounds)
-        plain = shifted = hedge.HedgeState.fresh(4)
-        for t in range(rounds):
-            plain = hedge.update(plain, losses[t])
-            shifted = hedge.update(shifted, losses[t] + shifts[t])
-            assert np.allclose(hedge.distribution(plain), hedge.distribution(shifted), atol=1e-9)
+        plain = kernel_distributions(losses)
+        shifted = kernel_distributions(losses + shifts[:, None])
+        assert np.allclose(plain, shifted, atol=1e-9)
 
     @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=30))
     def test_dominated_expert_never_preferred(self, seed, rounds):
         rng = game_rng(seed)
-        state = hedgestate = hedge.HedgeState.fresh(2)
-        for _ in range(rounds):
+        losses = np.empty((rounds, 2))
+        for t in range(rounds):
             loss_b = rng.uniform(-1.0, 1.0)
             loss_a = loss_b - rng.uniform(0.0, min(1.0, loss_b + 1.0))
-            hedgestate = hedge.update(hedgestate, np.array([loss_a, loss_b]))
-        p = hedge.distribution(hedgestate)
+            losses[t] = loss_a, loss_b
+        p = kernel_distributions(losses)[-1]
         assert p[0] >= p[1] - 1e-12
 
 

@@ -212,11 +212,11 @@ class TestKernel:
             chosen, _, _ = hedge.exponential_weights(
                 lambda a, b, _: losses[j0 + a : j0 + b], [0], [4], uniforms[j0:j1]
             )
-            state = hedge.HedgeState.fresh(4)
+            state = reference.HedgeState.fresh(4)
             for j in range(j0, j1):
                 cumulative = np.exp(state.log_weights - state.log_weights.max()).cumsum()
                 assert chosen[j - j0] == np.count_nonzero(cumulative <= uniforms[j] * cumulative[-1])
-                state = hedge.update(state, losses[j])
+                state = reference.update(state, losses[j])
 
     def test_wrong_block_width_rejected(self):
         with pytest.raises(ValueError):
@@ -473,7 +473,7 @@ class TestBoundedMemory:
     def test_schedule_pass_meta_lowrank(self):
         # The meta_lowrank shape: every copy of the grid, one 0.8 MB matrix.
         oracle = environments.make_low_rank(512, 200, 2, 0.05, 3)
-        epsilons = meta_tuner.build_grid(512).epsilons
+        epsilons = meta_tuner.build_grid(512)
         assert len(epsilons) == 9
         peak = self.peak(lambda: [many_experts._schedule(oracle, 512, e, 0) for e in epsilons])
         assert peak < 8 * self.BLOCK_BYTES
@@ -521,7 +521,7 @@ class TestBoundedMemory:
     def test_phase_pass_meta_lowrank(self, monkeypatch):
         # Every copy of the grid with expected losses, as the meta-tuner plays them.
         oracle = environments.make_low_rank(512, 200, 2, 0.05, 3)
-        epsilons = meta_tuner.build_grid(512).epsilons
+        epsilons = meta_tuner.build_grid(512)
         peak = self.phase_peak(monkeypatch, oracle, epsilons, expected=True)
         assert peak < 8 * self.BLOCK_BYTES
 

@@ -8,19 +8,15 @@ from packhedge.meta_tuner import build_grid, play_meta
 
 class TestBuildGrid:
     def test_smallest_horizon(self):
-        grid = build_grid(2)
-        assert grid.num_levels == 1
-        assert grid.epsilons == (1.0,)
+        assert build_grid(2) == (1.0,)
 
     def test_horizon_eight(self):
-        grid = build_grid(8)
-        assert grid.num_levels == 3
-        assert grid.epsilons == (1.0, 0.5, 0.25)
+        assert build_grid(8) == (1.0, 0.5, 0.25)
 
     def test_horizon_thousand(self):
         grid = build_grid(1000)
-        assert grid.num_levels == 10
-        assert grid.epsilons[-1] == pytest.approx(0.001953125)
+        assert len(grid) == 10
+        assert grid[-1] == pytest.approx(0.001953125)
 
     def test_too_short_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
@@ -28,13 +24,12 @@ class TestBuildGrid:
 
     @pytest.mark.parametrize("horizon", [2, 3, 4, 7, 8, 9, 100, 1024, 1025])
     def test_level_count_brackets_horizon(self, horizon):
-        grid = build_grid(horizon)
-        levels = grid.num_levels
+        levels = len(build_grid(horizon))
         assert 2**levels >= horizon
         assert levels == 1 or 2 ** (levels - 1) < horizon
 
     def test_levels_halve(self):
-        epsilons = build_grid(64).epsilons
+        epsilons = build_grid(64)
         assert epsilons[0] == 1.0
         assert all(b == a / 2 for a, b in zip(epsilons, epsilons[1:]))
 
@@ -79,7 +74,7 @@ class TestPlayMeta:
         env = environments.make_clustered_binary(40, 20, 3, seed=2)
         trajectory = play_meta(env, 40, seed=2)
         num_copies = trajectory.extras["num_copies"]
-        assert num_copies == build_grid(40).num_levels
+        assert num_copies == len(build_grid(40))
         assert trajectory.extras["copy_cumulative"].shape == (40, num_copies)
         assert trajectory.extras["chosen_copy"].shape == (40,)
         assert set(np.unique(trajectory.extras["chosen_copy"])) <= set(range(num_copies))
