@@ -126,16 +126,43 @@ def _play(game: GameConfig, oracle) -> GameTrajectory:
 # output writers
 
 
+def _block_strings(values: np.ndarray) -> list[str]:
+    """``repr`` of every entry of ``values``, called once per distinct entry.
+
+    Entries are told apart by their 64-bit patterns, so ``-0.0`` and ``0.0``
+    keep their own strings.  The ``repr`` of an integer is its decimal form.
+    """
+    bits = values.view(np.int64)
+    # A sort and a binary search: np.unique's return_inverse would argsort the
+    # block, which costs more than the rest of this function.
+    ordered = np.sort(bits)
+    keys = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    table = np.array([repr(v) for v in keys.view(values.dtype).tolist()], dtype=object)
+    return table[keys.searchsorted(bits)].tolist()
+
+
 def write_trajectory_csv(path: str | Path, trajectory: GameTrajectory) -> None:
-    """Write the per-round table in ``csv.writer``'s dialect, header first."""
-    columns = (trajectory.t, trajectory.phase, trajectory.packing_size, trajectory.chosen,
-               trajectory.incurred, trajectory.cumulative)
+    """Write the per-round table in ``csv.writer``'s dialect, header first.
+
+    Rows are written a block of ``CSV_BLOCK_ROWS`` at a time, and each block
+    is formatted column by column: a value is formatted once per block in
+    which it occurs, however many rows of the block hold it (integers in
+    decimal, floats as ``repr``).  So nothing built here grows with ``T``
+    beyond one block of strings per column.
+    """
+    columns = [np.asarray(trajectory.phase, np.int64),
+               np.asarray(trajectory.packing_size, np.int64),
+               np.asarray(trajectory.chosen, np.int64),
+               np.asarray(trajectory.incurred, np.float64),
+               np.asarray(trajectory.cumulative, np.float64)]
+    rounds = len(trajectory)
     with open(path, "w", newline="") as fh:
         fh.write("t,phase,packing_size,chosen_expert,loss,cumulative_loss\r\n")
-        # A block of rows at a time keeps the text and its Python objects small.
-        for start in range(0, len(trajectory), CSV_BLOCK_ROWS):
-            rows = zip(*(column[start : start + CSV_BLOCK_ROWS].tolist() for column in columns))
-            fh.write("".join(f"{t},{p},{k},{i},{l!r},{c!r}\r\n" for t, p, k, i, l, c in rows))
+        for start in range(0, rounds, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, rounds)
+            fields = [map(repr, range(start + 1, stop + 1))]
+            fields += [_block_strings(column[start:stop]) for column in columns]
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
 def build_summary(
@@ -210,8 +237,11 @@ def schedule_metrics(trajectory: GameTrajectory) -> dict[str, Any]:
     return {"schedule": schedule}
 
 
-def _write_json(path: Path, payload: dict[str, Any]) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, payload: dict[str, Any]) -> str:
+    """Write ``payload`` as indented JSON and return the text written."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    path.write_text(text)
+    return text
 
 
 # ----------------------------------------------------------------------------
@@ -220,11 +250,22 @@ def _write_json(path: Path, payload: dict[str, Any]) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    # Wall seconds per stage: one clock reading at the end of each stage.
+    timings: dict[str, float] = {}
+    mark = started
+
+    def stage_done(name: str) -> None:
+        nonlocal mark
+        now = time.perf_counter()
+        timings[name] = now - mark
+        mark = now
+
     cfg = load_config(args.config)
     apply_overrides(cfg, args.set or [])
     game = build_game_config(cfg, args.seed)
     env_spec = build_env_spec(cfg, game)
     oracle = _build_oracle(env_spec, game.T)
+    stage_done("environment")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -233,11 +274,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"game: {exc}") from exc
     trajectory.validate()
+    stage_done("play")
 
     trajectory_path = out_dir / "trajectory.csv"
     summary_path = out_dir / "summary.json"
     write_trajectory_csv(trajectory_path, trajectory)
+    stage_done("trajectory")
     _write_json(summary_path, build_summary(trajectory, oracle, game, env_spec))
+    stage_done("summary")
 
     manifest = {
         "config": {
@@ -255,10 +299,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         "numpy": np.__version__,
         "platform": f"{platform.system()} {platform.machine()}",
         "metrics": schedule_metrics(trajectory),
+        "timings": timings,
         "wall_time": time.perf_counter() - started,
     }
-    _write_json(out_dir / "manifest.json", manifest)
-    print(json.dumps(manifest, indent=2, sort_keys=True))
+    print(_write_json(out_dir / "manifest.json", manifest), end="")
     return EXIT_OK
 
 
@@ -338,6 +382,11 @@ def _aggregate(rows: list[dict[str, Any]]) -> dict[str, Any]:
     return out
 
 
+def _is_number(value: Any) -> bool:
+    """True for an int or float from a config; YAML booleans are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise ConfigError("--seed: required in sweep mode")
@@ -347,12 +396,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: section missing")
-    n_seeds = int(sweep.get("n_seeds", 1))
-    if n_seeds < 1:
-        raise ConfigError("sweep.n_seeds: must be >= 1")
+    n_seeds = sweep.get("n_seeds", 1)
+    if not _is_number(n_seeds) or n_seeds % 1 != 0 or n_seeds < 1:
+        raise ConfigError(f"sweep.n_seeds: must be a whole number >= 1, not {n_seeds!r}")
+    n_seeds = int(n_seeds)
     epsilons = sweep.get("epsilons", [game.epsilon])
     if not isinstance(epsilons, list) or not epsilons:
         raise ConfigError("sweep.epsilons: must be a non-empty list")
+    for epsilon in epsilons:
+        if not _is_number(epsilon):
+            raise ConfigError(f"sweep.epsilons: every entry must be a number, not {epsilon!r}")
     include_meta = bool(sweep.get("include_meta", True))
 
     env_grid: dict[str, list[Any]] = {}

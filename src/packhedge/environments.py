@@ -123,7 +123,7 @@ class ClusteredBinaryOracle(LossOracle):
         self._candidate_ids = np.sort(first_expert)
         self.spec = spec
         self.ground_truth = {"rows": self._rows, "assignment": self._assign}
-        self._cluster_sums = self._rows.sum(axis=1)
+        self._column_sums: np.ndarray | None = None
 
     def horizon(self) -> int:
         return int(self._rows.shape[1])
@@ -141,7 +141,9 @@ class ClusteredBinaryOracle(LossOracle):
         return self._candidate_ids
 
     def column_sums(self) -> np.ndarray:
-        return self._cluster_sums[self._assign]
+        if self._column_sums is None:
+            self._column_sums = self._rows.sum(axis=1)[self._assign]
+        return self._column_sums
 
 
 def _distinct_binary_rows(num_rows: int, horizon: int, rng: np.random.Generator) -> np.ndarray:

@@ -91,6 +91,19 @@ class TestRun:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert not {"python", "numpy", "platform", "wall_time"} & summary.keys()
 
+    def test_manifest_records_stage_timings(self, tmp_path, capsys):
+        config = clustered_config(tmp_path, algorithm="meta_tuner", T=64, K=100)
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        text = (tmp_path / "out" / "manifest.json").read_text()
+        assert capsys.readouterr().out == text
+        manifest = json.loads(text)
+        timings = manifest["timings"]
+        assert set(timings) == {"environment", "play", "trajectory", "summary"}
+        assert all(seconds >= 0 for seconds in timings.values())
+        assert sum(timings.values()) <= manifest["wall_time"]
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert "timings" not in summary
+
     @pytest.mark.parametrize("algorithm", ["many_experts", "meta_tuner"])
     def test_manifest_records_schedule_counts(self, tmp_path, monkeypatch, algorithm):
         config = clustered_config(tmp_path, algorithm=algorithm)
@@ -340,6 +353,35 @@ class TestSweep:
         config = clustered_config(tmp_path)
         assert cli.main(["sweep", "--config", config, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("override", "field"),
+        [
+            ("sweep.n_seeds=abc", "sweep.n_seeds"),
+            ("sweep.n_seeds=[1]", "sweep.n_seeds"),
+            ("sweep.n_seeds=1.5", "sweep.n_seeds"),
+            ("sweep.epsilons=[abc]", "sweep.epsilons"),
+            ("sweep.epsilons=[null]", "sweep.epsilons"),
+        ],
+    )
+    def test_bad_sweep_value_is_config_error(self, tmp_path, capsys, monkeypatch, override, field):
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "many_experts", "T": 32, "epsilon": 0.5},
+                "environment": {"kind": "clustered_binary", "K": 20, "N": 2},
+                "sweep": {"n_seeds": 1, "epsilons": [0.5], "include_meta": False},
+            },
+        )
+        monkeypatch.setattr(cli, "_run_jobs", lambda *args: pytest.fail("a job ran"))
+        code = cli.main(
+            ["sweep", "--config", config, "--seed", "0", "--set", override,
+             "--out-dir", str(tmp_path / "out")]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {field}:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_single_cell_matches_run(self, tmp_path):
         config_payload = {

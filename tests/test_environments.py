@@ -124,6 +124,7 @@ class TestClusteredBinary:
     def test_column_sums_match_dense(self):
         env = make_clustered_binary(30, 60, 6, seed=7)
         assert np.allclose(env.column_sums(), env.to_matrix().sum(axis=0))
+        assert env.column_sums() is env.column_sums()  # gathered once per oracle
 
     def test_desk_scale_generation(self):
         env = make_clustered_binary(5000, 100_000, 8, seed=8)

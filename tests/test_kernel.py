@@ -11,12 +11,15 @@ segments are also checked directly against ``reference.segmented_hedge``.
 """
 
 import csv
+import io
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from packhedge import cli, core, environments, hedge, many_experts, matrix_io, meta_tuner
@@ -582,32 +585,82 @@ class TestRunOutputs:
             assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "slow" / name).read_bytes()
 
 
+def reference_csv(trajectory):
+    """``trajectory.csv`` as ``csv.writer`` writes it, row by row with ``repr`` floats."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["t", "phase", "packing_size", "chosen_expert", "loss", "cumulative_loss"])
+    for i in range(len(trajectory)):
+        writer.writerow(
+            [
+                int(trajectory.t[i]),
+                int(trajectory.phase[i]),
+                int(trajectory.packing_size[i]),
+                int(trajectory.chosen[i]),
+                repr(float(trajectory.incurred[i])),
+                repr(float(trajectory.cumulative[i])),
+            ]
+        )
+    return out.getvalue().encode()
+
+
 @pytest.mark.parametrize("block_rows", [3, cli.CSV_BLOCK_ROWS])
 def test_trajectory_csv_matches_csv_writer(tmp_path, monkeypatch, block_rows):
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
-    incurred = np.array([-0.0, 1e-05, 1.0, -1.0, 0.1, 2.0**-60, -0.5])
+    # Longer than one module block, so both block sizes cross a block boundary
+    # and the repeating patterns repeat values on both sides of it.
+    rounds = 1024 + 6
+    incurred = np.resize([-0.0, 0.0, 1e-05, 1.0, -1.0, 0.1, 2.0**-60, -0.5], rounds)
     trajectory = GameTrajectory.from_rounds(
-        chosen=np.array([0, 3, 2, 0, 9, 1, 5]),
+        chosen=np.resize([0, 3, 2, 0, 9, 100_000, 1, 123_456_789, 5], rounds),
         incurred=incurred,
-        packing_size=np.array([1, 2, 2, 3, 3, 3, 4]),
-        phase=np.array([1, 2, 2, 3, 3, 3, 4]),
+        packing_size=1 + np.arange(rounds) // 200,
+        phase=np.ones(rounds, dtype=np.int64),  # one value, as plain hedge writes
     )
     trajectory.cumulative[2] = 3.0  # an integer-valued float
+    trajectory.cumulative[4:6] = [-0.0, 0.0]  # both zeros in one block of 3 rows
     cli.write_trajectory_csv(tmp_path / "fast.csv", trajectory)
-    with open(tmp_path / "slow.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "phase", "packing_size", "chosen_expert", "loss", "cumulative_loss"])
-        for i in range(len(trajectory)):
-            writer.writerow(
-                [
-                    int(trajectory.t[i]),
-                    int(trajectory.phase[i]),
-                    int(trajectory.packing_size[i]),
-                    int(trajectory.chosen[i]),
-                    repr(float(trajectory.incurred[i])),
-                    repr(float(trajectory.cumulative[i])),
-                ]
-            )
     fast = (tmp_path / "fast.csv").read_bytes()
-    assert fast == (tmp_path / "slow.csv").read_bytes()
-    assert b"\r\n2,2,2,3,1e-05," in fast and b",-0.0,0.0\r\n" in fast
+    assert fast == reference_csv(trajectory)
+    assert b"\r\n3,1,1,2,1e-05,3.0\r\n" in fast
+    assert b"\r\n5,1,1,9,-1.0,-0.0\r\n6,1,1,100000,0.1,0.0\r\n" in fast
+    assert b"\r\n1025,1,6,123456789,-0.0," in fast and b"\r\n1026,1,6,5,0.0," in fast
+
+
+#: Few distinct values, so most of a block repeats them.
+FLOAT_POOL = [-0.0, 0.0, 1.0, -1.0, 0.5, 1e-05, 5e-324, -2.0**-60, 1e300]
+INT_POOL = [0, 1, 7, 99_999, 100_000, 2**62]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def column(pool, values, size=None):
+    """``size`` entries (any number if None), all from ``pool`` or all from ``values``."""
+    return st.lists(st.sampled_from(pool), min_size=size or 0, max_size=size) | st.lists(
+        values, min_size=size or 0, max_size=size
+    )
+
+
+@settings(max_examples=60)
+@given(
+    data=st.data(),
+    incurred=column(FLOAT_POOL, FINITE),
+    block_rows=st.sampled_from([1, 2, 3, cli.CSV_BLOCK_ROWS]),
+)
+def test_trajectory_csv_matches_csv_writer_on_drawn_tables(
+    tmp_path_factory, data, incurred, block_rows
+):
+    rounds = len(incurred)
+    ints = [data.draw(column(INT_POOL, st.integers(0, 2**63 - 1), rounds)) for _ in range(3)]
+    trajectory = GameTrajectory(
+        t=np.arange(1, rounds + 1, dtype=np.int64),
+        chosen=np.array(ints[0], dtype=np.int64),
+        incurred=np.array(incurred, dtype=np.float64),
+        cumulative=np.array(data.draw(column(FLOAT_POOL, FINITE, rounds)), dtype=np.float64),
+        packing_size=np.array(ints[1], dtype=np.int64),
+        phase=np.array(ints[2], dtype=np.int64),
+    )
+    path = tmp_path_factory.getbasetemp() / "drawn.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        cli.write_trajectory_csv(path, trajectory)
+    assert path.read_bytes() == reference_csv(trajectory)
