@@ -63,21 +63,21 @@ def expert_distance(matrix: np.ndarray, i: ExpertId, j: ExpertId) -> float:
 DISTANCE_BLOCK_ENTRIES = 1 << 22
 
 
-def distance_block_rounds(experts: int, max_entries: int = DISTANCE_BLOCK_ENTRIES) -> int:
-    """Rounds per block so that a ``rounds x K x K`` temporary stays within ``max_entries``.
+def distance_block_rounds(experts: int) -> int:
+    """Rounds per block that keep a ``rounds x K x K`` temporary within ``DISTANCE_BLOCK_ENTRIES``.
 
     At least one round, so the temporary is never larger than ``K x K``, the
     size of the result itself.
     """
-    return max(1, max_entries // max(1, experts * experts))
+    return max(1, DISTANCE_BLOCK_ENTRIES // max(1, experts * experts))
 
 
-def distance_matrix(matrix: np.ndarray, max_entries: int = DISTANCE_BLOCK_ENTRIES) -> np.ndarray:
+def distance_matrix(matrix: np.ndarray) -> np.ndarray:
     """All pairwise sup-norm column distances, streamed over round blocks."""
     m = np.asarray(matrix, dtype=np.float64)
     rounds, experts = m.shape
     dist = np.zeros((experts, experts), dtype=np.float64)
-    step = distance_block_rounds(experts, max_entries)
+    step = distance_block_rounds(experts)
     for start in range(0, rounds, step):
         block = m[start : start + step]
         gaps = np.subtract(block[:, :, None], block[:, None, :])
@@ -171,33 +171,19 @@ def covering_number_exact(
     return size
 
 
-def packing_greedy(
-    matrix: np.ndarray,
-    epsilon: float,
-    order: str = "index",
-    rng: np.random.Generator | None = None,
-) -> tuple[int, list[ExpertId]]:
+def packing_greedy(matrix: np.ndarray, epsilon: float) -> tuple[int, list[ExpertId]]:
     """Greedily admit experts separated by more than ``epsilon`` from all admitted.
 
-    The result is a maximal packing, hence simultaneously a valid
-    ``epsilon``-packing and a valid ``epsilon``-cover.  ``order`` is ``"index"``
-    or ``"random"`` (which requires ``rng``).
+    Experts are scanned in index order.  The result is a maximal packing,
+    hence simultaneously a valid ``epsilon``-packing and a valid
+    ``epsilon``-cover.
     """
     m = np.asarray(matrix, dtype=np.float64)
-    experts = m.shape[1]
-    if order == "index":
-        scan = np.arange(experts)
-    elif order == "random":
-        if rng is None:
-            raise ValueError("random order needs an rng")
-        scan = rng.permutation(experts)
-    else:
-        raise ValueError(f"order must be 'index' or 'random', got {order!r}")
     admitted: list[int] = []
-    for j in scan:
+    for j in range(m.shape[1]):
         col = m[:, j]
         if all(float(np.abs(col - m[:, i]).max()) > epsilon for i in admitted):
-            admitted.append(int(j))
+            admitted.append(j)
     return len(admitted), admitted
 
 

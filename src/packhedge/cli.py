@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from . import __version__, analysis, environments, hedge, many_experts, meta_tuner, validation
-from .core import ALGORITHMS, GameConfig, GameTrajectory
+from .core import GameConfig, GameTrajectory
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
@@ -117,9 +117,7 @@ def _play(game: GameConfig, oracle) -> GameTrajectory:
         return hedge.play_hedge(oracle, game.T, rng=game.seed)
     if game.algorithm == "many_experts":
         return many_experts.play_many_experts(oracle, game.T, game.epsilon, rng=game.seed)
-    if game.algorithm == "meta_tuner":
-        return meta_tuner.play_meta(oracle, game.T, seed=game.seed)
-    raise ConfigError(f"game.algorithm: must be one of {ALGORITHMS}")
+    return meta_tuner.play_meta(oracle, game.T, seed=game.seed)
 
 
 # ----------------------------------------------------------------------------
@@ -362,7 +360,7 @@ def _aggregate(rows: list[dict[str, Any]]) -> dict[str, Any]:
     out: dict[str, Any] = {
         "n_seeds": len(rows),
         "n_failures": len(failures),
-        "error": failures[0]["error"] if failures else "",
+        "error": failures[0]["error"] if failures else None,
     }
     if regrets:
         arr = np.asarray(regrets, dtype=np.float64)
@@ -372,13 +370,8 @@ def _aggregate(rows: list[dict[str, Any]]) -> dict[str, Any]:
         )
         packs = [r["final_packing"] for r in rows if r["error"] is None and r["final_packing"]]
         phases = [r["phases"] for r in rows if r["error"] is None and r["phases"]]
-        out["mean_final_packing"] = float(np.mean(packs)) if packs else ""
-        out["mean_phases"] = float(np.mean(phases)) if phases else ""
-    else:
-        out["mean_regret"] = ""
-        out["stderr_regret"] = ""
-        out["mean_final_packing"] = ""
-        out["mean_phases"] = ""
+        out["mean_final_packing"] = float(np.mean(packs)) if packs else None
+        out["mean_phases"] = float(np.mean(phases)) if phases else None
     return out
 
 
@@ -406,7 +399,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for epsilon in epsilons:
         if not _is_number(epsilon):
             raise ConfigError(f"sweep.epsilons: every entry must be a number, not {epsilon!r}")
-    include_meta = bool(sweep.get("include_meta", True))
+    include_meta = sweep.get("include_meta", True)
+    if not isinstance(include_meta, bool):
+        raise ConfigError(f"sweep.include_meta: must be true or false, not {include_meta!r}")
 
     env_grid: dict[str, list[Any]] = {}
     for key, values in (sweep.get("environment") or {}).items():
@@ -495,7 +490,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for row in rows
             if row["algorithm"] == game.algorithm
             and all(row[k] == v for k, v in combo_key.items())
-            and row["mean_regret"] != ""
+            and row.get("mean_regret") is not None
         ]
         if candidates:
             best = min(candidates, key=lambda row: row["mean_regret"])
@@ -521,8 +516,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with open(sweep_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in columns})
+        writer.writerows(rows)
     print(f"wrote {sweep_path} ({len(rows)} rows)")
     return EXIT_BOUND_VIOLATION if any_failure else EXIT_OK
 

@@ -28,6 +28,9 @@ ALGORITHMS = ("hedge", "many_experts", "meta_tuner")
 #: Overshoot past the [-1, 1] boundary tolerated (and clamped) as rounding noise.
 BOUNDARY_SLACK = 1e-12
 
+#: Entries of the largest loss matrix :meth:`LossOracle.to_matrix` materializes.
+MATRIX_MAX_ENTRIES = 50_000_000
+
 
 def game_rng(*key: int) -> np.random.Generator:
     """Independent PCG64 stream keyed by a tuple of integers.
@@ -255,10 +258,11 @@ class LossOracle(ABC):
         """Ids of the experts whose losses coverage queries must consider.
 
         Ids are strictly ascending, and every expert not listed copies (at
-        every round) a listed expert with a smaller id.  So the first
-        uncovered candidate is the smallest-id uncovered expert, no two
-        separated experts share a candidate, and an active set as large as
-        the candidate set covers every round.
+        every round) a listed expert with a smaller id, so ``ids[0] == 0``
+        is required (the packing learner checks it and starts there).  So
+        the first uncovered candidate is the smallest-id uncovered expert,
+        no two separated experts share a candidate, and an active set as
+        large as the candidate set covers every round.
         """
 
     def losses(self, t: int, experts: np.ndarray | Sequence[int] | None = None) -> np.ndarray:
@@ -269,12 +273,12 @@ class LossOracle(ABC):
         """Cumulative loss of every expert over the full horizon."""
         return self.rows(0, self.horizon()).sum(axis=0)
 
-    def to_matrix(self, max_entries: int = 50_000_000) -> np.ndarray:
-        """Materialize the full ``T x K`` loss matrix (guarded by ``max_entries``)."""
+    def to_matrix(self) -> np.ndarray:
+        """Materialize the full ``T x K`` loss matrix (guarded by ``MATRIX_MAX_ENTRIES``)."""
         T, K = self.horizon(), self.num_experts()
-        if T * K > max_entries:
+        if T * K > MATRIX_MAX_ENTRIES:
             raise ValueError(
                 f"matrix of {T} x {K} entries is too large to materialize"
-                f" (guard: {max_entries} entries)"
+                f" (guard: {MATRIX_MAX_ENTRIES} entries)"
             )
         return np.ascontiguousarray(self.rows(0, T))

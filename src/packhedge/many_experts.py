@@ -18,6 +18,9 @@ runs only on the rounds left flagged, until the active set holds every
 coverage candidate.  When a flagged round admits no one after the set has
 grown, the block's remaining flagged rounds are certified again against the
 grown set, so one early admission does not leave the rest of a block flagged.
+The packing starts at expert 0, the first coverage candidate, and admits only
+candidates, so the active losses are columns of the candidate block: each
+block is read once, and each exact query reads its one round.
 """
 
 from __future__ import annotations
@@ -44,9 +47,10 @@ from .core import (
 class PackingState:
     """Active set of the packing learner, grown by :func:`expand_packing`.
 
-    ``active`` is ordered by admission.  ``admitted_at[j]`` is the round at
-    which ``active[j]`` joined (0 for the seed expert), which certifies the
-    pairwise separation of the packing; the phases are its distinct rounds.
+    ``active`` starts at expert 0 and is ordered by admission.
+    ``admitted_at[j]`` is the round at which ``active[j]`` joined (0 for
+    expert 0), which certifies the pairwise separation of the packing; the
+    phases are its distinct rounds.
     """
 
     active: np.ndarray
@@ -59,13 +63,11 @@ class PackingState:
     queries: int = 0
 
     @classmethod
-    def fresh(cls, epsilon: float, initial_expert: ExpertId = 0) -> "PackingState":
+    def fresh(cls, epsilon: float) -> "PackingState":
         if not (0.0 < epsilon <= 1.0):
             raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-        if initial_expert < 0:
-            raise ValueError(f"initial expert id must be non-negative, got {initial_expert}")
         return cls(
-            active=np.array([initial_expert], dtype=np.int64),
+            active=np.array([0], dtype=np.int64),
             epsilon=float(epsilon),
             admitted_at=[0],
         )
@@ -92,7 +94,8 @@ def expand_packing(
         return state, []
     values = oracle.rows(t - 1, t, ids)[0]
     threshold = 2.0 * state.epsilon
-    uncovered = np.flatnonzero(uncovered_mask(values, oracle.losses(t, active), threshold))
+    reference = values.take(ids.searchsorted(active))
+    uncovered = np.flatnonzero(uncovered_mask(values, reference, threshold))
     if uncovered.size == 0:
         return state, []
     admitted: list[float] = []  # values admitted this round, kept sorted
@@ -113,25 +116,23 @@ def expand_packing(
     return new_state, added
 
 
-def _schedule(
-    oracle: LossOracle, horizon: int, epsilon: float, initial_expert: ExpertId
-) -> PackingState:
+def _schedule(oracle: LossOracle, horizon: int, epsilon: float) -> PackingState:
     """The packing after ``horizon`` rounds: the schedule pass of :func:`packing_game`.
 
     Blocks of ``hedge.block_rounds(K)`` rounds over the ``K`` candidates are
-    certified at once against the active set at the start of the block; the
-    rounds the certificate flags run :func:`expand_packing`, in order.  When
-    a flagged round admits no one and the set has grown since the block's
-    last certification, the block's remaining flagged rows are certified
-    again against the grown set, whose new members' losses are columns of
-    the candidate rows already read, and only the rows still flagged are
-    walked.  Every certification but a block's first follows an admitting
-    round, so there are at most as many of them as admitting rounds.  Once
-    the active set is as large as the candidate set no later round admits
-    anyone, so nothing more is read.  The returned state counts the blocks,
-    re-certifications and exact queries of the pass.
+    read once and certified at once against the active set at the start of
+    the block, whose losses are columns of the block; the rounds the
+    certificate flags run :func:`expand_packing`, in order.  When a flagged
+    round admits no one and the set has grown since the block's last
+    certification, the block's remaining flagged rows are certified again
+    against the grown set, again columns of the rows already read, and only
+    the rows still flagged are walked.  Every certification but a block's
+    first follows an admitting round, so there are at most as many of them
+    as admitting rounds.  Once the active set is as large as the candidate
+    set no later round admits anyone, so nothing more is read.  The returned
+    state counts the blocks, re-certifications and exact queries of the pass.
     """
-    state = PackingState.fresh(epsilon, initial_expert)
+    state = PackingState.fresh(epsilon)
     ids = oracle.coverage_ids()
     threshold = 2.0 * state.epsilon
     step = hedge.block_rounds(ids.size)
@@ -141,10 +142,11 @@ def _schedule(
             break
         t1 = min(horizon, t0 + step)
         values = oracle.rows(t0, t1, ids)
-        reference = oracle.rows(t0, t1, state.active)
+        # take, not fancy indexing: a C-ordered copy keeps the certificate's row sort fast.
+        reference = values.take(ids.searchsorted(state.active), 1)
         rows = np.flatnonzero(uncovered_rows(values, reference, threshold, hedge.BLOCK_ENTRIES))
         blocks += 1
-        start = certified = state.active.size
+        certified = state.active.size
         i = 0
         while i < rows.size and state.active.size < ids.size:
             state, added = expand_packing(state, t0 + int(rows[i]) + 1, oracle)
@@ -152,13 +154,10 @@ def _schedule(
             i += 1
             if added or state.active.size == certified or i == rows.size:
                 continue
-            rest = rows[i:]
-            block = values[rest]
-            # The set active at the block's start, plus the candidates admitted since.
-            grown = np.concatenate(
-                (reference[rest], block[:, ids.searchsorted(state.active[start:])]), axis=1
-            )
-            rows = rest[uncovered_rows(block, grown, threshold, hedge.BLOCK_ENTRIES)]
+            rows = rows[i:]
+            block = values[rows]
+            grown = block.take(ids.searchsorted(state.active), 1)
+            rows = rows[uncovered_rows(block, grown, threshold, hedge.BLOCK_ENTRIES)]
             i = 0
             certified = state.active.size
             recertifications += 1
@@ -193,19 +192,19 @@ def play_many_experts(
     horizon: int | None = None,
     epsilon: float = 0.5,
     rng: int | np.random.Generator = 0,
-    initial_expert: ExpertId = 0,
 ) -> GameTrajectory:
     """Run the packing learner for ``horizon`` rounds at accuracy ``epsilon``.
 
-    Each round samples an expert from the current phase's distribution (one
-    uniform draw), then admits the round's uncovered experts; an admission
-    restarts the inner hedge over the enlarged set, and otherwise the weights
-    update on the active losses.  The trajectory records the phase and
-    active-set size at the end of every round; its extras expose the final
-    packing, the phase count, the admission certificate, and the counts of
-    the schedule pass (``schedule``).
+    The active set starts at expert 0.  Each round samples an expert from
+    the current phase's distribution (one uniform draw), then admits the
+    round's uncovered experts; an admission restarts the inner hedge over the
+    enlarged set, and otherwise the weights update on the active losses.  The
+    trajectory records the phase and active-set size at the end of every
+    round; its extras expose the final packing, the phase count, the
+    admission certificate, and the counts of the schedule pass
+    (``schedule``).
     """
-    return packing_game(oracle, horizon, epsilon, rng, initial_expert)[0]
+    return packing_game(oracle, horizon, epsilon, rng)[0]
 
 
 def packing_game(
@@ -213,7 +212,6 @@ def packing_game(
     horizon: int | None = None,
     epsilon: float = 0.5,
     rng: int | np.random.Generator = 0,
-    initial_expert: ExpertId = 0,
     expected: bool = False,
 ) -> tuple[GameTrajectory, np.ndarray | None]:
     """:func:`play_many_experts`, plus with ``expected`` the expected loss of each round.
@@ -224,14 +222,12 @@ def packing_game(
     T = oracle.horizon() if horizon is None else int(horizon)
     if T < 1 or T > oracle.horizon():
         raise ValueError(f"horizon must be in [1, {oracle.horizon()}], got {T}")
-    num_experts = oracle.num_experts()
-    if not (0 <= initial_expert < num_experts):
-        raise ValueError(
-            f"initial expert {initial_expert} out of range for {num_experts} experts"
-        )
+    ids = oracle.coverage_ids()
+    if ids.size == 0 or ids[0] != 0:
+        raise ValueError(f"coverage_ids() must start at expert 0, got {ids[:1].tolist()}")
     gen, seed = normalize_rng(rng)
 
-    state = _schedule(oracle, T, epsilon, initial_expert)
+    state = _schedule(oracle, T, epsilon)
     admitted_at = np.array(state.admitted_at, dtype=np.int64)
     # Phase p plays rounds starts[p] + 1 .. starts[p + 1] over the first sizes[p]
     # active experts (a prefix, since active is in admission order); the
@@ -250,7 +246,6 @@ def packing_game(
     extras: dict[str, Any] = {
         "algorithm": "many_experts",
         "epsilon": epsilon,
-        "initial_expert": int(initial_expert),
         "final_active": state.active.tolist(),
         "admitted_at": list(state.admitted_at),
         "final_packing": int(state.active.size),
@@ -262,11 +257,7 @@ def packing_game(
             "exact_queries": state.queries,
             "admitting_rounds": int(starts.size) - 1,
             # The round whose admissions made the set as large as the candidate set.
-            "saturation_round": (
-                state.admitted_at[-1]
-                if state.active.size >= oracle.coverage_ids().size
-                else None
-            ),
+            "saturation_round": state.admitted_at[-1] if state.active.size >= ids.size else None,
         },
     }
     trajectory = GameTrajectory.from_rounds(

@@ -17,9 +17,6 @@ import numpy as np
 from . import hedge, many_experts
 from .core import GameTrajectory, LossOracle, game_rng
 
-FEEDBACK_MODES = ("expected", "realized")
-
-
 def build_grid(horizon: int) -> tuple[float, ...]:
     """Halving accuracy ladder ``epsilon_r = 2**(1 - r)`` for ``r = 1 .. ceil(log2 T)``."""
     if horizon < 2:
@@ -32,16 +29,14 @@ def play_meta(
     oracle: LossOracle,
     horizon: int | None = None,
     seed: int = 0,
-    feedback_mode: str = "expected",
 ) -> GameTrajectory:
     """Run the accuracy grid for ``horizon`` rounds from one master seed.
 
     Copy ``r`` draws from the stream ``game_rng(seed, r)`` and the meta layer
     from ``game_rng(seed, 0)``, so any copy can be replayed standalone; here
     each copy is that standalone game, and the meta layer is one hedge pass
-    over the ``T x R`` feedback of the copies.  The meta hedge updates on
-    each copy's expected loss by default (``feedback_mode="expected"``);
-    ``"realized"`` feeds it the copies' sampled losses instead.
+    over the ``T x R`` feedback of the copies: each copy's expected loss
+    under its own sampling distribution.
 
     The returned trajectory records the actually played expert per round; its
     extras carry the full per-copy trajectories and running totals.
@@ -49,34 +44,28 @@ def play_meta(
     T = oracle.horizon() if horizon is None else int(horizon)
     if T < 2 or T > oracle.horizon():
         raise ValueError(f"horizon must be in [2, {oracle.horizon()}], got {T}")
-    if feedback_mode not in FEEDBACK_MODES:
-        raise ValueError(f"feedback_mode must be one of {FEEDBACK_MODES}, got {feedback_mode!r}")
     grid = build_grid(T)
     R = len(grid)
 
-    expected = feedback_mode == "expected"
     copies, means = zip(*(
-        many_experts.packing_game(oracle, T, eps, game_rng(seed, r), expected=expected)
+        many_experts.packing_game(oracle, T, eps, game_rng(seed, r), expected=True)
         for r, eps in enumerate(grid, 1)
     ))
-    realized = np.column_stack([copy.incurred for copy in copies])
-    feedback = np.column_stack(means) if expected else realized
+    feedback = np.column_stack(means)
     # Sampling is scale-invariant, so the unnormalized weights suffice.
     chosen_copy, _, _ = hedge.exponential_weights(
         lambda j0, j1, _: feedback[j0:j1], [0], [R], game_rng(seed, 0).random(T)
     )
     rounds = np.arange(T)
     chosen = np.column_stack([copy.chosen for copy in copies])[rounds, chosen_copy]
+    realized = np.column_stack([copy.incurred for copy in copies])[rounds, chosen_copy]
 
     extras: dict[str, Any] = {
         "algorithm": "meta_tuner",
         "num_copies": R,
         "epsilons": list(grid),
-        "feedback_mode": feedback_mode,
         "chosen_copy": chosen_copy,
         "copy_cumulative": np.column_stack([copy.cumulative for copy in copies]),
         "copies": list(copies),
     }
-    return GameTrajectory.from_rounds(
-        chosen, realized[rounds, chosen_copy], np.full(T, R), np.ones(T), seed, extras
-    )
+    return GameTrajectory.from_rounds(chosen, realized, np.full(T, R), np.ones(T), seed, extras)

@@ -406,7 +406,7 @@ SUITES: dict[str, Callable[..., ValidationResult]] = {
 }
 
 
-def run_suite(name: str, seed: int, **overrides: Any) -> ValidationResult:
+def run_suite(name: str, seed: int) -> ValidationResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](seed=seed, **overrides)
+    return SUITES[name](seed=seed)

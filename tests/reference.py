@@ -30,7 +30,7 @@ from packhedge.core import (
     normalize_rng,
     uncovered_mask,
 )
-from packhedge.meta_tuner import FEEDBACK_MODES, build_grid
+from packhedge.meta_tuner import build_grid
 
 
 @dataclass
@@ -219,13 +219,11 @@ class PackingState:
     admitted_at: list[int] = field(default_factory=list)
 
     @classmethod
-    def fresh(cls, epsilon: float, initial_expert: ExpertId = 0) -> "PackingState":
+    def fresh(cls, epsilon: float) -> "PackingState":
         if not (0.0 < epsilon <= 1.0):
             raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-        if initial_expert < 0:
-            raise ValueError(f"initial expert id must be non-negative, got {initial_expert}")
         return cls(
-            active=np.array([initial_expert], dtype=np.int64),
+            active=np.array([0], dtype=np.int64),
             phase=1,
             phase_start=0,
             inner=HedgeState.fresh(1),
@@ -274,19 +272,13 @@ def play_many_experts(
     horizon: int | None = None,
     epsilon: float = 0.5,
     rng: int | np.random.Generator = 0,
-    initial_expert: ExpertId = 0,
 ) -> GameTrajectory:
     T = oracle.horizon() if horizon is None else int(horizon)
     if T < 1 or T > oracle.horizon():
         raise ValueError(f"horizon must be in [1, {oracle.horizon()}], got {T}")
-    num_experts = oracle.num_experts()
-    if num_experts is not None and not (0 <= initial_expert < num_experts):
-        raise ValueError(
-            f"initial expert {initial_expert} out of range for {num_experts} experts"
-        )
     gen, seed = normalize_rng(rng)
 
-    state = PackingState.fresh(epsilon, initial_expert)
+    state = PackingState.fresh(epsilon)
     recorder = TrajectoryRecorder(T)
     for t in range(1, T + 1):
         state, chosen, incurred, _ = advance(state, t, oracle, gen)
@@ -295,7 +287,6 @@ def play_many_experts(
     extras: dict[str, Any] = {
         "algorithm": "many_experts",
         "epsilon": epsilon,
-        "initial_expert": int(initial_expert),
         "final_active": [int(i) for i in state.active],
         "admitted_at": list(state.admitted_at),
         "final_packing": int(state.active.size),
@@ -312,11 +303,8 @@ class MetaState:
     grid: tuple[float, ...]
     copies: list[PackingState]
     meta: HedgeState
-    feedback_mode: str = "expected"
 
     def __post_init__(self) -> None:
-        if self.feedback_mode not in FEEDBACK_MODES:
-            raise ValueError(f"feedback_mode must be one of {FEEDBACK_MODES}")
         if len(self.copies) != len(self.grid) or self.meta.log_weights.size != len(self.grid):
             raise ValueError("copies and meta weights must both match the grid size")
 
@@ -325,7 +313,6 @@ def play_meta(
     oracle: LossOracle,
     horizon: int | None = None,
     seed: int = 0,
-    feedback_mode: str = "expected",
 ) -> GameTrajectory:
     T = oracle.horizon() if horizon is None else int(horizon)
     if T < 2 or T > oracle.horizon():
@@ -337,7 +324,6 @@ def play_meta(
         grid=grid,
         copies=[PackingState.fresh(eps) for eps in grid],
         meta=HedgeState.fresh(R),
-        feedback_mode=feedback_mode,
     )
     meta_gen = game_rng(seed, 0)
     copy_gens = [game_rng(seed, r) for r in range(1, R + 1)]
@@ -371,8 +357,7 @@ def play_meta(
         chosen_copy[t - 1] = r_star
         recorder.add(t, int(chosen[r_star]), float(realized[r_star]), R, 1)
 
-        feedback = expected if state.feedback_mode == "expected" else realized
-        state.meta = update(state.meta, feedback)
+        state.meta = update(state.meta, expected)
 
     copy_trajectories = []
     for r in range(R):
@@ -383,7 +368,6 @@ def play_meta(
                 {
                     "algorithm": "many_experts",
                     "epsilon": grid[r],
-                    "initial_expert": 0,
                     "final_active": [int(i) for i in copy.active],
                     "admitted_at": list(copy.admitted_at),
                     "final_packing": int(copy.active.size),
@@ -397,7 +381,6 @@ def play_meta(
         "algorithm": "meta_tuner",
         "num_copies": R,
         "epsilons": list(grid),
-        "feedback_mode": state.feedback_mode,
         "chosen_copy": chosen_copy,
         "copy_cumulative": copy_cumulative,
         "copies": copy_trajectories,

@@ -94,12 +94,14 @@ class TestExpertDistance:
     @given(small_matrices, st.integers(min_value=1, max_value=200))
     def test_blocked_distance_matrix_is_exact(self, matrix, max_entries):
         # Tiny budgets force one- or few-round blocks; the result must not move.
-        dist = analysis.distance_matrix(matrix, max_entries=max_entries)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "DISTANCE_BLOCK_ENTRIES", max_entries)
+            dist = analysis.distance_matrix(matrix)
         for i in range(matrix.shape[1]):
             for j in range(matrix.shape[1]):
                 assert dist[i, j] == analysis.expert_distance(matrix, i, j)
 
-    def test_block_rounds_bound_the_temporary(self):
+    def test_block_rounds_bound_the_temporary(self, monkeypatch):
         budget = analysis.DISTANCE_BLOCK_ENTRIES
         # K=1000 with the old fixed 4096-round block needed 32 GB.
         assert analysis.distance_block_rounds(1000) == budget // 1_000_000
@@ -109,7 +111,8 @@ class TestExpertDistance:
             assert rounds * experts * experts <= budget
         # Past sqrt(budget) experts a single round is the floor: K x K, the result's size.
         assert analysis.distance_block_rounds(5000) == 1
-        assert analysis.distance_block_rounds(10, max_entries=250) == 2
+        monkeypatch.setattr(analysis, "DISTANCE_BLOCK_ENTRIES", 250)
+        assert analysis.distance_block_rounds(10) == 2
 
 
 class TestCoveringNumberExact:
@@ -163,16 +166,6 @@ class TestPackingGreedy:
         matrix = np.array([[-0.9, -0.3, 0.3, 0.9]])
         size, _ = analysis.packing_greedy(matrix, 0.25)
         assert size == 4
-
-    def test_random_order_is_seeded(self):
-        matrix = game_rng(3).uniform(-1, 1, size=(4, 8))
-        a = analysis.packing_greedy(matrix, 0.4, order="random", rng=game_rng(5))
-        b = analysis.packing_greedy(matrix, 0.4, order="random", rng=game_rng(5))
-        assert a == b
-
-    def test_random_order_requires_rng(self):
-        with pytest.raises(ValueError, match="rng"):
-            analysis.packing_greedy(np.zeros((1, 2)), 0.5, order="random")
 
     @settings(max_examples=40)
     @given(small_matrices, st.floats(min_value=0.05, max_value=1.5))

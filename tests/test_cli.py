@@ -126,7 +126,7 @@ class TestRun:
         epsilons = (
             meta_tuner.build_grid(game.T) if algorithm == "meta_tuner" else [game.epsilon]
         )
-        states = [many_experts._schedule(oracle, game.T, e, 0) for e in epsilons]
+        states = [many_experts._schedule(oracle, game.T, e) for e in epsilons]
         assert counts["blocks"] == sum(state.blocks for state in states) >= len(states)
         assert counts["recertifications"] == sum(state.recertifications for state in states)
         assert counts["exact_queries"] == sum(state.queries for state in states)
@@ -362,6 +362,7 @@ class TestSweep:
             ("sweep.n_seeds=1.5", "sweep.n_seeds"),
             ("sweep.epsilons=[abc]", "sweep.epsilons"),
             ("sweep.epsilons=[null]", "sweep.epsilons"),
+            ("sweep.include_meta=off-please", "sweep.include_meta"),
         ],
     )
     def test_bad_sweep_value_is_config_error(self, tmp_path, capsys, monkeypatch, override, field):
@@ -382,6 +383,25 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {field}:") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_include_meta_false_leaves_meta_row_out(self, tmp_path):
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "many_experts", "T": 32, "epsilon": 0.5},
+                "environment": {"kind": "clustered_binary", "K": 20, "N": 2},
+                "sweep": {"n_seeds": 1, "epsilons": [0.5]},
+            },
+        )
+        for value, name in (("true", "with"), ("false", "without")):
+            assert cli.main(
+                ["sweep", "--config", config, "--seed", "0", "--set", f"sweep.include_meta={value}",
+                 "--out-dir", str(tmp_path / name)]
+            ) == EXIT_OK
+        with_meta = [r["algorithm"] for r in read_rows(tmp_path / "with" / "sweep.csv")]
+        without_meta = [r["algorithm"] for r in read_rows(tmp_path / "without" / "sweep.csv")]
+        assert with_meta == ["many_experts", "meta_tuner", "best_epsilon"]
+        assert without_meta == ["many_experts", "best_epsilon"]
 
     def test_single_cell_matches_run(self, tmp_path):
         config_payload = {
@@ -472,6 +492,13 @@ class TestSweep:
         bad = next(r for r in rows if r["N"] == "16" and r["algorithm"] == "many_experts")
         assert good["n_failures"] == "0" and good["mean_regret"] != ""
         assert bad["n_failures"] == "2" and "distinct binary rows" in bad["error"]
+        # Missing aggregates are empty fields; the error is the first failed seed's.
+        lines = (tmp_path / "out" / "sweep.csv").read_bytes().split(b"\r\n")
+        assert lines[2] == (
+            b"many_experts,0.5,16,2,2,,,,,"
+            b"environment: too many distinct binary rows: N=16 exceeds 2**T=8"
+        )
+        assert lines[1].endswith(b",") and lines[3].startswith(b"best_epsilon,0.5,2,")
 
     @pytest.mark.parametrize("parallelism", ["1", "2"])
     def test_progress_logged_per_cell(self, tmp_path, caplog, parallelism):

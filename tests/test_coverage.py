@@ -45,9 +45,9 @@ def requery_expand(state, t, oracle):
     return replace(state, active=active, admitted_at=state.admitted_at + [t] * len(added)), added
 
 
-def schedule(oracle, epsilon, expand, initial_expert=0, horizon=None):
+def schedule(oracle, epsilon, expand, horizon=None):
     """Admissions of every round, driving the packing state with ``expand`` only."""
-    state = PackingState.fresh(epsilon, initial_expert)
+    state = PackingState.fresh(epsilon)
     admissions = []
     for t in range(1, (horizon or oracle.horizon()) + 1):
         state, added = expand(state, t, oracle)
@@ -334,14 +334,6 @@ class TestOnePassExpansion:
         state, added = expand_packing(PackingState.fresh(0.25), 1, oracle)
         assert added == [1, 3]
 
-    @pytest.mark.parametrize("initial_expert", [3, 41, 79])
-    def test_clustered_initial_expert_off_representative(self, initial_expert):
-        # The seed expert need not be its cluster's smallest id.
-        oracle = oracles()["clustered"]
-        assert schedule(oracle, 0.5, expand_packing, initial_expert) == schedule(
-            oracle, 0.5, requery_expand, initial_expert
-        )
-
     @pytest.mark.parametrize("kind", ["matrix", "clustered", "loss_only"])
     def test_uncovered_expert_matches_dense_scan(self, kind):
         oracle = oracles()[kind]
@@ -365,9 +357,9 @@ class TestOnePassExpansion:
         assert added == [1, 2, 3, 4]
 
         def no_query(*args):
-            raise AssertionError("a saturated set must not gather active losses")
+            raise AssertionError("a saturated set must not read losses")
 
-        oracle.losses = no_query
+        oracle.rows = no_query
         assert expand_packing(state, 2, oracle) == (state, [])
 
     def test_meta_game_matches_requery_loop(self, monkeypatch):
@@ -394,13 +386,13 @@ class TestOnePassExpansion:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def block_schedule(oracle, epsilon, initial_expert=0, horizon=None):
-    state = many_experts._schedule(oracle, horizon or oracle.horizon(), epsilon, initial_expert)
+def block_schedule(oracle, epsilon, horizon=None):
+    state = many_experts._schedule(oracle, horizon or oracle.horizon(), epsilon)
     return state.active.tolist(), state.admitted_at
 
 
-def per_round_schedule(oracle, epsilon, initial_expert=0, horizon=None):
-    active, admitted_at, _ = schedule(oracle, epsilon, expand_packing, initial_expert, horizon)
+def per_round_schedule(oracle, epsilon, horizon=None):
+    active, admitted_at, _ = schedule(oracle, epsilon, expand_packing, horizon)
     return [int(i) for i in active], admitted_at
 
 
@@ -414,18 +406,6 @@ class TestBlockSchedule:
         monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
         oracle = oracles()[kind]
         assert block_schedule(oracle, epsilon) == per_round_schedule(oracle, epsilon)
-
-    @pytest.mark.parametrize("entries", [12, hedge.BLOCK_ENTRIES])
-    @pytest.mark.parametrize("initial_expert", [3, 41, 79])
-    def test_clustered_initial_expert_off_representative(
-        self, monkeypatch, entries, initial_expert
-    ):
-        monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
-        oracle = oracles()["clustered"]
-        for epsilon in (0.5, 0.25):
-            assert block_schedule(oracle, epsilon, initial_expert) == per_round_schedule(
-                oracle, epsilon, initial_expert
-            )
 
     @pytest.mark.parametrize("entries", [12, 300, hedge.BLOCK_ENTRIES])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -457,8 +437,8 @@ class TestBlockSchedule:
 
 # A tied-value game: cluster rows of EDGE_VALUES, an assignment of experts to
 # clusters with at least one expert more than clusters (so one expert is not
-# its cluster's candidate), whether the initial expert is a candidate, and
-# whether the game is the clustered oracle or the dense matrix it stands for.
+# its cluster's candidate), and whether the game is the clustered oracle or the
+# dense matrix it stands for.
 tied_games = st.tuples(
     st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=6)
 ).flatmap(
@@ -470,8 +450,6 @@ tied_games = st.tuples(
         ),
         st.lists(st.integers(min_value=0, max_value=shape[1] - 1), min_size=1, max_size=6),
         st.permutations(range(shape[1])),
-        st.integers(min_value=0, max_value=2**16),
-        st.booleans(),
         st.booleans(),
     )
 )
@@ -482,22 +460,15 @@ class TestBlockScheduleOnTiedValues:
     @settings(max_examples=150, deadline=None)
     @given(tied_games, st.sampled_from([1.0, 0.5, 0.25, 0.125, 0.05]))
     def test_matches_per_round_pass(self, entries, game, epsilon):
-        rows, extra, clusters, pick, off_candidate, dense = game
+        rows, extra, clusters, dense = game
         assignment = np.array(list(clusters) + extra)
         oracle = environments.ClusteredBinaryOracle(np.array(rows), assignment)
-        ids = oracle.coverage_ids()
-        others = np.setdiff1d(np.arange(assignment.size), ids)
-        assert others.size >= 1
-        initial_expert = int(
-            others[pick % others.size] if off_candidate else ids[pick % ids.size]
-        )
+        assert oracle.coverage_ids().size < assignment.size
         if dense:
             oracle = environments.make_finite_matrix(oracle.to_matrix())
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hedge, "BLOCK_ENTRIES", entries)
-            assert block_schedule(oracle, epsilon, initial_expert) == per_round_schedule(
-                oracle, epsilon, initial_expert
-            )
+            assert block_schedule(oracle, epsilon) == per_round_schedule(oracle, epsilon)
 
 
 @pytest.mark.parametrize("seed", [0, 4242, 4243, 4244])
@@ -514,7 +485,7 @@ def test_stale_blocks_on_the_readme_shape(monkeypatch, seed):
         return expand_packing(state, t, oracle)
 
     monkeypatch.setattr(many_experts, "expand_packing", counting)
-    state = many_experts._schedule(oracle, 5000, 0.5, 0)
+    state = many_experts._schedule(oracle, 5000, 0.5)
     admitting = len(set(state.admitted_at)) - 1
     assert admitting >= 1
     assert len(calls) <= 2 * admitting

@@ -4,10 +4,10 @@
 Plain hedge, the packing learner (all of its phases in one kernel call) and
 the meta layer must reproduce their trajectories and extras bit for bit:
 across kernel block boundaries, with one expert, with one-round phases and
-admissions at the first and last round, on every oracle kind and in both
-meta feedback modes.  Small block sizes are patched in so that games of a
-few rounds cross many blocks, or one block spans many phases.  The kernel's
-segments are also checked directly against ``reference.segmented_hedge``.
+admissions at the first and last round, and on every oracle kind.  Small
+block sizes are patched in so that games of a few rounds cross many blocks,
+or one block spans many phases.  The kernel's segments are also checked
+directly against ``reference.segmented_hedge``.
 """
 
 import csv
@@ -126,14 +126,6 @@ class TestManyExperts:
                     reference.play_many_experts(oracle, T, epsilon, rng=seed),
                 )
 
-    @pytest.mark.parametrize("initial_expert", [0, 3, 23])
-    def test_initial_expert(self, block_entries, initial_expert):
-        oracle = make_oracle("clustered", 50, 24, seed=2)
-        assert_same(
-            many_experts.play_many_experts(oracle, 50, 0.5, rng=1, initial_expert=initial_expert),
-            reference.play_many_experts(oracle, 50, 0.5, rng=1, initial_expert=initial_expert),
-        )
-
     def test_one_round_phases_and_admission_at_last_round(self, block_entries):
         oracle = environments.make_finite_matrix(one_admission_per_round(6))
         fast = many_experts.play_many_experts(oracle, epsilon=0.25, rng=4)
@@ -179,22 +171,16 @@ class TestManyExperts:
 
 class TestMeta:
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("feedback_mode", meta_tuner.FEEDBACK_MODES)
-    def test_matches_reference(self, block_entries, kind, feedback_mode):
+    def test_matches_reference(self, block_entries, kind):
         oracle = make_oracle(kind, 40, 16, seed=8)
         for T in (2, 3, 40):
             assert_same(
-                meta_tuner.play_meta(oracle, T, seed=5, feedback_mode=feedback_mode),
-                reference.play_meta(oracle, T, seed=5, feedback_mode=feedback_mode),
+                meta_tuner.play_meta(oracle, T, seed=5), reference.play_meta(oracle, T, seed=5)
             )
 
-    @pytest.mark.parametrize("feedback_mode", meta_tuner.FEEDBACK_MODES)
-    def test_low_rank_game(self, feedback_mode):
+    def test_low_rank_game(self):
         oracle = environments.make_low_rank(200, 120, 2, 0.05, seed=1)
-        assert_same(
-            meta_tuner.play_meta(oracle, seed=2, feedback_mode=feedback_mode),
-            reference.play_meta(oracle, seed=2, feedback_mode=feedback_mode),
-        )
+        assert_same(meta_tuner.play_meta(oracle, seed=2), reference.play_meta(oracle, seed=2))
 
     def test_one_expert(self):
         oracle = make_oracle("matrix", 20, 1)
@@ -345,15 +331,11 @@ class TestRows:
 
 
 class EventOracle(environments.MatrixOracle):
-    """Logs the reads and the per-round active-loss gathers (exact queries) in order."""
+    """Logs the reads of loss rows in order."""
 
     def __init__(self, matrix):
         super().__init__(matrix)
         self.events = []
-
-    def losses(self, t, experts=None):
-        self.events.append(("query", t))
-        return super().rows(t - 1, t, experts)[0]
 
     def rows(self, t0, t1, experts=None):
         self.events.append(("read", t0, t1))
@@ -363,25 +345,25 @@ class EventOracle(environments.MatrixOracle):
 def replay_schedule(events, admitting):
     """Check the logged schedule pass; return its block-flagged rounds and exact queries.
 
-    A certification right after a block read is the block's own; one with no
-    read before it re-certifies the block's pending flagged rounds.  The
-    exact queries must take the pending rounds in order, and a query that
-    admits no one after the set has grown since the last certification must
-    be followed by a re-certification while rounds are pending.
+    A read while flagged rounds are pending is an exact query, one round of
+    candidates; any other read is a block, certified right after it.  A
+    certification with no block read before it re-certifies the block's
+    pending flagged rounds.  The exact queries must take the pending rounds
+    in order, and a query that admits no one after the set has grown since
+    the last certification must be followed by a re-certification while
+    rounds are pending.
     """
     flagged, queries = [], []
     pending, block, grown, due = [], None, False, False
-    for i, event in enumerate(events):
-        if event[0] == "read":
-            # An exact query reads its round of candidates just before the gather.
-            following = events[i + 1] if i + 1 < len(events) else None
-            if following != ("query", event[2]):
-                block = event[1]
+    for event in events:
+        if event[0] == "read" and not pending:
+            assert block is None, "a block is read once"
+            block = event[1]
             continue
-        if event[0] == "query":
+        if event[0] == "read":
             assert not due, "a re-certification was due before this query"
-            t = event[1]
-            assert pending and pending[0] == t
+            t = event[2]
+            assert event[1] == t - 1 and pending[0] == t
             pending.pop(0)
             queries.append(t)
             if t in admitting:
@@ -424,7 +406,7 @@ def test_active_gathers_only_on_flagged_rounds(monkeypatch, entries):
     gathered = recertified = 0
     for epsilon in (0.25, 2.0**-5, 2.0**-9):
         oracle = EventOracle(matrix)
-        state = many_experts._schedule(oracle, 400, epsilon, 0)
+        state = many_experts._schedule(oracle, 400, epsilon)
         admitting = set(state.admitted_at[1:])
         flagged, queries = replay_schedule(oracle.events, admitting)
         # The exact queries are an ordered subsequence of the block-flagged
@@ -447,6 +429,35 @@ def test_active_gathers_only_on_flagged_rounds(monkeypatch, entries):
     # Far fewer exact queries than unsaturated rounds: under a quarter with
     # 10-round blocks, under two thirds with the module's 273-round blocks.
     assert gathered < unsaturated * (0.25 if entries == 600 else 2 / 3)
+
+
+def count_reads(oracle):
+    """Log the ``(t0, t1)`` of every ``rows`` read of ``oracle``."""
+    reads = []
+    rows = oracle.rows
+
+    def counting(t0, t1, experts=None):
+        reads.append((t0, t1))
+        return rows(t0, t1, experts)
+
+    oracle.rows = counting
+    return reads
+
+
+@pytest.mark.parametrize("entries", [600, hedge.BLOCK_ENTRIES])
+def test_schedule_reads_each_block_and_query_once(monkeypatch, entries):
+    # The active losses are columns of the candidate rows: no second read of
+    # a block, of a query's round or for a re-certification.
+    monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
+    games = [(environments.make_low_rank(400, 60, 2, 0.05, seed=4), e) for e in (0.25, 2.0**-9)]
+    games.append((environments.make_clustered_binary(5000, 100_000, 8, seed=0), 0.5))
+    for oracle, epsilon in games:
+        reads = count_reads(oracle)
+        state = many_experts._schedule(oracle, oracle.horizon(), epsilon)
+        assert state.queries > 0
+        assert len(reads) == state.blocks + state.queries
+        assert sum(t1 - t0 == 1 for t0, t1 in reads) >= state.queries
+    assert state.recertifications > 0
 
 
 class TestBoundedMemory:
@@ -478,14 +489,14 @@ class TestBoundedMemory:
         oracle = environments.make_low_rank(512, 200, 2, 0.05, 3)
         epsilons = meta_tuner.build_grid(512)
         assert len(epsilons) == 9
-        peak = self.peak(lambda: [many_experts._schedule(oracle, 512, e, 0) for e in epsilons])
+        peak = self.peak(lambda: [many_experts._schedule(oracle, 512, e) for e in epsilons])
         assert peak < 8 * self.BLOCK_BYTES
 
     def test_schedule_pass_packing_lowrank(self):
         oracle = environments.make_low_rank(1024, 500, 2, 0.05, 3)
-        state = many_experts._schedule(oracle, 1024, 2.0**-7, 0)
+        state = many_experts._schedule(oracle, 1024, 2.0**-7)
         assert state.active.size > 250  # a large packing
-        peak = self.peak(lambda: many_experts._schedule(oracle, 1024, 2.0**-7, 0))
+        peak = self.peak(lambda: many_experts._schedule(oracle, 1024, 2.0**-7))
         assert peak < 8 * self.BLOCK_BYTES
 
     @pytest.mark.parametrize("active", [125, 250, 499])
@@ -507,15 +518,15 @@ class TestBoundedMemory:
         spaced = -1.0 + 4.0 * epsilon * np.arange(250)
         matrix = np.tile(np.concatenate((spaced, spaced + epsilon)), (256, 1))
         oracle = environments.make_finite_matrix(matrix)
-        assert many_experts._schedule(oracle, 256, epsilon, 0).active.size == 250
-        peak = self.peak(lambda: many_experts._schedule(oracle, 256, epsilon, 0))
+        assert many_experts._schedule(oracle, 256, epsilon).active.size == 250
+        peak = self.peak(lambda: many_experts._schedule(oracle, 256, epsilon))
         assert peak < 8 * self.BLOCK_BYTES
 
     def phase_peak(self, monkeypatch, oracle, epsilons, expected):
         """Peak of the phase pass alone: every copy's kernel call, schedules precomputed."""
         T = oracle.horizon()
-        states = {e: many_experts._schedule(oracle, T, e, 0) for e in epsilons}
-        monkeypatch.setattr(many_experts, "_schedule", lambda o, t, e, i: states[e])
+        states = {e: many_experts._schedule(oracle, T, e) for e in epsilons}
+        monkeypatch.setattr(many_experts, "_schedule", lambda o, t, e: states[e])
         return self.peak(lambda: [
             many_experts.packing_game(oracle, T, e, r, expected=expected)
             for r, e in enumerate(epsilons)
@@ -537,8 +548,8 @@ class TestBoundedMemory:
     def test_schedule_pass_readme_shape(self, seed):
         # 2048-round blocks over 8 candidates, re-certified after false flags.
         oracle = environments.make_clustered_binary(5000, 100_000, 8, seed=seed)
-        assert many_experts._schedule(oracle, 5000, 0.5, 0).recertifications > 0
-        peak = self.peak(lambda: many_experts._schedule(oracle, 5000, 0.5, 0))
+        assert many_experts._schedule(oracle, 5000, 0.5).recertifications > 0
+        peak = self.peak(lambda: many_experts._schedule(oracle, 5000, 0.5))
         assert peak < 8 * self.BLOCK_BYTES
 
     def test_packing_clustered(self):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from packhedge import analysis, environments, many_experts
+from packhedge import analysis, environments, many_experts, meta_tuner
 from packhedge.core import game_rng
 from packhedge.many_experts import PackingState, expand_packing, packing_regret_bound
 
@@ -192,16 +192,23 @@ class TestPlayManyExperts:
             for i in range(j):
                 assert abs(row[active[j]] - row[active[i]]) > 0.4
 
-    def test_custom_initial_expert(self):
+    def test_packing_starts_at_expert_zero(self):
         env = environments.make_clustered_binary(80, 50, 4, seed=13)
-        trajectory = many_experts.play_many_experts(env, 80, 0.5, rng=13, initial_expert=7)
-        assert trajectory.extras["final_active"][0] == 7
-        assert trajectory.chosen[0] == 7
+        trajectory = many_experts.play_many_experts(env, 80, 0.5, rng=13)
+        assert trajectory.extras["final_active"][0] == 0
+        assert trajectory.extras["admitted_at"][0] == 0
+        assert trajectory.chosen[0] == 0
 
-    def test_initial_expert_out_of_range_rejected(self):
-        env = environments.make_clustered_binary(10, 5, 2, seed=0)
-        with pytest.raises(ValueError, match="initial expert"):
-            many_experts.play_many_experts(env, 10, 0.5, rng=0, initial_expert=5)
+    def test_coverage_ids_not_starting_at_zero_rejected(self):
+        class SkipsZero(environments.MatrixOracle):
+            def coverage_ids(self):
+                return np.arange(1, self.num_experts())
+
+        env = SkipsZero(game_rng(0).uniform(-1.0, 1.0, size=(10, 5)))
+        with pytest.raises(ValueError, match="start at expert 0"):
+            many_experts.play_many_experts(env, 10, 0.5, rng=0)
+        with pytest.raises(ValueError, match="start at expert 0"):
+            meta_tuner.play_meta(env, 10, seed=0)
 
     def test_packing_no_larger_than_exact_cover(self):
         for seed in range(5):

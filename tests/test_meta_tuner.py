@@ -35,17 +35,12 @@ class TestBuildGrid:
 
 
 class TestMetaState:
-    """The meta layer's state: one hedge column per grid level, a known feedback mode."""
+    """The meta layer's state: one hedge column per grid level."""
 
     def test_mismatched_sizes_rejected(self):
         # Feedback with fewer columns than the meta hedge has experts.
         with pytest.raises(ValueError):
             hedge.exponential_weights(lambda a, b, _: np.zeros((b - a, 1)), [0], [3], np.zeros(8))
-
-    def test_unknown_feedback_mode_rejected(self):
-        env = environments.make_clustered_binary(8, 5, 2, seed=0)
-        with pytest.raises(ValueError, match="feedback_mode"):
-            play_meta(env, 8, seed=0, feedback_mode="sampled")
 
 
 class TestPlayMeta:
@@ -90,14 +85,6 @@ class TestPlayMeta:
             copy_traj = copies[int(picked[i])]
             assert trajectory.chosen[i] == copy_traj.chosen[i]
             assert trajectory.incurred[i] == copy_traj.incurred[i]
-
-    def test_realized_feedback_leaves_copies_unchanged(self):
-        env = environments.make_clustered_binary(40, 20, 3, seed=6)
-        expected = play_meta(env, 40, seed=6, feedback_mode="expected")
-        realized = play_meta(env, 40, seed=6, feedback_mode="realized")
-        for a, b in zip(expected.extras["copies"], realized.extras["copies"]):
-            assert np.array_equal(a.chosen, b.chosen)
-            assert np.array_equal(a.incurred, b.incurred)
 
     def test_reproducible_bit_for_bit(self):
         env = environments.make_clustered_binary(40, 20, 3, seed=7)
