@@ -28,7 +28,6 @@ from .environments import (
     make_bounded_variation_adversary,
     make_clustered_binary,
     make_environment,
-    make_finite_matrix,
     make_iid_stochastic,
     make_low_rank,
     make_sparse_dictionary,
@@ -67,7 +66,6 @@ __all__ = [
     "make_bounded_variation_adversary",
     "make_clustered_binary",
     "make_environment",
-    "make_finite_matrix",
     "make_iid_stochastic",
     "make_low_rank",
     "make_sparse_dictionary",

@@ -114,10 +114,10 @@ def build_env_spec(cfg: dict[str, Any], game: GameConfig) -> environments.Enviro
 
 def _play(game: GameConfig, oracle) -> GameTrajectory:
     if game.algorithm == "hedge":
-        return hedge.play_hedge(oracle, game.T, rng=game.seed)
+        return hedge.play_hedge(oracle, rng=game.seed)
     if game.algorithm == "many_experts":
-        return many_experts.play_many_experts(oracle, game.T, game.epsilon, rng=game.seed)
-    return meta_tuner.play_meta(oracle, game.T, seed=game.seed)
+        return many_experts.play_many_experts(oracle, game.epsilon, rng=game.seed)
+    return meta_tuner.play_meta(oracle, seed=game.seed)
 
 
 # ----------------------------------------------------------------------------

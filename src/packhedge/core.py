@@ -12,7 +12,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import logging
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -28,7 +27,10 @@ ALGORITHMS = ("hedge", "many_experts", "meta_tuner")
 #: Overshoot past the [-1, 1] boundary tolerated (and clamped) as rounding noise.
 BOUNDARY_SLACK = 1e-12
 
-#: Entries of the largest loss matrix :meth:`LossOracle.to_matrix` materializes.
+#: Entries of the largest dense ``T x K`` loss matrix the package builds: the
+#: dense generators of :mod:`~packhedge.environments` refuse a larger one
+#: before they allocate, and :meth:`LossOracle.to_matrix` refuses to
+#: materialize one.
 MATRIX_MAX_ENTRIES = 50_000_000
 
 
@@ -73,52 +75,6 @@ def uncovered_mask(
     # padded[pos] is the largest reference below the value, padded[pos + 1]
     # the smallest at or above it; the infinities stand in for a missing side.
     return (values - padded[pos] > threshold) & (padded[pos + 1] - values > threshold)
-
-
-def uncovered_rows(
-    values: np.ndarray,
-    reference: np.ndarray,
-    threshold: float,
-    max_entries: int,
-) -> np.ndarray:
-    """Which rows of ``values`` may hold a value farther than ``threshold`` from its ``reference`` row.
-
-    The block certificate of the coverage kernel, for ``b x n`` values and
-    ``b x m`` references (``m >= 1``).  A value can only be uncovered inside a
-    *wide gap* of its sorted reference row padded with ``-inf`` and ``+inf``:
-    two neighbours at least ``2 * threshold`` apart, since rounded
-    subtraction is monotone and doubling is exact.  Each wide gap ``(lo,
-    hi)`` is tested with the kernel's own expressions, so a row with at most
-    ``log2(m) + 2`` wide gaps is flagged exactly when
-    ``uncovered_mask(values[r], reference[r], threshold).any()``.  A row with
-    more, where the ``O(n * gaps)`` test outgrows the ``O(n log m)`` query, is
-    flagged untested.  Each gap test holds at most ``max_entries`` values.
-    """
-    width, m = values.shape[1], reference.shape[1]
-    max_gaps = int(math.log2(m)) + 2
-    ordered = np.sort(reference, axis=1)
-    # The two outer gaps are always wide, and by monotone subtraction the
-    # row's extreme value passes their test if any value does.
-    flagged = (ordered[:, 0] - values.min(axis=1) > threshold) | (
-        values.max(axis=1) - ordered[:, -1] > threshold
-    )
-    wide = np.diff(ordered, axis=1) >= 2.0 * threshold
-    flagged |= np.count_nonzero(wide, axis=1) > max_gaps - 2
-    wide &= ~flagged[:, None]
-    # Inner gap (r, g), flat index r * (m - 1) + g, opens at ordered[r, g],
-    # flat index r * m + g.
-    gaps = np.flatnonzero(wide)
-    gap_rows = gaps // (m - 1)
-    lows = ordered.ravel()[gaps + gap_rows]
-    highs = ordered.ravel()[gaps + gap_rows + 1]
-    step = max(1, max_entries // width)
-    for g0 in range(0, gaps.size, step):
-        r = gap_rows[g0 : g0 + step]
-        block = values[r]
-        lo, hi = lows[g0 : g0 + step, None], highs[g0 : g0 + step, None]
-        hit = ((block - lo > threshold) & (hi - block > threshold)).any(axis=1)
-        flagged[r[hit]] = True
-    return flagged
 
 
 def validate_loss_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -232,7 +188,7 @@ class LossOracle(ABC):
     (:meth:`rows`), and the ids of one coverage candidate per group of
     identical experts (:meth:`coverage_ids`); everything else derives from
     them.  The hedge kernel and the coverage queries both read :meth:`rows`:
-    the block certificate :func:`uncovered_rows` screens a block of rounds
+    the packing learner's block certificate screens a block of rounds
     and the one coverage kernel, :func:`uncovered_mask`, answers a flagged
     round over the candidates in ``O(K log K_p)`` for ``K`` candidates and
     ``K_p`` active experts, so structured expert sets such as clusters never
@@ -264,10 +220,6 @@ class LossOracle(ABC):
         no two separated experts share a candidate, and an active set as
         large as the candidate set covers every round.
         """
-
-    def losses(self, t: int, experts: np.ndarray | Sequence[int] | None = None) -> np.ndarray:
-        """Loss vector at round ``t`` for ``experts`` (default: all experts)."""
-        return self.rows(t - 1, t, experts)[0]
 
     def column_sums(self) -> np.ndarray:
         """Cumulative loss of every expert over the full horizon."""

@@ -15,7 +15,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import matrix_io
+from . import core, matrix_io
 from .core import LossOracle, game_rng, validate_loss_matrix
 
 logger = logging.getLogger(__name__)
@@ -184,24 +184,35 @@ def make_clustered_binary(T: int, K: int, N: int, seed: int) -> ClusteredBinaryO
     return ClusteredBinaryOracle(rows, assignment, spec)
 
 
+def _check_dense_size(T: int, K: int) -> None:
+    """Refuse a dense ``T x K`` loss matrix above ``core.MATRIX_MAX_ENTRIES`` before it is built."""
+    if T * K > core.MATRIX_MAX_ENTRIES:
+        raise ValueError(
+            f"a dense {T} x {K} loss matrix is too large to generate"
+            f" (guard: {core.MATRIX_MAX_ENTRIES} entries)"
+        )
+
+
 def _add_noise(
     structure: np.ndarray, epsilon_noise: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(clip(structure + E, -1, 1), E)`` for noise ``E`` uniform on ``[-eps, eps]``.
+) -> np.ndarray:
+    """``clip(structure + E, -1, 1)`` for noise ``E`` uniform on ``[-eps, eps]``.
 
+    The noise is drawn into the output buffer and the structure added in
+    place; IEEE addition commutes, so this is ``structure + E`` bit for bit.
     Checks that no loss lies farther than ``epsilon_noise`` from ``structure``,
-    whose buffer it overwrites with that residual, so the step holds three
+    whose buffer it overwrites with that residual, so the step holds two
     ``T x K`` arrays at once.
     """
     shape = structure.shape
-    E = rng.uniform(-epsilon_noise, epsilon_noise, size=shape) if epsilon_noise > 0 else np.zeros(shape)
-    L = np.add(structure, E)
+    L = rng.uniform(-epsilon_noise, epsilon_noise, size=shape) if epsilon_noise > 0 else np.zeros(shape)
+    L += structure
     np.clip(L, -1.0, 1.0, out=L)
     residual = np.subtract(L, structure, out=structure)
     deviation = max(float(residual.max()), -float(residual.min()))
     if deviation > epsilon_noise + 1e-12:
         raise AssertionError(f"structure residual {deviation} exceeds epsilon_noise")
-    return L, E
+    return L
 
 
 def make_low_rank(T: int, K: int, d: int, epsilon_noise: float, seed: int) -> MatrixOracle:
@@ -209,8 +220,9 @@ def make_low_rank(T: int, K: int, d: int, epsilon_noise: float, seed: int) -> Ma
 
     Factor entries are uniform on ``[-1, 1]``; the product is globally rescaled
     into ``[-(1 - eps), 1 - eps]`` so the noisy sum stays in range (the final
-    clip is a safety net only).  Ground truth exposes ``U``, ``W``, ``E``.
+    clip is a safety net only).  Ground truth exposes ``U`` and ``W``.
     """
+    _check_dense_size(T, K)
     if not (1 <= d <= min(T, K)):
         raise ValueError(f"d must satisfy 1 <= d <= min(T, K), got d={d}")
     if not (0.0 <= epsilon_noise <= 0.25):
@@ -224,11 +236,11 @@ def make_low_rank(T: int, K: int, d: int, epsilon_noise: float, seed: int) -> Ma
         scale = (1.0 - epsilon_noise) / peak
         W *= scale
         product *= scale
-    L, E = _add_noise(product, epsilon_noise, rng)
+    L = _add_noise(product, epsilon_noise, rng)
     spec = EnvironmentSpec(
         "low_rank", {"T": T, "K": K, "d": d, "epsilon_noise": epsilon_noise, "seed": seed}
     )
-    return MatrixOracle(L, spec, {"U": U, "W": W, "E": E})
+    return MatrixOracle(L, spec, {"U": U, "W": W})
 
 
 def make_sparse_dictionary(
@@ -238,8 +250,9 @@ def make_sparse_dictionary(
 
     Rows of the ``T x n`` dictionary are rescaled to 1-norm at most 1; each of
     the ``K`` code columns has ``k`` nonzeros, uniform on ``[-1, 1]``, on a
-    uniformly chosen support.  Ground truth exposes ``D``, ``V``, ``E``.
+    uniformly chosen support.  Ground truth exposes ``D`` and ``V``.
     """
+    _check_dense_size(T, K)
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if not (0.0 <= epsilon_noise <= 0.25):
@@ -253,12 +266,12 @@ def make_sparse_dictionary(
         if k > 0:
             support = rng.choice(n, size=k, replace=False)
             V[support, j] = rng.uniform(-1.0, 1.0, size=k)
-    L, E = _add_noise(D @ V, epsilon_noise, rng)
+    L = _add_noise(D @ V, epsilon_noise, rng)
     spec = EnvironmentSpec(
         "sparse_dictionary",
         {"T": T, "K": K, "n": n, "k": k, "epsilon_noise": epsilon_noise, "seed": seed},
     )
-    return MatrixOracle(L, spec, {"D": D, "V": V, "E": E})
+    return MatrixOracle(L, spec, {"D": D, "V": V})
 
 
 def make_bounded_variation_adversary(T: int, K: int, seed: int) -> MatrixOracle:
@@ -270,6 +283,7 @@ def make_bounded_variation_adversary(T: int, K: int, seed: int) -> MatrixOracle:
     ``K >= 2**T``.  Ground truth exposes the flip round per expert
     (``T + 1`` meaning "never").
     """
+    _check_dense_size(T, K)
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
     if T < 1:
@@ -308,6 +322,7 @@ def make_iid_stochastic(
     ``"sign"`` (+/- ``scale`` with equal probability); means plus noise must
     stay inside ``[-1, 1]``.  Ground truth exposes the true means.
     """
+    _check_dense_size(T, K)
     mu = np.full(K, float(means)) if np.isscalar(means) else np.asarray(means, dtype=np.float64)
     if mu.shape != (K,):
         raise ValueError(f"means must have length K={K}, got shape {mu.shape}")
@@ -338,13 +353,6 @@ def make_iid_stochastic(
         },
     )
     return MatrixOracle(L, spec, {"means": mu})
-
-
-def make_finite_matrix(
-    matrix: np.ndarray, spec: EnvironmentSpec | None = None
-) -> MatrixOracle:
-    """Wrap an explicit loss matrix (for ingested files and ad hoc fixtures)."""
-    return MatrixOracle(matrix, spec)
 
 
 def make_environment(spec: EnvironmentSpec | dict[str, Any]) -> LossOracle:

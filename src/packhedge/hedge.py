@@ -225,20 +225,16 @@ def _play_block(
     return pick, block[np.arange(eta.size), pick], means, last
 
 
-def play_hedge(
-    oracle: LossOracle,
-    horizon: int | None = None,
-    rng: int | np.random.Generator = 0,
-) -> GameTrajectory:
-    """Run exponential weights for ``horizon`` rounds against ``oracle``.
+def play_hedge(oracle: LossOracle, rng: int | np.random.Generator = 0) -> GameTrajectory:
+    """Run exponential weights over the oracle's ``T`` rounds.
 
     Each round samples an expert from the current weights (one uniform draw)
     and incurs its loss; the weights then update on the full loss vector.
     The whole game is one :func:`exponential_weights` pass.
     """
-    T = oracle.horizon() if horizon is None else int(horizon)
-    if T < 1 or T > oracle.horizon():
-        raise ValueError(f"horizon must be in [1, {oracle.horizon()}], got {T}")
+    T = oracle.horizon()
+    if T < 1:
+        raise ValueError(f"the oracle must have at least one round, got {T}")
     K = oracle.num_experts()
     gen, seed = normalize_rng(rng)
     # Sampling is scale-invariant, so the unnormalized weights suffice.

@@ -11,11 +11,11 @@ The admission schedule never depends on the learner's draws, so a game is a
 schedule pass followed by one :func:`hedge.exponential_weights` pass over all
 of its phases, each phase a segment of the kernel over a prefix of the active
 set.  The schedule pass reads a block of rounds at a time and certifies
-with :func:`~packhedge.core.uncovered_rows` that the active set at the start
-of the block covers every candidate of a round; coverage only grows with the
-active set, so :func:`expand_packing`, the exact query and admission walk,
-runs only on the rounds left flagged, until the active set holds every
-coverage candidate.  When a flagged round admits no one after the set has
+with :func:`uncovered_rows` that the active set at the start of the block
+covers every candidate of a round; coverage only grows with the active set,
+so :func:`expand_packing`, the exact query and admission walk, runs only on
+the rounds left flagged, until the active set holds every coverage
+candidate.  When a flagged round admits no one after the set has
 grown, the block's remaining flagged rounds are certified again against the
 grown set, so one early admission does not leave the rest of a block flagged.
 The packing starts at expert 0, the first coverage candidate, and admits only
@@ -33,14 +33,7 @@ from typing import Any
 import numpy as np
 
 from . import hedge
-from .core import (
-    ExpertId,
-    GameTrajectory,
-    LossOracle,
-    normalize_rng,
-    uncovered_mask,
-    uncovered_rows,
-)
+from .core import ExpertId, GameTrajectory, LossOracle, normalize_rng, uncovered_mask
 
 
 @dataclass
@@ -116,8 +109,50 @@ def expand_packing(
     return new_state, added
 
 
-def _schedule(oracle: LossOracle, horizon: int, epsilon: float) -> PackingState:
-    """The packing after ``horizon`` rounds: the schedule pass of :func:`packing_game`.
+def uncovered_rows(values: np.ndarray, reference: np.ndarray, threshold: float) -> np.ndarray:
+    """Which rows of ``values`` may hold a value farther than ``threshold`` from its ``reference`` row.
+
+    The block certificate of the coverage kernel, for ``b x n`` values and
+    ``b x m`` references (``m >= 1``).  A value can only be uncovered inside a
+    *wide gap* of its sorted reference row padded with ``-inf`` and ``+inf``:
+    two neighbours at least ``2 * threshold`` apart, since rounded
+    subtraction is monotone and doubling is exact.  Each wide gap ``(lo,
+    hi)`` is tested with the kernel's own expressions, so a row with at most
+    ``log2(m) + 2`` wide gaps is flagged exactly when
+    ``uncovered_mask(values[r], reference[r], threshold).any()``.  A row with
+    more, where the ``O(n * gaps)`` test outgrows the ``O(n log m)`` query, is
+    flagged untested.  Each gap test holds at most ``hedge.BLOCK_ENTRIES``
+    values, the kernel's block size.
+    """
+    width, m = values.shape[1], reference.shape[1]
+    max_gaps = int(math.log2(m)) + 2
+    ordered = np.sort(reference, axis=1)
+    # The two outer gaps are always wide, and by monotone subtraction the
+    # row's extreme value passes their test if any value does.
+    flagged = (ordered[:, 0] - values.min(axis=1) > threshold) | (
+        values.max(axis=1) - ordered[:, -1] > threshold
+    )
+    wide = np.diff(ordered, axis=1) >= 2.0 * threshold
+    flagged |= np.count_nonzero(wide, axis=1) > max_gaps - 2
+    wide &= ~flagged[:, None]
+    # Inner gap (r, g), flat index r * (m - 1) + g, opens at ordered[r, g],
+    # flat index r * m + g.
+    gaps = np.flatnonzero(wide)
+    gap_rows = gaps // (m - 1)
+    lows = ordered.ravel()[gaps + gap_rows]
+    highs = ordered.ravel()[gaps + gap_rows + 1]
+    step = max(1, hedge.BLOCK_ENTRIES // width)
+    for g0 in range(0, gaps.size, step):
+        r = gap_rows[g0 : g0 + step]
+        block = values[r]
+        lo, hi = lows[g0 : g0 + step, None], highs[g0 : g0 + step, None]
+        hit = ((block - lo > threshold) & (hi - block > threshold)).any(axis=1)
+        flagged[r[hit]] = True
+    return flagged
+
+
+def _schedule(oracle: LossOracle, epsilon: float) -> PackingState:
+    """The packing after the oracle's ``T`` rounds: the schedule pass of :func:`packing_game`.
 
     Blocks of ``hedge.block_rounds(K)`` rounds over the ``K`` candidates are
     read once and certified at once against the active set at the start of
@@ -135,16 +170,16 @@ def _schedule(oracle: LossOracle, horizon: int, epsilon: float) -> PackingState:
     state = PackingState.fresh(epsilon)
     ids = oracle.coverage_ids()
     threshold = 2.0 * state.epsilon
-    step = hedge.block_rounds(ids.size)
+    T, step = oracle.horizon(), hedge.block_rounds(ids.size)
     blocks = recertifications = queries = 0
-    for t0 in range(0, horizon, step):
+    for t0 in range(0, T, step):
         if state.active.size >= ids.size:
             break
-        t1 = min(horizon, t0 + step)
+        t1 = min(T, t0 + step)
         values = oracle.rows(t0, t1, ids)
         # take, not fancy indexing: a C-ordered copy keeps the certificate's row sort fast.
         reference = values.take(ids.searchsorted(state.active), 1)
-        rows = np.flatnonzero(uncovered_rows(values, reference, threshold, hedge.BLOCK_ENTRIES))
+        rows = np.flatnonzero(uncovered_rows(values, reference, threshold))
         blocks += 1
         certified = state.active.size
         i = 0
@@ -157,7 +192,7 @@ def _schedule(oracle: LossOracle, horizon: int, epsilon: float) -> PackingState:
             rows = rows[i:]
             block = values[rows]
             grown = block.take(ids.searchsorted(state.active), 1)
-            rows = rows[uncovered_rows(block, grown, threshold, hedge.BLOCK_ENTRIES)]
+            rows = rows[uncovered_rows(block, grown, threshold)]
             i = 0
             certified = state.active.size
             recertifications += 1
@@ -188,12 +223,9 @@ def packing_regret_bound(
 
 
 def play_many_experts(
-    oracle: LossOracle,
-    horizon: int | None = None,
-    epsilon: float = 0.5,
-    rng: int | np.random.Generator = 0,
+    oracle: LossOracle, epsilon: float = 0.5, rng: int | np.random.Generator = 0
 ) -> GameTrajectory:
-    """Run the packing learner for ``horizon`` rounds at accuracy ``epsilon``.
+    """Run the packing learner over the oracle's ``T`` rounds at accuracy ``epsilon``.
 
     The active set starts at expert 0.  Each round samples an expert from
     the current phase's distribution (one uniform draw), then admits the
@@ -204,12 +236,11 @@ def play_many_experts(
     admission certificate, and the counts of the schedule pass
     (``schedule``).
     """
-    return packing_game(oracle, horizon, epsilon, rng)[0]
+    return packing_game(oracle, epsilon, rng)[0]
 
 
 def packing_game(
     oracle: LossOracle,
-    horizon: int | None = None,
     epsilon: float = 0.5,
     rng: int | np.random.Generator = 0,
     expected: bool = False,
@@ -219,15 +250,15 @@ def packing_game(
     The expected loss is taken under the sampling distribution; the
     meta-learner consumes it as low-variance feedback.
     """
-    T = oracle.horizon() if horizon is None else int(horizon)
-    if T < 1 or T > oracle.horizon():
-        raise ValueError(f"horizon must be in [1, {oracle.horizon()}], got {T}")
+    T = oracle.horizon()
+    if T < 1:
+        raise ValueError(f"the oracle must have at least one round, got {T}")
     ids = oracle.coverage_ids()
     if ids.size == 0 or ids[0] != 0:
         raise ValueError(f"coverage_ids() must start at expert 0, got {ids[:1].tolist()}")
     gen, seed = normalize_rng(rng)
 
-    state = _schedule(oracle, T, epsilon)
+    state = _schedule(oracle, epsilon)
     admitted_at = np.array(state.admitted_at, dtype=np.int64)
     # Phase p plays rounds starts[p] + 1 .. starts[p + 1] over the first sizes[p]
     # active experts (a prefix, since active is in admission order); the

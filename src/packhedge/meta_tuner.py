@@ -25,12 +25,8 @@ def build_grid(horizon: int) -> tuple[float, ...]:
     return tuple(2.0 ** (1 - r) for r in range(1, num_levels + 1))
 
 
-def play_meta(
-    oracle: LossOracle,
-    horizon: int | None = None,
-    seed: int = 0,
-) -> GameTrajectory:
-    """Run the accuracy grid for ``horizon`` rounds from one master seed.
+def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
+    """Run the accuracy grid over the oracle's ``T`` rounds from one master seed.
 
     Copy ``r`` draws from the stream ``game_rng(seed, r)`` and the meta layer
     from ``game_rng(seed, 0)``, so any copy can be replayed standalone; here
@@ -41,14 +37,12 @@ def play_meta(
     The returned trajectory records the actually played expert per round; its
     extras carry the full per-copy trajectories and running totals.
     """
-    T = oracle.horizon() if horizon is None else int(horizon)
-    if T < 2 or T > oracle.horizon():
-        raise ValueError(f"horizon must be in [2, {oracle.horizon()}], got {T}")
-    grid = build_grid(T)
+    T = oracle.horizon()
+    grid = build_grid(T)  # rejects an oracle of fewer than two rounds
     R = len(grid)
 
     copies, means = zip(*(
-        many_experts.packing_game(oracle, T, eps, game_rng(seed, r), expected=True)
+        many_experts.packing_game(oracle, eps, game_rng(seed, r), expected=True)
         for r, eps in enumerate(grid, 1)
     ))
     feedback = np.column_stack(means)

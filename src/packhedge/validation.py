@@ -30,18 +30,17 @@ def _regret(trajectory, oracle: LossOracle) -> float:
     return analysis.empirical_regret(trajectory, oracle).regret
 
 
-def validate_lemma1(
-    seed: int = 0, num_seeds: int = 50, horizon: int = 10_000, num_experts: int = 10
-) -> ValidationResult:
+def validate_lemma1(seed: int = 0) -> ValidationResult:
     """Mean regret of plain exponential weights on i.i.d. +/-1 losses vs 4*sqrt(T ln K)."""
     start = time.perf_counter()
+    num_seeds, horizon, num_experts = 50, 10_000, 10
     regrets = []
     for s in range(num_seeds):
         run_seed = seed + s
         env = environments.make_iid_stochastic(
             horizon, num_experts, means=0.0, noise="sign", noise_scale=1.0, seed=run_seed
         )
-        trajectory = hedge.play_hedge(env, horizon, rng=run_seed)
+        trajectory = hedge.play_hedge(env, rng=run_seed)
         regrets.append(_regret(trajectory, env))
     mean_regret = float(np.mean(regrets))
     bound = hedge.hedge_regret_bound(horizon, num_experts)
@@ -55,20 +54,17 @@ def validate_lemma1(
             "bound": bound,
             "max_regret": float(np.max(regrets)),
             "num_seeds": num_seeds,
+            "horizon": horizon,
+            "num_experts": num_experts,
             "wall_time": time.perf_counter() - start,
         },
     )
 
 
-def validate_duality(
-    seed: int = 0,
-    instances: int = 500,
-    max_experts: int = 8,
-    max_rounds: int = 5,
-    epsilons: tuple[float, ...] = (0.1, 0.25, 0.5, 1.0),
-) -> ValidationResult:
+def validate_duality(seed: int = 0) -> ValidationResult:
     """Exact packing/cover sandwich on randomized small instances, zero violations."""
     start = time.perf_counter()
+    instances, max_experts, max_rounds, epsilons = 500, 8, 5, (0.1, 0.25, 0.5, 1.0)
     rng = game_rng(seed, 101)
     violations = 0
     checks = 0
@@ -133,7 +129,7 @@ def _packing_certificate_holds(matrix: np.ndarray, active: list[int], epsilon: f
     return True
 
 
-def validate_theorem1(seed: int = 0, seeds_per_env: int = 30) -> ValidationResult:
+def validate_theorem1(seed: int = 0) -> ValidationResult:
     """Per-run regret vs the observed-packing bound on every shipped environment.
 
     Also verifies, per run, that the final active set is a valid
@@ -142,6 +138,7 @@ def validate_theorem1(seed: int = 0, seeds_per_env: int = 30) -> ValidationResul
     larger than the exact cover at the same accuracy.
     """
     start = time.perf_counter()
+    seeds_per_env = 30
     runs = 0
     bound_violations = 0
     certificate_failures = 0
@@ -153,7 +150,7 @@ def validate_theorem1(seed: int = 0, seeds_per_env: int = 30) -> ValidationResul
         run_seed = seed + s
         for name, env, epsilon in _validation_environments(run_seed):
             T = env.horizon()
-            trajectory = many_experts.play_many_experts(env, T, epsilon, rng=run_seed)
+            trajectory = many_experts.play_many_experts(env, epsilon, rng=run_seed)
             extras = trajectory.extras
             final_packing = extras["final_packing"]
             phases = extras["num_phases"]
@@ -211,22 +208,16 @@ def validate_theorem1(seed: int = 0, seeds_per_env: int = 30) -> ValidationResul
     )
 
 
-def validate_corollary3(
-    seed: int = 0,
-    num_seeds: int = 50,
-    horizon: int = 5000,
-    num_experts: int = 100_000,
-    num_clusters: int = 8,
-    epsilon: float = 0.5,
-) -> ValidationResult:
+def validate_corollary3(seed: int = 0) -> ValidationResult:
     """Binary clustered losses: packing capped at the cluster count, regret at N + 8*sqrt(T N ln N)."""
     start = time.perf_counter()
+    num_seeds, horizon, num_experts, num_clusters, epsilon = 50, 5000, 100_000, 8, 0.5
     regrets = []
     max_packing = 0
     for s in range(num_seeds):
         run_seed = seed + s
         env = environments.make_clustered_binary(horizon, num_experts, num_clusters, run_seed)
-        trajectory = many_experts.play_many_experts(env, horizon, epsilon, rng=run_seed)
+        trajectory = many_experts.play_many_experts(env, epsilon, rng=run_seed)
         max_packing = max(max_packing, trajectory.extras["final_packing"])
         regrets.append(_regret(trajectory, env))
     mean_regret = float(np.mean(regrets))
@@ -245,22 +236,23 @@ def validate_corollary3(
             "max_packing": max_packing,
             "num_clusters": num_clusters,
             "num_seeds": num_seeds,
+            "horizon": horizon,
+            "num_experts": num_experts,
             "wall_time": time.perf_counter() - start,
         },
     )
 
 
-def validate_lower_bound(
-    seed: int = 0, num_seeds: int = 200, horizon: int = 12, num_experts: int = 4096
-) -> ValidationResult:
+def validate_lower_bound(seed: int = 0) -> ValidationResult:
     """Halving adversary forces linear regret on exponential weights; variation stays <= 2."""
     start = time.perf_counter()
+    num_seeds, horizon, num_experts = 200, 12, 4096
     regrets = []
     max_variation = 0.0
     for s in range(num_seeds):
         run_seed = seed + s
         env = environments.make_bounded_variation_adversary(horizon, num_experts, run_seed)
-        trajectory = hedge.play_hedge(env, horizon, rng=run_seed)
+        trajectory = hedge.play_hedge(env, rng=run_seed)
         regrets.append(_regret(trajectory, env))
         variation = analysis.variation_profile(env.to_matrix()).per_expert
         max_variation = max(max_variation, float(variation.max()))
@@ -279,16 +271,17 @@ def validate_lower_bound(
             "floor": floor,
             "max_variation": max_variation,
             "num_seeds": num_seeds,
+            "horizon": horizon,
+            "num_experts": num_experts,
             "wall_time": time.perf_counter() - start,
         },
     )
 
 
-def validate_logsum(
-    seed: int = 0, num_sequences: int = 1000, max_value: int = 10_000
-) -> ValidationResult:
+def validate_logsum(seed: int = 0) -> ValidationResult:
     """Random strictly increasing natural sequences starting at 1 satisfy the log-sum cap."""
     start = time.perf_counter()
+    num_sequences, max_value = 1000, 10_000
     rng = game_rng(seed, 108)
     failures = 0
     for _ in range(num_sequences):
@@ -319,9 +312,7 @@ def _meta_fixtures(run_seed: int, horizon: int) -> list[tuple[str, LossOracle]]:
     ]
 
 
-def validate_meta(
-    seed: int = 0, num_seeds: int = 50, horizon: int = 256
-) -> ValidationResult:
+def validate_meta(seed: int = 0) -> ValidationResult:
     """Accuracy-grid learner tracks its best copy within the meta-hedge overhead.
 
     Per fixture, the seed-averaged meta cumulative loss must not exceed the
@@ -330,6 +321,7 @@ def validate_meta(
     requires bit-identical trajectories.
     """
     start = time.perf_counter()
+    num_seeds, horizon = 50, 256
     grid = meta_tuner.build_grid(horizon)
     num_copies = len(grid)
     overhead = 4.0 * math.sqrt(horizon * math.log(num_copies))
@@ -343,7 +335,7 @@ def validate_meta(
     for s in range(num_seeds):
         run_seed = seed + s
         for name, env in _meta_fixtures(run_seed, horizon):
-            trajectory = meta_tuner.play_meta(env, horizon, seed=run_seed)
+            trajectory = meta_tuner.play_meta(env, seed=run_seed)
             meta_cum[name][s] = trajectory.learner_cumulative
             copy_cum[name][s] = trajectory.extras["copy_cumulative"][-1]
 
@@ -363,11 +355,9 @@ def validate_meta(
             passed = False
 
         env = dict(_meta_fixtures(seed, horizon))[name]
-        trajectory = meta_tuner.play_meta(env, horizon, seed=seed)
+        trajectory = meta_tuner.play_meta(env, seed=seed)
         for r, copy_traj in enumerate(trajectory.extras["copies"], start=1):
-            standalone = many_experts.play_many_experts(
-                env, horizon, grid[r - 1], rng=game_rng(seed, r)
-            )
+            standalone = many_experts.play_many_experts(env, grid[r - 1], rng=game_rng(seed, r))
             if not (
                 np.array_equal(copy_traj.chosen, standalone.chosen)
                 and np.array_equal(copy_traj.incurred, standalone.incurred)
@@ -389,6 +379,7 @@ def validate_meta(
             "overhead": overhead,
             "num_copies": num_copies,
             "num_seeds": num_seeds,
+            "horizon": horizon,
             "equivalence_ok": equivalence_ok,
             "wall_time": time.perf_counter() - start,
         },

@@ -8,9 +8,11 @@ validates nothing, since only tests call it).  The packing loop calls
 another admission rule for both sides.  The kernel-based learners must
 reproduce these trajectories and extras bit for bit.  ``LossOnlyOracle`` is
 the slowest oracle: every other access goes through the base-class defaults.
-``first_uncovered`` is a single coverage query, for comparison with dense
-scans, and ``segmented_hedge`` plays the kernel's segments round by round
-from given uniforms.
+``Prefix`` is the first rounds of a longer environment, an environment of its
+own, since a game runs over every round of its oracle.  ``first_uncovered``
+is a single coverage query, for comparison with dense scans, and
+``segmented_hedge`` plays the kernel's segments round by round from given
+uniforms.
 """
 
 from __future__ import annotations
@@ -89,6 +91,35 @@ class LossOnlyOracle(LossOracle):
         return np.arange(self.num_experts())
 
 
+def round_losses(oracle, t, experts=None):
+    """Loss vector of round ``t`` for ``experts`` (default: all experts)."""
+    return oracle.rows(t - 1, t, experts)[0]
+
+
+class Prefix(LossOracle):
+    """Rounds ``1 .. horizon`` of ``oracle``, served as an environment of exactly ``horizon`` rounds."""
+
+    def __init__(self, oracle, horizon):
+        if not 0 <= horizon <= oracle.horizon():
+            raise ValueError(f"horizon must be in [0, {oracle.horizon()}], got {horizon}")
+        self._oracle = oracle
+        self._horizon = horizon
+
+    def horizon(self):
+        return self._horizon
+
+    def num_experts(self):
+        return self._oracle.num_experts()
+
+    def rows(self, t0, t1, experts=None):
+        if not 0 <= t0 <= t1 <= self._horizon:
+            raise IndexError(f"rounds {t0 + 1} .. {t1} are outside 1 .. {self._horizon}")
+        return self._oracle.rows(t0, t1, experts)
+
+    def coverage_ids(self):
+        return self._oracle.coverage_ids()
+
+
 def first_uncovered(oracle, t, active, threshold):
     """Smallest expert id farther than ``threshold`` from every active expert at round ``t``.
 
@@ -97,7 +128,7 @@ def first_uncovered(oracle, t, active, threshold):
     """
     ids = oracle.coverage_ids()
     values = oracle.rows(t - 1, t, ids)[0]
-    hits = np.flatnonzero(uncovered_mask(values, oracle.losses(t, active), threshold))
+    hits = np.flatnonzero(uncovered_mask(values, round_losses(oracle, t, active), threshold))
     return int(ids[hits[0]]) if hits.size else None
 
 
@@ -179,14 +210,10 @@ class TrajectoryRecorder:
         )
 
 
-def play_hedge(
-    oracle: LossOracle,
-    horizon: int | None = None,
-    rng: int | np.random.Generator = 0,
-) -> GameTrajectory:
-    T = oracle.horizon() if horizon is None else int(horizon)
-    if T < 1 or T > oracle.horizon():
-        raise ValueError(f"horizon must be in [1, {oracle.horizon()}], got {T}")
+def play_hedge(oracle: LossOracle, rng: int | np.random.Generator = 0) -> GameTrajectory:
+    T = oracle.horizon()
+    if T < 1:
+        raise ValueError(f"the oracle must have at least one round, got {T}")
     K = oracle.num_experts()
     if K is None:
         raise ValueError("plain exponential weights needs a finite expert set")
@@ -198,7 +225,7 @@ def play_hedge(
         # Sampling is scale-invariant, so the unnormalized weights suffice.
         weights = np.exp(state.log_weights - state.log_weights.max())
         i = sample_categorical(weights, gen)
-        row = oracle.losses(t)
+        row = round_losses(oracle, t)
         recorder.add(t, i, float(row[i]), K, 1)
         state = update(state, row)
 
@@ -253,7 +280,7 @@ def advance(
     """One round: sample from the pre-expansion distribution, then grow/update."""
     p = distribution(state.inner)
     idx = sample_categorical(p, gen)
-    row = oracle.losses(t, state.active)
+    row = round_losses(oracle, t, state.active)
     chosen = int(state.active[idx])
     incurred = float(row[idx])
     mean_loss = float(p @ row)
@@ -268,14 +295,11 @@ def advance(
 
 
 def play_many_experts(
-    oracle: LossOracle,
-    horizon: int | None = None,
-    epsilon: float = 0.5,
-    rng: int | np.random.Generator = 0,
+    oracle: LossOracle, epsilon: float = 0.5, rng: int | np.random.Generator = 0
 ) -> GameTrajectory:
-    T = oracle.horizon() if horizon is None else int(horizon)
-    if T < 1 or T > oracle.horizon():
-        raise ValueError(f"horizon must be in [1, {oracle.horizon()}], got {T}")
+    T = oracle.horizon()
+    if T < 1:
+        raise ValueError(f"the oracle must have at least one round, got {T}")
     gen, seed = normalize_rng(rng)
 
     state = PackingState.fresh(epsilon)
@@ -309,14 +333,8 @@ class MetaState:
             raise ValueError("copies and meta weights must both match the grid size")
 
 
-def play_meta(
-    oracle: LossOracle,
-    horizon: int | None = None,
-    seed: int = 0,
-) -> GameTrajectory:
-    T = oracle.horizon() if horizon is None else int(horizon)
-    if T < 2 or T > oracle.horizon():
-        raise ValueError(f"horizon must be in [2, {oracle.horizon()}], got {T}")
+def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
+    T = oracle.horizon()
     grid = build_grid(T)
     R = len(grid)
 

@@ -20,13 +20,19 @@ def report(name: str, passed: bool, detail: str) -> None:
     assert passed, f"{name}: {detail}"
 
 
+def assert_scale(result, **scale):
+    """The suite ran at its fixed scale, as its details report it."""
+    assert {key: result.details[key] for key in scale} == scale
+
+
 @pytest.fixture(scope="module")
 def theorem1_result():
-    return validation.validate_theorem1(seed=0, seeds_per_env=30)
+    return validation.validate_theorem1(seed=0)
 
 
 def test_criterion_1_adaptive_hedge_regret_bound():
-    result = validation.validate_lemma1(seed=0, num_seeds=50, horizon=10_000, num_experts=10)
+    result = validation.validate_lemma1(seed=0)
+    assert_scale(result, num_seeds=50, horizon=10_000, num_experts=10)
     assert result.details["bound"] == pytest.approx(606.9708517540586)
     report(
         "criterion 1 (hedge regret bound, 50 seeds)",
@@ -36,7 +42,8 @@ def test_criterion_1_adaptive_hedge_regret_bound():
 
 
 def test_criterion_2_cover_packing_duality_suite():
-    result = validation.validate_duality(seed=0, instances=500)
+    result = validation.validate_duality(seed=0)
+    assert_scale(result, instances=500, checks=500 * 4)
     report(
         "criterion 2 (duality sandwich, 500 instances)",
         result.passed and result.details["wall_time"] < 60,
@@ -46,6 +53,7 @@ def test_criterion_2_cover_packing_duality_suite():
 
 def test_criterion_3_per_run_packing_regret_bound(theorem1_result):
     details = theorem1_result.details
+    assert_scale(theorem1_result, runs=30 * 8)  # 30 seeds of each of 8 environments
     mean_ok = all(
         stats["mean_regret"] <= stats["mean_bound"]
         for stats in details["mean_by_env"].values()
@@ -70,9 +78,8 @@ def test_criterion_4_packing_certificates(theorem1_result):
 
 
 def test_criterion_5_clustered_binary_bound():
-    result = validation.validate_corollary3(
-        seed=0, num_seeds=50, horizon=5000, num_experts=100_000, num_clusters=8, epsilon=0.5
-    )
+    result = validation.validate_corollary3(seed=0)
+    assert_scale(result, num_seeds=50, horizon=5000, num_experts=100_000, num_clusters=8)
     assert result.details["bound"] == pytest.approx(2315.2430185614126)
     report(
         "criterion 5 (binary clusters at full scale, 50 seeds)",
@@ -82,7 +89,8 @@ def test_criterion_5_clustered_binary_bound():
 
 
 def test_criterion_6_halving_adversary_forces_linear_regret():
-    result = validation.validate_lower_bound(seed=0, num_seeds=200, horizon=12, num_experts=4096)
+    result = validation.validate_lower_bound(seed=0)
+    assert_scale(result, num_seeds=200, horizon=12, num_experts=4096)
     report(
         "criterion 6 (bounded-variation lower bound, 200 seeds)",
         result.passed and result.details["wall_time"] < 30,
@@ -91,7 +99,8 @@ def test_criterion_6_halving_adversary_forces_linear_regret():
 
 
 def test_criterion_7_meta_tuner_tracks_best_copy():
-    result = validation.validate_meta(seed=0, num_seeds=50, horizon=256)
+    result = validation.validate_meta(seed=0)
+    assert_scale(result, num_seeds=50, horizon=256, num_copies=8)
     report(
         "criterion 7 (accuracy grid vs best copy, 50 seeds)",
         result.passed,
@@ -100,7 +109,8 @@ def test_criterion_7_meta_tuner_tracks_best_copy():
 
 
 def test_criterion_8_logsum_inequality():
-    result = validation.validate_logsum(seed=0, num_sequences=1000, max_value=10_000)
+    result = validation.validate_logsum(seed=0)
+    assert_scale(result, num_sequences=1000)
     report(
         "criterion 8 (log-sum inequality, 1000 sequences)",
         result.passed and result.details["wall_time"] < 1.0,

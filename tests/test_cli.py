@@ -7,6 +7,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,7 +127,7 @@ class TestRun:
         epsilons = (
             meta_tuner.build_grid(game.T) if algorithm == "meta_tuner" else [game.epsilon]
         )
-        states = [many_experts._schedule(oracle, game.T, e) for e in epsilons]
+        states = [many_experts._schedule(oracle, e) for e in epsilons]
         assert counts["blocks"] == sum(state.blocks for state in states) >= len(states)
         assert counts["recertifications"] == sum(state.recertifications for state in states)
         assert counts["exact_queries"] == sum(state.queries for state in states)
@@ -235,6 +236,31 @@ class TestRun:
         )
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
         assert "environment.T" in capsys.readouterr().err
+
+    def test_readme_shape_low_rank_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # T x K = 5e8 entries: the generator refuses before it draws or allocates anything.
+        def no_draws(*key):
+            raise AssertionError("the generator ran past its size guard")
+
+        monkeypatch.setattr(environments, "game_rng", no_draws)
+        config = write_config(
+            tmp_path / "big.yaml",
+            {
+                "game": {"algorithm": "many_experts", "T": 5000, "epsilon": 0.5, "seed": 7},
+                "environment": {"kind": "low_rank", "K": 100_000, "d": 2, "epsilon_noise": 0.05},
+            },
+        )
+        tracemalloc.start()
+        try:
+            code = cli.main(["run", "--config", config, "--out-dir", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("configuration error: environment:")
+        assert "too large to generate" in err
+        assert peak < 1 << 20  # one T x K float64 array is 4 GB
 
     def test_learner_value_error_is_config_error(self, tmp_path, capsys):
         # The meta-tuner needs T >= 2, which the generic game section allows.

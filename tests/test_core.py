@@ -59,7 +59,7 @@ class TestSampleCategorical:
         # A game of T rounds draws exactly T uniforms from its generator.
         env = environments.make_iid_stochastic(30, 3, 0.0, seed=0)
         a, b = game_rng(5), game_rng(5)
-        hedge.play_hedge(env, 30, rng=a)
+        hedge.play_hedge(env, rng=a)
         b.random(30)
         assert np.array_equal(a.random(8), b.random(8))
 
@@ -189,8 +189,8 @@ class TestLossOracleDefaults:
     def test_losses_agree(self):
         minimal, vectorized = self._pair(0)
         for t in (1, 5, 12):
-            assert np.allclose(minimal.losses(t), vectorized.losses(t))
-            assert np.allclose(minimal.losses(t, [2, 7]), vectorized.losses(t, [2, 7]))
+            assert np.allclose(minimal.rows(t - 1, t), vectorized.rows(t - 1, t))
+            assert np.allclose(minimal.rows(t - 1, t, [2, 7]), vectorized.rows(t - 1, t, [2, 7]))
 
     def test_uncovered_expert_agrees(self):
         minimal, vectorized = self._pair(1)

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from packhedge import cli, environments, hedge, many_experts, meta_tuner
-from packhedge.core import game_rng, uncovered_mask, uncovered_rows
-from packhedge.many_experts import PackingState, expand_packing
-from reference import LossOnlyOracle, first_uncovered
+from packhedge.core import game_rng, uncovered_mask
+from packhedge.many_experts import PackingState, expand_packing, uncovered_rows
+from reference import LossOnlyOracle, Prefix, first_uncovered
 
 
 def dense_uncovered(values, reference, threshold):
@@ -30,7 +30,7 @@ def dense_uncovered(values, reference, threshold):
 def requery_expand(state, t, oracle):
     """The admission loop before the one-pass rewrite, on the full loss row."""
     threshold = 2.0 * state.epsilon
-    row = oracle.losses(t)
+    row = oracle.rows(t - 1, t)[0]
     active = state.active
     added = []
     while True:
@@ -45,11 +45,11 @@ def requery_expand(state, t, oracle):
     return replace(state, active=active, admitted_at=state.admitted_at + [t] * len(added)), added
 
 
-def schedule(oracle, epsilon, expand, horizon=None):
+def schedule(oracle, epsilon, expand):
     """Admissions of every round, driving the packing state with ``expand`` only."""
     state = PackingState.fresh(epsilon)
     admissions = []
-    for t in range(1, (horizon or oracle.horizon()) + 1):
+    for t in range(1, oracle.horizon() + 1):
         state, added = expand(state, t, oracle)
         admissions.append(added)
     return list(state.active), state.admitted_at, admissions
@@ -222,6 +222,13 @@ def draw_block(block):
     return values, reference
 
 
+def certify(values, reference, threshold, entries):
+    """``uncovered_rows`` with gap tests of at most ``entries`` values: the kernel's block size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hedge, "BLOCK_ENTRIES", entries)
+        return uncovered_rows(values, reference, threshold)
+
+
 class TestBlockCertificate:
     @settings(max_examples=300)
     @given(blocks, thresholds)
@@ -232,7 +239,7 @@ class TestBlockCertificate:
         # Past the gap cutoff a row is flagged untested; below it, exactly.
         tested = wide_gaps(reference, threshold) <= int(np.log2(reference.shape[1])) + 2
         for entries in (1, 7, hedge.BLOCK_ENTRIES):
-            flagged = uncovered_rows(values, reference, threshold, entries)
+            flagged = certify(values, reference, threshold, entries)
             assert np.array_equal(flagged[tested], exact[tested])
             assert flagged[~tested].all()
 
@@ -245,7 +252,7 @@ class TestBlockCertificate:
         values, reference = draw_block(block)
         size = data.draw(st.integers(min_value=1, max_value=reference.shape[1]))
         subset = reference[:, :size]
-        flagged = uncovered_rows(values, subset, threshold, hedge.BLOCK_ENTRIES)
+        flagged = uncovered_rows(values, subset, threshold)
         assert not (exact_rows(values, reference, threshold) & ~flagged).any()
         assert not (exact_rows(values, subset, threshold) & ~flagged).any()
 
@@ -255,7 +262,7 @@ class TestBlockCertificate:
             for threshold in (0.0, 0.5, 1.0):
                 exact = exact_rows(values, reference, threshold)
                 assert np.array_equal(exact, dense_rows(values, reference, threshold))
-                assert np.array_equal(uncovered_rows(values, reference, threshold, 4), exact)
+                assert np.array_equal(certify(values, reference, threshold, 4), exact)
 
     @pytest.mark.parametrize("epsilon", [2.0**-5, 2.0**-7, 0.1])
     def test_references_spaced_four_epsilon(self, epsilon):
@@ -284,11 +291,11 @@ class TestBlockCertificate:
         exact = exact_rows(values, reference, threshold)
         assert np.array_equal(exact, dense_rows(values, reference, threshold))
         for entries in (1, 2, 64):
-            assert np.array_equal(uncovered_rows(values, reference, threshold, entries), exact)
+            assert np.array_equal(certify(values, reference, threshold, entries), exact)
         # Spaced 4 eps across [-1, 1], every row is past the cutoff.
         count = int(2.0 / (2.0 * threshold))
         spread = np.tile(-1.0 + 2.0 * threshold * np.arange(count), (8, 1))
-        assert uncovered_rows(values, spread, threshold, 64).all()
+        assert certify(values, spread, threshold, 64).all()
 
 
 def oracles(rounds=None):
@@ -324,13 +331,13 @@ class TestOnePassExpansion:
         # Few distinct values: gaps of exactly 2 * epsilon between candidates
         # admitted in the same round are common.
         matrix = np.array(columns).T
-        oracle = LossOnlyOracle(matrix) if loss_only else environments.make_finite_matrix(matrix)
+        oracle = LossOnlyOracle(matrix) if loss_only else environments.MatrixOracle(matrix)
         assert schedule(oracle, epsilon, expand_packing) == schedule(
             oracle, epsilon, requery_expand
         )
 
     def test_same_round_gap_equal_to_threshold_blocks_admission(self):
-        oracle = environments.make_finite_matrix(np.array([[-1.0, 0.0, 0.5, 1.0, -0.5]]))
+        oracle = environments.MatrixOracle(np.array([[-1.0, 0.0, 0.5, 1.0, -0.5]]))
         state, added = expand_packing(PackingState.fresh(0.25), 1, oracle)
         assert added == [1, 3]
 
@@ -343,14 +350,14 @@ class TestOnePassExpansion:
             t = int(rng.integers(1, oracle.horizon() + 1))
             active = rng.choice(k, size=int(rng.integers(1, 6)), replace=False)
             threshold = float(rng.uniform(0.0, 2.2))
-            row = oracle.losses(t)
+            row = oracle.rows(t - 1, t)[0]
             mask = dense_uncovered(row, row[active], threshold)
             expected = int(np.argmax(mask)) if mask.any() else None
             assert first_uncovered(oracle, t, active, threshold) == expected
 
     def test_saturated_set_stops_querying(self):
         # Every expert separated at round 1: the set saturates, later rounds admit nothing.
-        oracle = environments.make_finite_matrix(
+        oracle = environments.MatrixOracle(
             np.array([[-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0]])
         )
         state, added = expand_packing(PackingState.fresh(0.1), 1, oracle)
@@ -386,13 +393,13 @@ class TestOnePassExpansion:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def block_schedule(oracle, epsilon, horizon=None):
-    state = many_experts._schedule(oracle, horizon or oracle.horizon(), epsilon)
+def block_schedule(oracle, epsilon):
+    state = many_experts._schedule(oracle, epsilon)
     return state.active.tolist(), state.admitted_at
 
 
-def per_round_schedule(oracle, epsilon, horizon=None):
-    active, admitted_at, _ = schedule(oracle, epsilon, expand_packing, horizon)
+def per_round_schedule(oracle, epsilon):
+    active, admitted_at, _ = schedule(oracle, epsilon, expand_packing)
     return [int(i) for i in active], admitted_at
 
 
@@ -415,12 +422,11 @@ class TestBlockSchedule:
             horizon = hedge.block_rounds(candidates) + offset
             if horizon < 1:  # a one-round block
                 continue
-            oracle = oracles(max(horizon, 3))[kind]
+            # The generators need three rounds; a shorter game plays their first rounds.
+            oracle = Prefix(oracles(max(horizon, 3))[kind], horizon)
             assert oracle.coverage_ids().size == candidates
             for epsilon in (0.5, 2.0**-4):
-                assert block_schedule(oracle, epsilon, horizon=horizon) == per_round_schedule(
-                    oracle, epsilon, horizon=horizon
-                )
+                assert block_schedule(oracle, epsilon) == per_round_schedule(oracle, epsilon)
 
     @pytest.mark.parametrize("entries", [12, hedge.BLOCK_ENTRIES])
     @pytest.mark.parametrize("kind", ["matrix", "clustered", "loss_only"])
@@ -465,7 +471,7 @@ class TestBlockScheduleOnTiedValues:
         oracle = environments.ClusteredBinaryOracle(np.array(rows), assignment)
         assert oracle.coverage_ids().size < assignment.size
         if dense:
-            oracle = environments.make_finite_matrix(oracle.to_matrix())
+            oracle = environments.MatrixOracle(oracle.to_matrix())
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hedge, "BLOCK_ENTRIES", entries)
             assert block_schedule(oracle, epsilon) == per_round_schedule(oracle, epsilon)
@@ -485,7 +491,7 @@ def test_stale_blocks_on_the_readme_shape(monkeypatch, seed):
         return expand_packing(state, t, oracle)
 
     monkeypatch.setattr(many_experts, "expand_packing", counting)
-    state = many_experts._schedule(oracle, 5000, 0.5)
+    state = many_experts._schedule(oracle, 0.5)
     admitting = len(set(state.admitted_at)) - 1
     assert admitting >= 1
     assert len(calls) <= 2 * admitting
@@ -508,7 +514,7 @@ def small_game_oracle(seed, rounds, experts, binary):
         matrix = rng.integers(0, 2, size=(rounds, experts)) * 2.0 - 1.0
     else:
         matrix = rng.uniform(-1.0, 1.0, size=(rounds, experts))
-    return environments.make_finite_matrix(matrix)
+    return environments.MatrixOracle(matrix)
 
 
 class TestPackingProperties:

@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from packhedge import analysis, environments, many_experts
+from packhedge import analysis, core, environments, many_experts
 from packhedge.core import game_rng
 from packhedge.environments import (
     EnvironmentSpec,
@@ -100,7 +100,7 @@ class TestClusteredBinary:
 
     def test_single_cluster_never_grows(self):
         env = make_clustered_binary(60, 100, 1, seed=5)
-        trajectory = many_experts.play_many_experts(env, 60, 0.5, rng=5)
+        trajectory = many_experts.play_many_experts(env, 0.5, rng=5)
         assert trajectory.extras["final_packing"] == 1
 
     def test_too_many_rows_rejected(self):
@@ -168,7 +168,7 @@ class TestLowRank:
         matrix = env.to_matrix()
         cover_upper, _ = analysis.packing_greedy(matrix, 4 * eps)  # maximal => also a cover
         assert cover_upper < 4096 / 10
-        trajectory = many_experts.play_many_experts(env, 12, 4 * eps, rng=5)
+        trajectory = many_experts.play_many_experts(env, 4 * eps, rng=5)
         assert trajectory.extras["final_packing"] <= cover_upper
         regret = analysis.empirical_regret(trajectory, env).regret
         bound = many_experts.packing_regret_bound(
@@ -256,7 +256,7 @@ class TestBoundedVariationAdversary:
 
     def test_first_round_mean_loss_zero_for_even_k(self):
         env = make_bounded_variation_adversary(6, 64, seed=4)
-        assert float(env.losses(1).mean()) == 0.0
+        assert float(env.rows(0, 1)[0].mean()) == 0.0
 
     def test_too_few_experts_rejected(self):
         with pytest.raises(ValueError, match="K"):
@@ -301,6 +301,22 @@ class TestIidStochastic:
             make_iid_stochastic(10, 2, seed=0, **kwargs)
 
 
+class TestDenseSizeGuard:
+    GENERATORS = {
+        "low_rank": lambda T, K: make_low_rank(T, K, 2, 0.1, seed=0),
+        "sparse_dictionary": lambda T, K: make_sparse_dictionary(T, K, 3, 1, 0.1, seed=0),
+        "bounded_variation": lambda T, K: make_bounded_variation_adversary(T, K, seed=0),
+        "iid_stochastic": lambda T, K: make_iid_stochastic(T, K, 0.0, seed=0),
+    }
+
+    @pytest.mark.parametrize("kind", list(GENERATORS))
+    def test_one_entry_over_the_limit_rejected(self, monkeypatch, kind):
+        monkeypatch.setattr(core, "MATRIX_MAX_ENTRIES", 20)
+        assert self.GENERATORS[kind](4, 5).to_matrix().shape == (4, 5)
+        with pytest.raises(ValueError, match="too large to generate"):
+            self.GENERATORS[kind](3, 7)
+
+
 class TestExportAndSidecar:
     def test_csv_export_reloads_identically(self, tmp_path):
         env = make_low_rank(6, 5, 2, 0.1, seed=0)
@@ -309,6 +325,7 @@ class TestExportAndSidecar:
 
         assert np.array_equal(matrix_io.load_matrix(written["matrix"]), env.to_matrix())
         assert "ground_truth.U" in written
+        assert "ground_truth.E" not in written
 
     def test_binary_export_round_trips_bit_exact(self, tmp_path):
         env = make_sparse_dictionary(6, 5, 4, 2, 0.1, seed=1)

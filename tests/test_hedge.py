@@ -155,18 +155,18 @@ class TestUpdate:
 class TestPlayHedge:
     def test_single_expert_zero_regret(self):
         env = environments.make_iid_stochastic(50, 1, -0.3, "uniform", 0.2, seed=0)
-        trajectory = hedge.play_hedge(env, 50, rng=0)
+        trajectory = hedge.play_hedge(env, rng=0)
         assert analysis.empirical_regret(trajectory, env).regret == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_experts_zero_regret(self):
         matrix = np.tile(game_rng(1).uniform(-1.0, 1.0, size=(40, 1)), (1, 6))
-        env = environments.make_finite_matrix(matrix)
-        trajectory = hedge.play_hedge(env, 40, rng=1)
+        env = environments.MatrixOracle(matrix)
+        trajectory = hedge.play_hedge(env, rng=1)
         assert analysis.empirical_regret(trajectory, env).regret == pytest.approx(0.0, abs=1e-12)
 
     def test_trajectory_shape_and_invariants(self):
         env = environments.make_iid_stochastic(100, 3, 0.0, "uniform", 0.5, seed=2)
-        trajectory = hedge.play_hedge(env, 100, rng=2)
+        trajectory = hedge.play_hedge(env, rng=2)
         assert len(trajectory) == 100
         trajectory.validate()
         assert np.all(trajectory.packing_size == 3)
@@ -174,22 +174,22 @@ class TestPlayHedge:
 
     def test_reproducible_bit_for_bit(self):
         env = environments.make_iid_stochastic(200, 5, 0.0, "uniform", 0.9, seed=3)
-        a = hedge.play_hedge(env, 200, rng=3)
-        b = hedge.play_hedge(env, 200, rng=3)
+        a = hedge.play_hedge(env, rng=3)
+        b = hedge.play_hedge(env, rng=3)
         assert np.array_equal(a.chosen, b.chosen)
         assert np.array_equal(a.incurred, b.incurred)
         assert np.array_equal(a.cumulative, b.cumulative)
 
-    def test_unbounded_horizon_rejected(self):
-        env = environments.make_iid_stochastic(10, 2, 0.0, seed=0)
-        with pytest.raises(ValueError, match="horizon"):
-            hedge.play_hedge(env, 11, rng=0)
+    def test_oracle_without_rounds_rejected(self):
+        env = environments.MatrixOracle(np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="at least one round"):
+            hedge.play_hedge(env, rng=0)
 
     def test_small_scale_regret_bound(self):
         regrets = []
         for seed in range(10):
             env = environments.make_iid_stochastic(2000, 5, 0.0, "sign", 1.0, seed=seed)
-            trajectory = hedge.play_hedge(env, 2000, rng=seed)
+            trajectory = hedge.play_hedge(env, rng=seed)
             regrets.append(analysis.empirical_regret(trajectory, env).regret)
         assert np.mean(regrets) <= hedge.hedge_regret_bound(2000, 5)
 
@@ -199,7 +199,7 @@ class TestPlayHedge:
             env = environments.make_iid_stochastic(
                 2000, 2, [-0.5, 0.5], "uniform", 0.1, seed=seed
             )
-            trajectory = hedge.play_hedge(env, 2000, rng=seed)
+            trajectory = hedge.play_hedge(env, rng=seed)
             regrets.append(analysis.empirical_regret(trajectory, env).regret)
         assert np.mean(regrets) <= hedge.hedge_regret_bound(2000, 2) / 4
 

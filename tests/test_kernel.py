@@ -22,9 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from packhedge import cli, core, environments, hedge, many_experts, matrix_io, meta_tuner
+from packhedge import cli, environments, hedge, many_experts, matrix_io, meta_tuner
 from packhedge.core import GameTrajectory, game_rng
-from reference import LossOnlyOracle
+from reference import LossOnlyOracle, Prefix
 
 #: Block sizes (loss entries per block): a tiny one, the module's own, and a
 #: small one whose blocks span several short phases of a few dozen experts.
@@ -69,7 +69,7 @@ def make_oracle(kind, rounds, experts, seed=0):
     matrix = rng.uniform(-1.0, 1.0, size=(rounds, experts))
     if kind == "loss_only":
         return LossOnlyOracle(matrix)
-    return environments.make_finite_matrix(matrix)
+    return environments.MatrixOracle(matrix)
 
 
 def horizons(block):
@@ -90,10 +90,9 @@ class TestHedge:
         block = hedge.block_rounds(experts)
         oracle = make_oracle(kind, 2 * block + 3, experts, seed=experts)
         for T in horizons(block):
+            game = Prefix(oracle, T)
             for seed in range(2):
-                assert_same(
-                    hedge.play_hedge(oracle, T, rng=seed), reference.play_hedge(oracle, T, rng=seed)
-                )
+                assert_same(hedge.play_hedge(game, rng=seed), reference.play_hedge(game, rng=seed))
 
     def test_one_expert_at_module_block(self):
         oracle = make_oracle("matrix", 300, 1)
@@ -101,7 +100,7 @@ class TestHedge:
 
     def test_negative_zero_losses(self, block_entries):
         # A running total started at 0.0 never records -0.0.
-        oracle = environments.make_finite_matrix(np.array([[-0.0, 0.0]] * 5 + [[0.5, -0.5]]))
+        oracle = environments.MatrixOracle(np.array([[-0.0, 0.0]] * 5 + [[0.5, -0.5]]))
         trajectory = hedge.play_hedge(oracle, rng=0)
         assert_same(trajectory, reference.play_hedge(oracle, rng=0))
         assert not np.signbit(trajectory.cumulative[:5]).any()
@@ -120,14 +119,15 @@ class TestManyExperts:
     def test_matches_reference(self, block_entries, kind, epsilon):
         oracle = make_oracle(kind, 60, 24, seed=5)
         for T in (1, 2, 17, 60):
+            game = Prefix(oracle, T)
             for seed in range(2):
                 assert_same(
-                    many_experts.play_many_experts(oracle, T, epsilon, rng=seed),
-                    reference.play_many_experts(oracle, T, epsilon, rng=seed),
+                    many_experts.play_many_experts(game, epsilon, rng=seed),
+                    reference.play_many_experts(game, epsilon, rng=seed),
                 )
 
     def test_one_round_phases_and_admission_at_last_round(self, block_entries):
-        oracle = environments.make_finite_matrix(one_admission_per_round(6))
+        oracle = environments.MatrixOracle(one_admission_per_round(6))
         fast = many_experts.play_many_experts(oracle, epsilon=0.25, rng=4)
         assert_same(fast, reference.play_many_experts(oracle, epsilon=0.25, rng=4))
         assert fast.extras["admitted_at"] == [0, 1, 2, 3, 4, 5, 6]
@@ -141,7 +141,7 @@ class TestManyExperts:
         matrix = np.tile(game_rng(3).uniform(-0.1, 0.1, (T, 1)), (1, 3))
         matrix[0, 1] += 0.8
         matrix[T - 1, 2] -= 0.8
-        oracle = environments.make_finite_matrix(matrix)
+        oracle = environments.MatrixOracle(matrix)
         fast = many_experts.play_many_experts(oracle, epsilon=0.25, rng=5)
         assert_same(fast, reference.play_many_experts(oracle, epsilon=0.25, rng=5))
         assert fast.extras["restarts"] == [(0, 1), (1, 2), (T, 3)]
@@ -174,9 +174,8 @@ class TestMeta:
     def test_matches_reference(self, block_entries, kind):
         oracle = make_oracle(kind, 40, 16, seed=8)
         for T in (2, 3, 40):
-            assert_same(
-                meta_tuner.play_meta(oracle, T, seed=5), reference.play_meta(oracle, T, seed=5)
-            )
+            game = Prefix(oracle, T)
+            assert_same(meta_tuner.play_meta(game, seed=5), reference.play_meta(game, seed=5))
 
     def test_low_rank_game(self):
         oracle = environments.make_low_rank(200, 120, 2, 0.05, seed=1)
@@ -325,7 +324,7 @@ class TestRows:
         oracle = make_oracle(kind, 30, 12, seed=9)
         experts = np.array([7, 0, 11, 7])
         for t0, t1 in ((0, 30), (4, 5), (10, 21)):
-            stacked = np.vstack([oracle.losses(t) for t in range(t0 + 1, t1 + 1)])
+            stacked = np.vstack([reference.round_losses(oracle, t) for t in range(t0 + 1, t1 + 1)])
             assert np.array_equal(oracle.rows(t0, t1), stacked)
             assert np.array_equal(oracle.rows(t0, t1, experts), stacked[:, experts])
 
@@ -396,9 +395,10 @@ def test_active_gathers_only_on_flagged_rounds(monkeypatch, entries):
     monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
     matrix = environments.make_low_rank(400, 60, 2, 0.05, seed=4).to_matrix()
     oracle = None
+    certify = many_experts.uncovered_rows
 
-    def recording(values, reference, threshold, max_entries):
-        flags = core.uncovered_rows(values, reference, threshold, max_entries)
+    def recording(values, reference, threshold):
+        flags = certify(values, reference, threshold)
         oracle.events.append(("certify", flags))
         return flags
 
@@ -406,7 +406,7 @@ def test_active_gathers_only_on_flagged_rounds(monkeypatch, entries):
     gathered = recertified = 0
     for epsilon in (0.25, 2.0**-5, 2.0**-9):
         oracle = EventOracle(matrix)
-        state = many_experts._schedule(oracle, 400, epsilon)
+        state = many_experts._schedule(oracle, epsilon)
         admitting = set(state.admitted_at[1:])
         flagged, queries = replay_schedule(oracle.events, admitting)
         # The exact queries are an ordered subsequence of the block-flagged
@@ -453,7 +453,7 @@ def test_schedule_reads_each_block_and_query_once(monkeypatch, entries):
     games.append((environments.make_clustered_binary(5000, 100_000, 8, seed=0), 0.5))
     for oracle, epsilon in games:
         reads = count_reads(oracle)
-        state = many_experts._schedule(oracle, oracle.horizon(), epsilon)
+        state = many_experts._schedule(oracle, epsilon)
         assert state.queries > 0
         assert len(reads) == state.blocks + state.queries
         assert sum(t1 - t0 == 1 for t0, t1 in reads) >= state.queries
@@ -471,15 +471,16 @@ class TestBoundedMemory:
             tracemalloc.stop()
 
     def test_hedge_dense(self):
-        oracle = environments.make_finite_matrix(game_rng(1).uniform(-1.0, 1.0, (4096, 200)))
+        oracle = environments.MatrixOracle(game_rng(1).uniform(-1.0, 1.0, (4096, 200)))
         one_matrix = 4096 * 200 * 8
         assert self.peak(lambda: hedge.play_hedge(oracle, rng=1)) < one_matrix / 4
 
     def test_low_rank_generation(self):
-        # The generator holds the structure, the noise and the losses: three matrices.
+        # The generator holds the structure and the losses: the noise is drawn
+        # into the losses' buffer, so two matrices.
         one_matrix = 1024 * 500 * 8
         peak = self.peak(lambda: environments.make_low_rank(1024, 500, 2, 0.05, 3))
-        assert peak < 3.5 * one_matrix
+        assert peak < 2.5 * one_matrix
 
     #: Bytes of one float64 temporary of a kernel block.
     BLOCK_BYTES = hedge.BLOCK_ENTRIES * 8
@@ -489,14 +490,14 @@ class TestBoundedMemory:
         oracle = environments.make_low_rank(512, 200, 2, 0.05, 3)
         epsilons = meta_tuner.build_grid(512)
         assert len(epsilons) == 9
-        peak = self.peak(lambda: [many_experts._schedule(oracle, 512, e) for e in epsilons])
+        peak = self.peak(lambda: [many_experts._schedule(oracle, e) for e in epsilons])
         assert peak < 8 * self.BLOCK_BYTES
 
     def test_schedule_pass_packing_lowrank(self):
         oracle = environments.make_low_rank(1024, 500, 2, 0.05, 3)
-        state = many_experts._schedule(oracle, 1024, 2.0**-7)
+        state = many_experts._schedule(oracle, 2.0**-7)
         assert state.active.size > 250  # a large packing
-        peak = self.peak(lambda: many_experts._schedule(oracle, 1024, 2.0**-7))
+        peak = self.peak(lambda: many_experts._schedule(oracle, 2.0**-7))
         assert peak < 8 * self.BLOCK_BYTES
 
     @pytest.mark.parametrize("active", [125, 250, 499])
@@ -506,9 +507,7 @@ class TestBoundedMemory:
         rounds = hedge.block_rounds(500)
         reference = np.tile(-1.0 + 4.0 * epsilon * np.arange(active), (rounds, 1))
         values = game_rng(1).uniform(-1.0, 1.0, (rounds, 500))
-        peak = self.peak(
-            lambda: core.uncovered_rows(values, reference, 2.0 * epsilon, hedge.BLOCK_ENTRIES)
-        )
+        peak = self.peak(lambda: many_experts.uncovered_rows(values, reference, 2.0 * epsilon))
         assert peak < 8 * self.BLOCK_BYTES
 
     def test_schedule_pass_on_references_spaced_four_epsilon(self):
@@ -517,18 +516,17 @@ class TestBoundedMemory:
         epsilon = 2.0**-9
         spaced = -1.0 + 4.0 * epsilon * np.arange(250)
         matrix = np.tile(np.concatenate((spaced, spaced + epsilon)), (256, 1))
-        oracle = environments.make_finite_matrix(matrix)
-        assert many_experts._schedule(oracle, 256, epsilon).active.size == 250
-        peak = self.peak(lambda: many_experts._schedule(oracle, 256, epsilon))
+        oracle = environments.MatrixOracle(matrix)
+        assert many_experts._schedule(oracle, epsilon).active.size == 250
+        peak = self.peak(lambda: many_experts._schedule(oracle, epsilon))
         assert peak < 8 * self.BLOCK_BYTES
 
     def phase_peak(self, monkeypatch, oracle, epsilons, expected):
         """Peak of the phase pass alone: every copy's kernel call, schedules precomputed."""
-        T = oracle.horizon()
-        states = {e: many_experts._schedule(oracle, T, e) for e in epsilons}
-        monkeypatch.setattr(many_experts, "_schedule", lambda o, t, e: states[e])
+        states = {e: many_experts._schedule(oracle, e) for e in epsilons}
+        monkeypatch.setattr(many_experts, "_schedule", lambda o, e: states[e])
         return self.peak(lambda: [
-            many_experts.packing_game(oracle, T, e, r, expected=expected)
+            many_experts.packing_game(oracle, e, r, expected=expected)
             for r, e in enumerate(epsilons)
         ])
 
@@ -548,8 +546,8 @@ class TestBoundedMemory:
     def test_schedule_pass_readme_shape(self, seed):
         # 2048-round blocks over 8 candidates, re-certified after false flags.
         oracle = environments.make_clustered_binary(5000, 100_000, 8, seed=seed)
-        assert many_experts._schedule(oracle, 5000, 0.5).recertifications > 0
-        peak = self.peak(lambda: many_experts._schedule(oracle, 5000, 0.5))
+        assert many_experts._schedule(oracle, 0.5).recertifications > 0
+        peak = self.peak(lambda: many_experts._schedule(oracle, 0.5))
         assert peak < 8 * self.BLOCK_BYTES
 
     def test_packing_clustered(self):

@@ -27,21 +27,21 @@ def reference_expand(matrix, t, active, threshold):
 
 class TestExpandPacking:
     def test_three_spread_experts_all_admitted(self):
-        env = environments.make_finite_matrix(np.array([[-1.0, 0.0, 1.0]]))
+        env = environments.MatrixOracle(np.array([[-1.0, 0.0, 1.0]]))
         state, added = expand_packing(PackingState.fresh(0.2), 1, env)
         assert added == [1, 2]
         assert list(state.active) == [0, 1, 2]
         assert state.admitted_at == [0, 1, 1]
 
     def test_covered_round_changes_nothing(self):
-        env = environments.make_finite_matrix(np.array([[0.0, 0.1, -0.1]]))
+        env = environments.MatrixOracle(np.array([[0.0, 0.1, -0.1]]))
         fresh = PackingState.fresh(0.2)
         state, added = expand_packing(fresh, 1, env)
         assert added == []
         assert state is fresh
 
     def test_binary_split_admitted(self):
-        env = environments.make_finite_matrix(np.array([[-1.0, 1.0]]))
+        env = environments.MatrixOracle(np.array([[-1.0, 1.0]]))
         state, added = expand_packing(PackingState.fresh(0.4), 1, env)
         assert added == [1]
         assert list(state.active) == [0, 1]
@@ -56,7 +56,7 @@ class TestExpandPacking:
     def test_matches_reference_loop(self, seed, experts, rounds, epsilon):
         rng = game_rng(seed)
         matrix = rng.uniform(-1.0, 1.0, size=(rounds, experts))
-        env = environments.make_finite_matrix(matrix)
+        env = environments.MatrixOracle(matrix)
         t = int(rng.integers(1, rounds + 1))
         state, added = expand_packing(PackingState.fresh(epsilon), t, env)
         expected_active, expected_added = reference_expand(matrix, t, [0], 2.0 * epsilon)
@@ -70,7 +70,7 @@ class TestExpandPacking:
 
 class TestRestart:
     def test_first_expansion_bookkeeping(self):
-        env = environments.make_finite_matrix(
+        env = environments.MatrixOracle(
             np.array(
                 [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [-0.9, 0.9, 0.0, -0.45], [0.5] * 4]
             )
@@ -78,7 +78,7 @@ class TestRestart:
         state, added = expand_packing(PackingState.fresh(0.1), 3, env)
         assert len(added) == 3
         assert state.admitted_at == [0, 3, 3, 3]
-        trajectory = many_experts.play_many_experts(env, 4, 0.1, rng=0)
+        trajectory = many_experts.play_many_experts(env, 0.1, rng=0)
         assert trajectory.extras["restarts"] == [(0, 1), (3, 4)]
         assert trajectory.extras["num_phases"] == 2
         assert trajectory.phase.tolist() == [1, 1, 2, 2]
@@ -89,7 +89,7 @@ class TestRestart:
 
     def test_restart_sizes_strictly_increase(self):
         env = environments.make_clustered_binary(200, 50, 5, seed=8)
-        trajectory = many_experts.play_many_experts(env, 200, 0.5, rng=8)
+        trajectory = many_experts.play_many_experts(env, 0.5, rng=8)
         sizes = [size for _, size in trajectory.extras["restarts"]]
         starts = [start for start, _ in trajectory.extras["restarts"]]
         assert sizes == sorted(set(sizes))
@@ -104,8 +104,8 @@ class TestRestart:
         for t in range(1, 61):
             assert state.inner.t == t - state.phase_start
             state, *_ = reference.advance(state, t, env, gen)
-        fast = many_experts.play_many_experts(env, 60, 0.5, rng=game_rng(3, 0))
-        slow = reference.play_many_experts(env, 60, 0.5, rng=game_rng(3, 0))
+        fast = many_experts.play_many_experts(env, 0.5, rng=game_rng(3, 0))
+        slow = reference.play_many_experts(env, 0.5, rng=game_rng(3, 0))
         # The per-round reference has no block schedule pass to count.
         counts = fast.extras.pop("schedule")
         assert counts["admitting_rounds"] == slow.extras["num_phases"] - 1
@@ -146,33 +146,33 @@ class TestPlayManyExperts:
     def test_everything_covered_keeps_singleton(self):
         means = np.linspace(-0.05, 0.05, 5)
         env = environments.make_iid_stochastic(120, 5, means, "uniform", 0.05, seed=4)
-        trajectory = many_experts.play_many_experts(env, 120, 0.3, rng=4)
+        trajectory = many_experts.play_many_experts(env, 0.3, rng=4)
         assert trajectory.extras["final_packing"] == 1
         assert trajectory.extras["num_phases"] == 1
         assert np.all(trajectory.chosen == 0)
 
     def test_action_sampled_before_expansion(self):
-        env = environments.make_finite_matrix(np.array([[0.0, 1.0], [0.0, 1.0]]))
-        trajectory = many_experts.play_many_experts(env, 2, 0.2, rng=0)
+        env = environments.MatrixOracle(np.array([[0.0, 1.0], [0.0, 1.0]]))
+        trajectory = many_experts.play_many_experts(env, 0.2, rng=0)
         # Expert 1 becomes known at round 1 but cannot be played before round 2.
         assert trajectory.chosen[0] == 0
         assert trajectory.packing_size[0] == 2
 
     def test_epsilon_one_on_binary_losses_never_grows(self):
         env = environments.make_clustered_binary(100, 40, 2, seed=6)
-        trajectory = many_experts.play_many_experts(env, 100, 1.0, rng=6)
+        trajectory = many_experts.play_many_experts(env, 1.0, rng=6)
         assert trajectory.extras["final_packing"] == 1
 
     def test_clustered_packing_capped_at_clusters(self):
         env = environments.make_clustered_binary(300, 500, 8, seed=7)
-        trajectory = many_experts.play_many_experts(env, 300, 0.5, rng=7)
+        trajectory = many_experts.play_many_experts(env, 0.5, rng=7)
         extras = trajectory.extras
         assert extras["final_packing"] <= 8
         assert extras["num_phases"] <= extras["final_packing"]
 
     def test_final_set_is_separated_packing(self):
         env = environments.make_clustered_binary(200, 120, 6, seed=9)
-        trajectory = many_experts.play_many_experts(env, 200, 0.4, rng=9)
+        trajectory = many_experts.play_many_experts(env, 0.4, rng=9)
         matrix = env.to_matrix()
         active = trajectory.extras["final_active"]
         for a in range(len(active)):
@@ -183,18 +183,18 @@ class TestPlayManyExperts:
         # at its admission round, each expert differs from every earlier
         # active expert by more than the threshold
         env = environments.make_low_rank(150, 40, 2, 0.1, seed=10)
-        trajectory = many_experts.play_many_experts(env, 150, 0.2, rng=10)
+        trajectory = many_experts.play_many_experts(env, 0.2, rng=10)
         active = trajectory.extras["final_active"]
         admitted_at = trajectory.extras["admitted_at"]
         for j in range(1, len(active)):
             t = admitted_at[j]
-            row = env.losses(t)
+            row = env.rows(t - 1, t)[0]
             for i in range(j):
                 assert abs(row[active[j]] - row[active[i]]) > 0.4
 
     def test_packing_starts_at_expert_zero(self):
         env = environments.make_clustered_binary(80, 50, 4, seed=13)
-        trajectory = many_experts.play_many_experts(env, 80, 0.5, rng=13)
+        trajectory = many_experts.play_many_experts(env, 0.5, rng=13)
         assert trajectory.extras["final_active"][0] == 0
         assert trajectory.extras["admitted_at"][0] == 0
         assert trajectory.chosen[0] == 0
@@ -206,23 +206,23 @@ class TestPlayManyExperts:
 
         env = SkipsZero(game_rng(0).uniform(-1.0, 1.0, size=(10, 5)))
         with pytest.raises(ValueError, match="start at expert 0"):
-            many_experts.play_many_experts(env, 10, 0.5, rng=0)
+            many_experts.play_many_experts(env, 0.5, rng=0)
         with pytest.raises(ValueError, match="start at expert 0"):
-            meta_tuner.play_meta(env, 10, seed=0)
+            meta_tuner.play_meta(env, seed=0)
 
     def test_packing_no_larger_than_exact_cover(self):
         for seed in range(5):
             env = environments.make_iid_stochastic(
                 60, 6, np.linspace(-0.6, 0.6, 6), "uniform", 0.1, seed=seed
             )
-            trajectory = many_experts.play_many_experts(env, 60, 0.3, rng=seed)
+            trajectory = many_experts.play_many_experts(env, 0.3, rng=seed)
             exact = analysis.covering_number_exact(env.to_matrix(), 0.3)
             assert trajectory.extras["final_packing"] <= exact
 
     def test_per_run_regret_bound_smoke(self):
         for seed in range(5):
             env = environments.make_clustered_binary(300, 200, 5, seed=seed)
-            trajectory = many_experts.play_many_experts(env, 300, 0.5, rng=seed)
+            trajectory = many_experts.play_many_experts(env, 0.5, rng=seed)
             regret = analysis.empirical_regret(trajectory, env).regret
             bound = packing_regret_bound(
                 trajectory.extras["final_packing"],
@@ -234,8 +234,8 @@ class TestPlayManyExperts:
 
     def test_reproducible_bit_for_bit(self):
         env = environments.make_clustered_binary(150, 80, 4, seed=11)
-        a = many_experts.play_many_experts(env, 150, 0.5, rng=11)
-        b = many_experts.play_many_experts(env, 150, 0.5, rng=11)
+        a = many_experts.play_many_experts(env, 0.5, rng=11)
+        b = many_experts.play_many_experts(env, 0.5, rng=11)
         assert np.array_equal(a.chosen, b.chosen)
         assert np.array_equal(a.incurred, b.incurred)
         assert np.array_equal(a.packing_size, b.packing_size)
@@ -243,7 +243,7 @@ class TestPlayManyExperts:
 
     def test_trajectory_invariants_and_final_record(self):
         env = environments.make_clustered_binary(100, 60, 4, seed=12)
-        trajectory = many_experts.play_many_experts(env, 100, 0.5, rng=12)
+        trajectory = many_experts.play_many_experts(env, 0.5, rng=12)
         trajectory.validate()
         assert trajectory.packing_size[-1] == trajectory.extras["final_packing"]
         assert trajectory.phase[-1] == trajectory.extras["num_phases"]
@@ -251,6 +251,6 @@ class TestPlayManyExperts:
     def test_invalid_epsilon(self):
         env = environments.make_clustered_binary(10, 5, 2, seed=0)
         with pytest.raises(ValueError, match="epsilon"):
-            many_experts.play_many_experts(env, 10, 0.0, rng=0)
+            many_experts.play_many_experts(env, 0.0, rng=0)
         with pytest.raises(ValueError, match="epsilon"):
-            many_experts.play_many_experts(env, 10, 1.5, rng=0)
+            many_experts.play_many_experts(env, 1.5, rng=0)

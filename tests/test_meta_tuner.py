@@ -46,19 +46,17 @@ class TestMetaState:
 class TestPlayMeta:
     def test_identical_experts_tie_exactly(self):
         column = game_rng(0).uniform(-1.0, 1.0, size=(32, 1))
-        env = environments.make_finite_matrix(np.tile(column, (1, 7)))
-        trajectory = play_meta(env, 32, seed=0)
+        env = environments.MatrixOracle(np.tile(column, (1, 7)))
+        trajectory = play_meta(env, seed=0)
         copy_cumulative = trajectory.extras["copy_cumulative"][-1]
         assert np.allclose(copy_cumulative, trajectory.learner_cumulative, atol=1e-9)
 
     def test_embedded_copies_match_standalone_runs(self):
         env = environments.make_clustered_binary(64, 32, 4, seed=9)
-        trajectory = play_meta(env, 64, seed=9)
+        trajectory = play_meta(env, seed=9)
         epsilons = trajectory.extras["epsilons"]
         for r, copy_traj in enumerate(trajectory.extras["copies"], start=1):
-            standalone = many_experts.play_many_experts(
-                env, 64, epsilons[r - 1], rng=game_rng(9, r)
-            )
+            standalone = many_experts.play_many_experts(env, epsilons[r - 1], rng=game_rng(9, r))
             assert np.array_equal(copy_traj.chosen, standalone.chosen)
             assert np.array_equal(copy_traj.incurred, standalone.incurred)
             assert np.array_equal(copy_traj.packing_size, standalone.packing_size)
@@ -67,7 +65,7 @@ class TestPlayMeta:
 
     def test_extras_shapes(self):
         env = environments.make_clustered_binary(40, 20, 3, seed=2)
-        trajectory = play_meta(env, 40, seed=2)
+        trajectory = play_meta(env, seed=2)
         num_copies = trajectory.extras["num_copies"]
         assert num_copies == len(build_grid(40))
         assert trajectory.extras["copy_cumulative"].shape == (40, num_copies)
@@ -78,7 +76,7 @@ class TestPlayMeta:
 
     def test_played_action_comes_from_chosen_copy(self):
         env = environments.make_clustered_binary(48, 24, 4, seed=5)
-        trajectory = play_meta(env, 48, seed=5)
+        trajectory = play_meta(env, seed=5)
         copies = trajectory.extras["copies"]
         picked = trajectory.extras["chosen_copy"]
         for i in range(len(trajectory)):
@@ -88,13 +86,13 @@ class TestPlayMeta:
 
     def test_reproducible_bit_for_bit(self):
         env = environments.make_clustered_binary(40, 20, 3, seed=7)
-        a = play_meta(env, 40, seed=7)
-        b = play_meta(env, 40, seed=7)
+        a = play_meta(env, seed=7)
+        b = play_meta(env, seed=7)
         assert np.array_equal(a.chosen, b.chosen)
         assert np.array_equal(a.incurred, b.incurred)
         assert np.array_equal(a.extras["chosen_copy"], b.extras["chosen_copy"])
 
     def test_horizon_below_two_rejected(self):
-        env = environments.make_clustered_binary(10, 5, 2, seed=0)
+        env = environments.make_clustered_binary(1, 5, 2, seed=0)
         with pytest.raises(ValueError, match="horizon"):
-            play_meta(env, 1, seed=0)
+            play_meta(env, seed=0)
