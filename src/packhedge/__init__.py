@@ -16,7 +16,6 @@ from .core import (
 )
 from .hedge import hedge_regret_bound, play_hedge
 from .many_experts import (
-    PackingState,
     expand_packing,
     packing_regret_bound,
     play_many_experts,
@@ -55,7 +54,6 @@ __all__ = [
     "game_rng",
     "hedge_regret_bound",
     "play_hedge",
-    "PackingState",
     "expand_packing",
     "packing_regret_bound",
     "play_many_experts",

@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from . import __version__, analysis, environments, hedge, many_experts, meta_tuner, validation
-from .core import GameConfig, GameTrajectory
+from .core import GameConfig, GameTrajectory, whole_number
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
@@ -87,9 +87,9 @@ def build_game_config(cfg: dict[str, Any], seed_override: int | None) -> GameCon
         raise ConfigError("game.seed: required (set it in the config or pass --seed)")
     try:
         return GameConfig(
-            T=int(game["T"]),
+            T=whole_number("T", game["T"]),
             epsilon=float(game.get("epsilon", 1.0)),
-            seed=int(seed),
+            seed=whole_number("seed", seed),
             algorithm=str(game["algorithm"]),
         )
     except (TypeError, ValueError) as exc:
@@ -316,18 +316,9 @@ def _build_oracle(env_spec: environments.EnvironmentSpec, horizon: int | None = 
     return oracle
 
 
-def _sweep_cell_run(payload: dict[str, Any]) -> dict[str, Any]:
+def _sweep_cell_run(game: GameConfig, spec: environments.EnvironmentSpec) -> dict[str, Any]:
     """One seeded run of a sweep cell (worker-pool entry point)."""
     try:
-        game = GameConfig(
-            T=payload["T"],
-            epsilon=payload["epsilon"],
-            seed=payload["seed"],
-            algorithm=payload["algorithm"],
-        )
-        spec = environments.EnvironmentSpec(
-            payload["env_kind"], dict(payload["env_parameters"])
-        )
         oracle = _build_oracle(spec, game.T)
         trajectory = _play(game, oracle)
         ledger = analysis.empirical_regret(trajectory, oracle)
@@ -342,16 +333,16 @@ def _sweep_cell_run(payload: dict[str, Any]) -> dict[str, Any]:
         return {"regret": None, "final_packing": None, "phases": None, "error": str(exc)}
 
 
-def _run_jobs(jobs: list[dict[str, Any]], parallelism: int):
+def _run_jobs(jobs: list[tuple[GameConfig, environments.EnvironmentSpec]], parallelism: int):
     """Yield ``(index, result)`` of every sweep job as it finishes."""
     if parallelism > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = {pool.submit(_sweep_cell_run, job): i for i, job in enumerate(jobs)}
+            futures = {pool.submit(_sweep_cell_run, *job): i for i, job in enumerate(jobs)}
             for future in concurrent.futures.as_completed(futures):
                 yield futures[future], future.result()
     else:
         for index, job in enumerate(jobs):
-            yield index, _sweep_cell_run(job)
+            yield index, _sweep_cell_run(*job)
 
 
 def _aggregate(rows: list[dict[str, Any]]) -> dict[str, Any]:
@@ -413,21 +404,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     base_spec = build_env_spec(cfg, game)
 
-    def cell_payloads(combo, epsilon, algorithm, seed):
-        parameters = dict(base_spec.parameters)
-        parameters.update(dict(zip(grid_keys, combo)))
-        parameters["seed"] = seed
-        return {
-            "algorithm": algorithm,
-            "T": game.T,
-            "epsilon": epsilon,
-            "seed": seed,
-            "env_kind": base_spec.kind,
-            "env_parameters": parameters,
-        }
+    def cell_jobs(combo, epsilon, algorithm):
+        """The game and environment of each seed of a cell, checked before any job runs."""
+        jobs = []
+        for seed in range(game.seed, game.seed + n_seeds):
+            try:
+                cell_game = GameConfig(game.T, epsilon, seed, algorithm)
+            except ValueError as exc:
+                raise ConfigError(f"sweep.epsilons: {exc}") from exc
+            parameters = base_spec.parameters | dict(zip(grid_keys, combo)) | {"seed": seed}
+            try:
+                jobs.append((cell_game, environments.EnvironmentSpec(base_spec.kind, parameters)))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+        return jobs
 
-    cells: list[tuple[dict[str, Any], list[dict[str, Any]]]] = []
-    jobs: list[dict[str, Any]] = []
+    cells: list[tuple[dict[str, Any], list[tuple[GameConfig, environments.EnvironmentSpec]]]] = []
     for combo in combos:
         for epsilon in epsilons:
             label = {
@@ -435,24 +427,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "epsilon": epsilon,
                 **dict(zip(grid_keys, combo)),
             }
-            payloads = [
-                cell_payloads(combo, float(epsilon), game.algorithm, game.seed + s)
-                for s in range(n_seeds)
-            ]
-            cells.append((label, payloads))
-            jobs.extend(payloads)
+            cells.append((label, cell_jobs(combo, float(epsilon), game.algorithm)))
         if include_meta and game.algorithm != "meta_tuner":
             label = {"algorithm": "meta_tuner", "epsilon": "", **dict(zip(grid_keys, combo))}
-            payloads = [
-                cell_payloads(combo, 1.0, "meta_tuner", game.seed + s) for s in range(n_seeds)
-            ]
-            cells.append((label, payloads))
-            jobs.extend(payloads)
+            cells.append((label, cell_jobs(combo, 1.0, "meta_tuner")))
+    jobs = [job for _, cell in cells for job in cell]
 
     # Progress is logged per cell as its seeds finish; sweep.csv keeps cell order.
     names = [", ".join(f"{k}={v}" for k, v in label.items()) for label, _ in cells]
-    cell_of_job = [c for c, (_, payloads) in enumerate(cells) for _ in payloads]
-    pending = [len(payloads) for _, payloads in cells]
+    cell_of_job = [c for c, (_, cell) in enumerate(cells) for _ in cell]
+    pending = [len(cell) for _, cell in cells]
     failures = [0] * len(cells)
     results: list[dict[str, Any] | None] = [None] * len(jobs)
     for index, result in _run_jobs(jobs, args.parallelism):
@@ -474,9 +458,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows: list[dict[str, Any]] = []
     any_failure = False
     position = 0
-    for label, payloads in cells:
-        cell_results = results[position : position + len(payloads)]
-        position += len(payloads)
+    for label, cell in cells:
+        cell_results = results[position : position + len(cell)]
+        position += len(cell)
         aggregate = _aggregate(cell_results)
         any_failure = any_failure or aggregate["n_failures"] > 0
         rows.append(label | aggregate)

@@ -43,6 +43,13 @@ def game_rng(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
+def whole_number(name: str, value: Any) -> int:
+    """``value`` as an int: an int or a whole float such as ``5000.0``, never a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)) or value % 1:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def normalize_rng(rng: int | np.random.Generator) -> tuple[np.random.Generator, int | None]:
     """Accept a seed or a ready generator; return ``(generator, seed if known)``.
 
@@ -187,10 +194,11 @@ class LossOracle(ABC):
     An oracle serves two things: loss rows, a block of rounds at a time
     (:meth:`rows`), and the ids of one coverage candidate per group of
     identical experts (:meth:`coverage_ids`); everything else derives from
-    them.  The hedge kernel and the coverage queries both read :meth:`rows`:
-    the packing learner's block certificate screens a block of rounds
-    and the one coverage kernel, :func:`uncovered_mask`, answers a flagged
-    round over the candidates in ``O(K log K_p)`` for ``K`` candidates and
+    them.  The hedge kernel and the packing learner's schedule pass both
+    read :meth:`rows`.  The schedule pass reads each block of rounds over
+    the candidates once: its certificate screens the block, and the one
+    coverage kernel, :func:`uncovered_mask`, answers a flagged round on the
+    block's row already read in ``O(K log K_p)`` for ``K`` candidates and
     ``K_p`` active experts, so structured expert sets such as clusters never
     enumerate every expert.
     """

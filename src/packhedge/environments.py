@@ -56,6 +56,10 @@ class EnvironmentSpec:
             raise ValueError(
                 f"environment.{missing[0]}: required for kind {self.kind!r} and missing"
             )
+        # The parameters make_environment reads as ints.
+        for key in ("T", "K", "N", "d", "n", "k", "seed"):
+            if key in self.parameters:
+                core.whole_number(f"environment.{key}", self.parameters[key])
 
     def as_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "parameters": dict(self.parameters)}

@@ -19,80 +19,39 @@ candidate.  When a flagged round admits no one after the set has
 grown, the block's remaining flagged rounds are certified again against the
 grown set, so one early admission does not leave the rest of a block flagged.
 The packing starts at expert 0, the first coverage candidate, and admits only
-candidates, so the active losses are columns of the candidate block: each
-block is read once, and each exact query reads its one round.
+candidates, so the pass keeps the active set as columns of the candidate
+block: each block is read once, and an exact query runs on the block's row
+already in hand.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
 from . import hedge
-from .core import ExpertId, GameTrajectory, LossOracle, normalize_rng, uncovered_mask
-
-
-@dataclass
-class PackingState:
-    """Active set of the packing learner, grown by :func:`expand_packing`.
-
-    ``active`` starts at expert 0 and is ordered by admission.
-    ``admitted_at[j]`` is the round at which ``active[j]`` joined (0 for
-    expert 0), which certifies the pairwise separation of the packing; the
-    phases are its distinct rounds.
-    """
-
-    active: np.ndarray
-    epsilon: float
-    admitted_at: list[int] = field(default_factory=list)
-    #: Work of the schedule pass (:func:`_schedule`): blocks certified,
-    #: re-certifications of a block's flagged rows, and exact queries.
-    blocks: int = 0
-    recertifications: int = 0
-    queries: int = 0
-
-    @classmethod
-    def fresh(cls, epsilon: float) -> "PackingState":
-        if not (0.0 < epsilon <= 1.0):
-            raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-        return cls(
-            active=np.array([0], dtype=np.int64),
-            epsilon=float(epsilon),
-            admitted_at=[0],
-        )
+from .core import GameTrajectory, LossOracle, normalize_rng, uncovered_mask
 
 
 def expand_packing(
-    state: PackingState, t: int, oracle: LossOracle
-) -> tuple[PackingState, list[ExpertId]]:
-    """Admit uncovered experts at round ``t`` until every expert is covered.
+    values: np.ndarray, active: np.ndarray, threshold: float
+) -> tuple[np.ndarray, list[int]]:
+    """Admit the columns of one round's ``values`` that the ``active`` columns leave uncovered.
 
-    One coverage-kernel call finds the candidates farther than ``2 *
-    epsilon`` from every active expert.  They are walked in ascending expert
-    id, and each one still farther than ``2 * epsilon`` from every expert
-    admitted earlier in the round is admitted.  This is the sequence that
-    re-asking for the smallest uncovered expert after every admission
-    produces, since admissions only shrink the uncovered set.  Returns the
-    (possibly unchanged) state and the admitted ids.
+    One coverage-kernel call finds the columns farther than ``threshold``
+    from every active column.  They are walked in ascending order, and each
+    one still farther than ``threshold`` from every column admitted earlier
+    in the round is admitted.  This is the sequence that re-asking for the
+    smallest uncovered column after every admission produces, since
+    admissions only shrink the uncovered set.  Returns the grown active
+    columns, in admission order, and the admitted columns.
     """
-    ids = oracle.coverage_ids()
-    active = state.active
-    if active.size >= ids.size:
-        # Active experts are pairwise separated, so they copy distinct
-        # candidates: the set already covers every one of them.
-        return state, []
-    values = oracle.rows(t - 1, t, ids)[0]
-    threshold = 2.0 * state.epsilon
-    reference = values.take(ids.searchsorted(active))
-    uncovered = np.flatnonzero(uncovered_mask(values, reference, threshold))
-    if uncovered.size == 0:
-        return state, []
+    uncovered = np.flatnonzero(uncovered_mask(values, values.take(active), threshold))
     admitted: list[float] = []  # values admitted this round, kept sorted
-    added: list[ExpertId] = []
+    added: list[int] = []
     for k, value in zip(uncovered.tolist(), values[uncovered].tolist()):
         pos = bisect.bisect_left(admitted, value)
         if pos > 0 and value - admitted[pos - 1] <= threshold:
@@ -100,13 +59,8 @@ def expand_packing(
         if pos < len(admitted) and admitted[pos] - value <= threshold:
             continue
         admitted.insert(pos, value)
-        added.append(int(ids[k]))
-    new_state = replace(
-        state,
-        active=np.concatenate((active, np.array(added, dtype=np.int64))),
-        admitted_at=state.admitted_at + [t] * len(added),
-    )
-    return new_state, added
+        added.append(k)
+    return np.concatenate((active, np.array(added, dtype=np.int64))), added
 
 
 def uncovered_rows(values: np.ndarray, reference: np.ndarray, threshold: float) -> np.ndarray:
@@ -151,52 +105,55 @@ def uncovered_rows(values: np.ndarray, reference: np.ndarray, threshold: float) 
     return flagged
 
 
-def _schedule(oracle: LossOracle, epsilon: float) -> PackingState:
+def _schedule(oracle: LossOracle, epsilon: float) -> tuple[np.ndarray, list[int], dict[str, int]]:
     """The packing after the oracle's ``T`` rounds: the schedule pass of :func:`packing_game`.
 
     Blocks of ``hedge.block_rounds(K)`` rounds over the ``K`` candidates are
     read once and certified at once against the active set at the start of
     the block, whose losses are columns of the block; the rounds the
-    certificate flags run :func:`expand_packing`, in order.  When a flagged
-    round admits no one and the set has grown since the block's last
-    certification, the block's remaining flagged rows are certified again
-    against the grown set, again columns of the rows already read, and only
-    the rows still flagged are walked.  Every certification but a block's
-    first follows an admitting round, so there are at most as many of them
-    as admitting rounds.  Once the active set is as large as the candidate
-    set no later round admits anyone, so nothing more is read.  The returned
-    state counts the blocks, re-certifications and exact queries of the pass.
+    certificate flags run :func:`expand_packing` on their row of the block,
+    in order.  When a flagged round admits no one and the set has grown
+    since the block's last certification, the block's remaining flagged rows
+    are certified again against the grown set, and only the rows still
+    flagged are walked.  Every certification but a block's first follows an
+    admitting round, so there are at most as many of them as admitting
+    rounds.  Once the active set is as large as the candidate set no later
+    round admits anyone, so nothing more is read.
+
+    Returns the active ids in admission order, the round at which each
+    joined (0 for expert 0), which certifies the pairwise separation of the
+    packing, and the counts of blocks, re-certifications of a block's flagged
+    rows, and exact queries of the pass.
     """
-    state = PackingState.fresh(epsilon)
     ids = oracle.coverage_ids()
-    threshold = 2.0 * state.epsilon
+    threshold = 2.0 * epsilon
     T, step = oracle.horizon(), hedge.block_rounds(ids.size)
-    blocks = recertifications = queries = 0
+    active = np.zeros(1, dtype=np.int64)  # columns of the candidate block
+    admitted_at = [0]
+    counts = {"blocks": 0, "recertifications": 0, "exact_queries": 0}
     for t0 in range(0, T, step):
-        if state.active.size >= ids.size:
+        if active.size >= ids.size:
             break
-        t1 = min(T, t0 + step)
-        values = oracle.rows(t0, t1, ids)
+        values = oracle.rows(t0, min(T, t0 + step), ids)
         # take, not fancy indexing: a C-ordered copy keeps the certificate's row sort fast.
-        reference = values.take(ids.searchsorted(state.active), 1)
-        rows = np.flatnonzero(uncovered_rows(values, reference, threshold))
-        blocks += 1
-        certified = state.active.size
+        rows = np.flatnonzero(uncovered_rows(values, values.take(active, 1), threshold))
+        counts["blocks"] += 1
+        certified = active.size
         i = 0
-        while i < rows.size and state.active.size < ids.size:
-            state, added = expand_packing(state, t0 + int(rows[i]) + 1, oracle)
-            queries += 1
+        while i < rows.size and active.size < ids.size:
+            active, added = expand_packing(values[rows[i]], active, threshold)
+            admitted_at += [t0 + int(rows[i]) + 1] * len(added)
+            counts["exact_queries"] += 1
             i += 1
-            if added or state.active.size == certified or i == rows.size:
+            if added or active.size == certified or i == rows.size:
                 continue
             rows = rows[i:]
             block = values[rows]
-            grown = block.take(ids.searchsorted(state.active), 1)
-            rows = rows[uncovered_rows(block, grown, threshold)]
+            rows = rows[uncovered_rows(block, block.take(active, 1), threshold)]
             i = 0
-            certified = state.active.size
-            recertifications += 1
-    return replace(state, blocks=blocks, recertifications=recertifications, queries=queries)
+            certified = active.size
+            counts["recertifications"] += 1
+    return ids[active], admitted_at, counts
 
 
 def packing_regret_bound(
@@ -257,42 +214,41 @@ def packing_game(
     if ids.size == 0 or ids[0] != 0:
         raise ValueError(f"coverage_ids() must start at expert 0, got {ids[:1].tolist()}")
     gen, seed = normalize_rng(rng)
+    if not (0.0 < epsilon <= 1.0):
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
 
-    state = _schedule(oracle, epsilon)
-    admitted_at = np.array(state.admitted_at, dtype=np.int64)
+    active, admitted, counts = _schedule(oracle, epsilon)
+    admitted_at = np.array(admitted, dtype=np.int64)
     # Phase p plays rounds starts[p] + 1 .. starts[p + 1] over the first sizes[p]
     # active experts (a prefix, since active is in admission order); the
     # losses of its last round update nothing.  An admission at round T opens
     # a phase with no rounds.
-    starts = np.array(sorted(set(state.admitted_at)), dtype=np.int64)
+    starts = np.array(sorted(set(admitted)), dtype=np.int64)
     sizes = admitted_at.searchsorted(starts, side="right")
     played = starts < T
     picks, incurred, means = hedge.exponential_weights(
-        lambda j0, j1, width: oracle.rows(j0, j1, state.active[:width]),
+        lambda j0, j1, width: oracle.rows(j0, j1, active[:width]),
         starts[played], sizes[played], gen.random(T), normalize=True, expected=expected,
     )
-    chosen = state.active[picks]
 
     rounds = np.arange(1, T + 1)
     extras: dict[str, Any] = {
         "algorithm": "many_experts",
         "epsilon": epsilon,
-        "final_active": state.active.tolist(),
-        "admitted_at": list(state.admitted_at),
-        "final_packing": int(state.active.size),
+        "final_active": active.tolist(),
+        "admitted_at": admitted,
+        "final_packing": int(active.size),
         "num_phases": int(starts.size),
         "restarts": list(zip(starts.tolist(), sizes.tolist())),
         "schedule": {
-            "blocks": state.blocks,
-            "recertifications": state.recertifications,
-            "exact_queries": state.queries,
+            **counts,
             "admitting_rounds": int(starts.size) - 1,
             # The round whose admissions made the set as large as the candidate set.
-            "saturation_round": state.admitted_at[-1] if state.active.size >= ids.size else None,
+            "saturation_round": admitted[-1] if active.size >= ids.size else None,
         },
     }
     trajectory = GameTrajectory.from_rounds(
-        chosen,
+        active[picks],
         incurred,
         admitted_at.searchsorted(rounds, side="right"),
         starts.searchsorted(rounds, side="right"),

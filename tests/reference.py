@@ -3,11 +3,14 @@
 These are the round-by-round loops the closed-form kernel replaced: every
 round draws one uniform through ``sample_categorical`` and applies
 ``update`` to a :class:`HedgeState`, the minimal per-round hedge below (it
-validates nothing, since only tests call it).  The packing loop calls
-``many_experts.expand_packing`` through the module, so a test can swap in
-another admission rule for both sides.  The kernel-based learners must
-reproduce these trajectories and extras bit for bit.  ``LossOnlyOracle`` is
-the slowest oracle: every other access goes through the base-class defaults.
+validates nothing, since only tests call it).  The packing loop reads every
+round's row of coverage candidates and calls ``many_experts.expand_packing``
+on it through the module, so a test can swap in another admission rule for
+both sides; the block schedule pass instead reads each block of rounds once
+and runs an exact query on the block's row already read.  The kernel-based
+learners must reproduce these trajectories and extras bit for bit.
+``LossOnlyOracle`` is the slowest oracle: every other access goes through
+the base-class defaults.
 ``Prefix`` is the first rounds of a longer environment, an environment of its
 own, since a game runs over every round of its oracle.  ``first_uncovered``
 is a single coverage query, for comparison with dense scans, and
@@ -285,7 +288,11 @@ def advance(
     incurred = float(row[idx])
     mean_loss = float(p @ row)
 
-    state, added = many_experts.expand_packing(state, t, oracle)
+    ids = oracle.coverage_ids()
+    columns, added = many_experts.expand_packing(
+        round_losses(oracle, t, ids), ids.searchsorted(state.active), 2.0 * state.epsilon
+    )
+    state = replace(state, active=ids[columns], admitted_at=state.admitted_at + [t] * len(added))
     if added:
         # The losses of the restart round update nothing: weights reset after it.
         state = restart(state, t)

@@ -111,9 +111,9 @@ class TestRun:
         queries = []
         expand = many_experts.expand_packing
 
-        def counting(state, t, oracle):
-            queries.append(t)
-            return expand(state, t, oracle)
+        def counting(values, active, threshold):
+            queries.append(active.size)
+            return expand(values, active, threshold)
 
         monkeypatch.setattr(many_experts, "expand_packing", counting)
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
@@ -127,17 +127,17 @@ class TestRun:
         epsilons = (
             meta_tuner.build_grid(game.T) if algorithm == "meta_tuner" else [game.epsilon]
         )
-        states = [many_experts._schedule(oracle, e) for e in epsilons]
-        assert counts["blocks"] == sum(state.blocks for state in states) >= len(states)
-        assert counts["recertifications"] == sum(state.recertifications for state in states)
-        assert counts["exact_queries"] == sum(state.queries for state in states)
-        admitting = sum(len(set(state.admitted_at)) - 1 for state in states)
+        schedules = [many_experts._schedule(oracle, e) for e in epsilons]
+        for key in ("blocks", "recertifications", "exact_queries"):
+            assert counts[key] == sum(c[key] for _, _, c in schedules)
+        assert counts["blocks"] >= len(schedules)
+        admitting = sum(len(set(admitted_at)) - 1 for _, admitted_at, _ in schedules)
         assert counts["admitting_rounds"] == admitting <= len(queries)
         # At epsilon 1 no +/-1 row is farther than 2 from another: that copy never saturates.
-        saturated = [s.active.size == oracle.coverage_ids().size for s in states]
+        saturated = [active.size == oracle.coverage_ids().size for active, _, _ in schedules]
         assert saturated == [eps < 1.0 for eps in epsilons]
         if all(saturated):
-            assert counts["saturation_round"] == max(s.admitted_at[-1] for s in states) > 0
+            assert counts["saturation_round"] == max(a[-1] for _, a, _ in schedules) > 0
         else:
             assert counts["saturation_round"] is None
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -225,6 +225,29 @@ class TestRun:
         )
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
         assert "distinct binary rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("override", "whole", "message"),
+        [
+            ("game.T=32.9", "game.T=32.0", "game: T must be a whole number, got 32.9"),
+            ("game.seed=true", "game.seed=3.0", "game: seed must be a whole number, got True"),
+            ("environment.K=20.7", "environment.K=20.0",
+             "environment.K must be a whole number, got 20.7"),
+            ("environment.N=true", "environment.N=2.0",
+             "environment.N must be a whole number, got True"),
+        ],
+    )
+    def test_non_whole_number_is_config_error(self, tmp_path, capsys, override, whole, message):
+        config = clustered_config(tmp_path, T=32, K=20, N=2)
+        argv = ["run", "--config", config, "--out-dir"]
+        assert cli.main(argv + [str(tmp_path / "bad"), "--set", override]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "bad").exists()
+        # A whole float plays the game of the int it stands for.
+        assert cli.main(argv + [str(tmp_path / "float"), "--set", whole]) == EXIT_OK
+        assert cli.main(argv + [str(tmp_path / "int")]) == EXIT_OK
+        trajectory = (tmp_path / "float" / "trajectory.csv").read_bytes()
+        assert trajectory == (tmp_path / "int" / "trajectory.csv").read_bytes()
 
     def test_horizon_mismatch_is_config_error(self, tmp_path, capsys):
         config = write_config(
@@ -388,6 +411,8 @@ class TestSweep:
             ("sweep.n_seeds=1.5", "sweep.n_seeds"),
             ("sweep.epsilons=[abc]", "sweep.epsilons"),
             ("sweep.epsilons=[null]", "sweep.epsilons"),
+            ("sweep.epsilons=[1.5]", "sweep.epsilons"),
+            ("sweep.epsilons=[0]", "sweep.epsilons"),
             ("sweep.include_meta=off-please", "sweep.include_meta"),
         ],
     )

@@ -2,13 +2,12 @@
 
 ``dense_uncovered`` is the ``K x K_p`` broadcast gap scan and
 ``requery_expand`` the admission loop that re-asks for the smallest uncovered
-expert after every admission.  The sorted-neighbour kernel, the block
+column after every admission.  The sorted-neighbour kernel, the block
 certificate ``uncovered_rows`` and the one-pass ``expand_packing`` must agree
-with them bit for bit, and the block schedule pass with ``expand_packing``
-called on every round.
+with them bit for bit; the block schedule pass must agree with
+``expand_packing`` called on every round's candidates, and with the requery
+loop called on every round's full row of ``K`` experts.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 
 from packhedge import cli, environments, hedge, many_experts, meta_tuner
 from packhedge.core import game_rng, uncovered_mask
-from packhedge.many_experts import PackingState, expand_packing, uncovered_rows
+from packhedge.many_experts import expand_packing, uncovered_rows
 from reference import LossOnlyOracle, Prefix, first_uncovered
 
 
@@ -27,32 +26,39 @@ def dense_uncovered(values, reference, threshold):
     return gap > threshold
 
 
-def requery_expand(state, t, oracle):
-    """The admission loop before the one-pass rewrite, on the full loss row."""
-    threshold = 2.0 * state.epsilon
-    row = oracle.rows(t - 1, t)[0]
-    active = state.active
+def requery_expand(values, active, threshold):
+    """The admission loop before the one-pass rewrite, with ``expand_packing``'s signature."""
     added = []
     while True:
-        mask = dense_uncovered(row, row[active], threshold)
+        mask = dense_uncovered(values, values[active], threshold)
         j = int(np.argmax(mask))
         if not mask[j]:
-            break
+            return active, added
         active = np.append(active, np.int64(j))
         added.append(j)
-    if not added:
-        return state, []
-    return replace(state, active=active, admitted_at=state.admitted_at + [t] * len(added)), added
 
 
-def schedule(oracle, epsilon, expand):
-    """Admissions of every round, driving the packing state with ``expand`` only."""
-    state = PackingState.fresh(epsilon)
-    admissions = []
+def schedule(oracle, epsilon, expand, candidates=True):
+    """Active ids and admission rounds from ``expand`` called on every round.
+
+    Each round's row holds the coverage candidates, or with ``candidates``
+    false every one of the ``K`` experts.
+    """
+    ids = oracle.coverage_ids() if candidates else np.arange(oracle.num_experts())
+    active, admitted_at = np.zeros(1, dtype=np.int64), [0]
     for t in range(1, oracle.horizon() + 1):
-        state, added = expand(state, t, oracle)
-        admissions.append(added)
-    return list(state.active), state.admitted_at, admissions
+        active, added = expand(oracle.rows(t - 1, t, ids)[0], active, 2.0 * epsilon)
+        admitted_at += [t] * len(added)
+    return ids[active].tolist(), admitted_at
+
+
+def dense_schedule(oracle, epsilon):
+    return schedule(oracle, epsilon, requery_expand, candidates=False)
+
+
+def block_schedule(oracle, epsilon):
+    active, admitted_at, _ = many_experts._schedule(oracle, epsilon)
+    return active.tolist(), admitted_at
 
 
 # Values a round can take: few distinct ones so duplicates and exact gaps are
@@ -311,9 +317,7 @@ class TestOnePassExpansion:
     @pytest.mark.parametrize("epsilon", [1.0, 0.5, 0.25, 2.0**-4, 2.0**-7])
     def test_schedule_matches_requery_loop(self, kind, epsilon):
         oracle = oracles()[kind]
-        assert schedule(oracle, epsilon, expand_packing) == schedule(
-            oracle, epsilon, requery_expand
-        )
+        assert block_schedule(oracle, epsilon) == dense_schedule(oracle, epsilon)
 
     @settings(max_examples=200)
     @given(
@@ -332,14 +336,13 @@ class TestOnePassExpansion:
         # admitted in the same round are common.
         matrix = np.array(columns).T
         oracle = LossOnlyOracle(matrix) if loss_only else environments.MatrixOracle(matrix)
-        assert schedule(oracle, epsilon, expand_packing) == schedule(
-            oracle, epsilon, requery_expand
-        )
+        assert block_schedule(oracle, epsilon) == dense_schedule(oracle, epsilon)
 
     def test_same_round_gap_equal_to_threshold_blocks_admission(self):
-        oracle = environments.MatrixOracle(np.array([[-1.0, 0.0, 0.5, 1.0, -0.5]]))
-        state, added = expand_packing(PackingState.fresh(0.25), 1, oracle)
+        values = np.array([-1.0, 0.0, 0.5, 1.0, -0.5])
+        active, added = expand_packing(values, np.zeros(1, dtype=np.int64), 0.5)
         assert added == [1, 3]
+        assert active.tolist() == [0, 1, 3]
 
     @pytest.mark.parametrize("kind", ["matrix", "clustered", "loss_only"])
     def test_uncovered_expert_matches_dense_scan(self, kind):
@@ -355,19 +358,29 @@ class TestOnePassExpansion:
             expected = int(np.argmax(mask)) if mask.any() else None
             assert first_uncovered(oracle, t, active, threshold) == expected
 
-    def test_saturated_set_stops_querying(self):
-        # Every expert separated at round 1: the set saturates, later rounds admit nothing.
-        oracle = environments.MatrixOracle(
-            np.array([[-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0]])
-        )
-        state, added = expand_packing(PackingState.fresh(0.1), 1, oracle)
-        assert added == [1, 2, 3, 4]
+    def test_saturated_set_stops_querying(self, monkeypatch):
+        # Every expert separated at round 1: the set saturates, and no later
+        # round is queried or read, in this block or the next.
+        matrix = np.zeros((2 * hedge.block_rounds(5), 5))
+        matrix[0] = [-1.0, -0.5, 0.0, 0.5, 1.0]
+        oracle = environments.MatrixOracle(matrix)
+        reads, queries = [], []
+        rows = oracle.rows
 
-        def no_query(*args):
-            raise AssertionError("a saturated set must not read losses")
+        def reading(t0, t1, experts=None):
+            reads.append((t0, t1))
+            return rows(t0, t1, experts)
 
-        oracle.rows = no_query
-        assert expand_packing(state, 2, oracle) == (state, [])
+        def querying(values, active, threshold):
+            queries.append(active.size)
+            return expand_packing(values, active, threshold)
+
+        oracle.rows = reading
+        monkeypatch.setattr(many_experts, "expand_packing", querying)
+        active, admitted_at, counts = many_experts._schedule(oracle, 0.1)
+        assert (active.tolist(), admitted_at) == ([0, 1, 2, 3, 4], [0, 1, 1, 1, 1])
+        assert reads == [(0, hedge.block_rounds(5))] and queries == [1]
+        assert counts == {"blocks": 1, "recertifications": 0, "exact_queries": 1}
 
     def test_meta_game_matches_requery_loop(self, monkeypatch):
         oracle = environments.make_low_rank(64, 30, 2, 0.05, seed=2)
@@ -393,14 +406,8 @@ class TestOnePassExpansion:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def block_schedule(oracle, epsilon):
-    state = many_experts._schedule(oracle, epsilon)
-    return state.active.tolist(), state.admitted_at
-
-
 def per_round_schedule(oracle, epsilon):
-    active, admitted_at, _ = schedule(oracle, epsilon, expand_packing)
-    return [int(i) for i in active], admitted_at
+    return schedule(oracle, epsilon, expand_packing)
 
 
 class TestBlockSchedule:
@@ -486,17 +493,17 @@ def test_stale_blocks_on_the_readme_shape(monkeypatch, seed):
     oracle = environments.make_clustered_binary(5000, 100_000, 8, seed=seed)
     calls = []
 
-    def counting(state, t, oracle):
-        calls.append(t)
-        return expand_packing(state, t, oracle)
+    def counting(values, active, threshold):
+        calls.append(active.size)
+        return expand_packing(values, active, threshold)
 
     monkeypatch.setattr(many_experts, "expand_packing", counting)
-    state = many_experts._schedule(oracle, 0.5)
-    admitting = len(set(state.admitted_at)) - 1
+    _, admitted_at, counts = many_experts._schedule(oracle, 0.5)
+    admitting = len(set(admitted_at)) - 1
     assert admitting >= 1
     assert len(calls) <= 2 * admitting
-    assert state.queries == len(calls)
-    assert state.recertifications <= admitting
+    assert counts["exact_queries"] == len(calls)
+    assert counts["recertifications"] <= admitting
 
 
 small_games = st.tuples(

@@ -330,40 +330,42 @@ class TestRows:
 
 
 class EventOracle(environments.MatrixOracle):
-    """Logs the reads of loss rows in order."""
+    """Logs the reads of loss rows in order, with the rows read."""
 
     def __init__(self, matrix):
         super().__init__(matrix)
         self.events = []
 
     def rows(self, t0, t1, experts=None):
-        self.events.append(("read", t0, t1))
-        return super().rows(t0, t1, experts)
+        values = super().rows(t0, t1, experts)
+        self.events.append(("read", t0, values))
+        return values
 
 
 def replay_schedule(events, admitting):
     """Check the logged schedule pass; return its block-flagged rounds and exact queries.
 
-    A read while flagged rounds are pending is an exact query, one round of
-    candidates; any other read is a block, certified right after it.  A
-    certification with no block read before it re-certifies the block's
-    pending flagged rounds.  The exact queries must take the pending rounds
-    in order, and a query that admits no one after the set has grown since
-    the last certification must be followed by a re-certification while
-    rounds are pending.
+    Every read is a block, certified right after it, and every exact query
+    runs on a row of the block last read.  A certification with no block
+    read before it re-certifies the block's pending flagged rounds.  The
+    exact queries must take the pending rounds in order, each on its own
+    row, and a query that admits no one after the set has grown since the
+    last certification must be followed by a re-certification while rounds
+    are pending.
     """
     flagged, queries = [], []
-    pending, block, grown, due = [], None, False, False
+    pending, t0, block, fresh, grown, due = [], 0, None, False, False, False
     for event in events:
-        if event[0] == "read" and not pending:
-            assert block is None, "a block is read once"
-            block = event[1]
-            continue
         if event[0] == "read":
+            assert not pending and not fresh, "a block is read after the last one's queries"
+            assert block is None or event[1] > t0, "a block is read once"
+            _, t0, block = event
+            fresh = True
+            continue
+        if event[0] == "query":
             assert not due, "a re-certification was due before this query"
-            t = event[2]
-            assert event[1] == t - 1 and pending[0] == t
-            pending.pop(0)
+            t = pending.pop(0)
+            assert np.array_equal(event[1], block[t - 1 - t0])
             queries.append(t)
             if t in admitting:
                 grown = True
@@ -371,11 +373,11 @@ def replay_schedule(events, admitting):
                 due = True
             continue
         flags = event[1]
-        if block is not None:
+        if fresh:
             assert not due and not pending
-            pending = (np.flatnonzero(flags) + block + 1).tolist()
+            pending = (np.flatnonzero(flags) + t0 + 1).tolist()
             flagged.extend(pending)
-            block = None
+            fresh = False
         else:
             assert due, "a re-certification must follow a false flag after growth"
             assert flags.size == len(pending)
@@ -395,34 +397,40 @@ def test_active_gathers_only_on_flagged_rounds(monkeypatch, entries):
     monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
     matrix = environments.make_low_rank(400, 60, 2, 0.05, seed=4).to_matrix()
     oracle = None
-    certify = many_experts.uncovered_rows
+    certify, expand = many_experts.uncovered_rows, many_experts.expand_packing
 
-    def recording(values, reference, threshold):
+    def certifying(values, reference, threshold):
         flags = certify(values, reference, threshold)
         oracle.events.append(("certify", flags))
         return flags
 
-    monkeypatch.setattr(many_experts, "uncovered_rows", recording)
+    def querying(values, active, threshold):
+        oracle.events.append(("query", values))
+        return expand(values, active, threshold)
+
+    monkeypatch.setattr(many_experts, "uncovered_rows", certifying)
+    monkeypatch.setattr(many_experts, "expand_packing", querying)
     gathered = recertified = 0
     for epsilon in (0.25, 2.0**-5, 2.0**-9):
         oracle = EventOracle(matrix)
-        state = many_experts._schedule(oracle, epsilon)
-        admitting = set(state.admitted_at[1:])
+        active, admitted_at, counts = many_experts._schedule(oracle, epsilon)
+        admitting = set(admitted_at[1:])
         flagged, queries = replay_schedule(oracle.events, admitting)
         # The exact queries are an ordered subsequence of the block-flagged
         # rounds, and every admission round is among them.
         assert is_subsequence(queries, flagged)
         assert admitting <= set(queries)
-        assert (state.queries, state.blocks) == (
+        certifications = sum(1 for event in oracle.events if event[0] == "certify")
+        assert (counts["exact_queries"], counts["blocks"]) == (
             len(queries),
-            sum(1 for event in oracle.events if event[0] == "certify") - state.recertifications,
+            certifications - counts["recertifications"],
         )
-        assert state.recertifications <= len(admitting)
+        assert counts["recertifications"] <= len(admitting)
         # The last unsaturated round: the pass stops once all 60 candidates are active.
-        last = state.admitted_at[-1] if state.active.size == 60 else 400
+        last = admitted_at[-1] if active.size == 60 else 400
         assert all(event[1] < last for event in oracle.events if event[0] == "read")
         gathered += len(queries)
-        recertified += state.recertifications
+        recertified += counts["recertifications"]
     assert last < 400  # the finest accuracy saturated
     assert recertified > 0
     unsaturated = 400 + 400 + last
@@ -446,18 +454,19 @@ def count_reads(oracle):
 
 @pytest.mark.parametrize("entries", [600, hedge.BLOCK_ENTRIES])
 def test_schedule_reads_each_block_and_query_once(monkeypatch, entries):
-    # The active losses are columns of the candidate rows: no second read of
-    # a block, of a query's round or for a re-certification.
+    # The active losses are columns of the candidate rows, and an exact query
+    # runs on its row of the block: one read per certified block, none for a
+    # query's round or for a re-certification.
     monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
     games = [(environments.make_low_rank(400, 60, 2, 0.05, seed=4), e) for e in (0.25, 2.0**-9)]
     games.append((environments.make_clustered_binary(5000, 100_000, 8, seed=0), 0.5))
     for oracle, epsilon in games:
         reads = count_reads(oracle)
-        state = many_experts._schedule(oracle, epsilon)
-        assert state.queries > 0
-        assert len(reads) == state.blocks + state.queries
-        assert sum(t1 - t0 == 1 for t0, t1 in reads) >= state.queries
-    assert state.recertifications > 0
+        _, _, counts = many_experts._schedule(oracle, epsilon)
+        assert counts["exact_queries"] > 0
+        assert len(reads) == counts["blocks"]
+        assert len(set(reads)) == len(reads)
+    assert counts["recertifications"] > 0
 
 
 class TestBoundedMemory:
@@ -495,8 +504,7 @@ class TestBoundedMemory:
 
     def test_schedule_pass_packing_lowrank(self):
         oracle = environments.make_low_rank(1024, 500, 2, 0.05, 3)
-        state = many_experts._schedule(oracle, 2.0**-7)
-        assert state.active.size > 250  # a large packing
+        assert many_experts._schedule(oracle, 2.0**-7)[0].size > 250  # a large packing
         peak = self.peak(lambda: many_experts._schedule(oracle, 2.0**-7))
         assert peak < 8 * self.BLOCK_BYTES
 
@@ -517,14 +525,14 @@ class TestBoundedMemory:
         spaced = -1.0 + 4.0 * epsilon * np.arange(250)
         matrix = np.tile(np.concatenate((spaced, spaced + epsilon)), (256, 1))
         oracle = environments.MatrixOracle(matrix)
-        assert many_experts._schedule(oracle, epsilon).active.size == 250
+        assert many_experts._schedule(oracle, epsilon)[0].size == 250
         peak = self.peak(lambda: many_experts._schedule(oracle, epsilon))
         assert peak < 8 * self.BLOCK_BYTES
 
     def phase_peak(self, monkeypatch, oracle, epsilons, expected):
         """Peak of the phase pass alone: every copy's kernel call, schedules precomputed."""
-        states = {e: many_experts._schedule(oracle, e) for e in epsilons}
-        monkeypatch.setattr(many_experts, "_schedule", lambda o, e: states[e])
+        schedules = {e: many_experts._schedule(oracle, e) for e in epsilons}
+        monkeypatch.setattr(many_experts, "_schedule", lambda o, e: schedules[e])
         return self.peak(lambda: [
             many_experts.packing_game(oracle, e, r, expected=expected)
             for r, e in enumerate(epsilons)
@@ -546,7 +554,7 @@ class TestBoundedMemory:
     def test_schedule_pass_readme_shape(self, seed):
         # 2048-round blocks over 8 candidates, re-certified after false flags.
         oracle = environments.make_clustered_binary(5000, 100_000, 8, seed=seed)
-        assert many_experts._schedule(oracle, 0.5).recertifications > 0
+        assert many_experts._schedule(oracle, 0.5)[2]["recertifications"] > 0
         peak = self.peak(lambda: many_experts._schedule(oracle, 0.5))
         assert peak < 8 * self.BLOCK_BYTES
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import reference
 from packhedge import analysis, environments, many_experts, meta_tuner
 from packhedge.core import game_rng
-from packhedge.many_experts import PackingState, expand_packing, packing_regret_bound
+from packhedge.many_experts import expand_packing, packing_regret_bound
 
 
 def reference_expand(matrix, t, active, threshold):
@@ -25,46 +25,47 @@ def reference_expand(matrix, t, active, threshold):
             return active, added
 
 
+#: The packing's start: expert 0 alone.
+START = np.zeros(1, dtype=np.int64)
+
+
 class TestExpandPacking:
     def test_three_spread_experts_all_admitted(self):
-        env = environments.MatrixOracle(np.array([[-1.0, 0.0, 1.0]]))
-        state, added = expand_packing(PackingState.fresh(0.2), 1, env)
+        active, added = expand_packing(np.array([-1.0, 0.0, 1.0]), START, 0.4)
         assert added == [1, 2]
-        assert list(state.active) == [0, 1, 2]
-        assert state.admitted_at == [0, 1, 1]
+        assert active.tolist() == [0, 1, 2]
+        env = environments.MatrixOracle(np.array([[-1.0, 0.0, 1.0]]))
+        assert many_experts._schedule(env, 0.2)[1] == [0, 1, 1]
 
     def test_covered_round_changes_nothing(self):
-        env = environments.MatrixOracle(np.array([[0.0, 0.1, -0.1]]))
-        fresh = PackingState.fresh(0.2)
-        state, added = expand_packing(fresh, 1, env)
+        active, added = expand_packing(np.array([0.0, 0.1, -0.1]), START, 0.4)
         assert added == []
-        assert state is fresh
+        assert active.tolist() == [0]
 
     def test_binary_split_admitted(self):
-        env = environments.MatrixOracle(np.array([[-1.0, 1.0]]))
-        state, added = expand_packing(PackingState.fresh(0.4), 1, env)
+        active, added = expand_packing(np.array([-1.0, 1.0]), START, 0.8)
         assert added == [1]
-        assert list(state.active) == [0, 1]
+        assert active.tolist() == [0, 1]
 
     @settings(max_examples=60)
     @given(
         st.integers(min_value=0, max_value=2**31),
         st.integers(min_value=2, max_value=10),
-        st.integers(min_value=1, max_value=5),
         st.floats(min_value=0.05, max_value=1.0),
+        st.data(),
     )
-    def test_matches_reference_loop(self, seed, experts, rounds, epsilon):
-        rng = game_rng(seed)
-        matrix = rng.uniform(-1.0, 1.0, size=(rounds, experts))
-        env = environments.MatrixOracle(matrix)
-        t = int(rng.integers(1, rounds + 1))
-        state, added = expand_packing(PackingState.fresh(epsilon), t, env)
-        expected_active, expected_added = reference_expand(matrix, t, [0], 2.0 * epsilon)
-        assert list(state.active) == expected_active
+    def test_matches_reference_loop(self, seed, experts, epsilon, data):
+        values = game_rng(seed).uniform(-1.0, 1.0, size=(1, experts))
+        # Any nonempty set of starting columns, in any order: separated or not.
+        start = data.draw(
+            st.lists(st.integers(0, experts - 1), min_size=1, max_size=experts, unique=True)
+        )
+        active, added = expand_packing(values[0], np.array(start, dtype=np.int64), 2.0 * epsilon)
+        expected_active, expected_added = reference_expand(values, 1, start, 2.0 * epsilon)
+        assert active.tolist() == expected_active
         assert added == expected_added
-        # Post-condition: every expert is now within 2*epsilon of the active set.
-        row = matrix[t - 1]
-        gap = np.abs(row[:, None] - row[list(state.active)][None, :]).min(axis=1)
+        # Post-condition: every column is now within 2*epsilon of the active set.
+        gap = np.abs(values[0][:, None] - values[0][active][None, :]).min(axis=1)
         assert np.all(gap <= 2.0 * epsilon)
 
 
@@ -75,9 +76,8 @@ class TestRestart:
                 [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [-0.9, 0.9, 0.0, -0.45], [0.5] * 4]
             )
         )
-        state, added = expand_packing(PackingState.fresh(0.1), 3, env)
-        assert len(added) == 3
-        assert state.admitted_at == [0, 3, 3, 3]
+        active, admitted_at, _ = many_experts._schedule(env, 0.1)
+        assert admitted_at == [0, 3, 3, 3]
         trajectory = many_experts.play_many_experts(env, 0.1, rng=0)
         assert trajectory.extras["restarts"] == [(0, 1), (3, 4)]
         assert trajectory.extras["num_phases"] == 2
@@ -85,7 +85,7 @@ class TestRestart:
         assert trajectory.packing_size.tolist() == [1, 1, 4, 4]
         # Round 4 samples the restarted hedge: uniform over the four active experts.
         u = game_rng(0, 0).random(4)[3]
-        assert trajectory.chosen[3] == state.active[int(4 * u)]
+        assert trajectory.chosen[3] == active[int(4 * u)]
 
     def test_restart_sizes_strictly_increase(self):
         env = environments.make_clustered_binary(200, 50, 5, seed=8)
