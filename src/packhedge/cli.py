@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import itertools
 import json
 import logging
@@ -25,6 +26,7 @@ import yaml
 
 from . import __version__, analysis, environments, hedge, many_experts, meta_tuner, validation
 from .core import GameConfig, GameTrajectory, whole_number
+from .environments import EnvironmentSpec
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
@@ -75,29 +77,8 @@ def apply_overrides(cfg: dict[str, Any], overrides: list[str]) -> None:
         node[keys[-1]] = yaml.safe_load(raw_value)
 
 
-def build_game_config(cfg: dict[str, Any], seed_override: int | None) -> GameConfig:
-    game = cfg.get("game")
-    if not isinstance(game, dict):
-        raise ConfigError("game: section missing")
-    for required in ("algorithm", "T"):
-        if required not in game:
-            raise ConfigError(f"game.{required}: required and missing")
-    seed = seed_override if seed_override is not None else game.get("seed")
-    if seed is None:
-        raise ConfigError("game.seed: required (set it in the config or pass --seed)")
-    try:
-        return GameConfig(
-            T=whole_number("T", game["T"]),
-            epsilon=float(game.get("epsilon", 1.0)),
-            seed=whole_number("seed", seed),
-            algorithm=str(game["algorithm"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"game: {exc}") from exc
-
-
-def build_env_spec(cfg: dict[str, Any], game: GameConfig) -> environments.EnvironmentSpec:
-    env = cfg.get("environment")
+def build_env_spec(env: Any, game: GameConfig) -> EnvironmentSpec:
+    """The spec of a config's ``environment`` section; ``T`` and ``seed`` default to the game's."""
     if not isinstance(env, dict):
         raise ConfigError("environment: section missing")
     if "kind" not in env:
@@ -107,9 +88,29 @@ def build_env_spec(cfg: dict[str, Any], game: GameConfig) -> environments.Enviro
     if env["kind"] != "finite_matrix":
         parameters.setdefault("seed", game.seed)
     try:
-        return environments.EnvironmentSpec(str(env["kind"]), parameters)
+        return EnvironmentSpec(str(env["kind"]), parameters)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _load(args: argparse.Namespace) -> tuple[dict[str, Any], GameConfig, EnvironmentSpec]:
+    """The config ``args`` names, with its overrides, and the game and environment it sets."""
+    cfg = load_config(args.config)
+    apply_overrides(cfg, args.set or [])
+    raw = cfg.get("game")
+    if not isinstance(raw, dict):
+        raise ConfigError("game: section missing")
+    for required in ("algorithm", "T"):
+        if required not in raw:
+            raise ConfigError(f"game.{required}: required and missing")
+    seed = args.seed if args.seed is not None else raw.get("seed")
+    if seed is None:
+        raise ConfigError("game.seed: required (set it in the config or pass --seed)")
+    try:
+        game = GameConfig(raw["T"], raw.get("epsilon", 1.0), seed, str(raw["algorithm"]))
+    except ValueError as exc:
+        raise ConfigError(f"game: {exc}") from exc
+    return cfg, game, build_env_spec(cfg.get("environment"), game)
 
 
 def _play(game: GameConfig, oracle) -> GameTrajectory:
@@ -167,7 +168,7 @@ def build_summary(
     trajectory: GameTrajectory,
     oracle,
     game: GameConfig,
-    env_spec: environments.EnvironmentSpec,
+    env_spec: EnvironmentSpec,
 ) -> dict[str, Any]:
     ledger = analysis.empirical_regret(trajectory, oracle)
     num_experts = oracle.num_experts()
@@ -258,10 +259,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         timings[name] = now - mark
         mark = now
 
-    cfg = load_config(args.config)
-    apply_overrides(cfg, args.set or [])
-    game = build_game_config(cfg, args.seed)
-    env_spec = build_env_spec(cfg, game)
+    _, game, env_spec = _load(args)
     oracle = _build_oracle(env_spec, game.T)
     stage_done("environment")
 
@@ -282,15 +280,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     stage_done("summary")
 
     manifest = {
-        "config": {
-            "game": {
-                "algorithm": game.algorithm,
-                "T": game.T,
-                "epsilon": game.epsilon,
-                "seed": game.seed,
-            },
-            "environment": env_spec.as_dict(),
-        },
+        "config": {"game": dataclasses.asdict(game), "environment": env_spec.as_dict()},
         "outputs": {"trajectory": str(trajectory_path), "summary": str(summary_path)},
         "code_version": __version__,
         "python": platform.python_version(),
@@ -304,7 +294,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_oracle(env_spec: environments.EnvironmentSpec, horizon: int | None = None):
+def _build_oracle(env_spec: EnvironmentSpec, horizon: int | None = None):
     try:
         oracle = environments.make_environment(env_spec)
     except ValueError as exc:
@@ -316,7 +306,7 @@ def _build_oracle(env_spec: environments.EnvironmentSpec, horizon: int | None = 
     return oracle
 
 
-def _sweep_cell_run(game: GameConfig, spec: environments.EnvironmentSpec) -> dict[str, Any]:
+def _sweep_cell_run(game: GameConfig, spec: EnvironmentSpec) -> dict[str, Any]:
     """One seeded run of a sweep cell (worker-pool entry point)."""
     try:
         oracle = _build_oracle(spec, game.T)
@@ -333,7 +323,7 @@ def _sweep_cell_run(game: GameConfig, spec: environments.EnvironmentSpec) -> dic
         return {"regret": None, "final_packing": None, "phases": None, "error": str(exc)}
 
 
-def _run_jobs(jobs: list[tuple[GameConfig, environments.EnvironmentSpec]], parallelism: int):
+def _run_jobs(jobs: list[tuple[GameConfig, EnvironmentSpec]], parallelism: int):
     """Yield ``(index, result)`` of every sweep job as it finishes."""
     if parallelism > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
@@ -366,30 +356,22 @@ def _aggregate(rows: list[dict[str, Any]]) -> dict[str, Any]:
     return out
 
 
-def _is_number(value: Any) -> bool:
-    """True for an int or float from a config; YAML booleans are not numbers."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise ConfigError("--seed: required in sweep mode")
-    cfg = load_config(args.config)
-    apply_overrides(cfg, args.set or [])
-    game = build_game_config(cfg, args.seed)
+    cfg, game, _ = _load(args)
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: section missing")
-    n_seeds = sweep.get("n_seeds", 1)
-    if not _is_number(n_seeds) or n_seeds % 1 != 0 or n_seeds < 1:
-        raise ConfigError(f"sweep.n_seeds: must be a whole number >= 1, not {n_seeds!r}")
-    n_seeds = int(n_seeds)
+    try:
+        n_seeds = whole_number("n_seeds", sweep.get("n_seeds", 1))
+        if n_seeds < 1:
+            raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    except ValueError as exc:
+        raise ConfigError(f"sweep.n_seeds: {exc}") from exc
     epsilons = sweep.get("epsilons", [game.epsilon])
     if not isinstance(epsilons, list) or not epsilons:
         raise ConfigError("sweep.epsilons: must be a non-empty list")
-    for epsilon in epsilons:
-        if not _is_number(epsilon):
-            raise ConfigError(f"sweep.epsilons: every entry must be a number, not {epsilon!r}")
     include_meta = sweep.get("include_meta", True)
     if not isinstance(include_meta, bool):
         raise ConfigError(f"sweep.include_meta: must be true or false, not {include_meta!r}")
@@ -402,84 +384,58 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid_keys = sorted(env_grid)
     combos = list(itertools.product(*(env_grid[k] for k in grid_keys))) or [()]
 
-    base_spec = build_env_spec(cfg, game)
-
-    def cell_jobs(combo, epsilon, algorithm):
-        """The game and environment of each seed of a cell, checked before any job runs."""
-        jobs = []
-        for seed in range(game.seed, game.seed + n_seeds):
-            try:
-                cell_game = GameConfig(game.T, epsilon, seed, algorithm)
-            except ValueError as exc:
-                raise ConfigError(f"sweep.epsilons: {exc}") from exc
-            parameters = base_spec.parameters | dict(zip(grid_keys, combo)) | {"seed": seed}
-            try:
-                jobs.append((cell_game, environments.EnvironmentSpec(base_spec.kind, parameters)))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        return jobs
-
-    cells: list[tuple[dict[str, Any], list[tuple[GameConfig, environments.EnvironmentSpec]]]] = []
+    # Cell c is row c of sweep.csv; job i plays one seed of cell i // n_seeds.
+    labels: list[dict[str, Any]] = []
+    jobs: list[tuple[GameConfig, EnvironmentSpec]] = []
     for combo in combos:
-        for epsilon in epsilons:
-            label = {
-                "algorithm": game.algorithm,
-                "epsilon": epsilon,
-                **dict(zip(grid_keys, combo)),
-            }
-            cells.append((label, cell_jobs(combo, float(epsilon), game.algorithm)))
+        grid = dict(zip(grid_keys, combo))
+        cells = [(game.algorithm, epsilon, epsilon) for epsilon in epsilons]
         if include_meta and game.algorithm != "meta_tuner":
-            label = {"algorithm": "meta_tuner", "epsilon": "", **dict(zip(grid_keys, combo))}
-            cells.append((label, cell_jobs(combo, 1.0, "meta_tuner")))
-    jobs = [job for _, cell in cells for job in cell]
+            cells.append(("meta_tuner", "", 1.0))
+        for algorithm, label, epsilon in cells:
+            labels.append({"algorithm": algorithm, "epsilon": label, **grid})
+            for seed in range(game.seed, game.seed + n_seeds):
+                try:
+                    cell_game = GameConfig(game.T, epsilon, seed, algorithm)
+                except ValueError as exc:
+                    raise ConfigError(f"sweep.epsilons: {exc}") from exc
+                environment = cfg["environment"] | grid | {"seed": seed}
+                jobs.append((cell_game, build_env_spec(environment, cell_game)))
 
     # Progress is logged per cell as its seeds finish; sweep.csv keeps cell order.
-    names = [", ".join(f"{k}={v}" for k, v in label.items()) for label, _ in cells]
-    cell_of_job = [c for c, (_, cell) in enumerate(cells) for _ in cell]
-    pending = [len(cell) for _, cell in cells]
-    failures = [0] * len(cells)
+    names = [", ".join(f"{k}={v}" for k, v in label.items()) for label in labels]
     results: list[dict[str, Any] | None] = [None] * len(jobs)
     for index, result in _run_jobs(jobs, args.parallelism):
         results[index] = result
-        c = cell_of_job[index]
-        if result["error"] is not None:
-            failures[c] += 1
-            if failures[c] == 1:
-                logger.warning(
-                    "sweep cell %d/%d (%s) failed: %s", c + 1, len(cells), names[c], result["error"]
-                )
-        pending[c] -= 1
-        if pending[c] == 0:
+        c = index // n_seeds
+        done = [r for r in results[c * n_seeds : (c + 1) * n_seeds] if r is not None]
+        failed = sum(r["error"] is not None for r in done)
+        if result["error"] is not None and failed == 1:
+            logger.warning(
+                "sweep cell %d/%d (%s) failed: %s", c + 1, len(labels), names[c], result["error"]
+            )
+        if len(done) == n_seeds:
             logger.info(
                 "sweep cell %d/%d (%s) finished: %d of %d seeds failed",
-                c + 1, len(cells), names[c], failures[c], len(cells[c][1]),
+                c + 1, len(labels), names[c], failed, n_seeds,
             )
+    rows = [
+        label | _aggregate(results[c * n_seeds : (c + 1) * n_seeds])
+        for c, label in enumerate(labels)
+    ]
 
-    rows: list[dict[str, Any]] = []
-    any_failure = False
-    position = 0
-    for label, cell in cells:
-        cell_results = results[position : position + len(cell)]
-        position += len(cell)
-        aggregate = _aggregate(cell_results)
-        any_failure = any_failure or aggregate["n_failures"] > 0
-        rows.append(label | aggregate)
-
-    # Best accuracy in hindsight per environment combo, for the meta comparison.
-    best_rows: list[dict[str, Any]] = []
-    for combo in combos:
-        combo_key = dict(zip(grid_keys, combo))
+    # Best accuracy in hindsight per environment combo, for the meta comparison;
+    # each combo's cells are consecutive.
+    per_combo = len(rows) // len(combos)
+    for start in range(0, len(rows), per_combo):
         candidates = [
             row
-            for row in rows
-            if row["algorithm"] == game.algorithm
-            and all(row[k] == v for k, v in combo_key.items())
-            and row.get("mean_regret") is not None
+            for row in rows[start : start + per_combo]
+            if row["algorithm"] == game.algorithm and row.get("mean_regret") is not None
         ]
         if candidates:
             best = min(candidates, key=lambda row: row["mean_regret"])
-            best_rows.append({**best, "algorithm": "best_epsilon"})
-    rows.extend(best_rows)
+            rows.append(best | {"algorithm": "best_epsilon"})
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -502,7 +458,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {sweep_path} ({len(rows)} rows)")
-    return EXIT_BOUND_VIOLATION if any_failure else EXIT_OK
+    return EXIT_BOUND_VIOLATION if any(row["n_failures"] for row in rows) else EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -512,7 +468,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"suite: unknown suite {args.suite!r}; choose from {sorted(validation.SUITES)}"
         )
-    result = validation.run_suite(args.suite, seed=args.seed)
+    result = validation.SUITES[args.suite](seed=args.seed)
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {result.suite}: {result.summary}")
     for key, value in sorted(result.details.items()):
@@ -525,10 +481,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_export_env(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    apply_overrides(cfg, args.set or [])
-    game = build_game_config(cfg, args.seed)
-    env_spec = build_env_spec(cfg, game)
+    _, _, env_spec = _load(args)
     oracle = _build_oracle(env_spec)
     out_base = Path(args.out_dir) / (args.name or env_spec.kind)
     try:

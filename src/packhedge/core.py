@@ -50,6 +50,13 @@ def whole_number(name: str, value: Any) -> int:
     return int(value)
 
 
+def real_number(name: str, value: Any) -> float:
+    """``value`` as a float: an int or a float, never a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def normalize_rng(rng: int | np.random.Generator) -> tuple[np.random.Generator, int | None]:
     """Accept a seed or a ready generator; return ``(generator, seed if known)``.
 
@@ -109,7 +116,7 @@ def validate_loss_matrix(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GameConfig:
-    """Parameters of one seeded game."""
+    """Parameters of one seeded game: ``T`` and ``seed`` whole numbers, ``epsilon`` real."""
 
     T: int
     epsilon: float = 1.0
@@ -117,6 +124,9 @@ class GameConfig:
     algorithm: str = "hedge"
 
     def __post_init__(self) -> None:
+        self.T = whole_number("T", self.T)
+        self.epsilon = real_number("epsilon", self.epsilon)
+        self.seed = whole_number("seed", self.seed)
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if not (0.0 < self.epsilon <= 1.0):

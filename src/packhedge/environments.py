@@ -7,11 +7,12 @@ times, true means) for analysis, and enforces the ``[-1, 1]`` loss contract.
 
 from __future__ import annotations
 
+import inspect
 import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -19,15 +20,6 @@ from . import core, matrix_io
 from .core import LossOracle, game_rng, validate_loss_matrix
 
 logger = logging.getLogger(__name__)
-
-KINDS = (
-    "finite_matrix",
-    "clustered_binary",
-    "low_rank",
-    "sparse_dictionary",
-    "bounded_variation",
-    "iid_stochastic",
-)
 
 NOISE_KINDS = ("none", "uniform", "sign")
 
@@ -43,23 +35,39 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
 
 @dataclass
 class EnvironmentSpec:
-    """Declarative description of one environment instance."""
+    """Declarative description of one environment instance.
+
+    ``parameters`` are kept as given, so a spec echoes its config; the kind's
+    ``_REQUIRED`` ones must be present and :meth:`arguments` must accept them.
+    """
 
     kind: str
     parameters: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in GENERATORS:
             raise ValueError(f"environment.kind must be one of {KINDS}, got {self.kind!r}")
         missing = [p for p in _REQUIRED[self.kind] if p not in self.parameters]
         if missing:
             raise ValueError(
                 f"environment.{missing[0]}: required for kind {self.kind!r} and missing"
             )
-        # The parameters make_environment reads as ints.
-        for key in ("T", "K", "N", "d", "n", "k", "seed"):
-            if key in self.parameters:
-                core.whole_number(f"environment.{key}", self.parameters[key])
+        self.arguments()
+
+    def arguments(self) -> dict[str, Any]:
+        """The keyword arguments of the kind's generator that this spec sets.
+
+        Those the generator annotates ``int`` go through :func:`core.whole_number`
+        and those it annotates ``float`` through :func:`core.real_number`; other
+        keys of ``parameters`` are ignored.
+        """
+        checks = {"int": core.whole_number, "float": core.real_number}
+        arguments = {}
+        for name, parameter in inspect.signature(GENERATORS[self.kind]).parameters.items():
+            if name in self.parameters:
+                check = checks.get(parameter.annotation, lambda _, value: value)
+                arguments[name] = check(f"environment.{name}", self.parameters[name])
+        return arguments
 
     def as_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "parameters": dict(self.parameters)}
@@ -359,33 +367,27 @@ def make_iid_stochastic(
     return MatrixOracle(L, spec, {"means": mu})
 
 
-def make_environment(spec: EnvironmentSpec | dict[str, Any]) -> LossOracle:
-    """Instantiate the oracle described by a spec (dicts are accepted)."""
-    if isinstance(spec, dict):
-        spec = EnvironmentSpec(spec["kind"], dict(spec.get("parameters", {})))
-    p = spec.parameters
-    if spec.kind == "finite_matrix":
-        matrix = matrix_io.load_matrix(p["path"], p.get("format"))
-        return MatrixOracle(matrix, spec)
-    if spec.kind == "clustered_binary":
-        return make_clustered_binary(int(p["T"]), int(p["K"]), int(p["N"]), int(p["seed"]))
-    if spec.kind == "low_rank":
-        return make_low_rank(
-            int(p["T"]), int(p["K"]), int(p["d"]), float(p["epsilon_noise"]), int(p["seed"])
-        )
-    if spec.kind == "sparse_dictionary":
-        return make_sparse_dictionary(
-            int(p["T"]), int(p["K"]), int(p["n"]), int(p["k"]),
-            float(p["epsilon_noise"]), int(p["seed"]),
-        )
-    if spec.kind == "bounded_variation":
-        return make_bounded_variation_adversary(int(p["T"]), int(p["K"]), int(p["seed"]))
-    if spec.kind == "iid_stochastic":
-        return make_iid_stochastic(
-            int(p["T"]), int(p["K"]), p["means"],
-            p.get("noise", "none"), float(p.get("noise_scale", 0.0)), int(p["seed"]),
-        )
-    raise ValueError(f"unknown environment kind {spec.kind!r}")
+#: Each environment kind's generator; a spec's parameters are its keyword arguments.
+GENERATORS: dict[str, Callable[..., Any]] = {
+    "finite_matrix": lambda path, format=None: matrix_io.load_matrix(path, format),
+    "clustered_binary": make_clustered_binary,
+    "low_rank": make_low_rank,
+    "sparse_dictionary": make_sparse_dictionary,
+    "bounded_variation": make_bounded_variation_adversary,
+    "iid_stochastic": make_iid_stochastic,
+}
+
+KINDS = tuple(GENERATORS)
+
+
+def make_environment(spec: EnvironmentSpec) -> LossOracle:
+    """Instantiate the oracle a spec describes.
+
+    The kind's generator is called on ``spec.arguments()``; a ``finite_matrix``
+    file's matrix is wrapped in a :class:`MatrixOracle` that keeps ``spec``.
+    """
+    made = GENERATORS[spec.kind](**spec.arguments())
+    return MatrixOracle(made, spec) if spec.kind == "finite_matrix" else made
 
 
 def export_environment(
@@ -435,4 +437,4 @@ def environment_from_sidecar(path: str | Path) -> LossOracle:
         matrix_name = sidecar["files"]["matrix"]
         matrix = matrix_io.load_matrix(Path(path).parent / matrix_name, sidecar.get("format"))
         return MatrixOracle(matrix, EnvironmentSpec(**spec))
-    return make_environment(spec)
+    return make_environment(EnvironmentSpec(**spec))

@@ -395,9 +395,3 @@ SUITES: dict[str, Callable[..., ValidationResult]] = {
     "logsum": validate_logsum,
     "meta": validate_meta,
 }
-
-
-def run_suite(name: str, seed: int) -> ValidationResult:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](seed=seed)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import logging
@@ -122,8 +123,8 @@ class TestRun:
         assert counts["exact_queries"] == len(queries)
         monkeypatch.setattr(many_experts, "expand_packing", expand)
         # The same counts from the schedule of every copy, summed.
-        game = cli.build_game_config(cli.load_config(config), None)
-        oracle = cli._build_oracle(cli.build_env_spec(cli.load_config(config), game), game.T)
+        _, game, spec = cli._load(argparse.Namespace(config=config, set=None, seed=None))
+        oracle = cli._build_oracle(spec, game.T)
         epsilons = (
             meta_tuner.build_grid(game.T) if algorithm == "meta_tuner" else [game.epsilon]
         )
@@ -142,6 +143,19 @@ class TestRun:
             assert counts["saturation_round"] is None
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert not {"metrics", "schedule"} & summary.keys()
+
+    def test_manifest_echoes_the_game_config(self, tmp_path):
+        config = clustered_config(tmp_path, T=32, K=20, N=2, epsilon=1)
+        argv = ["run", "--config", config, "--set", "environment.K=20.0"]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        game = {"algorithm": "many_experts", "T": 32, "epsilon": 1.0, "seed": 3}
+        assert manifest["config"]["game"] == game
+        assert [type(manifest["config"]["game"][key]) for key in ("T", "epsilon", "seed")] == [
+            int, float, int
+        ]
+        # The environment is echoed as the config gives it.
+        assert manifest["config"]["environment"]["parameters"]["K"] == 20.0
 
     def test_hedge_manifest_has_no_schedule_counts(self, tmp_path):
         config = iid_config(tmp_path, T=5)
@@ -184,7 +198,8 @@ class TestRun:
         incurred = np.array([float(r["loss"]) for r in rows])
         cumulative = np.array([float(r["cumulative_loss"]) for r in rows])
         assert abs(incurred.sum() - cumulative[-1]) <= 1e-9
-        env = environments.make_environment(summary["environment"])
+        spec = environments.EnvironmentSpec(**summary["environment"])
+        env = environments.make_environment(spec)
         regret = cumulative[-1] - env.column_sums().min()
         assert regret == pytest.approx(summary["regret"], abs=1e-9)
 
@@ -248,6 +263,36 @@ class TestRun:
         assert cli.main(argv + [str(tmp_path / "int")]) == EXIT_OK
         trajectory = (tmp_path / "float" / "trajectory.csv").read_bytes()
         assert trajectory == (tmp_path / "int" / "trajectory.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        ("kind", "override", "message"),
+        [
+            ("clustered_binary", "game.epsilon=true",
+             "game: epsilon must be a real number, got True"),
+            ("low_rank", "environment.epsilon_noise=false",
+             "environment.epsilon_noise must be a real number, got False"),
+            ("low_rank", 'environment.epsilon_noise="0.05"',
+             "environment.epsilon_noise must be a real number, got '0.05'"),
+            ("iid_stochastic", "environment.noise_scale=true",
+             "environment.noise_scale must be a real number, got True"),
+        ],
+    )
+    def test_non_real_number_is_config_error(self, tmp_path, capsys, kind, override, message):
+        environment = {
+            "clustered_binary": {"kind": kind, "K": 20, "N": 2},
+            "low_rank": {"kind": kind, "K": 20, "d": 2, "epsilon_noise": 0.05},
+            "iid_stochastic": {"kind": kind, "K": 2, "means": [0.0, 0.0], "noise": "uniform",
+                               "noise_scale": 0.5},
+        }[kind]
+        config = write_config(
+            tmp_path / "config.yaml",
+            {"game": {"algorithm": "many_experts", "T": 32, "epsilon": 0.5, "seed": 3},
+             "environment": environment},
+        )
+        argv = ["run", "--config", config, "--set", override, "--out-dir", str(tmp_path / "bad")]
+        assert cli.main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "bad").exists()
 
     def test_horizon_mismatch_is_config_error(self, tmp_path, capsys):
         config = write_config(
@@ -434,6 +479,35 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {field}:") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_grid_sweep_bytes_are_pinned(self, tmp_path, parallelism):
+        # Two grid values of N, two accuracies and the meta row, three seeds each:
+        # every cell has n_seeds jobs, and each combo has its own best_epsilon row.
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "many_experts", "T": 64, "epsilon": 0.5},
+                "environment": {"kind": "clustered_binary", "K": 200, "N": 2},
+                "sweep": {"n_seeds": 3, "epsilons": [1, 0.5], "include_meta": True,
+                          "environment": {"N": [2, 4]}},
+            },
+        )
+        argv = ["sweep", "--config", config, "--seed", "0", "--parallelism", parallelism]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        assert (tmp_path / "out" / "sweep.csv").read_bytes().split(b"\r\n") == [
+            b"algorithm,epsilon,N,n_seeds,n_failures,mean_regret,stderr_regret,"
+            b"mean_final_packing,mean_phases,error",
+            b"many_experts,1,2,3,0,6.666666666666667,6.666666666666667,1.0,1.0,",
+            b"many_experts,0.5,2,3,0,4.0,2.0,2.0,2.0,",
+            b"meta_tuner,,2,3,0,6.0,3.464101615137755,,,",
+            b"many_experts,1,4,3,0,7.333333333333333,2.905932629027116,1.0,1.0,",
+            b"many_experts,0.5,4,3,0,13.333333333333334,1.7638342073763937,4.0,4.0,",
+            b"meta_tuner,,4,3,0,11.333333333333334,2.4037008503093262,,,",
+            b"best_epsilon,0.5,2,3,0,4.0,2.0,2.0,2.0,",
+            b"best_epsilon,1,4,3,0,7.333333333333333,2.905932629027116,1.0,1.0,",
+            b"",
+        ]
 
     def test_include_meta_false_leaves_meta_row_out(self, tmp_path):
         config = write_config(

@@ -159,6 +159,11 @@ class TestGameConfig:
         cfg = GameConfig(T=10, epsilon=0.5, seed=1, algorithm="hedge")
         assert cfg.T == 10
 
+    def test_whole_floats_and_int_epsilon_are_converted(self):
+        cfg = GameConfig(T=10.0, epsilon=1, seed=np.int64(2))
+        assert (cfg.T, cfg.epsilon, cfg.seed) == (10, 1.0, 2)
+        assert [type(v) for v in (cfg.T, cfg.epsilon, cfg.seed)] == [int, float, int]
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -166,6 +171,10 @@ class TestGameConfig:
             {"T": 10, "epsilon": 0.0},
             {"T": 10, "epsilon": 1.5},
             {"T": 10, "algorithm": "bandit"},
+            {"T": 10.5},
+            {"T": 10, "seed": True},
+            {"T": 10, "epsilon": True},
+            {"T": 10, "epsilon": "0.5"},
         ],
     )
     def test_invalid(self, kwargs):

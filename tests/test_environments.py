@@ -29,6 +29,19 @@ class TestEnvironmentSpec:
         with pytest.raises(ValueError, match="kind"):
             EnvironmentSpec("casino", {})
 
+    def test_iid_seed_is_required(self):
+        # The generator has a default seed; a spec must still name one.
+        with pytest.raises(ValueError, match="environment.seed"):
+            EnvironmentSpec("iid_stochastic", {"T": 4, "K": 2, "means": 0.0})
+
+    def test_arguments_are_the_checked_generator_keywords(self):
+        parameters = {"T": 8.0, "K": 4, "d": 1, "epsilon_noise": 0, "seed": 1, "note": "x"}
+        spec = EnvironmentSpec("low_rank", parameters)
+        arguments = spec.arguments()
+        assert arguments == {"T": 8, "K": 4, "d": 1, "epsilon_noise": 0.0, "seed": 1}
+        assert [type(arguments[k]) for k in ("T", "epsilon_noise")] == [int, float]
+        assert spec.parameters["T"] == 8.0 and type(spec.parameters["T"]) is float
+
     def test_dispatch_round_trip(self):
         spec = EnvironmentSpec("clustered_binary", {"T": 20, "K": 10, "N": 3, "seed": 4})
         env = make_environment(spec)
