@@ -34,11 +34,9 @@ from .environments import (
 from .analysis import (
     CoverReport,
     RegretLedger,
-    VariationProfile,
     covering_number_exact,
     duality_certificate,
     empirical_regret,
-    expert_distance,
     logsum_bound_check,
     packing_greedy,
     packing_number_exact,
@@ -69,11 +67,9 @@ __all__ = [
     "make_sparse_dictionary",
     "CoverReport",
     "RegretLedger",
-    "VariationProfile",
     "covering_number_exact",
     "duality_certificate",
     "empirical_regret",
-    "expert_distance",
     "logsum_bound_check",
     "packing_greedy",
     "packing_number_exact",

@@ -46,19 +46,6 @@ class RegretLedger:
     regret: float
 
 
-@dataclass
-class VariationProfile:
-    """Total per-expert movement ``sum_t |l_{t+1}(i) - l_t(i)|``."""
-
-    per_expert: np.ndarray
-
-
-def expert_distance(matrix: np.ndarray, i: ExpertId, j: ExpertId) -> float:
-    """Sup-norm distance between two expert columns: ``max_t |l_t(i) - l_t(j)|``."""
-    m = np.asarray(matrix, dtype=np.float64)
-    return float(np.abs(m[:, i] - m[:, j]).max())
-
-
 #: Entries (float64) of the ``rounds x K x K`` block :func:`distance_matrix` may hold.
 DISTANCE_BLOCK_ENTRIES = 1 << 22
 
@@ -73,7 +60,7 @@ def distance_block_rounds(experts: int) -> int:
 
 
 def distance_matrix(matrix: np.ndarray) -> np.ndarray:
-    """All pairwise sup-norm column distances, streamed over round blocks."""
+    """All pairwise sup-norm distances ``max_t |l_t(i) - l_t(j)|``, streamed over round blocks."""
     m = np.asarray(matrix, dtype=np.float64)
     rounds, experts = m.shape
     dist = np.zeros((experts, experts), dtype=np.float64)
@@ -142,15 +129,26 @@ def _min_set_cover(cover_masks: list[int], universe: int) -> tuple[int, list[int
     return len(best), sorted(best)
 
 
-def _cover_masks(dist: np.ndarray, epsilon: float) -> list[int]:
-    experts = dist.shape[0]
-    masks = []
-    for j in range(experts):
-        mask = 0
-        for i in np.flatnonzero(dist[:, j] <= epsilon):
-            mask |= 1 << int(i)
-        masks.append(mask)
-    return masks
+def _distances_within(matrix: np.ndarray, budget: int) -> np.ndarray | None:
+    """The distance matrix of ``matrix``, or ``None`` when it has more than ``budget`` experts."""
+    m = np.asarray(matrix, dtype=np.float64)
+    return None if m.shape[1] > budget else distance_matrix(m)
+
+
+def _bitmasks(related: np.ndarray) -> list[int]:
+    """Each row of a square boolean relation as an int whose bit ``j`` is ``related[i, j]``."""
+    packed = np.packbits(related, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _exact_cover(dist: np.ndarray, epsilon: float) -> tuple[int, list[int]]:
+    """Smallest cover at ``epsilon``; ``epsilon <= 0`` covers exact matches only."""
+    return _min_set_cover(_bitmasks(dist <= max(epsilon, 0.0)), (1 << dist.shape[0]) - 1)
+
+
+def _exact_packing(dist: np.ndarray, epsilon: float) -> tuple[int, list[int]]:
+    """Largest packing at ``epsilon``: the largest clique of ``dist > epsilon``."""
+    return _max_clique(_bitmasks(dist > epsilon), dist.shape[0])
 
 
 def covering_number_exact(
@@ -162,13 +160,8 @@ def covering_number_exact(
     distinct columns).  Returns ``None`` when the instance exceeds ``budget``
     experts; the search is exponential in the worst case.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.shape[1] > budget:
-        return None
-    eps = max(float(epsilon), 0.0)
-    dist = distance_matrix(m)
-    size, _ = _min_set_cover(_cover_masks(dist, eps), (1 << m.shape[1]) - 1)
-    return size
+    dist = _distances_within(matrix, budget)
+    return None if dist is None else _exact_cover(dist, float(epsilon))[0]
 
 
 def packing_greedy(matrix: np.ndarray, epsilon: float) -> tuple[int, list[ExpertId]]:
@@ -214,22 +207,8 @@ def packing_number_exact(
     Packings are cliques of the separation graph, found by exact clique
     search.  Returns ``None`` beyond the ``budget``.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.shape[1] > budget:
-        return None
-    size, _ = _packing_exact_witness(distance_matrix(m), float(epsilon))
-    return size
-
-
-def _packing_exact_witness(dist: np.ndarray, epsilon: float) -> tuple[int, list[int]]:
-    experts = dist.shape[0]
-    adjacency = []
-    for v in range(experts):
-        mask = 0
-        for u in np.flatnonzero(dist[:, v] > epsilon):
-            mask |= 1 << int(u)
-        adjacency.append(mask)
-    return _max_clique(adjacency, experts)
+    dist = _distances_within(matrix, budget)
+    return None if dist is None else _exact_packing(dist, float(epsilon))[0]
 
 
 def duality_certificate(matrix: np.ndarray, epsilon: float, budget: int = 24) -> CoverReport:
@@ -239,9 +218,12 @@ def duality_certificate(matrix: np.ndarray, epsilon: float, budget: int = 24) ->
     exhaustive search and the sandwich
     ``packing(2*eps) <= cover(eps) <= packing(eps)`` is checked; a violation
     raises.  Larger instances get a partial report with greedy bounds only.
+    A negative (or NaN) ``epsilon`` is rejected with ``ValueError``.
     """
     m = np.asarray(matrix, dtype=np.float64)
     eps = float(epsilon)
+    if not eps >= 0.0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
     greedy_eps, witness_geps = packing_greedy(m, eps)
     greedy_2eps, witness_g2eps = packing_greedy(m, 2.0 * eps)
     report = CoverReport(
@@ -253,15 +235,12 @@ def duality_certificate(matrix: np.ndarray, epsilon: float, budget: int = 24) ->
             "greedy_packing_at_2eps": witness_g2eps,
         },
     )
-    if m.shape[1] > budget:
+    dist = _distances_within(m, budget)
+    if dist is None:
         return report
-
-    dist = distance_matrix(m)
-    cover_size, cover_witness = _min_set_cover(
-        _cover_masks(dist, max(eps, 0.0)), (1 << m.shape[1]) - 1
-    )
-    pack_eps, pack_eps_witness = _packing_exact_witness(dist, eps)
-    pack_2eps, pack_2eps_witness = _packing_exact_witness(dist, 2.0 * eps)
+    cover_size, cover_witness = _exact_cover(dist, eps)
+    pack_eps, pack_eps_witness = _exact_packing(dist, eps)
+    pack_2eps, pack_2eps_witness = _exact_packing(dist, 2.0 * eps)
     if not (pack_2eps <= cover_size <= pack_eps):
         raise RuntimeError(
             f"duality violated: packing(2e)={pack_2eps}, cover={cover_size}, packing(e)={pack_eps}"
@@ -279,19 +258,12 @@ def duality_certificate(matrix: np.ndarray, epsilon: float, budget: int = 24) ->
     return report
 
 
-def empirical_regret(
-    trajectory: GameTrajectory, losses: np.ndarray | LossOracle
-) -> RegretLedger:
+def empirical_regret(trajectory: GameTrajectory, oracle: LossOracle) -> RegretLedger:
     """Learner cumulative loss minus the best fixed expert's, from first principles."""
-    if isinstance(losses, LossOracle):
-        horizon = losses.horizon()
-        sums = losses.column_sums()
-    else:
-        m = np.asarray(losses, dtype=np.float64)
-        horizon = m.shape[0]
-        sums = m.sum(axis=0)
+    horizon = oracle.horizon()
+    sums = oracle.column_sums()
     if len(trajectory) != horizon:
-        raise ValueError(f"trajectory has {len(trajectory)} rounds, losses have {horizon}")
+        raise ValueError(f"trajectory has {len(trajectory)} rounds, the oracle has {horizon}")
     best = int(np.argmin(sums))
     learner = trajectory.learner_cumulative
     best_cum = float(sums[best])
@@ -303,12 +275,10 @@ def empirical_regret(
     )
 
 
-def variation_profile(matrix: np.ndarray) -> VariationProfile:
-    """Per-expert total variation across rounds; all zeros for a single round."""
+def variation_profile(matrix: np.ndarray) -> np.ndarray:
+    """Per-expert total movement ``sum_t |l_{t+1}(i) - l_t(i)|``; all zeros for a single round."""
     m = np.asarray(matrix, dtype=np.float64)
-    if m.shape[0] < 2:
-        return VariationProfile(per_expert=np.zeros(m.shape[1]))
-    return VariationProfile(per_expert=np.abs(np.diff(m, axis=0)).sum(axis=0))
+    return np.abs(np.diff(m, axis=0)).sum(axis=0)
 
 
 def logsum_bound_check(values: Sequence[int]) -> bool:

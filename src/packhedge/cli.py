@@ -376,8 +376,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not isinstance(include_meta, bool):
         raise ConfigError(f"sweep.include_meta: must be true or false, not {include_meta!r}")
 
+    env_sweep = sweep.get("environment") or {}
+    if not isinstance(env_sweep, dict):
+        raise ConfigError(f"sweep.environment: must be a mapping, not {env_sweep!r}")
     env_grid: dict[str, list[Any]] = {}
-    for key, values in (sweep.get("environment") or {}).items():
+    for key, values in env_sweep.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.environment.{key}: must be a non-empty list")
         env_grid[key] = values

@@ -335,7 +335,10 @@ def make_iid_stochastic(
     stay inside ``[-1, 1]``.  Ground truth exposes the true means.
     """
     _check_dense_size(T, K)
-    mu = np.full(K, float(means)) if np.isscalar(means) else np.asarray(means, dtype=np.float64)
+    if isinstance(means, (list, tuple, np.ndarray)):
+        mu = np.array([core.real_number("means", x) for x in means], dtype=np.float64)
+    else:
+        mu = np.full(K, core.real_number("means", means))
     if mu.shape != (K,):
         raise ValueError(f"means must have length K={K}, got shape {mu.shape}")
     if np.abs(mu).max(initial=0.0) > 1.0:

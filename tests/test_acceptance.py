@@ -77,6 +77,15 @@ def test_criterion_4_packing_certificates(theorem1_result):
     )
 
 
+def test_criterion_4_certificate_rejects_pairs_within_two_eps():
+    # Columns 0 and 1 are exactly 2 * eps = 0.5 apart; column 2 is farther from both.
+    matrix = np.array([[0.0, 0.5, -0.6], [0.0, 0.5, 0.6]])
+    assert not validation._packing_certificate_holds(matrix, [0, 1, 2], 0.25)
+    assert not validation._packing_certificate_holds(matrix, [0, 1], 0.25)
+    assert validation._packing_certificate_holds(matrix, [0, 2], 0.25)
+    assert validation._packing_certificate_holds(matrix, [1, 2], 0.25)
+
+
 def test_criterion_5_clustered_binary_bound():
     result = validation.validate_corollary3(seed=0)
     assert_scale(result, num_seeds=50, horizon=5000, num_experts=100_000, num_clusters=8)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from packhedge import analysis, environments
 from packhedge.core import GameTrajectory, game_rng
+from packhedge.environments import MatrixOracle
 
 
 def brute_distance(matrix, i, j):
@@ -52,35 +53,27 @@ small_matrices = st.integers(min_value=0, max_value=2**31).map(
 class TestExpertDistance:
     def test_identical_columns(self):
         matrix = np.array([[0.4, 0.4], [-0.2, -0.2]])
-        assert analysis.expert_distance(matrix, 0, 1) == 0.0
+        assert analysis.distance_matrix(matrix)[0, 1] == 0.0
 
     def test_extreme_range(self):
         matrix = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
-        assert analysis.expert_distance(matrix, 0, 1) == 2.0
+        assert analysis.distance_matrix(matrix)[0, 1] == 2.0
 
     def test_hand_arithmetic(self):
         matrix = np.array([[0.1, 0.2], [-0.3, 0.1], [0.5, 0.5]])
-        assert analysis.expert_distance(matrix, 0, 1) == pytest.approx(0.4)
-
-    def test_out_of_range_index(self):
-        with pytest.raises(IndexError):
-            analysis.expert_distance(np.zeros((2, 2)), 0, 5)
+        assert analysis.distance_matrix(matrix)[0, 1] == pytest.approx(0.4)
 
     @settings(max_examples=40)
     @given(small_matrices)
     def test_pseudometric(self, matrix):
+        dist = analysis.distance_matrix(matrix)
         experts = matrix.shape[1]
         for i in range(experts):
-            assert analysis.expert_distance(matrix, i, i) == 0.0
+            assert dist[i, i] == 0.0
             for j in range(experts):
-                d_ij = analysis.expert_distance(matrix, i, j)
-                assert d_ij == analysis.expert_distance(matrix, j, i)
+                assert dist[i, j] == dist[j, i]
                 for k in range(experts):
-                    assert d_ij <= (
-                        analysis.expert_distance(matrix, i, k)
-                        + analysis.expert_distance(matrix, k, j)
-                        + 1e-12
-                    )
+                    assert dist[i, j] <= dist[i, k] + dist[k, j] + 1e-12
 
     @settings(max_examples=20)
     @given(small_matrices)
@@ -99,7 +92,7 @@ class TestExpertDistance:
             dist = analysis.distance_matrix(matrix)
         for i in range(matrix.shape[1]):
             for j in range(matrix.shape[1]):
-                assert dist[i, j] == analysis.expert_distance(matrix, i, j)
+                assert dist[i, j] == brute_distance(matrix, i, j)
 
     def test_block_rounds_bound_the_temporary(self, monkeypatch):
         budget = analysis.DISTANCE_BLOCK_ENTRIES
@@ -215,6 +208,14 @@ class TestDualityCertificate:
         # greedy maximal packings bound the exact quantities from both sides
         assert report.greedy_packing_at_2eps <= report.exact_cover <= report.greedy_packing_at_eps
 
+    @pytest.mark.parametrize("eps", [-0.5, float("nan")])
+    def test_negative_epsilon_rejected_before_search(self, monkeypatch, eps):
+        # At -0.5 the cover clamps to 0 but packing(2e) would not: a false violation.
+        monkeypatch.setattr(analysis, "_min_set_cover", None)
+        monkeypatch.setattr(analysis, "_max_clique", None)
+        with pytest.raises(ValueError, match="epsilon must be >= 0"):
+            analysis.duality_certificate([[0.1, 0.1, 0.5]], eps)
+
     def test_witnesses_are_valid(self):
         matrix = game_rng(2).uniform(-1, 1, size=(4, 6))
         report = analysis.duality_certificate(matrix, 0.5)
@@ -236,14 +237,16 @@ def _constant_choice_trajectory(matrix, expert):
 class TestEmpiricalRegret:
     def test_playing_best_column_gives_zero(self):
         matrix = np.array([[0.5, -0.5], [0.5, -0.5]])
-        ledger = analysis.empirical_regret(_constant_choice_trajectory(matrix, 1), matrix)
+        trajectory = _constant_choice_trajectory(matrix, 1)
+        ledger = analysis.empirical_regret(trajectory, MatrixOracle(matrix))
         assert ledger.regret == pytest.approx(0.0)
         assert ledger.best_expert == 1
 
     def test_hand_subtraction(self):
         # column 0 sums to 5, column 1 sums to -3
         matrix = np.array([[1.0, -0.6]] * 5)
-        ledger = analysis.empirical_regret(_constant_choice_trajectory(matrix, 0), matrix)
+        trajectory = _constant_choice_trajectory(matrix, 0)
+        ledger = analysis.empirical_regret(trajectory, MatrixOracle(matrix))
         assert ledger.learner_cumulative == pytest.approx(5.0)
         assert ledger.best_cumulative == pytest.approx(-3.0)
         assert ledger.regret == pytest.approx(8.0)
@@ -251,39 +254,40 @@ class TestEmpiricalRegret:
     def test_two_path_agreement(self):
         matrix = game_rng(4).uniform(-1, 1, size=(30, 5))
         trajectory = _constant_choice_trajectory(matrix, 2)
-        ledger = analysis.empirical_regret(trajectory, matrix)
+        ledger = analysis.empirical_regret(trajectory, MatrixOracle(matrix))
         best = min(sum(matrix[t, i] for t in range(30)) for i in range(5))
         assert ledger.regret == pytest.approx(trajectory.learner_cumulative - best, abs=1e-9)
 
     def test_oracle_and_matrix_paths_agree(self):
+        # The clustered oracle sums its distinct rows; the dense matrix must agree.
         env = environments.make_clustered_binary(20, 15, 3, seed=6)
-        trajectory = _constant_choice_trajectory(env.to_matrix(), 0)
-        via_oracle = analysis.empirical_regret(trajectory, env)
-        via_matrix = analysis.empirical_regret(trajectory, env.to_matrix())
-        assert via_oracle.regret == pytest.approx(via_matrix.regret, abs=1e-9)
-        assert via_oracle.best_cumulative == pytest.approx(via_matrix.best_cumulative, abs=1e-9)
+        matrix = env.to_matrix()
+        best = matrix.sum(axis=0).min()
+        ledger = analysis.empirical_regret(_constant_choice_trajectory(matrix, 0), env)
+        assert ledger.best_cumulative == pytest.approx(best, abs=1e-9)
+        assert ledger.regret == pytest.approx(matrix[:, 0].sum() - best, abs=1e-9)
 
     def test_length_mismatch_rejected(self):
         matrix = np.zeros((4, 2))
+        trajectory = _constant_choice_trajectory(matrix[:3], 0)
         with pytest.raises(ValueError, match="rounds"):
-            analysis.empirical_regret(_constant_choice_trajectory(matrix[:3], 0), matrix)
+            analysis.empirical_regret(trajectory, MatrixOracle(matrix))
 
 
 class TestVariationProfile:
     def test_constant_column_is_zero(self):
-        assert analysis.variation_profile(np.ones((5, 2))).per_expert.tolist() == [0.0, 0.0]
+        assert analysis.variation_profile(np.ones((5, 2))).tolist() == [0.0, 0.0]
 
     def test_alternating_column(self):
         matrix = np.array([[-1.0], [1.0], [-1.0]])
-        assert analysis.variation_profile(matrix).per_expert[0] == pytest.approx(4.0)
+        assert analysis.variation_profile(matrix)[0] == pytest.approx(4.0)
 
     def test_single_round_all_zero(self):
-        assert np.all(analysis.variation_profile(np.array([[0.3, -0.2]])).per_expert == 0.0)
+        assert analysis.variation_profile(np.array([[0.3, -0.2]])).tolist() == [0.0, 0.0]
 
     def test_halving_adversary_capped_at_two(self):
         env = environments.make_bounded_variation_adversary(10, 256, seed=3)
-        profile = analysis.variation_profile(env.to_matrix())
-        assert float(profile.per_expert.max()) <= 2.0
+        assert float(analysis.variation_profile(env.to_matrix()).max()) <= 2.0
 
 
 class TestLogsumBound:

@@ -275,6 +275,12 @@ class TestRun:
              "environment.epsilon_noise must be a real number, got '0.05'"),
             ("iid_stochastic", "environment.noise_scale=true",
              "environment.noise_scale must be a real number, got True"),
+            ("iid_stochastic", "environment.means=true",
+             "environment: means must be a real number, got True"),
+            ("iid_stochastic", 'environment.means="0.5"',
+             "environment: means must be a real number, got '0.5'"),
+            ("iid_stochastic", "environment.means=[true, false]",
+             "environment: means must be a real number, got True"),
         ],
     )
     def test_non_real_number_is_config_error(self, tmp_path, capsys, kind, override, message):
@@ -459,6 +465,7 @@ class TestSweep:
             ("sweep.epsilons=[1.5]", "sweep.epsilons"),
             ("sweep.epsilons=[0]", "sweep.epsilons"),
             ("sweep.include_meta=off-please", "sweep.include_meta"),
+            ("sweep.environment=[1]", "sweep.environment"),
         ],
     )
     def test_bad_sweep_value_is_config_error(self, tmp_path, capsys, monkeypatch, override, field):

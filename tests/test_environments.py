@@ -109,7 +109,7 @@ class TestClusteredBinary:
         assignment = env.ground_truth["assignment"]
         i = int(np.flatnonzero(assignment == 0)[0])
         j = int(np.flatnonzero(assignment == 1)[0])
-        assert analysis.expert_distance(matrix, i, j) == 2.0
+        assert analysis.distance_matrix(matrix)[i, j] == 2.0
 
     def test_single_cluster_never_grows(self):
         env = make_clustered_binary(60, 100, 1, seed=5)
@@ -249,7 +249,7 @@ class TestSparseDictionary:
 class TestBoundedVariationAdversary:
     def test_variation_capped_at_two(self):
         env = make_bounded_variation_adversary(12, 4096, seed=0)
-        assert analysis.variation_profile(env.to_matrix()).per_expert.max() <= 2.0
+        assert analysis.variation_profile(env.to_matrix()).max() <= 2.0
 
     def test_flips_are_permanent(self):
         matrix = make_bounded_variation_adversary(10, 128, seed=1).to_matrix()
