@@ -129,8 +129,13 @@ def _min_set_cover(cover_masks: list[int], universe: int) -> tuple[int, list[int
     return len(best), sorted(best)
 
 
-def _distances_within(matrix: np.ndarray, budget: int) -> np.ndarray | None:
-    """The distance matrix of ``matrix``, or ``None`` when it has more than ``budget`` experts."""
+def _distances_within(matrix: np.ndarray, epsilon: float, budget: int) -> np.ndarray | None:
+    """The distance matrix of ``matrix``, or ``None`` when it has more than ``budget`` experts.
+
+    A NaN ``epsilon`` raises ``ValueError`` first, whatever the budget.
+    """
+    if math.isnan(epsilon):
+        raise ValueError(f"epsilon must be a number, got {epsilon!r}")
     m = np.asarray(matrix, dtype=np.float64)
     return None if m.shape[1] > budget else distance_matrix(m)
 
@@ -158,9 +163,10 @@ def covering_number_exact(
 
     ``epsilon <= 0`` degenerates to an exact-match cover (the number of
     distinct columns).  Returns ``None`` when the instance exceeds ``budget``
-    experts; the search is exponential in the worst case.
+    experts; the search is exponential in the worst case.  A NaN ``epsilon``
+    raises ``ValueError``.
     """
-    dist = _distances_within(matrix, budget)
+    dist = _distances_within(matrix, epsilon, budget)
     return None if dist is None else _exact_cover(dist, float(epsilon))[0]
 
 
@@ -205,9 +211,10 @@ def packing_number_exact(
     """Size of the largest subset whose members pairwise differ by more than ``epsilon``.
 
     Packings are cliques of the separation graph, found by exact clique
-    search.  Returns ``None`` beyond the ``budget``.
+    search.  Returns ``None`` beyond the ``budget``; a NaN ``epsilon`` raises
+    ``ValueError``.
     """
-    dist = _distances_within(matrix, budget)
+    dist = _distances_within(matrix, epsilon, budget)
     return None if dist is None else _exact_packing(dist, float(epsilon))[0]
 
 
@@ -235,7 +242,7 @@ def duality_certificate(matrix: np.ndarray, epsilon: float, budget: int = 24) ->
             "greedy_packing_at_2eps": witness_g2eps,
         },
     )
-    dist = _distances_within(m, budget)
+    dist = _distances_within(m, eps, budget)
     if dist is None:
         return report
     cover_size, cover_witness = _exact_cover(dist, eps)

@@ -294,12 +294,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_oracle(env_spec: EnvironmentSpec, horizon: int | None = None):
+def _build_oracle(env_spec: EnvironmentSpec, horizon: int):
     try:
         oracle = environments.make_environment(env_spec)
     except ValueError as exc:
         raise ConfigError(f"environment: {exc}") from exc
-    if horizon is not None and oracle.horizon() != horizon:
+    if oracle.horizon() != horizon:
         raise ConfigError(
             f"environment.T: horizon {oracle.horizon()} must equal game.T {horizon}"
         )
@@ -467,6 +467,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise ConfigError("--seed: required in validate mode")
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     if args.suite not in validation.SUITES:
         raise ConfigError(
             f"suite: unknown suite {args.suite!r}; choose from {sorted(validation.SUITES)}"
@@ -485,10 +487,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_export_env(args: argparse.Namespace) -> int:
     _, _, env_spec = _load(args)
-    oracle = _build_oracle(env_spec)
     out_base = Path(args.out_dir) / (args.name or env_spec.kind)
     try:
-        written = environments.export_environment(oracle, out_base, args.format)
+        written = environments.export_environment(env_spec, out_base, args.format)
     except ValueError as exc:
         raise ConfigError(f"export: {exc}") from exc
     for key, path in sorted(written.items()):

@@ -129,6 +129,8 @@ class GameConfig:
         self.seed = whole_number("seed", self.seed)
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if self.algorithm not in ALGORITHMS:

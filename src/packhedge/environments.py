@@ -23,22 +23,13 @@ logger = logging.getLogger(__name__)
 
 NOISE_KINDS = ("none", "uniform", "sign")
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "finite_matrix": ("path",),
-    "clustered_binary": ("T", "K", "N", "seed"),
-    "low_rank": ("T", "K", "d", "epsilon_noise", "seed"),
-    "sparse_dictionary": ("T", "K", "n", "k", "epsilon_noise", "seed"),
-    "bounded_variation": ("T", "K", "seed"),
-    "iid_stochastic": ("T", "K", "means", "seed"),
-}
-
 
 @dataclass
 class EnvironmentSpec:
     """Declarative description of one environment instance.
 
-    ``parameters`` are kept as given, so a spec echoes its config; the kind's
-    ``_REQUIRED`` ones must be present and :meth:`arguments` must accept them.
+    ``parameters`` are kept as given, so a spec echoes its config; the keywords
+    its generator requires must be present and :meth:`arguments` must accept them.
     """
 
     kind: str
@@ -47,27 +38,24 @@ class EnvironmentSpec:
     def __post_init__(self) -> None:
         if self.kind not in GENERATORS:
             raise ValueError(f"environment.kind must be one of {KINDS}, got {self.kind!r}")
-        missing = [p for p in _REQUIRED[self.kind] if p not in self.parameters]
-        if missing:
-            raise ValueError(
-                f"environment.{missing[0]}: required for kind {self.kind!r} and missing"
-            )
+        for name, (_, required) in _KEYWORDS[self.kind].items():
+            if required and name not in self.parameters:
+                raise ValueError(
+                    f"environment.{name}: required for kind {self.kind!r} and missing"
+                )
         self.arguments()
 
     def arguments(self) -> dict[str, Any]:
         """The keyword arguments of the kind's generator that this spec sets.
 
-        Those the generator annotates ``int`` go through :func:`core.whole_number`
-        and those it annotates ``float`` through :func:`core.real_number`; other
-        keys of ``parameters`` are ignored.
+        Each goes through its check in ``_KEYWORDS``; other keys of
+        ``parameters`` are ignored.
         """
-        checks = {"int": core.whole_number, "float": core.real_number}
-        arguments = {}
-        for name, parameter in inspect.signature(GENERATORS[self.kind]).parameters.items():
-            if name in self.parameters:
-                check = checks.get(parameter.annotation, lambda _, value: value)
-                arguments[name] = check(f"environment.{name}", self.parameters[name])
-        return arguments
+        return {
+            name: check(f"environment.{name}", self.parameters[name])
+            for name, (check, _) in _KEYWORDS[self.kind].items()
+            if name in self.parameters
+        }
 
     def as_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "parameters": dict(self.parameters)}
@@ -77,13 +65,9 @@ class MatrixOracle(LossOracle):
     """Dense ``T x K`` loss matrix; every expert is a coverage candidate."""
 
     def __init__(
-        self,
-        matrix: np.ndarray,
-        spec: EnvironmentSpec | None = None,
-        ground_truth: dict[str, np.ndarray] | None = None,
+        self, matrix: np.ndarray, ground_truth: dict[str, np.ndarray] | None = None
     ) -> None:
         self._m = validate_loss_matrix(matrix)
-        self.spec = spec
         self.ground_truth = dict(ground_truth or {})
         self._column_sums: np.ndarray | None = None
         self._ids = np.arange(self._m.shape[1])
@@ -118,9 +102,7 @@ class ClusteredBinaryOracle(LossOracle):
     as a scan over all ``K`` experts would.
     """
 
-    def __init__(
-        self, rows: np.ndarray, assignment: np.ndarray, spec: EnvironmentSpec | None = None
-    ) -> None:
+    def __init__(self, rows: np.ndarray, assignment: np.ndarray) -> None:
         self._rows = np.ascontiguousarray(rows, dtype=np.float64)
         self._assign = np.ascontiguousarray(assignment, dtype=np.int64)
         n = self._rows.shape[0]
@@ -133,7 +115,6 @@ class ClusteredBinaryOracle(LossOracle):
         if np.any(first_expert == self._assign.size):
             raise ValueError("every cluster must have at least one expert")
         self._candidate_ids = np.sort(first_expert)
-        self.spec = spec
         self.ground_truth = {"rows": self._rows, "assignment": self._assign}
         self._column_sums: np.ndarray | None = None
 
@@ -192,8 +173,7 @@ def make_clustered_binary(T: int, K: int, N: int, seed: int) -> ClusteredBinaryO
     assignment = np.concatenate(
         [rng.permutation(N), rng.integers(0, N, size=K - N)]
     ).astype(np.int64)
-    spec = EnvironmentSpec("clustered_binary", {"T": T, "K": K, "N": N, "seed": seed})
-    return ClusteredBinaryOracle(rows, assignment, spec)
+    return ClusteredBinaryOracle(rows, assignment)
 
 
 def _check_dense_size(T: int, K: int) -> None:
@@ -249,10 +229,7 @@ def make_low_rank(T: int, K: int, d: int, epsilon_noise: float, seed: int) -> Ma
         W *= scale
         product *= scale
     L = _add_noise(product, epsilon_noise, rng)
-    spec = EnvironmentSpec(
-        "low_rank", {"T": T, "K": K, "d": d, "epsilon_noise": epsilon_noise, "seed": seed}
-    )
-    return MatrixOracle(L, spec, {"U": U, "W": W})
+    return MatrixOracle(L, {"U": U, "W": W})
 
 
 def make_sparse_dictionary(
@@ -279,11 +256,7 @@ def make_sparse_dictionary(
             support = rng.choice(n, size=k, replace=False)
             V[support, j] = rng.uniform(-1.0, 1.0, size=k)
     L = _add_noise(D @ V, epsilon_noise, rng)
-    spec = EnvironmentSpec(
-        "sparse_dictionary",
-        {"T": T, "K": K, "n": n, "k": k, "epsilon_noise": epsilon_noise, "seed": seed},
-    )
-    return MatrixOracle(L, spec, {"D": D, "V": V})
+    return MatrixOracle(L, {"D": D, "V": V})
 
 
 def make_bounded_variation_adversary(T: int, K: int, seed: int) -> MatrixOracle:
@@ -316,8 +289,7 @@ def make_bounded_variation_adversary(T: int, K: int, seed: int) -> MatrixOracle:
         alive = np.setdiff1d(alive, flipped, assume_unique=True)
     rounds = np.arange(1, T + 1)
     L = np.where(flip_round[None, :] <= rounds[:, None], 1.0, -1.0)
-    spec = EnvironmentSpec("bounded_variation", {"T": T, "K": K, "seed": seed})
-    return MatrixOracle(L, spec, {"flip_round": flip_round})
+    return MatrixOracle(L, {"flip_round": flip_round})
 
 
 def make_iid_stochastic(
@@ -326,7 +298,8 @@ def make_iid_stochastic(
     means: Sequence[float] | float,
     noise: str = "none",
     noise_scale: float = 0.0,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> MatrixOracle:
     """Rounds drawn i.i.d. around fixed per-expert means.
 
@@ -345,8 +318,8 @@ def make_iid_stochastic(
         raise ValueError("means must lie in [-1, 1]")
     if noise not in NOISE_KINDS:
         raise ValueError(f"noise must be one of {NOISE_KINDS}, got {noise!r}")
-    if noise_scale < 0.0:
-        raise ValueError(f"noise_scale must be >= 0, got {noise_scale}")
+    if not (0.0 <= noise_scale <= 1.0):
+        raise ValueError(f"noise_scale must be in [0, 1], got {noise_scale}")
     if noise != "none" and float(np.abs(mu).max(initial=0.0)) + noise_scale > 1.0:
         raise ValueError("means plus noise_scale would leave [-1, 1]")
     rng = game_rng(seed)
@@ -356,23 +329,12 @@ def make_iid_stochastic(
         L = mu[None, :] + rng.uniform(-noise_scale, noise_scale, size=(T, K))
     else:
         L = mu[None, :] + noise_scale * (rng.integers(0, 2, size=(T, K)) * 2.0 - 1.0)
-    spec = EnvironmentSpec(
-        "iid_stochastic",
-        {
-            "T": T,
-            "K": K,
-            "means": [float(x) for x in mu],
-            "noise": noise,
-            "noise_scale": noise_scale,
-            "seed": seed,
-        },
-    )
-    return MatrixOracle(L, spec, {"means": mu})
+    return MatrixOracle(L, {"means": mu})
 
 
 #: Each environment kind's generator; a spec's parameters are its keyword arguments.
 GENERATORS: dict[str, Callable[..., Any]] = {
-    "finite_matrix": lambda path, format=None: matrix_io.load_matrix(path, format),
+    "finite_matrix": lambda path, format=None: MatrixOracle(matrix_io.load_matrix(path, format)),
     "clustered_binary": make_clustered_binary,
     "low_rank": make_low_rank,
     "sparse_dictionary": make_sparse_dictionary,
@@ -382,28 +344,37 @@ GENERATORS: dict[str, Callable[..., Any]] = {
 
 KINDS = tuple(GENERATORS)
 
+#: Per kind, each generator keyword's check and whether it is required (has
+#: no default): keywords annotated ``int`` go through :func:`core.whole_number`,
+#: those annotated ``float`` through :func:`core.real_number`, others as given.
+_CHECKS = {"int": core.whole_number, "float": core.real_number}
+_KEYWORDS: dict[str, dict[str, tuple[Callable[[str, Any], Any], bool]]] = {
+    kind: {
+        name: (_CHECKS.get(p.annotation, lambda _, value: value), p.default is p.empty)
+        for name, p in inspect.signature(generator).parameters.items()
+    }
+    for kind, generator in GENERATORS.items()
+}
+
 
 def make_environment(spec: EnvironmentSpec) -> LossOracle:
-    """Instantiate the oracle a spec describes.
-
-    The kind's generator is called on ``spec.arguments()``; a ``finite_matrix``
-    file's matrix is wrapped in a :class:`MatrixOracle` that keeps ``spec``.
-    """
-    made = GENERATORS[spec.kind](**spec.arguments())
-    return MatrixOracle(made, spec) if spec.kind == "finite_matrix" else made
+    """Instantiate the oracle a spec describes: its kind's generator on ``spec.arguments()``."""
+    return GENERATORS[spec.kind](**spec.arguments())
 
 
 def export_environment(
-    oracle: LossOracle, out_base: str | Path, fmt: str = "csv"
+    spec: EnvironmentSpec, out_base: str | Path, fmt: str = "csv"
 ) -> dict[str, str]:
     """Write the realized matrix, ground-truth arrays, and a JSON sidecar.
 
     Files land next to ``out_base``: the matrix as ``<base>.<ext>``, each
-    ground-truth array as ``<base>.<name>.<ext>``, and the sidecar (spec,
-    seed, file listing) as ``<base>.json``.  Returns the written paths.
+    ground-truth array as ``<base>.<name>.<ext>``, and the sidecar (``spec``
+    as given, format, file listing) as ``<base>.json``.  Returns the written
+    paths.
     """
     if fmt not in matrix_io.FORMATS:
         raise ValueError(f"format must be one of {matrix_io.FORMATS}, got {fmt!r}")
+    oracle = make_environment(spec)
     base = Path(out_base)
     base.parent.mkdir(parents=True, exist_ok=True)
     ext = "csv" if fmt == "csv" else "bin"
@@ -412,15 +383,13 @@ def export_environment(
     matrix_io.save_matrix(matrix_path, oracle.to_matrix(), fmt)
     written = {"matrix": str(matrix_path)}
 
-    ground_truth = getattr(oracle, "ground_truth", {}) or {}
-    for name, arr in ground_truth.items():
+    for name, arr in oracle.ground_truth.items():
         gt_path = base.parent / f"{base.stem}.{name}.{ext}"
         matrix_io.save_matrix(gt_path, np.atleast_2d(np.asarray(arr, dtype=np.float64)), fmt)
         written[f"ground_truth.{name}"] = str(gt_path)
 
-    spec = getattr(oracle, "spec", None)
     sidecar = {
-        "spec": spec.as_dict() if spec is not None else None,
+        "spec": spec.as_dict(),
         "format": fmt,
         "files": {key: Path(path).name for key, path in written.items()},
     }
@@ -439,5 +408,5 @@ def environment_from_sidecar(path: str | Path) -> LossOracle:
     if spec["kind"] == "finite_matrix":
         matrix_name = sidecar["files"]["matrix"]
         matrix = matrix_io.load_matrix(Path(path).parent / matrix_name, sidecar.get("format"))
-        return MatrixOracle(matrix, EnvironmentSpec(**spec))
+        return MatrixOracle(matrix)
     return make_environment(EnvironmentSpec(**spec))

@@ -108,13 +108,13 @@ def _validation_environments(run_seed: int) -> list[tuple[str, LossOracle, float
         ("bounded_variation", environments.make_bounded_variation_adversary(10, 1024, run_seed), 0.5),
         (
             "iid_stochastic",
-            environments.make_iid_stochastic(500, 8, iid_means, "uniform", 0.1, run_seed),
+            environments.make_iid_stochastic(500, 8, iid_means, "uniform", 0.1, seed=run_seed),
             0.25,
         ),
         ("clustered_small", environments.make_clustered_binary(60, 16, 4, run_seed), 0.5),
         (
             "iid_small",
-            environments.make_iid_stochastic(80, 6, small_means, "uniform", 0.1, run_seed),
+            environments.make_iid_stochastic(80, 6, small_means, "uniform", 0.1, seed=run_seed),
             0.3,
         ),
     ]

@@ -208,13 +208,23 @@ class TestDualityCertificate:
         # greedy maximal packings bound the exact quantities from both sides
         assert report.greedy_packing_at_2eps <= report.exact_cover <= report.greedy_packing_at_eps
 
-    @pytest.mark.parametrize("eps", [-0.5, float("nan")])
-    def test_negative_epsilon_rejected_before_search(self, monkeypatch, eps):
+    @pytest.mark.parametrize(
+        ("search", "eps", "message"),
+        [
+            pytest.param(analysis.duality_certificate, -0.5, ">= 0", id="-0.5"),
+            pytest.param(analysis.duality_certificate, float("nan"), ">= 0", id="nan"),
+            # NaN never matches a distance: the cover search used to loop forever.
+            pytest.param(analysis.covering_number_exact, float("nan"), "a number", id="cover-nan"),
+            pytest.param(analysis.packing_number_exact, float("nan"), "a number", id="packing-nan"),
+        ],
+    )
+    def test_negative_epsilon_rejected_before_search(self, monkeypatch, search, eps, message):
         # At -0.5 the cover clamps to 0 but packing(2e) would not: a false violation.
         monkeypatch.setattr(analysis, "_min_set_cover", None)
         monkeypatch.setattr(analysis, "_max_clique", None)
-        with pytest.raises(ValueError, match="epsilon must be >= 0"):
-            analysis.duality_certificate([[0.1, 0.1, 0.5]], eps)
+        for budget in (24, 0):
+            with pytest.raises(ValueError, match=f"epsilon must be {message}"):
+                search([[0.1, 0.1, 0.5]], eps, budget=budget)
 
     def test_witnesses_are_valid(self):
         matrix = game_rng(2).uniform(-1, 1, size=(4, 6))

@@ -300,6 +300,32 @@ class TestRun:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("value", [".nan", ".inf", "1.5"])
+    def test_noise_scale_outside_unit_interval_is_config_error(self, tmp_path, capsys, value):
+        # Without noise the scale is unused, yet a NaN would reach summary.json.
+        config = write_config(
+            tmp_path / "config.yaml",
+            {"game": {"algorithm": "hedge", "T": 10, "seed": 3},
+             "environment": {"kind": "iid_stochastic", "K": 2, "means": 0.0, "noise": "none"}},
+        )
+        argv = ["run", "--config", config, "--set", f"environment.noise_scale={value}",
+                "--out-dir", str(tmp_path / "bad")]
+        assert cli.main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("configuration error: environment: noise_scale must be in [0, 1]")
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command):
+        config = clustered_config(tmp_path, T=20, K=12, N=3)
+        out = ["--config", config, "--out-dir", str(tmp_path / "out")]
+        argv = [command, "logsum"] if command == "validate" else [command] + out
+        assert cli.main(argv + ["--seed", "-1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed" in err and err.startswith("configuration error:")
+        assert not (tmp_path / "out").exists()
+
     def test_horizon_mismatch_is_config_error(self, tmp_path, capsys):
         config = write_config(
             tmp_path / "bad.yaml",
@@ -767,6 +793,21 @@ class TestExportEnv:
              "--format", "binary", "--name", "demo"]
         ) == EXIT_OK
         assert first == (tmp_path / "out2" / "demo.bin").read_bytes()
+
+    def test_iid_sidecar_echoes_the_config(self, tmp_path):
+        environment = {"kind": "iid_stochastic", "T": 9, "K": 3, "means": 0.25, "seed": 4}
+        config = write_config(
+            tmp_path / "config.yaml",
+            {"game": {"algorithm": "hedge", "T": 9, "seed": 4}, "environment": environment},
+        )
+        assert cli.main(["export-env", "--config", config, "--out-dir", str(tmp_path)]) == EXIT_OK
+        sidecar = json.loads((tmp_path / "iid_stochastic.json").read_text())
+        parameters = {k: v for k, v in environment.items() if k != "kind"}
+        assert sidecar["spec"] == {"kind": "iid_stochastic", "parameters": parameters}
+        env = environments.environment_from_sidecar(tmp_path / "iid_stochastic.json")
+        exported = matrix_io.load_matrix(tmp_path / "iid_stochastic.csv")
+        assert np.array_equal(env.to_matrix(), exported)
+        assert np.array_equal(exported, np.full((9, 3), 0.25))
 
     def test_oversize_readme_config_is_config_error(self, tmp_path, capsys):
         # The README's clustered config (T=5000, K=1e5) is too large to materialise.

@@ -1,10 +1,11 @@
+import json
 import logging
 from math import comb
 
 import numpy as np
 import pytest
 
-from packhedge import analysis, core, environments, many_experts
+from packhedge import analysis, core, environments, many_experts, matrix_io
 from packhedge.core import game_rng
 from packhedge.environments import (
     EnvironmentSpec,
@@ -30,7 +31,7 @@ class TestEnvironmentSpec:
             EnvironmentSpec("casino", {})
 
     def test_iid_seed_is_required(self):
-        # The generator has a default seed; a spec must still name one.
+        # The generator's seed is keyword-only with no default, so a spec must name one.
         with pytest.raises(ValueError, match="environment.seed"):
             EnvironmentSpec("iid_stochastic", {"T": 4, "K": 2, "means": 0.0})
 
@@ -57,7 +58,9 @@ class TestLossRangeContract:
             lambda s: make_low_rank(20, 15, 2, 0.25, s),
             lambda s: make_sparse_dictionary(20, 15, 6, 3, 0.25, s),
             lambda s: make_bounded_variation_adversary(8, 64, s),
-            lambda s: make_iid_stochastic(20, 5, [0.4, -0.4, 0.0, 0.9, -0.9], "uniform", 0.1, s),
+            lambda s: make_iid_stochastic(
+                20, 5, [0.4, -0.4, 0.0, 0.9, -0.9], "uniform", 0.1, seed=s
+            ),
         ],
     )
     def test_every_loss_in_unit_interval(self, make):
@@ -74,7 +77,7 @@ class TestDeterminism:
             lambda s: make_low_rank(20, 15, 2, 0.1, s),
             lambda s: make_sparse_dictionary(20, 15, 6, 2, 0.1, s),
             lambda s: make_bounded_variation_adversary(8, 64, s),
-            lambda s: make_iid_stochastic(20, 5, 0.0, "uniform", 0.5, s),
+            lambda s: make_iid_stochastic(20, 5, 0.0, "uniform", 0.5, seed=s),
         ],
     )
     def test_same_seed_same_matrix(self, make):
@@ -307,6 +310,9 @@ class TestIidStochastic:
             {"means": [0.0], "noise": "gaussian"},
             {"means": [0.0, 0.0, 0.0]},
             {"means": [0.0, 0.0], "noise": "uniform", "noise_scale": -0.1},
+            {"means": [0.0, 0.0], "noise_scale": float("nan")},
+            {"means": [0.0, 0.0], "noise_scale": float("inf")},
+            {"means": [0.0, 0.0], "noise_scale": 1.5},
         ],
     )
     def test_invalid_arguments(self, kwargs):
@@ -330,42 +336,61 @@ class TestDenseSizeGuard:
             self.GENERATORS[kind](3, 7)
 
 
+def finite_matrix_spec(directory, seed):
+    """A ``finite_matrix`` spec naming a freshly written binary matrix file."""
+    path = directory / "source.bin"
+    matrix_io.save_matrix(path, game_rng(seed).uniform(-1, 1, size=(4, 3)), "binary")
+    return EnvironmentSpec("finite_matrix", {"path": str(path), "format": "binary"})
+
+
 class TestExportAndSidecar:
     def test_csv_export_reloads_identically(self, tmp_path):
-        env = make_low_rank(6, 5, 2, 0.1, seed=0)
-        written = export_environment(env, tmp_path / "demo", fmt="csv")
-        from packhedge import matrix_io
-
-        assert np.array_equal(matrix_io.load_matrix(written["matrix"]), env.to_matrix())
+        parameters = {"T": 6, "K": 5, "d": 2, "epsilon_noise": 0.1, "seed": 0}
+        spec = EnvironmentSpec("low_rank", parameters)
+        written = export_environment(spec, tmp_path / "demo", fmt="csv")
+        matrix = make_environment(spec).to_matrix()
+        assert np.array_equal(matrix_io.load_matrix(written["matrix"]), matrix)
         assert "ground_truth.U" in written
         assert "ground_truth.E" not in written
 
     def test_binary_export_round_trips_bit_exact(self, tmp_path):
-        env = make_sparse_dictionary(6, 5, 4, 2, 0.1, seed=1)
-        written = export_environment(env, tmp_path / "demo", fmt="binary")
-        from packhedge import matrix_io
-
+        parameters = {"T": 6, "K": 5, "n": 4, "k": 2, "epsilon_noise": 0.1, "seed": 1}
+        spec = EnvironmentSpec("sparse_dictionary", parameters)
+        written = export_environment(spec, tmp_path / "demo", fmt="binary")
         reloaded = matrix_io.load_matrix(written["matrix"])
-        assert reloaded.tobytes() == env.to_matrix().tobytes()
+        assert reloaded.tobytes() == make_environment(spec).to_matrix().tobytes()
 
     @pytest.mark.parametrize(
         "make",
         [
-            lambda s: make_clustered_binary(12, 9, 3, s),
-            lambda s: make_low_rank(8, 6, 2, 0.1, s),
-            lambda s: make_bounded_variation_adversary(5, 32, s),
+            lambda s, _: EnvironmentSpec("clustered_binary", {"T": 12, "K": 9, "N": 3, "seed": s}),
+            lambda s, _: EnvironmentSpec(
+                "low_rank", {"T": 8, "K": 6, "d": 2, "epsilon_noise": 0.1, "seed": s}
+            ),
+            lambda s, _: EnvironmentSpec("bounded_variation", {"T": 5, "K": 32, "seed": s}),
+            lambda s, _: EnvironmentSpec(
+                "sparse_dictionary",
+                {"T": 8, "K": 6, "n": 4, "k": 2, "epsilon_noise": 0.1, "seed": s},
+            ),
+            # A scalar mean and the noise keywords omitted: the sidecar keeps them so.
+            lambda s, _: EnvironmentSpec(
+                "iid_stochastic", {"T": 7, "K": 3, "means": 0.25, "seed": s}
+            ),
+            lambda s, directory: finite_matrix_spec(directory, s),
         ],
     )
     def test_sidecar_regenerates_matrix(self, tmp_path, make):
-        env = make(21)
-        written = export_environment(env, tmp_path / "env", fmt="csv")
+        spec = make(21, tmp_path)
+        written = export_environment(spec, tmp_path / "env", fmt="csv")
+        sidecar = json.loads((tmp_path / "env.json").read_text())
+        assert sidecar["spec"] == spec.as_dict()
         regenerated = environment_from_sidecar(written["sidecar"])
-        assert np.array_equal(regenerated.to_matrix(), env.to_matrix())
+        assert np.array_equal(regenerated.to_matrix(), make_environment(spec).to_matrix())
 
     def test_finite_matrix_sidecar_points_at_export(self, tmp_path):
-        matrix = game_rng(3).uniform(-1, 1, size=(4, 3))
-        spec = EnvironmentSpec("finite_matrix", {"path": "unused"})
-        env = environments.MatrixOracle(matrix, spec)
-        written = export_environment(env, tmp_path / "raw", fmt="binary")
+        spec = finite_matrix_spec(tmp_path, 3)
+        matrix = make_environment(spec).to_matrix()
+        written = export_environment(spec, tmp_path / "raw", fmt="binary")
+        (tmp_path / "source.bin").unlink()
         regenerated = environment_from_sidecar(written["sidecar"])
         assert np.array_equal(regenerated.to_matrix(), matrix)
