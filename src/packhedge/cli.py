@@ -173,13 +173,7 @@ def build_summary(
     ledger = analysis.empirical_regret(trajectory, oracle)
     num_experts = oracle.num_experts()
     extras = trajectory.extras
-    if game.algorithm == "many_experts":
-        final_packing: int | None = extras["final_packing"]
-        phases: int | None = extras["num_phases"]
-    elif game.algorithm == "hedge":
-        final_packing, phases = num_experts, 1
-    else:
-        final_packing, phases = None, None
+    final_packing, phases = extras.get("final_packing"), extras.get("num_phases")
     theorem1_bound = (
         many_experts.packing_regret_bound(final_packing, phases, game.epsilon, game.T)
         if final_packing is not None
@@ -197,43 +191,20 @@ def build_summary(
         "seed": game.seed,
         "environment": env_spec.as_dict(),
     }
-    if game.algorithm == "meta_tuner":
-        copies = []
-        for level, copy_traj in enumerate(extras["copies"], start=1):
-            copy_ledger = analysis.empirical_regret(copy_traj, oracle)
-            copies.append(
-                {
-                    "level": level,
-                    "epsilon": copy_traj.extras["epsilon"],
-                    "cumulative_loss": copy_traj.learner_cumulative,
-                    "regret": copy_ledger.regret,
-                    "final_packing": copy_traj.extras["final_packing"],
-                    "phases": copy_traj.extras["num_phases"],
-                }
-            )
-        summary["copies"] = copies
+    if "copies" in extras:
+        # Every copy plays the game's oracle, so they share its best expert.
+        summary["copies"] = [
+            {
+                "level": level,
+                "epsilon": copy_traj.extras["epsilon"],
+                "cumulative_loss": copy_traj.learner_cumulative,
+                "regret": copy_traj.learner_cumulative - ledger.best_cumulative,
+                "final_packing": copy_traj.extras["final_packing"],
+                "phases": copy_traj.extras["num_phases"],
+            }
+            for level, copy_traj in enumerate(extras["copies"], start=1)
+        ]
     return summary
-
-
-#: Schedule-pass counts that add up over the copies of a meta game.
-SCHEDULE_COUNTS = ("blocks", "recertifications", "exact_queries", "admitting_rounds")
-
-
-def schedule_metrics(trajectory: GameTrajectory) -> dict[str, Any]:
-    """The ``metrics`` of a manifest: schedule-pass counts, summed over meta copies.
-
-    ``saturation_round`` is the latest round at which a copy's active set
-    became as large as its candidate set, or ``None`` if one never did.
-    Plain hedge has no schedule pass and no metrics.
-    """
-    copies = trajectory.extras.get("copies", [trajectory])
-    counts = [copy.extras["schedule"] for copy in copies if "schedule" in copy.extras]
-    if not counts:
-        return {}
-    schedule: dict[str, Any] = {key: sum(c[key] for c in counts) for key in SCHEDULE_COUNTS}
-    rounds = [c["saturation_round"] for c in counts]
-    schedule["saturation_round"] = None if None in rounds else max(rounds)
-    return {"schedule": schedule}
 
 
 def _write_json(path: Path, payload: dict[str, Any]) -> str:
@@ -279,6 +250,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_json(summary_path, build_summary(trajectory, oracle, game, env_spec))
     stage_done("summary")
 
+    schedule = trajectory.extras.get("schedule")
     manifest = {
         "config": {"game": dataclasses.asdict(game), "environment": env_spec.as_dict()},
         "outputs": {"trajectory": str(trajectory_path), "summary": str(summary_path)},
@@ -286,7 +258,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": f"{platform.system()} {platform.machine()}",
-        "metrics": schedule_metrics(trajectory),
+        "metrics": {"schedule": schedule} if schedule is not None else {},
         "timings": timings,
         "wall_time": time.perf_counter() - started,
     }
@@ -295,14 +267,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _build_oracle(env_spec: EnvironmentSpec, horizon: int):
-    try:
-        oracle = environments.make_environment(env_spec)
-    except ValueError as exc:
-        raise ConfigError(f"environment: {exc}") from exc
-    if oracle.horizon() != horizon:
-        raise ConfigError(
-            f"environment.T: horizon {oracle.horizon()} must equal game.T {horizon}"
-        )
+    # A generator's T is checked before it runs, a matrix file's once it is read.
+    T = env_spec.arguments().get("T", horizon)
+    if T == horizon:
+        try:
+            oracle = environments.make_environment(env_spec)
+        except ValueError as exc:
+            raise ConfigError(f"environment: {exc}") from exc
+        T = oracle.horizon()
+    if T != horizon:
+        raise ConfigError(f"environment.T: horizon {T} must equal game.T {horizon}")
     return oracle
 
 
@@ -364,9 +338,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: section missing")
     try:
-        n_seeds = whole_number("n_seeds", sweep.get("n_seeds", 1))
-        if n_seeds < 1:
-            raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+        n_seeds = whole_number("n_seeds", sweep.get("n_seeds", 1), 1)
     except ValueError as exc:
         raise ConfigError(f"sweep.n_seeds: {exc}") from exc
     epsilons = sweep.get("epsilons", [game.epsilon])

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
+import numpy.random  # numpy 2.x imports it lazily: do it here, not in the first game's timings
 
 logger = logging.getLogger(__name__)
 
@@ -43,10 +44,12 @@ def game_rng(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
-def whole_number(name: str, value: Any) -> int:
-    """``value`` as an int: an int or a whole float such as ``5000.0``, never a boolean."""
+def whole_number(name: str, value: Any, least: int | None = None) -> int:
+    """``value`` as an int, at least ``least`` if given: an int or a whole float, never a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)) or value % 1:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {int(value)}")
     return int(value)
 
 
@@ -124,13 +127,9 @@ class GameConfig:
     algorithm: str = "hedge"
 
     def __post_init__(self) -> None:
-        self.T = whole_number("T", self.T)
+        self.T = whole_number("T", self.T, 1)
         self.epsilon = real_number("epsilon", self.epsilon)
-        self.seed = whole_number("seed", self.seed)
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self.seed = whole_number("seed", self.seed, 0)
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if self.algorithm not in ALGORITHMS:

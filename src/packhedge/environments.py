@@ -23,6 +23,9 @@ logger = logging.getLogger(__name__)
 
 NOISE_KINDS = ("none", "uniform", "sign")
 
+#: The least value a generator takes for each of these keywords.
+_LEAST = {"T": 1, "K": 1, "seed": 0}
+
 
 @dataclass
 class EnvironmentSpec:
@@ -48,14 +51,18 @@ class EnvironmentSpec:
     def arguments(self) -> dict[str, Any]:
         """The keyword arguments of the kind's generator that this spec sets.
 
-        Each goes through its check in ``_KEYWORDS``; other keys of
-        ``parameters`` are ignored.
+        Each goes through its check in ``_KEYWORDS`` and its least value in
+        ``_LEAST``; other keys of ``parameters`` are ignored.
         """
-        return {
+        arguments = {
             name: check(f"environment.{name}", self.parameters[name])
             for name, (check, _) in _KEYWORDS[self.kind].items()
             if name in self.parameters
         }
+        for name, least in _LEAST.items():
+            if name in arguments:
+                core.whole_number(f"environment.{name}", arguments[name], least)
+        return arguments
 
     def as_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "parameters": dict(self.parameters)}
@@ -162,6 +169,7 @@ def make_clustered_binary(T: int, K: int, N: int, seed: int) -> ClusteredBinaryO
     The realized matrix has exactly ``N`` distinct columns, so its exact-match
     cover has size ``N`` by construction.
     """
+    _check_dense_size(T, N)  # the N x T distinct rows are dense
     if T < 1 or K < 1:
         raise ValueError("T and K must be >= 1")
     if N < 1 or N > K:

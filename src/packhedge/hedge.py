@@ -241,7 +241,7 @@ def play_hedge(oracle: LossOracle, rng: int | np.random.Generator = 0) -> GameTr
     chosen, incurred, _ = exponential_weights(
         lambda j0, j1, _: oracle.rows(j0, j1), [0], [K], gen.random(T)
     )
-    extras: dict[str, Any] = {"algorithm": "hedge", "num_experts": K}
+    extras: dict[str, Any] = {"algorithm": "hedge", "final_packing": K, "num_phases": 1}
     return GameTrajectory.from_rounds(
         chosen, incurred, np.full(T, K), np.ones(T), seed, extras
     )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -177,6 +177,18 @@ def packing_regret_bound(
         + 2.0 * phases
         + 8.0 * math.sqrt(horizon * final_packing * math.log(final_packing))
     )
+
+
+def total_schedule(counts: Sequence[dict[str, Any]]) -> dict[str, Any]:
+    """Several games' schedule-pass counts (a meta game's copies) added up.
+
+    ``saturation_round`` is not summed: it becomes the latest one, or ``None``
+    if some game's active set never grew as large as its candidate set.
+    """
+    total = {key: sum(c[key] for c in counts) for key in counts[0] if key != "saturation_round"}
+    rounds = [c["saturation_round"] for c in counts]
+    total["saturation_round"] = None if None in rounds else max(rounds)
+    return total
 
 
 def play_many_experts(

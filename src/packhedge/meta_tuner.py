@@ -35,7 +35,7 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
     under its own sampling distribution.
 
     The returned trajectory records the actually played expert per round; its
-    extras carry the full per-copy trajectories and running totals.
+    extras carry the per-copy trajectories and their summed schedule counts.
     """
     T = oracle.horizon()
     grid = build_grid(T)  # rejects an oracle of fewer than two rounds
@@ -59,7 +59,7 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
         "num_copies": R,
         "epsilons": list(grid),
         "chosen_copy": chosen_copy,
-        "copy_cumulative": np.column_stack([copy.cumulative for copy in copies]),
         "copies": list(copies),
+        "schedule": many_experts.total_schedule([copy.extras["schedule"] for copy in copies]),
     }
     return GameTrajectory.from_rounds(chosen, realized, np.full(T, R), np.ones(T), seed, extras)

@@ -336,7 +336,7 @@ def validate_meta(seed: int = 0) -> ValidationResult:
         for name, env in _meta_fixtures(run_seed, horizon):
             trajectory = meta_tuner.play_meta(env, seed=run_seed)
             meta_cum[name][s] = trajectory.learner_cumulative
-            copy_cum[name][s] = trajectory.extras["copy_cumulative"][-1]
+            copy_cum[name][s] = [c.learner_cumulative for c in trajectory.extras["copies"]]
 
     for name in fixture_names:
         best_copy = int(np.argmin(copy_cum[name].mean(axis=0)))

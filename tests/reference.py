@@ -232,7 +232,7 @@ def play_hedge(oracle: LossOracle, rng: int | np.random.Generator = 0) -> GameTr
         recorder.add(t, i, float(row[i]), K, 1)
         state = update(state, row)
 
-    extras: dict[str, Any] = {"algorithm": "hedge", "num_experts": K}
+    extras: dict[str, Any] = {"algorithm": "hedge", "final_packing": K, "num_phases": 1}
     return recorder.finish(seed, extras)
 
 
@@ -356,8 +356,6 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
     recorder = TrajectoryRecorder(T)
     copy_recorders = [TrajectoryRecorder(T) for _ in range(R)]
     chosen_copy = np.empty(T, dtype=np.int64)
-    copy_cumulative = np.empty((T, R), dtype=np.float64)
-    running = np.zeros(R, dtype=np.float64)
 
     for t in range(1, T + 1):
         chosen = np.empty(R, dtype=np.int64)
@@ -373,8 +371,6 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
             copy_recorders[r].add(
                 t, chosen_r, incurred_r, int(state.copies[r].active.size), state.copies[r].phase
             )
-        running += realized
-        copy_cumulative[t - 1] = running
 
         r_star = sample_categorical(
             np.exp(state.meta.log_weights - state.meta.log_weights.max()), meta_gen
@@ -407,7 +403,6 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
         "num_copies": R,
         "epsilons": list(grid),
         "chosen_copy": chosen_copy,
-        "copy_cumulative": copy_cumulative,
         "copies": copy_trajectories,
     }
     return recorder.finish(seed, extras)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from packhedge import cli, environments, many_experts, matrix_io, meta_tuner
+from packhedge import analysis, cli, environments, many_experts, matrix_io, meta_tuner
 from packhedge.cli import EXIT_BOUND_VIOLATION, EXIT_CONFIG, EXIT_IO, EXIT_OK
 
 
@@ -183,6 +183,17 @@ class TestRun:
         assert [c["epsilon"] for c in summary["copies"]] == [1.0, 0.5, 0.25]
         assert summary["K_p"] is None and summary["p"] is None
 
+    def test_meta_copy_regrets_match_their_own_ledgers(self, tmp_path):
+        config = clustered_config(tmp_path, algorithm="meta_tuner", T=200, K=300, N=4)
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        _, game, spec = cli._load(argparse.Namespace(config=config, set=None, seed=None))
+        oracle = cli._build_oracle(spec, game.T)
+        copies = meta_tuner.play_meta(oracle, seed=game.seed).extras["copies"]
+        assert len(summary["copies"]) == len(copies)
+        for row, copy in zip(summary["copies"], copies):
+            assert row["regret"] == analysis.empirical_regret(copy, oracle).regret
+
     def test_repeat_run_byte_identical(self, tmp_path):
         config = clustered_config(tmp_path, T=200, K=300, N=4)
         for name in ("a", "b"):
@@ -336,6 +347,65 @@ class TestRun:
         )
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
         assert "environment.T" in capsys.readouterr().err
+
+    def test_oversize_environment_horizon_is_refused_before_generating(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_generation(**kwargs):
+            raise AssertionError("the generator ran before the horizon check")
+
+        monkeypatch.setitem(environments.GENERATORS, "clustered_binary", no_generation)
+        config = clustered_config(tmp_path, T=16, K=20, N=2)
+        argv = ["run", "--config", config, "--set", "environment.T=1.0e+30"]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: environment.T: horizon 1000000000000000019884624838656"
+            " must equal game.T 16\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_oversize_game_horizon_is_config_error(self, tmp_path):
+        # A fresh process under a deadline, since an unguarded 2**T never finishes.
+        config = clustered_config(tmp_path, T=16, K=20, N=2)
+        argv = ["run", "--config", config, "--set", "game.T=1.0e+30", "--out-dir", str(tmp_path)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, sys.path)))
+        done = subprocess.run(
+            [sys.executable, "-m", "packhedge.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert done.returncode == EXIT_CONFIG
+        assert done.stderr.count("\n") == 1
+        assert done.stderr.startswith("configuration error: environment: a dense")
+        assert "too large to generate" in done.stderr
+
+    @pytest.mark.parametrize(
+        ("environment", "override", "message"),
+        [
+            ({"kind": "clustered_binary", "K": 12, "N": 3}, "environment.seed=-1",
+             "environment.seed must be >= 0, got -1"),
+            ({"kind": "clustered_binary", "K": 12, "N": 3}, "environment.T=0",
+             "environment.T must be >= 1, got 0"),
+            ({"kind": "sparse_dictionary", "K": 12, "n": 4, "k": 2, "epsilon_noise": 0.05},
+             "environment.K=0", "environment.K must be >= 1, got 0"),
+            ({"kind": "low_rank", "K": 12, "d": 2, "epsilon_noise": 0.05},
+             "environment.K=-1", "environment.K must be >= 1, got -1"),
+            ({"kind": "bounded_variation", "K": 12}, "environment.seed=-3.0",
+             "environment.seed must be >= 0, got -3"),
+            ({"kind": "iid_stochastic", "K": 2, "means": 0.0}, "environment.T=-2",
+             "environment.T must be >= 1, got -2"),
+        ],
+    )
+    def test_environment_size_or_seed_below_its_least_is_config_error(
+        self, tmp_path, capsys, environment, override, message
+    ):
+        config = write_config(
+            tmp_path / "config.yaml",
+            {"game": {"algorithm": "hedge", "T": 20, "seed": 3}, "environment": environment},
+        )
+        argv = ["run", "--config", config, "--set", override, "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_readme_shape_low_rank_is_config_error(self, tmp_path, monkeypatch, capsys):
         # T x K = 5e8 entries: the generator refuses before it draws or allocates anything.
@@ -539,6 +609,29 @@ class TestSweep:
             b"meta_tuner,,4,3,0,11.333333333333334,2.4037008503093262,,,",
             b"best_epsilon,0.5,2,3,0,4.0,2.0,2.0,2.0,",
             b"best_epsilon,1,4,3,0,7.333333333333333,2.905932629027116,1.0,1.0,",
+            b"",
+        ]
+
+    def test_hedge_cells_report_all_experts_and_one_phase(self, tmp_path):
+        # Hedge plays every expert in one phase: its packing is K and its phase count 1.
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "hedge", "T": 64, "epsilon": 0.5},
+                "environment": {"kind": "clustered_binary", "K": 40, "N": 2},
+                "sweep": {"n_seeds": 2, "epsilons": [0.5], "include_meta": False,
+                          "environment": {"N": [2, 4]}},
+            },
+        )
+        argv = ["sweep", "--config", config, "--seed", "0", "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == EXIT_OK
+        assert (tmp_path / "out" / "sweep.csv").read_bytes().split(b"\r\n") == [
+            b"algorithm,epsilon,N,n_seeds,n_failures,mean_regret,stderr_regret,"
+            b"mean_final_packing,mean_phases,error",
+            b"hedge,0.5,2,2,0,5.0,1.0,40.0,1.0,",
+            b"hedge,0.5,4,2,0,7.0,5.0,40.0,1.0,",
+            b"best_epsilon,0.5,2,2,0,5.0,1.0,40.0,1.0,",
+            b"best_epsilon,0.5,4,2,0,7.0,5.0,40.0,1.0,",
             b"",
         ]
 

@@ -1,4 +1,7 @@
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -152,6 +155,16 @@ class TestValidateLossMatrix:
         with pytest.raises(ValueError, match="exceed"):
             validate_loss_matrix(np.array([[0.5, -1.5]]))
         assert validate_loss_matrix(np.array([[0.5, -1.0 - 1e-13]])).min() == -1.0
+
+
+def test_import_loads_numpy_random():
+    # numpy 2.x loads numpy.random lazily; the package loads it at import, so
+    # the first game's timings do not include it.
+    code = "import sys, packhedge; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, sys.path)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
 
 
 class TestGameConfig:

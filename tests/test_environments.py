@@ -125,6 +125,15 @@ class TestClusteredBinary:
         with pytest.raises(ValueError, match="N"):
             make_clustered_binary(10, 4, 5, seed=0)
 
+    def test_oversize_rows_refused_before_drawing(self, monkeypatch):
+        # The N x T distinct rows are dense: 2 x MATRIX_MAX_ENTRIES is over the guard.
+        def no_draws(*key):
+            raise AssertionError("the generator ran past its size guard")
+
+        monkeypatch.setattr(environments, "game_rng", no_draws)
+        with pytest.raises(ValueError, match="too large to generate"):
+            make_clustered_binary(core.MATRIX_MAX_ENTRIES, 4, 2, seed=0)
+
     def test_uncovered_expert_matches_dense_scan(self):
         env = make_clustered_binary(30, 60, 6, seed=6)
         dense = environments.MatrixOracle(env.to_matrix())

@@ -171,6 +171,8 @@ class TestPlayHedge:
         trajectory.validate()
         assert np.all(trajectory.packing_size == 3)
         assert np.all(trajectory.phase == 1)
+        # Plain hedge is one phase over a packing of every expert.
+        assert trajectory.extras == {"algorithm": "hedge", "final_packing": 3, "num_phases": 1}
 
     def test_reproducible_bit_for_bit(self):
         env = environments.make_iid_stochastic(200, 5, 0.0, "uniform", 0.9, seed=3)

@@ -114,6 +114,29 @@ class TestRestart:
         assert np.array_equal(fast.phase, slow.phase)
 
 
+class TestTotalSchedule:
+    COUNTS = {"blocks": 2, "recertifications": 1, "exact_queries": 5, "admitting_rounds": 3}
+
+    def test_counts_add_and_saturation_is_the_latest(self):
+        total = many_experts.total_schedule(
+            [self.COUNTS | {"saturation_round": 7}, self.COUNTS | {"saturation_round": 4}]
+        )
+        assert total == {key: 2 * value for key, value in self.COUNTS.items()} | {
+            "saturation_round": 7
+        }
+
+    def test_one_unsaturated_game_leaves_no_saturation_round(self):
+        total = many_experts.total_schedule(
+            [self.COUNTS | {"saturation_round": 7}, self.COUNTS | {"saturation_round": None}]
+        )
+        assert total["saturation_round"] is None
+
+    def test_every_other_key_is_summed(self):
+        # A count added to the schedule later is summed without further code.
+        counts = [{"kernel_s": 0.5, "saturation_round": 1}, {"kernel_s": 0.25, "saturation_round": 2}]
+        assert many_experts.total_schedule(counts) == {"kernel_s": 0.75, "saturation_round": 2}
+
+
 class TestPackingRegretBound:
     def test_single_expert_value(self):
         assert packing_regret_bound(1, 1, 0.1, 100) == pytest.approx(22.0)

@@ -48,7 +48,7 @@ class TestPlayMeta:
         column = game_rng(0).uniform(-1.0, 1.0, size=(32, 1))
         env = environments.MatrixOracle(np.tile(column, (1, 7)))
         trajectory = play_meta(env, seed=0)
-        copy_cumulative = trajectory.extras["copy_cumulative"][-1]
+        copy_cumulative = [c.learner_cumulative for c in trajectory.extras["copies"]]
         assert np.allclose(copy_cumulative, trajectory.learner_cumulative, atol=1e-9)
 
     def test_embedded_copies_match_standalone_runs(self):
@@ -68,11 +68,18 @@ class TestPlayMeta:
         trajectory = play_meta(env, seed=2)
         num_copies = trajectory.extras["num_copies"]
         assert num_copies == len(build_grid(40))
-        assert trajectory.extras["copy_cumulative"].shape == (40, num_copies)
+        assert all(len(c) == 40 for c in trajectory.extras["copies"])
         assert trajectory.extras["chosen_copy"].shape == (40,)
         assert set(np.unique(trajectory.extras["chosen_copy"])) <= set(range(num_copies))
         assert len(trajectory.extras["copies"]) == num_copies
         assert np.all(trajectory.packing_size == num_copies)
+
+    def test_schedule_is_the_copies_summed(self):
+        env = environments.make_low_rank(64, 30, 2, 0.05, seed=4)
+        trajectory = play_meta(env, seed=4)
+        counts = [c.extras["schedule"] for c in trajectory.extras["copies"]]
+        assert trajectory.extras["schedule"] == many_experts.total_schedule(counts)
+        assert trajectory.extras["schedule"]["blocks"] == sum(c["blocks"] for c in counts)
 
     def test_played_action_comes_from_chosen_copy(self):
         env = environments.make_clustered_binary(48, 24, 4, seed=5)
