@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import logging
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -33,6 +34,16 @@ BOUNDARY_SLACK = 1e-12
 #: before they allocate, and :meth:`LossOracle.to_matrix` refuses to
 #: materialize one.
 MATRIX_MAX_ENTRIES = 50_000_000
+
+#: Entries per block of a pass over a loss matrix, so each float64 temporary
+#: of a block is 128 KB: the hedge kernel's and the schedule pass's blocks of
+#: rounds, the dense generators' chunks and the validation pass's.
+BLOCK_ENTRIES = 1 << 14
+
+
+def block_rounds(num_experts: int) -> int:
+    """Rounds per block over ``num_experts`` columns (at least one)."""
+    return max(1, BLOCK_ENTRIES // num_experts)
 
 
 def game_rng(*key: int) -> np.random.Generator:
@@ -98,16 +109,23 @@ def validate_loss_matrix(matrix: np.ndarray) -> np.ndarray:
     """Check a realized loss matrix against the ``[-1, 1]`` contract.
 
     Values that graze the boundary by less than ``BOUNDARY_SLACK`` (products
-    and additive noise can overshoot by an ulp) are clamped with a logged
-    warning; anything farther out is a hard error.
+    and additive noise can overshoot by an ulp) are clamped, into a copy,
+    with a logged warning; anything farther out, NaN or infinite is a hard
+    error.  A float64 C-ordered matrix within the contract is returned as
+    given, after one pass that reads it ``BLOCK_ENTRIES`` entries at a time.
     """
     m = np.ascontiguousarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"loss matrix must be 2-D (rounds x experts), got shape {m.shape}")
-    # Extremes instead of |m|: no T x K temporary, and NaN or inf shows in one of them.
-    high, low = float(m.max(initial=0.0)), float(m.min(initial=0.0))
-    if not (np.isfinite(high) and np.isfinite(low)):
-        raise ValueError("loss matrix contains non-finite values")
+    # Extremes instead of |m|, one chunk at a time: no T x K temporary, and
+    # NaN or inf shows in a chunk's extremes, checked before the fold drops it.
+    flat, high, low = m.reshape(-1), 0.0, 0.0
+    for i0 in range(0, flat.size, BLOCK_ENTRIES):
+        chunk = flat[i0 : i0 + BLOCK_ENTRIES]
+        chunk_high, chunk_low = float(chunk.max()), float(chunk.min())
+        if not (math.isfinite(chunk_high) and math.isfinite(chunk_low)):
+            raise ValueError("loss matrix contains non-finite values")
+        high, low = max(high, chunk_high), min(low, chunk_low)
     overshoot = max(high, -low) - 1.0
     if overshoot > BOUNDARY_SLACK:
         raise ValueError(f"loss values exceed [-1, 1] by {overshoot:.3g}")
@@ -226,7 +244,11 @@ class LossOracle(ABC):
     def rows(
         self, t0: int, t1: int, experts: np.ndarray | Sequence[int] | None = None
     ) -> np.ndarray:
-        """Losses of rounds ``t0 + 1 .. t1`` (one row each) for ``experts`` (default: all)."""
+        """Losses of rounds ``t0 + 1 .. t1`` (one row each) for ``experts`` (default: all).
+
+        The block may be a view of the oracle's own storage, which the
+        caller must not write.
+        """
 
     @abstractmethod
     def coverage_ids(self) -> np.ndarray:

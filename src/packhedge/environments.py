@@ -169,7 +169,17 @@ def make_clustered_binary(T: int, K: int, N: int, seed: int) -> ClusteredBinaryO
     The realized matrix has exactly ``N`` distinct columns, so its exact-match
     cover has size ``N`` by construction.
     """
-    _check_dense_size(T, N)  # the N x T distinct rows are dense
+    # The N x T distinct rows are dense, and the assignment holds K ids.
+    if T * N > core.MATRIX_MAX_ENTRIES:
+        raise ValueError(
+            f"environment.N x environment.T = {N} x {T}: the distinct loss rows are too large"
+            f" to generate (guard: {core.MATRIX_MAX_ENTRIES} entries)"
+        )
+    if K > core.MATRIX_MAX_ENTRIES:
+        raise ValueError(
+            f"environment.K = {K}: the cluster assignment is too large to generate"
+            f" (guard: {core.MATRIX_MAX_ENTRIES} experts)"
+        )
     if T < 1 or K < 1:
         raise ValueError("T and K must be >= 1")
     if N < 1 or N > K:
@@ -196,23 +206,31 @@ def _check_dense_size(T: int, K: int) -> None:
 def _add_noise(
     structure: np.ndarray, epsilon_noise: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """``clip(structure + E, -1, 1)`` for noise ``E`` uniform on ``[-eps, eps]``.
+    """``clip(structure + E, -1, 1)`` for noise ``E`` uniform on ``[-eps, eps]``, in place.
 
-    The noise is drawn into the output buffer and the structure added in
-    place; IEEE addition commutes, so this is ``structure + E`` bit for bit.
-    Checks that no loss lies farther than ``epsilon_noise`` from ``structure``,
-    whose buffer it overwrites with that residual, so the step holds two
-    ``T x K`` arrays at once.
+    The C-ordered ``structure`` is overwritten with the losses and returned,
+    ``core.BLOCK_ENTRIES`` entries at a time, so the step holds one ``T x K``
+    array and two chunk-sized ones.  Each chunk's noise is drawn in turn
+    from ``rng``, so the stream and its order are those of one ``T x K``
+    draw, and the structure is added to it; IEEE addition commutes, so this
+    is ``structure + E`` bit for bit (with no noise, ``0.0 + structure``
+    turns ``-0.0`` into ``0.0`` as that sum does).  Checks that no loss lies
+    farther than ``epsilon_noise`` from ``structure``.
     """
-    shape = structure.shape
-    L = rng.uniform(-epsilon_noise, epsilon_noise, size=shape) if epsilon_noise > 0 else np.zeros(shape)
-    L += structure
-    np.clip(L, -1.0, 1.0, out=L)
-    residual = np.subtract(L, structure, out=structure)
-    deviation = max(float(residual.max()), -float(residual.min()))
+    structure = np.ascontiguousarray(structure, dtype=np.float64)
+    flat, step, deviation = structure.reshape(-1), core.BLOCK_ENTRIES, 0.0
+    for i0 in range(0, flat.size, step):
+        chunk = flat[i0 : i0 + step]
+        n = chunk.size
+        L = rng.uniform(-epsilon_noise, epsilon_noise, n) if epsilon_noise > 0 else np.zeros(n)
+        L += chunk
+        np.clip(L, -1.0, 1.0, out=L)
+        residual = np.subtract(L, chunk, out=chunk)
+        deviation = max(deviation, float(residual.max()), -float(residual.min()))
+        chunk[...] = L
     if deviation > epsilon_noise + 1e-12:
         raise AssertionError(f"structure residual {deviation} exceeds epsilon_noise")
-    return L
+    return structure
 
 
 def make_low_rank(T: int, K: int, d: int, epsilon_noise: float, seed: int) -> MatrixOracle:
@@ -281,9 +299,9 @@ def make_bounded_variation_adversary(T: int, K: int, seed: int) -> MatrixOracle:
         raise ValueError(f"K must be >= 2, got {K}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if K < 2**T:
+    if int(K).bit_length() <= T:  # K < 2**T, without building 2**T
         logger.warning(
-            "bounded_variation with K=%d < 2**T=%d: the all--1 expert may die out", K, 2**T
+            "bounded_variation with K=%d < 2**T = 2**%d: the all--1 expert may die out", K, T
         )
     rng = game_rng(seed)
     flip_round = np.full(K, T + 1, dtype=np.int64)
@@ -295,8 +313,10 @@ def make_bounded_variation_adversary(T: int, K: int, seed: int) -> MatrixOracle:
         flipped = rng.choice(alive, size=half, replace=False)
         flip_round[flipped] = t
         alive = np.setdiff1d(alive, flipped, assume_unique=True)
-    rounds = np.arange(1, T + 1)
-    L = np.where(flip_round[None, :] <= rounds[:, None], 1.0, -1.0)
+    L, step = np.empty((T, K)), core.block_rounds(K)
+    for t0 in range(0, T, step):
+        rounds = np.arange(t0 + 1, min(T, t0 + step) + 1)
+        L[t0 : t0 + step] = np.where(flip_round[None, :] <= rounds[:, None], 1.0, -1.0)
     return MatrixOracle(L, {"flip_round": flip_round})
 
 
@@ -332,11 +352,17 @@ def make_iid_stochastic(
         raise ValueError("means plus noise_scale would leave [-1, 1]")
     rng = game_rng(seed)
     if noise == "none" or noise_scale == 0.0:
-        L = np.tile(mu, (T, 1))
-    elif noise == "uniform":
-        L = mu[None, :] + rng.uniform(-noise_scale, noise_scale, size=(T, K))
-    else:
-        L = mu[None, :] + noise_scale * (rng.integers(0, 2, size=(T, K)) * 2.0 - 1.0)
+        return MatrixOracle(np.tile(mu, (T, 1)), {"means": mu})
+    # The noise is drawn a block of rounds at a time into the output; the
+    # stream and its order are those of one T x K draw.
+    L, step = np.empty((T, K)), core.block_rounds(K)
+    for t0 in range(0, T, step):
+        out = L[t0 : t0 + step]
+        if noise == "uniform":
+            E = rng.uniform(-noise_scale, noise_scale, size=out.shape)
+        else:
+            E = noise_scale * (rng.integers(0, 2, size=out.shape) * 2.0 - 1.0)
+        np.add(mu[None, :], E, out=out)
     return MatrixOracle(L, {"means": mu})
 
 

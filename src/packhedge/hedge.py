@@ -20,10 +20,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .core import GameTrajectory, LossOracle, normalize_rng
-
-#: Loss entries per kernel block, so each float64 temporary of a block is 128 KB.
-BLOCK_ENTRIES = 1 << 14
+from .core import GameTrajectory, LossOracle, block_rounds, normalize_rng
 
 
 def hedge_regret_bound(horizon: int, num_experts: int) -> float:
@@ -31,11 +28,6 @@ def hedge_regret_bound(horizon: int, num_experts: int) -> float:
     if horizon < 1 or num_experts < 1:
         raise ValueError("horizon and expert count must be >= 1")
     return 4.0 * math.sqrt(horizon * math.log(num_experts))
-
-
-def block_rounds(num_experts: int) -> int:
-    """Rounds per kernel block over ``num_experts`` columns (at least one)."""
-    return max(1, BLOCK_ENTRIES // num_experts)
 
 
 def learning_rates(starts: Sequence[int], widths: Sequence[int], n: int) -> np.ndarray:
@@ -81,12 +73,12 @@ def exponential_weights(
     inverse CDF on the weights ``exp(lw - max lw)``, or on their
     normalisation with ``normalize``, as that hedge samples round by round.
 
-    A block reads as many rounds as fit in ``BLOCK_ENTRIES`` entries at the
-    width of its widest segment, in one ``rows`` call, however many segments
-    it spans.  Columns beyond a round's own width hold ``+inf`` log-loss, so
-    they get zero weight; the row sums of the normalisation and the expected
-    losses are taken per segment over its exact width, since zero padding
-    regroups their pairwise sums.
+    A block reads as many rounds as fit in ``core.BLOCK_ENTRIES`` entries at
+    the width of its widest segment, in one ``rows`` call, however many
+    segments it spans.  Columns beyond a round's own width hold ``+inf``
+    log-loss, so they get zero weight; the row sums of the normalisation and
+    the expected losses are taken per segment over its exact width, since
+    zero padding regroups their pairwise sums.
 
     Returns the chosen column and the incurred loss of every round and, with
     ``expected``, the expected loss ``p @ l`` per round under the normalised
@@ -120,10 +112,10 @@ def _blocks(starts: list[int], widths: list[int], n: int):
     """Yield ``(j0, j1, width, lanes, continues)`` for each block of rounds ``j0 + 1 .. j1``.
 
     A block extends over the next segment while its rounds still fit in
-    ``BLOCK_ENTRIES`` at the width of its widest segment.  Segment ``q`` of
-    the block is its own lane ``(a, b, k)``: rows ``a .. b - 1`` of the block,
-    ``k`` columns.  ``continues`` says that the last segment goes on past the
-    block.
+    ``core.BLOCK_ENTRIES`` at the width of its widest segment.  Segment ``q``
+    of the block is its own lane ``(a, b, k)``: rows ``a .. b - 1`` of the
+    block, ``k`` columns.  ``continues`` says that the last segment goes on
+    past the block.
     """
     ends = starts[1:] + [n]
     s = j0 = 0  # s is the segment of round j0 + 1

@@ -33,7 +33,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import hedge
-from .core import GameTrajectory, LossOracle, normalize_rng, uncovered_mask
+from .core import GameTrajectory, LossOracle, block_rounds, normalize_rng, uncovered_mask
 
 
 def expand_packing(
@@ -75,7 +75,7 @@ def uncovered_rows(values: np.ndarray, reference: np.ndarray, threshold: float) 
     ``log2(m) + 2`` wide gaps is flagged exactly when
     ``uncovered_mask(values[r], reference[r], threshold).any()``.  A row with
     more, where the ``O(n * gaps)`` test outgrows the ``O(n log m)`` query, is
-    flagged untested.  Each gap test holds at most ``hedge.BLOCK_ENTRIES``
+    flagged untested.  Each gap test holds at most ``core.BLOCK_ENTRIES``
     values, the kernel's block size.
     """
     width, m = values.shape[1], reference.shape[1]
@@ -95,7 +95,7 @@ def uncovered_rows(values: np.ndarray, reference: np.ndarray, threshold: float) 
     gap_rows = gaps // (m - 1)
     lows = ordered.ravel()[gaps + gap_rows]
     highs = ordered.ravel()[gaps + gap_rows + 1]
-    step = max(1, hedge.BLOCK_ENTRIES // width)
+    step = block_rounds(width)
     for g0 in range(0, gaps.size, step):
         r = gap_rows[g0 : g0 + step]
         block = values[r]
@@ -108,17 +108,18 @@ def uncovered_rows(values: np.ndarray, reference: np.ndarray, threshold: float) 
 def _schedule(oracle: LossOracle, epsilon: float) -> tuple[np.ndarray, list[int], dict[str, int]]:
     """The packing after the oracle's ``T`` rounds: the schedule pass of :func:`packing_game`.
 
-    Blocks of ``hedge.block_rounds(K)`` rounds over the ``K`` candidates are
-    read once and certified at once against the active set at the start of
-    the block, whose losses are columns of the block; the rounds the
-    certificate flags run :func:`expand_packing` on their row of the block,
-    in order.  When a flagged round admits no one and the set has grown
-    since the block's last certification, the block's remaining flagged rows
-    are certified again against the grown set, and only the rows still
-    flagged are walked.  Every certification but a block's first follows an
-    admitting round, so there are at most as many of them as admitting
-    rounds.  Once the active set is as large as the candidate set no later
-    round admits anyone, so nothing more is read.
+    Blocks of ``core.block_rounds(K)`` rounds over the ``K`` candidates are
+    read once (whole rows when every expert is a candidate) and certified at
+    once against the active set at the start of the block, whose losses are
+    columns of the block; the rounds the certificate flags run
+    :func:`expand_packing` on their row of the block, in order.  When a
+    flagged round admits no one and the set has grown since the block's last
+    certification, the block's remaining flagged rows are certified again
+    against the grown set, and only the rows still flagged are walked.
+    Every certification but a block's first follows an admitting round, so
+    there are at most as many of them as admitting rounds.  Once the active
+    set is as large as the candidate set no later round admits anyone, so
+    nothing more is read.
 
     Returns the active ids in admission order, the round at which each
     joined (0 for expert 0), which certifies the pairwise separation of the
@@ -126,15 +127,18 @@ def _schedule(oracle: LossOracle, epsilon: float) -> tuple[np.ndarray, list[int]
     rows, and exact queries of the pass.
     """
     ids = oracle.coverage_ids()
+    # Ids rising strictly from 0, as many as the experts, are every expert:
+    # read whole rows, a view of a dense oracle's matrix, not a copy.
+    columns = None if ids.size == oracle.num_experts() else ids
     threshold = 2.0 * epsilon
-    T, step = oracle.horizon(), hedge.block_rounds(ids.size)
+    T, step = oracle.horizon(), block_rounds(ids.size)
     active = np.zeros(1, dtype=np.int64)  # columns of the candidate block
     admitted_at = [0]
     counts = {"blocks": 0, "recertifications": 0, "exact_queries": 0}
     for t0 in range(0, T, step):
         if active.size >= ids.size:
             break
-        values = oracle.rows(t0, min(T, t0 + step), ids)
+        values = oracle.rows(t0, min(T, t0 + step), columns)
         # take, not fancy indexing: a C-ordered copy keeps the certificate's row sort fast.
         rows = np.flatnonzero(uncovered_rows(values, values.take(active, 1), threshold))
         counts["blocks"] += 1

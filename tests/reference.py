@@ -15,7 +15,9 @@ the base-class defaults.
 own, since a game runs over every round of its oracle.  ``first_uncovered``
 is a single coverage query, for comparison with dense scans, and
 ``segmented_hedge`` plays the kernel's segments round by round from given
-uniforms.
+uniforms.  The dense generators at the end, and ``validate_loss_matrix``,
+touch whole ``T x K`` arrays at once, where the package works a chunk at a
+time in one buffer.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 from packhedge import many_experts
 from packhedge.core import (
+    BOUNDARY_SLACK,
     ExpertId,
     GameTrajectory,
     LossOracle,
@@ -406,3 +409,84 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
         "copies": copy_trajectories,
     }
     return recorder.finish(seed, extras)
+
+
+# Unchunked dense generators: each draws its noise as one T x K array, as
+# the generators did before they worked a chunk at a time in one buffer.
+# They skip the parameter checks and return the realized matrix and the
+# ground truth, for bit-for-bit comparison.
+
+
+def add_noise(structure, epsilon_noise, rng):
+    """``clip(structure + E, -1, 1)`` with the whole noise matrix ``E`` drawn at once."""
+    shape = structure.shape
+    L = np.zeros(shape)
+    if epsilon_noise > 0:
+        L = rng.uniform(-epsilon_noise, epsilon_noise, size=shape)
+    L += structure
+    np.clip(L, -1.0, 1.0, out=L)
+    return L
+
+
+def make_low_rank(T, K, d, epsilon_noise, seed):
+    rng = game_rng(seed)
+    U = rng.uniform(-1.0, 1.0, size=(T, d))
+    W = rng.uniform(-1.0, 1.0, size=(d, K))
+    product = U @ W
+    peak = max(float(product.max()), -float(product.min()))
+    if peak > 0.0:
+        scale = (1.0 - epsilon_noise) / peak
+        W *= scale
+        product *= scale
+    return add_noise(product, epsilon_noise, rng), {"U": U, "W": W}
+
+
+def make_sparse_dictionary(T, K, n, k, epsilon_noise, seed):
+    rng = game_rng(seed)
+    D = rng.uniform(-1.0, 1.0, size=(T, n))
+    D /= np.maximum(np.abs(D).sum(axis=1), 1.0)[:, None]
+    V = np.zeros((n, K))
+    for j in range(K):
+        if k > 0:
+            support = rng.choice(n, size=k, replace=False)
+            V[support, j] = rng.uniform(-1.0, 1.0, size=k)
+    return add_noise(D @ V, epsilon_noise, rng), {"D": D, "V": V}
+
+
+def make_bounded_variation_adversary(T, K, seed):
+    rng = game_rng(seed)
+    flip_round = np.full(K, T + 1, dtype=np.int64)
+    alive = np.arange(K)
+    for t in range(1, T + 1):
+        half = alive.size // 2
+        if half == 0:
+            break
+        flipped = rng.choice(alive, size=half, replace=False)
+        flip_round[flipped] = t
+        alive = np.setdiff1d(alive, flipped, assume_unique=True)
+    rounds = np.arange(1, T + 1)
+    return np.where(flip_round[None, :] <= rounds[:, None], 1.0, -1.0), {"flip_round": flip_round}
+
+
+def make_iid_stochastic(T, K, means, noise="none", noise_scale=0.0, *, seed):
+    mu = np.array(means, dtype=np.float64) if np.ndim(means) else np.full(K, float(means))
+    rng = game_rng(seed)
+    if noise == "none" or noise_scale == 0.0:
+        L = np.tile(mu, (T, 1))
+    elif noise == "uniform":
+        L = mu[None, :] + rng.uniform(-noise_scale, noise_scale, size=(T, K))
+    else:
+        L = mu[None, :] + noise_scale * (rng.integers(0, 2, size=(T, K)) * 2.0 - 1.0)
+    return L, {"means": mu}
+
+
+def validate_loss_matrix(matrix):
+    """The boundary check on the whole matrix at once: its extremes and their finiteness."""
+    m = np.ascontiguousarray(matrix, dtype=np.float64)
+    high, low = float(m.max(initial=0.0)), float(m.min(initial=0.0))
+    if not (np.isfinite(high) and np.isfinite(low)):
+        raise ValueError("loss matrix contains non-finite values")
+    overshoot = max(high, -low) - 1.0
+    if overshoot > BOUNDARY_SLACK:
+        raise ValueError(f"loss values exceed [-1, 1] by {overshoot:.3g}")
+    return np.clip(m, -1.0, 1.0) if overshoot > 0.0 else m

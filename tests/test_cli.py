@@ -375,8 +375,26 @@ class TestRun:
         )
         assert done.returncode == EXIT_CONFIG
         assert done.stderr.count("\n") == 1
-        assert done.stderr.startswith("configuration error: environment: a dense")
-        assert "too large to generate" in done.stderr
+        assert done.stderr == (
+            "configuration error: environment: environment.N x environment.T ="
+            " 2 x 1000000000000000019884624838656: the distinct loss rows are too large to"
+            " generate (guard: 50000000 entries)\n"
+        )
+
+    def test_oversize_clustered_experts_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # The oracle stores one cluster id per expert: K is refused before any draw.
+        def no_draws(*key):
+            raise AssertionError("the generator ran past its size guard")
+
+        monkeypatch.setattr(environments, "game_rng", no_draws)
+        config = clustered_config(tmp_path, T=16, K=20, N=2)
+        argv = ["run", "--config", config, "--set", "environment.K=1.0e+30"]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: environment: environment.K = 1000000000000000019884624838656:"
+            " the cluster assignment is too large to generate (guard: 50000000 experts)\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         ("environment", "override", "message"),
@@ -527,6 +545,27 @@ class TestLogLevel:
 
     def test_error_level_suppresses_the_clamp_warning(self, tmp_path):
         assert "clamping losses" not in self.run_grazing_matrix(tmp_path, "--log-level", "ERROR")
+
+    def test_long_bounded_variation_warns_in_one_line(self, tmp_path):
+        # 2**T has over 6000 digits at T = 20000, past Python's int-to-str limit.
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "hedge", "T": 20_000, "seed": 0},
+                "environment": {"kind": "bounded_variation", "K": 4},
+            },
+        )
+        script = "import sys; from packhedge import cli; sys.exit(cli.main(sys.argv[1:]))"
+        argv = ["run", "--config", config, "--out-dir", str(tmp_path / "out")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, sys.path)))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stderr == (
+            "WARNING packhedge.environments: bounded_variation with K=4 < 2**T = 2**20000:"
+            " the all--1 expert may die out\n"
+        )
 
     def test_existing_logging_setup_is_left_alone(self, tmp_path):
         root = logging.getLogger()

@@ -5,11 +5,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from packhedge import environments, hedge
+import reference
+from packhedge import core, environments, hedge
 from packhedge.core import (
     GameConfig,
     GameTrajectory,
@@ -155,6 +156,31 @@ class TestValidateLossMatrix:
         with pytest.raises(ValueError, match="exceed"):
             validate_loss_matrix(np.array([[0.5, -1.5]]))
         assert validate_loss_matrix(np.array([[0.5, -1.0 - 1e-13]])).min() == -1.0
+
+    @settings(max_examples=200)
+    @given(
+        values=st.lists(
+            st.sampled_from([np.nan, np.inf, -np.inf, 1.5, -1.5, 1.0 + 1e-13, -1.0 - 1e-13, -0.0])
+            | st.floats(-1.0, 1.0),
+            max_size=40,
+        ),
+        width=st.integers(1, 6),
+        entries=st.sampled_from([1, 2, 7, 16, core.BLOCK_ENTRIES]),
+    )
+    def test_chunked_pass_matches_whole_matrix_check(self, values, width, entries):
+        # A bad value in any chunk fails as in one pass over the whole matrix:
+        # a NaN is caught in its chunk, before the running extremes drop it.
+        m = np.array(values[: len(values) // width * width]).reshape(-1, width)
+
+        def outcome(validate):
+            try:
+                return validate(m).tobytes()
+            except ValueError as exc:
+                return str(exc)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "BLOCK_ENTRIES", entries)
+            assert outcome(validate_loss_matrix) == outcome(reference.validate_loss_matrix)
 
 
 def test_import_loads_numpy_random():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packhedge import cli, environments, hedge, many_experts, meta_tuner
+from packhedge import cli, core, environments, many_experts, meta_tuner
 from packhedge.core import game_rng, uncovered_mask
 from packhedge.many_experts import expand_packing, uncovered_rows
 from reference import LossOnlyOracle, Prefix, first_uncovered
@@ -231,7 +231,7 @@ def draw_block(block):
 def certify(values, reference, threshold, entries):
     """``uncovered_rows`` with gap tests of at most ``entries`` values: the kernel's block size."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hedge, "BLOCK_ENTRIES", entries)
+        patch.setattr(core, "BLOCK_ENTRIES", entries)
         return uncovered_rows(values, reference, threshold)
 
 
@@ -244,7 +244,7 @@ class TestBlockCertificate:
         assert np.array_equal(exact, dense_rows(values, reference, threshold))
         # Past the gap cutoff a row is flagged untested; below it, exactly.
         tested = wide_gaps(reference, threshold) <= int(np.log2(reference.shape[1])) + 2
-        for entries in (1, 7, hedge.BLOCK_ENTRIES):
+        for entries in (1, 7, core.BLOCK_ENTRIES):
             flagged = certify(values, reference, threshold, entries)
             assert np.array_equal(flagged[tested], exact[tested])
             assert flagged[~tested].all()
@@ -361,7 +361,7 @@ class TestOnePassExpansion:
     def test_saturated_set_stops_querying(self, monkeypatch):
         # Every expert separated at round 1: the set saturates, and no later
         # round is queried or read, in this block or the next.
-        matrix = np.zeros((2 * hedge.block_rounds(5), 5))
+        matrix = np.zeros((2 * core.block_rounds(5), 5))
         matrix[0] = [-1.0, -0.5, 0.0, 0.5, 1.0]
         oracle = environments.MatrixOracle(matrix)
         reads, queries = [], []
@@ -379,7 +379,7 @@ class TestOnePassExpansion:
         monkeypatch.setattr(many_experts, "expand_packing", querying)
         active, admitted_at, counts = many_experts._schedule(oracle, 0.1)
         assert (active.tolist(), admitted_at) == ([0, 1, 2, 3, 4], [0, 1, 1, 1, 1])
-        assert reads == [(0, hedge.block_rounds(5))] and queries == [1]
+        assert reads == [(0, core.block_rounds(5))] and queries == [1]
         assert counts == {"blocks": 1, "recertifications": 0, "exact_queries": 1}
 
     def test_meta_game_matches_requery_loop(self, monkeypatch):
@@ -413,20 +413,20 @@ def per_round_schedule(oracle, epsilon):
 class TestBlockSchedule:
     """The block pass against ``expand_packing`` on every round."""
 
-    @pytest.mark.parametrize("entries", [12, hedge.BLOCK_ENTRIES])
+    @pytest.mark.parametrize("entries", [12, core.BLOCK_ENTRIES])
     @pytest.mark.parametrize("kind", ["matrix", "clustered", "loss_only"])
     @pytest.mark.parametrize("epsilon", [1.0, 0.25, 2.0**-4, 2.0**-7])
     def test_matches_per_round_pass(self, monkeypatch, entries, kind, epsilon):
-        monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
         oracle = oracles()[kind]
         assert block_schedule(oracle, epsilon) == per_round_schedule(oracle, epsilon)
 
-    @pytest.mark.parametrize("entries", [12, 300, hedge.BLOCK_ENTRIES])
+    @pytest.mark.parametrize("entries", [12, 300, core.BLOCK_ENTRIES])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_horizons_around_the_block(self, monkeypatch, entries, offset):
-        monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
         for kind, candidates in (("matrix", 60), ("clustered", 7), ("loss_only", 25)):
-            horizon = hedge.block_rounds(candidates) + offset
+            horizon = core.block_rounds(candidates) + offset
             if horizon < 1:  # a one-round block
                 continue
             # The generators need three rounds; a shorter game plays their first rounds.
@@ -435,10 +435,10 @@ class TestBlockSchedule:
             for epsilon in (0.5, 2.0**-4):
                 assert block_schedule(oracle, epsilon) == per_round_schedule(oracle, epsilon)
 
-    @pytest.mark.parametrize("entries", [12, hedge.BLOCK_ENTRIES])
+    @pytest.mark.parametrize("entries", [12, core.BLOCK_ENTRIES])
     @pytest.mark.parametrize("kind", ["matrix", "clustered", "loss_only"])
     def test_every_meta_copy_matches_per_round_pass(self, monkeypatch, entries, kind):
-        monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
         oracle = oracles()[kind]
         copies = meta_tuner.play_meta(oracle, seed=4).extras["copies"]
         assert len(copies) == len(meta_tuner.build_grid(oracle.horizon()))
@@ -469,7 +469,7 @@ tied_games = st.tuples(
 
 
 class TestBlockScheduleOnTiedValues:
-    @pytest.mark.parametrize("entries", [12, hedge.BLOCK_ENTRIES])
+    @pytest.mark.parametrize("entries", [12, core.BLOCK_ENTRIES])
     @settings(max_examples=150, deadline=None)
     @given(tied_games, st.sampled_from([1.0, 0.5, 0.25, 0.125, 0.05]))
     def test_matches_per_round_pass(self, entries, game, epsilon):
@@ -480,7 +480,7 @@ class TestBlockScheduleOnTiedValues:
         if dense:
             oracle = environments.MatrixOracle(oracle.to_matrix())
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(hedge, "BLOCK_ENTRIES", entries)
+            patch.setattr(core, "BLOCK_ENTRIES", entries)
             assert block_schedule(oracle, epsilon) == per_round_schedule(oracle, epsilon)
 
 

@@ -4,7 +4,10 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from packhedge import analysis, core, environments, many_experts, matrix_io
 from packhedge.core import game_rng
 from packhedge.environments import (
@@ -131,8 +134,17 @@ class TestClusteredBinary:
             raise AssertionError("the generator ran past its size guard")
 
         monkeypatch.setattr(environments, "game_rng", no_draws)
-        with pytest.raises(ValueError, match="too large to generate"):
+        with pytest.raises(ValueError, match="environment.N x environment.T = 2 x 50000000"):
             make_clustered_binary(core.MATRIX_MAX_ENTRIES, 4, 2, seed=0)
+
+    def test_oversize_assignment_refused_before_drawing(self, monkeypatch):
+        # The oracle stores one cluster id per expert.
+        def no_draws(*key):
+            raise AssertionError("the generator ran past its size guard")
+
+        monkeypatch.setattr(environments, "game_rng", no_draws)
+        with pytest.raises(ValueError, match="environment.K = .*too large to generate"):
+            make_clustered_binary(4, core.MATRIX_MAX_ENTRIES + 1, 2, seed=0)
 
     def test_uncovered_expert_matches_dense_scan(self):
         env = make_clustered_binary(30, 60, 6, seed=6)
@@ -327,6 +339,120 @@ class TestIidStochastic:
     def test_invalid_arguments(self, kwargs):
         with pytest.raises(ValueError):
             make_iid_stochastic(10, 2, seed=0, **kwargs)
+
+
+CHUNKED = {
+    "low_rank": (make_low_rank, reference.make_low_rank),
+    "sparse_dictionary": (make_sparse_dictionary, reference.make_sparse_dictionary),
+    "bounded_variation": (
+        make_bounded_variation_adversary, reference.make_bounded_variation_adversary
+    ),
+    "iid_stochastic": (make_iid_stochastic, reference.make_iid_stochastic),
+}
+
+
+def generator_arguments(kind, T, K, data):
+    """Keyword arguments of ``kind``'s generator for a ``T x K`` matrix, the rest drawn."""
+    noise = st.sampled_from([0.0, 0.05, 0.25])
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    if kind == "low_rank":
+        return {"T": T, "K": K, "d": data.draw(st.integers(1, min(T, K, 3))),
+                "epsilon_noise": data.draw(noise), "seed": seed}
+    if kind == "sparse_dictionary":
+        n = data.draw(st.integers(1, 4))
+        return {"T": T, "K": K, "n": n, "k": data.draw(st.integers(0, n)),
+                "epsilon_noise": data.draw(noise), "seed": seed}
+    if kind == "bounded_variation":
+        return {"T": T, "K": max(K, 2), "seed": seed}
+    means = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=K, max_size=K))
+    noise_kind = data.draw(st.sampled_from(environments.NOISE_KINDS))
+    return {"T": T, "K": K, "means": means, "noise": noise_kind,
+            "noise_scale": data.draw(st.sampled_from([0.0, 0.25, 0.5])), "seed": seed}
+
+
+def assert_same_bits(oracle, expected):
+    """The oracle's matrix and ground truth equal the reference's, bit for bit."""
+    matrix, truth = expected
+    assert oracle.to_matrix().tobytes() == matrix.tobytes()
+    assert oracle.ground_truth.keys() == truth.keys()
+    for name, value in truth.items():
+        actual = oracle.ground_truth[name]
+        assert actual.dtype == value.dtype and actual.tobytes() == value.tobytes(), name
+
+
+class TestChunkedGeneration:
+    """Dense generators fill one buffer a chunk at a time, with the bits of whole-matrix draws."""
+
+    @settings(max_examples=150)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(list(CHUNKED)),
+        T=st.integers(1, 12),
+        K=st.integers(1, 12),
+        entries=st.sampled_from([1, 5, 16, 36, core.BLOCK_ENTRIES]),
+    )
+    def test_matches_whole_matrix_draws(self, data, kind, T, K, entries):
+        # Small chunks: T x K below one chunk, exactly one or several, or no multiple of it.
+        arguments = generator_arguments(kind, T, K, data)
+        fast, slow = CHUNKED[kind]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "BLOCK_ENTRIES", entries)
+            assert_same_bits(fast(**arguments), slow(**arguments))
+
+    # Below one module chunk, exactly one, exactly two, and no multiple of it.
+    SHAPES = [(64, 100), (128, 128), (2, 1 << 14), (300, 77)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["below", "one", "two", "ragged"])
+    @pytest.mark.parametrize("epsilon_noise", [0.0, 0.25])
+    def test_structured_kinds_at_module_chunks(self, shape, epsilon_noise):
+        T, K = shape
+        low_rank = {"T": T, "K": K, "d": 2, "epsilon_noise": epsilon_noise, "seed": 5}
+        assert_same_bits(make_low_rank(**low_rank), reference.make_low_rank(**low_rank))
+        sparse = {"T": T, "K": K, "n": 5, "k": 2, "epsilon_noise": epsilon_noise, "seed": 6}
+        expected = reference.make_sparse_dictionary(**sparse)
+        assert_same_bits(make_sparse_dictionary(**sparse), expected)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["below", "one", "two", "ragged"])
+    @pytest.mark.parametrize("noise", environments.NOISE_KINDS)
+    def test_iid_at_module_chunks(self, shape, noise):
+        T, K = shape
+        means = game_rng(2).uniform(-0.5, 0.5, K).tolist()
+        arguments = {"T": T, "K": K, "means": means, "noise": noise, "noise_scale": 0.5, "seed": 7}
+        expected = reference.make_iid_stochastic(**arguments)
+        assert_same_bits(make_iid_stochastic(**arguments), expected)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["below", "one", "two", "ragged"])
+    def test_bounded_variation_at_module_chunks(self, shape):
+        T, K = shape
+        assert_same_bits(
+            make_bounded_variation_adversary(T, K, seed=8),
+            reference.make_bounded_variation_adversary(T, K, seed=8),
+        )
+
+    @settings(max_examples=100)
+    @given(
+        structure=st.lists(
+            st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.75]) | st.floats(-1.0, 1.0),
+            min_size=1,
+            max_size=40,
+        ),
+        epsilon_noise=st.sampled_from([0.0, 0.25]),
+        entries=st.sampled_from([1, 3, 8, core.BLOCK_ENTRIES]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_noise_matches_whole_matrix_draw(self, structure, epsilon_noise, entries, seed):
+        # Entries at +/-1 put the clip to work, and with no noise 0.0 + -0.0 is 0.0.
+        matrix = np.array(structure).reshape(1, -1)
+        expected = reference.add_noise(matrix.copy(), epsilon_noise, game_rng(seed))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "BLOCK_ENTRIES", entries)
+            losses = environments._add_noise(matrix, epsilon_noise, game_rng(seed))
+        assert losses is matrix  # in place
+        assert losses.tobytes() == expected.tobytes()
+
+    def test_no_noise_turns_negative_zero_structure_into_zero(self):
+        losses = environments._add_noise(np.array([[-0.0, 0.5, -0.0]]), 0.0, game_rng(0))
+        assert losses.tobytes() == np.array([[0.0, 0.5, 0.0]]).tobytes()
 
 
 class TestDenseSizeGuard:

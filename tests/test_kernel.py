@@ -22,18 +22,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from packhedge import cli, environments, hedge, many_experts, matrix_io, meta_tuner
+from packhedge import cli, core, environments, hedge, many_experts, matrix_io, meta_tuner
 from packhedge.core import GameTrajectory, game_rng
 from reference import LossOnlyOracle, Prefix
 
 #: Block sizes (loss entries per block): a tiny one, the module's own, and a
 #: small one whose blocks span several short phases of a few dozen experts.
-BLOCK_SIZES = [12, hedge.BLOCK_ENTRIES, 600]
+BLOCK_SIZES = [12, core.BLOCK_ENTRIES, 600]
 
 
 @pytest.fixture(params=BLOCK_SIZES, ids=["tiny_blocks", "module_blocks", "small_blocks"])
 def block_entries(request, monkeypatch):
-    monkeypatch.setattr(hedge, "BLOCK_ENTRIES", request.param)
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", request.param)
     return request.param
 
 
@@ -83,11 +83,11 @@ class TestHedge:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize(
         "entries, experts",
-        [(12, 1), (12, 3), (12, 40), (hedge.BLOCK_ENTRIES, 100), (hedge.BLOCK_ENTRIES, 300)],
+        [(12, 1), (12, 3), (12, 40), (core.BLOCK_ENTRIES, 100), (core.BLOCK_ENTRIES, 300)],
     )
     def test_matches_reference_across_blocks(self, monkeypatch, kind, entries, experts):
-        monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
-        block = hedge.block_rounds(experts)
+        monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
+        block = core.block_rounds(experts)
         oracle = make_oracle(kind, 2 * block + 3, experts, seed=experts)
         for T in horizons(block):
             game = Prefix(oracle, T)
@@ -156,7 +156,7 @@ class TestManyExperts:
     def test_long_phases_cross_module_blocks(self):
         # One expert per cluster after round 1: phases far longer than a block.
         oracle = environments.make_clustered_binary(1500, 60, 12, seed=4)
-        assert hedge.block_rounds(12) < 1500
+        assert core.block_rounds(12) < 1500
         assert_same(
             many_experts.play_many_experts(oracle, epsilon=0.5, rng=6),
             reference.play_many_experts(oracle, epsilon=0.5, rng=6),
@@ -242,7 +242,7 @@ class TestSegments:
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_lengths_around_a_block(self, block_entries, normalize):
-        b = hedge.block_rounds(5)
+        b = core.block_rounds(5)
         lengths = [1, max(1, b - 1), b, b + 1, 1, 2]
         for widths in ([5] * 6, [1, 2, 5, 3, 5, 4]):
             starts, losses, uniforms = segments(lengths, widths, seed=len(set(widths)))
@@ -257,11 +257,11 @@ class TestSegments:
         starts, losses, uniforms = segments(lengths, widths, seed=11)
         assert_segments_match(starts, widths, losses, uniforms, normalize)
 
-    @pytest.mark.parametrize("entries", [64, hedge.BLOCK_ENTRIES])
+    @pytest.mark.parametrize("entries", [64, core.BLOCK_ENTRIES])
     def test_segments_longer_than_a_block(self, monkeypatch, entries):
-        monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
         widths = [1, 3, 2, 7]
-        lengths = [hedge.block_rounds(w) * 2 + 3 for w in widths]
+        lengths = [core.block_rounds(w) * 2 + 3 for w in widths]
         starts, losses, uniforms = segments(lengths, widths, seed=2)
         assert_segments_match(starts, widths, losses, uniforms)
 
@@ -392,9 +392,9 @@ def is_subsequence(items, sequence):
     return all(any(item == other for other in remaining) for item in items)
 
 
-@pytest.mark.parametrize("entries", [600, hedge.BLOCK_ENTRIES])
+@pytest.mark.parametrize("entries", [600, core.BLOCK_ENTRIES])
 def test_active_gathers_only_on_flagged_rounds(monkeypatch, entries):
-    monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
     matrix = environments.make_low_rank(400, 60, 2, 0.05, seed=4).to_matrix()
     oracle = None
     certify, expand = many_experts.uncovered_rows, many_experts.expand_packing
@@ -452,12 +452,12 @@ def count_reads(oracle):
     return reads
 
 
-@pytest.mark.parametrize("entries", [600, hedge.BLOCK_ENTRIES])
+@pytest.mark.parametrize("entries", [600, core.BLOCK_ENTRIES])
 def test_schedule_reads_each_block_and_query_once(monkeypatch, entries):
     # The active losses are columns of the candidate rows, and an exact query
     # runs on its row of the block: one read per certified block, none for a
     # query's round or for a re-certification.
-    monkeypatch.setattr(hedge, "BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
     games = [(environments.make_low_rank(400, 60, 2, 0.05, seed=4), e) for e in (0.25, 2.0**-9)]
     games.append((environments.make_clustered_binary(5000, 100_000, 8, seed=0), 0.5))
     for oracle, epsilon in games:
@@ -467,6 +467,36 @@ def test_schedule_reads_each_block_and_query_once(monkeypatch, entries):
         assert len(reads) == counts["blocks"]
         assert len(set(reads)) == len(reads)
     assert counts["recertifications"] > 0
+
+
+def test_schedule_reads_whole_rows_of_a_dense_oracle():
+    # Every expert is a candidate: the blocks are views of the matrix, not copies.
+    oracle = environments.make_low_rank(400, 60, 2, 0.05, seed=4)
+    matrix, blocks = oracle.to_matrix(), []
+    rows = oracle.rows
+
+    def recording(t0, t1, experts=None):
+        blocks.append((experts, rows(t0, t1, experts)))
+        return blocks[-1][1]
+
+    oracle.rows = recording
+    many_experts._schedule(oracle, 2.0**-5)
+    assert blocks
+    for experts, block in blocks:
+        assert experts is None and np.may_share_memory(block, matrix)
+
+
+@pytest.mark.parametrize("entries", [600, core.BLOCK_ENTRIES])
+def test_games_leave_the_matrix_unchanged(monkeypatch, entries):
+    # The learners read views of the oracle's matrix and must not write to them.
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
+    oracle = environments.make_low_rank(300, 40, 2, 0.05, seed=4)
+    before = oracle.to_matrix().tobytes()
+    hedge.play_hedge(oracle, rng=1)
+    for epsilon in (0.25, 2.0**-6):
+        many_experts.packing_game(oracle, epsilon, rng=1, expected=True)
+    meta_tuner.play_meta(oracle, seed=1)
+    assert oracle.to_matrix().tobytes() == before
 
 
 class TestBoundedMemory:
@@ -484,15 +514,34 @@ class TestBoundedMemory:
         one_matrix = 4096 * 200 * 8
         assert self.peak(lambda: hedge.play_hedge(oracle, rng=1)) < one_matrix / 4
 
+    #: Bytes of one packing_lowrank-shaped float64 matrix.
+    ONE_MATRIX = 1024 * 500 * 8
+
     def test_low_rank_generation(self):
-        # The generator holds the structure and the losses: the noise is drawn
-        # into the losses' buffer, so two matrices.
-        one_matrix = 1024 * 500 * 8
+        # The noise is added to the structure in its own buffer, a chunk at a
+        # time: one matrix plus chunk-sized scratch.
         peak = self.peak(lambda: environments.make_low_rank(1024, 500, 2, 0.05, 3))
-        assert peak < 2.5 * one_matrix
+        assert peak < 1.25 * self.ONE_MATRIX
+
+    def test_sparse_dictionary_generation(self):
+        peak = self.peak(lambda: environments.make_sparse_dictionary(1024, 500, 8, 3, 0.05, 3))
+        assert peak < 1.25 * self.ONE_MATRIX
+
+    @pytest.mark.parametrize("noise", ["uniform", "sign"])
+    def test_iid_stochastic_generation(self, noise):
+        # The noise is drawn a block of rounds at a time into the output.
+        means = np.linspace(-0.5, 0.5, 500)
+        peak = self.peak(
+            lambda: environments.make_iid_stochastic(1024, 500, means, noise, 0.5, seed=3)
+        )
+        assert peak < 1.25 * self.ONE_MATRIX
+
+    def test_bounded_variation_generation(self):
+        peak = self.peak(lambda: environments.make_bounded_variation_adversary(1024, 500, seed=3))
+        assert peak < 1.25 * self.ONE_MATRIX
 
     #: Bytes of one float64 temporary of a kernel block.
-    BLOCK_BYTES = hedge.BLOCK_ENTRIES * 8
+    BLOCK_BYTES = core.BLOCK_ENTRIES * 8
 
     def test_schedule_pass_meta_lowrank(self):
         # The meta_lowrank shape: every copy of the grid, one 0.8 MB matrix.
@@ -512,7 +561,7 @@ class TestBoundedMemory:
     def test_certificate_on_references_spaced_four_epsilon(self, active):
         # Every gap of every row is wide: the rows are past the gap cutoff.
         epsilon = 2.0**-9
-        rounds = hedge.block_rounds(500)
+        rounds = core.block_rounds(500)
         reference = np.tile(-1.0 + 4.0 * epsilon * np.arange(active), (rounds, 1))
         values = game_rng(1).uniform(-1.0, 1.0, (rounds, 500))
         peak = self.peak(lambda: many_experts.uncovered_rows(values, reference, 2.0 * epsilon))
