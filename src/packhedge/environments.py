@@ -189,8 +189,8 @@ def make_clustered_binary(T: int, K: int, N: int, seed: int) -> ClusteredBinaryO
     rng = game_rng(seed)
     rows = _distinct_binary_rows(N, T, rng)
     assignment = np.concatenate(
-        [rng.permutation(N), rng.integers(0, N, size=K - N)]
-    ).astype(np.int64)
+        [rng.permutation(N), rng.integers(0, N, size=K - N)], dtype=np.int64
+    )
     return ClusteredBinaryOracle(rows, assignment)
 
 
@@ -268,6 +268,12 @@ def make_sparse_dictionary(
     uniformly chosen support.  Ground truth exposes ``D`` and ``V``.
     """
     _check_dense_size(T, K)
+    # The T x n dictionary and the n x K codes are dense too.
+    if max(T, K) * n > core.MATRIX_MAX_ENTRIES:
+        raise ValueError(
+            f"environment.n = {n}: the {T} x {n} dictionary and {n} x {K} codes are too large"
+            f" to generate (guard: {core.MATRIX_MAX_ENTRIES} entries)"
+        )
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if not (0.0 <= epsilon_noise <= 0.25):

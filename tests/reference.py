@@ -17,13 +17,17 @@ is a single coverage query, for comparison with dense scans, and
 ``segmented_hedge`` plays the kernel's segments round by round from given
 uniforms.  The dense generators at the end, and ``validate_loss_matrix``,
 touch whole ``T x K`` arrays at once, where the package works a chunk at a
-time in one buffer.
+time in one buffer.  The matrix-file writers and the CSV reader at the very
+end build each file's whole contents, or the whole list of rows, at once,
+where the package streams blocks of rows.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -490,3 +494,35 @@ def validate_loss_matrix(matrix):
     if overshoot > BOUNDARY_SLACK:
         raise ValueError(f"loss values exceed [-1, 1] by {overshoot:.3g}")
     return np.clip(m, -1.0, 1.0) if overshoot > 0.0 else m
+
+
+# Whole-file matrix I/O: the CSV text and the binary payload are built as one
+# string or bytes object, and the CSV reader parses every row before it
+# checks the shape, as the package did before it streamed blocks of rows.
+
+
+def write_matrix_csv(path, matrix):
+    m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    lines = [",".join(repr(float(x)) for x in row) for row in m]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_matrix_csv(path):
+    rows = []
+    for line in Path(path).read_text().splitlines():
+        if line.strip():
+            rows.append([float(tok) for tok in line.split(",")])
+    if not rows:
+        raise ValueError(f"{path}: empty matrix file")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ValueError(f"{path}: ragged rows in matrix file")
+    return np.array(rows, dtype=np.float64)
+
+
+def write_matrix_binary(path, matrix):
+    m = np.atleast_2d(np.ascontiguousarray(matrix, dtype=np.float64))
+    rounds, experts = m.shape
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sBII", b"CHLM", 1, rounds, experts))
+        fh.write(m.astype("<f8", copy=False).tobytes(order="C"))

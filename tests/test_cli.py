@@ -396,6 +396,60 @@ class TestRun:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_oversize_dictionary_atoms_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # The T x n dictionary and the n x K codes are refused before any draw.
+        def no_draws(*key):
+            raise AssertionError("the generator ran past its size guard")
+
+        monkeypatch.setattr(environments, "game_rng", no_draws)
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "hedge", "T": 20, "seed": 3},
+                "environment": {"kind": "sparse_dictionary", "K": 12, "n": 4, "k": 2,
+                                "epsilon_noise": 0.05},
+            },
+        )
+        argv = ["run", "--config", config, "--set", "environment.n=1000000000000"]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv + ["--out-dir", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: environment: environment.n = 1000000000000: the 20 x"
+            " 1000000000000 dictionary and 1000000000000 x 12 codes are too large to generate"
+            " (guard: 50000000 entries)\n"
+        )
+        assert peak < 1 << 20  # the dictionary alone would be 160 TB
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        ("text", "fault"),
+        [
+            ("0.5,0.25\r\n\r\n1.0,abc\r\n", "line 3: could not convert string to float: 'abc'"),
+            ("0.5,0.25\n0.1\n",
+             "line 2: ragged rows in matrix file (2 values per row expected, got 1)"),
+        ],
+        ids=["token", "ragged"],
+    )
+    def test_bad_matrix_file_names_the_file_and_line(self, tmp_path, capsys, text, fault):
+        matrix_path = tmp_path / "losses.csv"
+        matrix_path.write_bytes(text.encode())
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "hedge", "T": 2, "seed": 0},
+                "environment": {"kind": "finite_matrix", "path": str(matrix_path)},
+            },
+        )
+        argv = ["run", "--config", config, "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"configuration error: environment: {matrix_path}: {fault}\n"
+
     @pytest.mark.parametrize(
         ("environment", "override", "message"),
         [

@@ -146,6 +146,17 @@ class TestClusteredBinary:
         with pytest.raises(ValueError, match="environment.K = .*too large to generate"):
             make_clustered_binary(4, core.MATRIX_MAX_ENTRIES + 1, 2, seed=0)
 
+    def test_assignment_is_drawn_as_int64_ids(self):
+        # The whole-array cast of the draw, as the generator did before it
+        # concatenated straight into int64: the same stream and the same ids.
+        env = make_clustered_binary(30, 500, 6, seed=4)
+        rng = game_rng(4)
+        environments._distinct_binary_rows(6, 30, rng)
+        drawn = np.concatenate([rng.permutation(6), rng.integers(0, 6, size=494)])
+        expected = drawn.astype(np.int64)
+        assignment = env.ground_truth["assignment"]
+        assert assignment.dtype == np.int64 and assignment.tobytes() == expected.tobytes()
+
     def test_uncovered_expert_matches_dense_scan(self):
         env = make_clustered_binary(30, 60, 6, seed=6)
         dense = environments.MatrixOracle(env.to_matrix())
@@ -268,6 +279,18 @@ class TestSparseDictionary:
     def test_invalid_sparsity(self):
         with pytest.raises(ValueError, match="k"):
             make_sparse_dictionary(5, 5, 3, 4, 0.1, seed=0)
+
+    @pytest.mark.parametrize(
+        ("T", "K", "n"), [(50_000_000, 1, 2), (1, 50_000_000, 2), (3, 4, 10**12)]
+    )
+    def test_oversize_dictionary_refused_before_drawing(self, monkeypatch, T, K, n):
+        # T x n or n x K above the guard, though T x K is not.
+        def no_draws(*key):
+            raise AssertionError("the generator ran past its size guard")
+
+        monkeypatch.setattr(environments, "game_rng", no_draws)
+        with pytest.raises(ValueError, match=f"environment.n = {n}: .*too large to generate"):
+            make_sparse_dictionary(T, K, n, 1, 0.1, seed=0)
 
 
 class TestBoundedVariationAdversary:

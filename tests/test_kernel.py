@@ -543,6 +543,25 @@ class TestBoundedMemory:
     #: Bytes of one float64 temporary of a kernel block.
     BLOCK_BYTES = core.BLOCK_ENTRIES * 8
 
+    def test_binary_write(self, tmp_path):
+        # The hedge_dense input: written from the matrix's own buffer.
+        matrix = game_rng(2).uniform(-1.0, 1.0, (10_000, 100))
+        peak = self.peak(lambda: matrix_io.write_matrix_binary(tmp_path / "m.bin", matrix))
+        assert peak < self.BLOCK_BYTES
+
+    def test_csv_write(self, tmp_path):
+        # Rows are formatted and written a block at a time.
+        matrix = game_rng(2).uniform(-1.0, 1.0, (2000, 100))
+        peak = self.peak(lambda: matrix_io.write_matrix_csv(tmp_path / "m.csv", matrix))
+        assert peak < 0.5 * matrix.nbytes
+
+    def test_csv_read(self, tmp_path):
+        # Blocks of parsed rows, joined once: the returned matrix and one more.
+        matrix = game_rng(2).uniform(-1.0, 1.0, (4000, 100))
+        matrix_io.write_matrix_csv(tmp_path / "m.csv", matrix)
+        peak = self.peak(lambda: matrix_io.read_matrix_csv(tmp_path / "m.csv"))
+        assert peak < 2.25 * matrix.nbytes
+
     def test_schedule_pass_meta_lowrank(self):
         # The meta_lowrank shape: every copy of the grid, one 0.8 MB matrix.
         oracle = environments.make_low_rank(512, 200, 2, 0.05, 3)
