@@ -4,7 +4,8 @@ Exact and greedy covering/packing numbers under the sup-norm expert distance,
 the cover/packing duality certificate, regret accounting, per-expert
 variation, and the log-sum inequality used by the phase-count analysis.
 Exact searches are exponential and guarded by an expert-count budget; greedy
-quantities are always available.
+quantities are always available.  The distance matrix behind the exact
+searches is streamed over blocks of ``core.block_rounds`` rounds.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ExpertId, GameTrajectory, LossOracle
+from .core import ExpertId, GameTrajectory, LossOracle, block_rounds
 
 
 @dataclass
@@ -46,25 +47,17 @@ class RegretLedger:
     regret: float
 
 
-#: Entries (float64) of the ``rounds x K x K`` block :func:`distance_matrix` may hold.
-DISTANCE_BLOCK_ENTRIES = 1 << 22
-
-
-def distance_block_rounds(experts: int) -> int:
-    """Rounds per block that keep a ``rounds x K x K`` temporary within ``DISTANCE_BLOCK_ENTRIES``.
-
-    At least one round, so the temporary is never larger than ``K x K``, the
-    size of the result itself.
-    """
-    return max(1, DISTANCE_BLOCK_ENTRIES // max(1, experts * experts))
-
-
 def distance_matrix(matrix: np.ndarray) -> np.ndarray:
-    """All pairwise sup-norm distances ``max_t |l_t(i) - l_t(j)|``, streamed over round blocks."""
+    """All pairwise sup-norm distances ``max_t |l_t(i) - l_t(j)|``, streamed over round blocks.
+
+    A block holds ``core.block_rounds(K * K)`` rounds, so its ``rounds x K x
+    K`` temporary stays within ``core.BLOCK_ENTRIES`` entries, or is a
+    single round's ``K x K``, the size of the result, for more experts.
+    """
     m = np.asarray(matrix, dtype=np.float64)
     rounds, experts = m.shape
     dist = np.zeros((experts, experts), dtype=np.float64)
-    step = distance_block_rounds(experts)
+    step = block_rounds(max(1, experts * experts))
     for start in range(0, rounds, step):
         block = m[start : start + step]
         gaps = np.subtract(block[:, :, None], block[:, None, :])

@@ -74,7 +74,7 @@ def apply_overrides(cfg: dict[str, Any], overrides: list[str]) -> None:
             node = node.setdefault(key, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"--set {item!r}: {key} is not a section")
-        node[keys[-1]] = yaml.safe_load(raw_value)
+        node[keys[-1]] = yaml.load(raw_value, Loader=YAML_LOADER)
 
 
 def build_env_spec(env: Any, game: GameConfig) -> EnvironmentSpec:

@@ -37,7 +37,8 @@ MATRIX_MAX_ENTRIES = 50_000_000
 
 #: Entries per block of a pass over a loss matrix, so each float64 temporary
 #: of a block is 128 KB: the hedge kernel's and the schedule pass's blocks of
-#: rounds, the dense generators' chunks and the validation pass's.
+#: rounds, the dense generators' chunks, the matrix files' row blocks and the
+#: distance pass's blocks of rounds (``rounds x K x K`` entries).
 BLOCK_ENTRIES = 1 << 14
 
 
@@ -112,20 +113,15 @@ def validate_loss_matrix(matrix: np.ndarray) -> np.ndarray:
     and additive noise can overshoot by an ulp) are clamped, into a copy,
     with a logged warning; anything farther out, NaN or infinite is a hard
     error.  A float64 C-ordered matrix within the contract is returned as
-    given, after one pass that reads it ``BLOCK_ENTRIES`` entries at a time.
+    given, after two reductions (its extremes) that allocate nothing.
     """
     m = np.ascontiguousarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"loss matrix must be 2-D (rounds x experts), got shape {m.shape}")
-    # Extremes instead of |m|, one chunk at a time: no T x K temporary, and
-    # NaN or inf shows in a chunk's extremes, checked before the fold drops it.
-    flat, high, low = m.reshape(-1), 0.0, 0.0
-    for i0 in range(0, flat.size, BLOCK_ENTRIES):
-        chunk = flat[i0 : i0 + BLOCK_ENTRIES]
-        chunk_high, chunk_low = float(chunk.max()), float(chunk.min())
-        if not (math.isfinite(chunk_high) and math.isfinite(chunk_low)):
-            raise ValueError("loss matrix contains non-finite values")
-        high, low = max(high, chunk_high), min(low, chunk_low)
+    # Extremes instead of |m|: no T x K temporary, and NaN or inf shows in them.
+    high, low = float(m.max(initial=0.0)), float(m.min(initial=0.0))
+    if not (math.isfinite(high) and math.isfinite(low)):
+        raise ValueError("loss matrix contains non-finite values")
     overshoot = max(high, -low) - 1.0
     if overshoot > BOUNDARY_SLACK:
         raise ValueError(f"loss values exceed [-1, 1] by {overshoot:.3g}")
@@ -247,7 +243,7 @@ class LossOracle(ABC):
         """Losses of rounds ``t0 + 1 .. t1`` (one row each) for ``experts`` (default: all).
 
         The block may be a view of the oracle's own storage, which the
-        caller must not write.
+        caller must not write (a dense matrix oracle's raises if written).
         """
 
     @abstractmethod

@@ -74,9 +74,10 @@ class MatrixOracle(LossOracle):
     def __init__(
         self, matrix: np.ndarray, ground_truth: dict[str, np.ndarray] | None = None
     ) -> None:
-        self._m = validate_loss_matrix(matrix)
+        # A read-only view: the blocks of rows and to_matrix() are this storage.
+        self._m = validate_loss_matrix(matrix).view()
+        self._m.flags.writeable = False
         self.ground_truth = dict(ground_truth or {})
-        self._column_sums: np.ndarray | None = None
         self._ids = np.arange(self._m.shape[1])
 
     def horizon(self) -> int:
@@ -93,11 +94,6 @@ class MatrixOracle(LossOracle):
 
     def coverage_ids(self) -> np.ndarray:
         return self._ids
-
-    def column_sums(self) -> np.ndarray:
-        if self._column_sums is None:
-            self._column_sums = self._m.sum(axis=0)
-        return self._column_sums
 
 
 class ClusteredBinaryOracle(LossOracle):
@@ -123,7 +119,6 @@ class ClusteredBinaryOracle(LossOracle):
             raise ValueError("every cluster must have at least one expert")
         self._candidate_ids = np.sort(first_expert)
         self.ground_truth = {"rows": self._rows, "assignment": self._assign}
-        self._column_sums: np.ndarray | None = None
 
     def horizon(self) -> int:
         return int(self._rows.shape[1])
@@ -141,9 +136,7 @@ class ClusteredBinaryOracle(LossOracle):
         return self._candidate_ids
 
     def column_sums(self) -> np.ndarray:
-        if self._column_sums is None:
-            self._column_sums = self._rows.sum(axis=1)[self._assign]
-        return self._column_sums
+        return self._rows.sum(axis=1)[self._assign]
 
 
 def _distinct_binary_rows(num_rows: int, horizon: int, rng: np.random.Generator) -> np.ndarray:

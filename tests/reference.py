@@ -15,9 +15,10 @@ the base-class defaults.
 own, since a game runs over every round of its oracle.  ``first_uncovered``
 is a single coverage query, for comparison with dense scans, and
 ``segmented_hedge`` plays the kernel's segments round by round from given
-uniforms.  The dense generators at the end, and ``validate_loss_matrix``,
-touch whole ``T x K`` arrays at once, where the package works a chunk at a
-time in one buffer.  The matrix-file writers and the CSV reader at the very
+uniforms.  The dense generators at the end touch whole ``T x K`` arrays at
+once, where the package works a chunk at a time in one buffer;
+``validate_loss_matrix`` tests every entry, where the package reads only
+the matrix's extremes.  The matrix-file writers and the CSV reader at the very
 end build each file's whole contents, or the whole list of rows, at once,
 where the package streams blocks of rows.
 """
@@ -485,12 +486,11 @@ def make_iid_stochastic(T, K, means, noise="none", noise_scale=0.0, *, seed):
 
 
 def validate_loss_matrix(matrix):
-    """The boundary check on the whole matrix at once: its extremes and their finiteness."""
+    """The boundary check entry by entry: every value finite, then the largest ``|value|``."""
     m = np.ascontiguousarray(matrix, dtype=np.float64)
-    high, low = float(m.max(initial=0.0)), float(m.min(initial=0.0))
-    if not (np.isfinite(high) and np.isfinite(low)):
+    if not np.isfinite(m).all():
         raise ValueError("loss matrix contains non-finite values")
-    overshoot = max(high, -low) - 1.0
+    overshoot = float(np.abs(m).max(initial=0.0)) - 1.0
     if overshoot > BOUNDARY_SLACK:
         raise ValueError(f"loss values exceed [-1, 1] by {overshoot:.3g}")
     return np.clip(m, -1.0, 1.0) if overshoot > 0.0 else m

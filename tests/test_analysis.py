@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packhedge import analysis, environments
+from packhedge import analysis, core, environments
 from packhedge.core import GameTrajectory, game_rng
 from packhedge.environments import MatrixOracle
 
@@ -88,24 +89,23 @@ class TestExpertDistance:
     def test_blocked_distance_matrix_is_exact(self, matrix, max_entries):
         # Tiny budgets force one- or few-round blocks; the result must not move.
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(analysis, "DISTANCE_BLOCK_ENTRIES", max_entries)
+            patch.setattr(core, "BLOCK_ENTRIES", max_entries)
             dist = analysis.distance_matrix(matrix)
         for i in range(matrix.shape[1]):
             for j in range(matrix.shape[1]):
                 assert dist[i, j] == brute_distance(matrix, i, j)
 
-    def test_block_rounds_bound_the_temporary(self, monkeypatch):
-        budget = analysis.DISTANCE_BLOCK_ENTRIES
-        # K=1000 with the old fixed 4096-round block needed 32 GB.
-        assert analysis.distance_block_rounds(1000) == budget // 1_000_000
-        for experts in (1, 2, 24, 100, 1000, 2048):
-            rounds = analysis.distance_block_rounds(experts)
-            assert rounds >= 1
-            assert rounds * experts * experts <= budget
-        # Past sqrt(budget) experts a single round is the floor: K x K, the result's size.
-        assert analysis.distance_block_rounds(5000) == 1
-        monkeypatch.setattr(analysis, "DISTANCE_BLOCK_ENTRIES", 250)
-        assert analysis.distance_block_rounds(10) == 2
+    def test_distance_pass_memory_is_bounded(self):
+        # The result plus a few block-sized temporaries, whatever T is.
+        matrix = game_rng(3).uniform(-1.0, 1.0, (2000, 100))
+        analysis.distance_matrix(matrix)  # first calls import and cache what later ones reuse
+        tracemalloc.start()
+        try:
+            analysis.distance_matrix(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 100 * 8 + 4 * core.BLOCK_ENTRIES * 8
 
 
 class TestCoveringNumberExact:

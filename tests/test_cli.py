@@ -555,6 +555,22 @@ class TestLoadConfig:
             assert loaded == yaml.safe_load(text)
             assert repr(loaded) == repr(yaml.load(text, Loader=yaml.SafeLoader))
 
+    @pytest.mark.parametrize("value", ["5000", "0.25", "1e3", "true", "null", "[1.0, 0.5]"])
+    def test_set_values_load_alike(self, monkeypatch, value):
+        # ``--set`` values parse with the config files' loader; both loaders
+        # read each scalar kind alike (``1e3`` is a string in YAML 1.1).
+        loaded = []
+        for loader in (yaml.SafeLoader, cli.YAML_LOADER):
+            monkeypatch.setattr(cli, "YAML_LOADER", loader)
+            cfg = {}
+            cli.apply_overrides(cfg, [f"game.x={value}"])
+            loaded.append(cfg["game"]["x"])
+        assert repr(loaded[0]) == repr(loaded[1]) == repr(yaml.safe_load(value))
+        monkeypatch.setattr(cli, "YAML_LOADER", yaml.BaseLoader)  # every scalar a string
+        cfg = {}
+        cli.apply_overrides(cfg, [f"game.x={value}"])
+        assert cfg["game"]["x"] == yaml.load(value, Loader=yaml.BaseLoader)
+
     def test_libyaml_loader_used_when_present(self):
         assert cli.YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 

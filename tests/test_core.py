@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,11 +166,10 @@ class TestValidateLossMatrix:
             max_size=40,
         ),
         width=st.integers(1, 6),
-        entries=st.sampled_from([1, 2, 7, 16, core.BLOCK_ENTRIES]),
     )
-    def test_chunked_pass_matches_whole_matrix_check(self, values, width, entries):
-        # A bad value in any chunk fails as in one pass over the whole matrix:
-        # a NaN is caught in its chunk, before the running extremes drop it.
+    def test_matches_elementwise_check(self, values, width):
+        # The two extremes decide as a check of every entry does: NaN or inf
+        # anywhere is non-finite, else the largest |value| passes, clamps or fails.
         m = np.array(values[: len(values) // width * width]).reshape(-1, width)
 
         def outcome(validate):
@@ -178,9 +178,19 @@ class TestValidateLossMatrix:
             except ValueError as exc:
                 return str(exc)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "BLOCK_ENTRIES", entries)
-            assert outcome(validate_loss_matrix) == outcome(reference.validate_loss_matrix)
+        assert outcome(validate_loss_matrix) == outcome(reference.validate_loss_matrix)
+
+    def test_valid_matrix_allocates_less_than_a_block(self):
+        # The hedge_dense ingest shape: a valid matrix is returned as given.
+        m = game_rng(4).uniform(-1.0, 1.0, (10_000, 100))
+        validate_loss_matrix(m)  # first calls import and cache what later ones reuse
+        tracemalloc.start()
+        try:
+            assert validate_loss_matrix(m) is m
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < core.BLOCK_ENTRIES * 8
 
 
 def test_import_loads_numpy_random():

@@ -72,6 +72,22 @@ class TestLossRangeContract:
             assert np.abs(matrix).max() <= 1.0
 
 
+class TestMatrixOracleStorage:
+    def test_blocks_and_matrix_are_read_only(self):
+        oracle = environments.MatrixOracle(game_rng(5).uniform(-1.0, 1.0, (6, 4)))
+        with pytest.raises(ValueError, match="read-only"):
+            oracle.rows(1, 4)[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            oracle.to_matrix()[0, 0] = 0.0
+
+    def test_callers_array_stays_writable(self):
+        matrix = game_rng(5).uniform(-1.0, 1.0, (6, 4))
+        oracle = environments.MatrixOracle(matrix)
+        assert np.shares_memory(oracle.to_matrix(), matrix)  # held without a copy
+        matrix[0, 0] = 0.5
+        assert matrix.flags.writeable
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "make",
@@ -172,7 +188,8 @@ class TestClusteredBinary:
     def test_column_sums_match_dense(self):
         env = make_clustered_binary(30, 60, 6, seed=7)
         assert np.allclose(env.column_sums(), env.to_matrix().sum(axis=0))
-        assert env.column_sums() is env.column_sums()  # gathered once per oracle
+        dense = environments.MatrixOracle(env.to_matrix())
+        assert np.array_equal(dense.column_sums(), dense.to_matrix().sum(axis=0))
 
     def test_desk_scale_generation(self):
         env = make_clustered_binary(5000, 100_000, 8, seed=8)
