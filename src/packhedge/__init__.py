@@ -23,6 +23,7 @@ from .many_experts import (
 from .meta_tuner import build_grid, play_meta
 from .environments import (
     EnvironmentSpec,
+    MatrixFileOracle,
     MatrixOracle,
     make_bounded_variation_adversary,
     make_clustered_binary,
@@ -58,6 +59,7 @@ __all__ = [
     "build_grid",
     "play_meta",
     "EnvironmentSpec",
+    "MatrixFileOracle",
     "MatrixOracle",
     "make_bounded_variation_adversary",
     "make_clustered_binary",

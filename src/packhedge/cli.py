@@ -74,7 +74,11 @@ def apply_overrides(cfg: dict[str, Any], overrides: list[str]) -> None:
             node = node.setdefault(key, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"--set {item!r}: {key} is not a section")
-        node[keys[-1]] = yaml.load(raw_value, Loader=YAML_LOADER)
+        try:
+            node[keys[-1]] = yaml.load(raw_value, Loader=YAML_LOADER)
+        except yaml.YAMLError as exc:
+            problem = getattr(exc, "problem", None) or type(exc).__name__
+            raise ConfigError(f"--set {item!r}: not valid YAML ({problem})") from exc
 
 
 def build_env_spec(env: Any, game: GameConfig) -> EnvironmentSpec:
@@ -130,12 +134,16 @@ def _block_strings(values: np.ndarray) -> list[str]:
 
     Entries are told apart by their 64-bit patterns, so ``-0.0`` and ``0.0``
     keep their own strings.  The ``repr`` of an integer is its decimal form.
+    A block of which more than half the entries are distinct is formatted
+    entry by entry: a table would save few calls and cost its own build.
     """
     bits = values.view(np.int64)
     # A sort and a binary search: np.unique's return_inverse would argsort the
     # block, which costs more than the rest of this function.
     ordered = np.sort(bits)
     keys = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    if 2 * keys.size > values.size:
+        return list(map(repr, values.tolist()))
     table = np.array([repr(v) for v in keys.view(values.dtype).tolist()], dtype=object)
     return table[keys.searchsorted(bits)].tolist()
 

@@ -119,7 +119,18 @@ def validate_loss_matrix(matrix: np.ndarray) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"loss matrix must be 2-D (rounds x experts), got shape {m.shape}")
     # Extremes instead of |m|: no T x K temporary, and NaN or inf shows in them.
-    high, low = float(m.max(initial=0.0)), float(m.min(initial=0.0))
+    if must_clamp(float(m.max(initial=0.0)), float(m.min(initial=0.0))):
+        m = np.clip(m, -1.0, 1.0)
+    return m
+
+
+def must_clamp(high: float, low: float) -> bool:
+    """Whether a loss matrix with these extremes (taken with ``initial=0.0``) must be clamped.
+
+    The rules of :func:`validate_loss_matrix`: a NaN or infinite extreme, or
+    one beyond ``[-1, 1]`` by more than ``BOUNDARY_SLACK``, is an error; one
+    that grazes the boundary is logged once as a warning and answers True.
+    """
     if not (math.isfinite(high) and math.isfinite(low)):
         raise ValueError("loss matrix contains non-finite values")
     overshoot = max(high, -low) - 1.0
@@ -127,8 +138,8 @@ def validate_loss_matrix(matrix: np.ndarray) -> np.ndarray:
         raise ValueError(f"loss values exceed [-1, 1] by {overshoot:.3g}")
     if overshoot > 0.0:
         logger.warning("clamping losses grazing the [-1, 1] boundary by %.3g", overshoot)
-        m = np.clip(m, -1.0, 1.0)
-    return m
+        return True
+    return False
 
 
 @dataclass
@@ -243,7 +254,8 @@ class LossOracle(ABC):
         """Losses of rounds ``t0 + 1 .. t1`` (one row each) for ``experts`` (default: all).
 
         The block may be a view of the oracle's own storage, which the
-        caller must not write (a dense matrix oracle's raises if written).
+        caller must not write (a dense matrix oracle's raises if written),
+        or a fresh array (a matrix file's oracle reads each block anew).
         """
 
     @abstractmethod

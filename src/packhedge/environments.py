@@ -10,6 +10,7 @@ from __future__ import annotations
 import inspect
 import json
 import logging
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -94,6 +95,75 @@ class MatrixOracle(LossOracle):
 
     def coverage_ids(self) -> np.ndarray:
         return self._ids
+
+
+class MatrixFileOracle(LossOracle):
+    """A binary matrix file, read a block of rows at a time; every expert is a candidate.
+
+    The file stays open for the oracle's lifetime, and :meth:`rows` reads only
+    the rows asked for, at their offset, into a fresh array.  So the oracle
+    holds its column sums and one block, never the ``T x K`` matrix, and a
+    file larger than memory can be played.  Opening the file checks its
+    header and reads it once, a block of ``core.block_rounds(K)`` rows at a
+    time: the values follow :func:`core.validate_loss_matrix`'s rules (the
+    same errors, and a file grazing ``[-1, 1]`` is clamped block by block
+    after the same one warning), and the column sums are those of the whole
+    matrix bit for bit.  Rewriting the file in place while the oracle is in
+    use is out of scope: a file that shrinks is refused when a read comes
+    short, other edits are served as read.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self._file, self._T, self._K = matrix_io.open_matrix_binary(path)
+        weakref.finalize(self, self._file.close)
+        self._ids = np.arange(self._K)
+        self.ground_truth: dict[str, np.ndarray] = {}
+        self._clamp = False
+        self._sums, high, low = self._sums_and_extremes()
+        if core.must_clamp(high, low):
+            self._clamp = True
+            self._sums = self._sums_and_extremes()[0]
+
+    def _sums_and_extremes(self) -> tuple[np.ndarray, float, float]:
+        """One pass over the file: its column sums and its extremes, 0.0 included.
+
+        Each block's first row takes the running totals before the block is
+        summed, so the sums are those of one ``sum(axis=0)`` over the matrix.
+        That sum adds the rows in turn for ``K >= 2``, but sums a single
+        column pairwise, so for ``K = 1`` the column is read whole.
+        """
+        T, K = self._T, self._K
+        sums, highs, lows = np.zeros(K), [0.0], [0.0]
+        step = core.block_rounds(K) if K > 1 else max(T, 1)
+        for t0 in range(0, T if K else 0, step):
+            block = self.rows(t0, min(T, t0 + step))
+            highs.append(float(block.max()))
+            lows.append(float(block.min()))
+            if t0:
+                block[0] += sums
+            sums = block.sum(axis=0)
+        # numpy's extremes, not Python's max and min, so that a NaN carries through.
+        return sums, float(np.max(highs)), float(np.min(lows))
+
+    def horizon(self) -> int:
+        return self._T
+
+    def num_experts(self) -> int:
+        return self._K
+
+    def rows(
+        self, t0: int, t1: int, experts: np.ndarray | Sequence[int] | None = None
+    ) -> np.ndarray:
+        block = matrix_io.read_binary_rows(self._file, t0, t1, self._K)
+        if self._clamp:
+            np.clip(block, -1.0, 1.0, out=block)
+        return block if experts is None else block.take(np.asarray(experts, dtype=np.int64), 1)
+
+    def coverage_ids(self) -> np.ndarray:
+        return self._ids
+
+    def column_sums(self) -> np.ndarray:
+        return self._sums.copy()
 
 
 class ClusteredBinaryOracle(LossOracle):
@@ -365,9 +435,19 @@ def make_iid_stochastic(
     return MatrixOracle(L, {"means": mu})
 
 
+def load_matrix_file(path: str | Path, format: str | None = None) -> LossOracle:
+    """A matrix file's environment: a binary file is streamed, a CSV file is read whole.
+
+    The format is sniffed from the file's magic bytes if omitted.
+    """
+    if matrix_io.file_format(path, format) == "binary":
+        return MatrixFileOracle(path)
+    return MatrixOracle(matrix_io.load_matrix(path, format))
+
+
 #: Each environment kind's generator; a spec's parameters are its keyword arguments.
 GENERATORS: dict[str, Callable[..., Any]] = {
-    "finite_matrix": lambda path, format=None: MatrixOracle(matrix_io.load_matrix(path, format)),
+    "finite_matrix": load_matrix_file,
     "clustered_binary": make_clustered_binary,
     "low_rank": make_low_rank,
     "sparse_dictionary": make_sparse_dictionary,
@@ -439,7 +519,7 @@ def environment_from_sidecar(path: str | Path) -> LossOracle:
     if spec is None:
         raise ValueError(f"{path}: sidecar carries no environment spec")
     if spec["kind"] == "finite_matrix":
-        matrix_name = sidecar["files"]["matrix"]
-        matrix = matrix_io.load_matrix(Path(path).parent / matrix_name, sidecar.get("format"))
-        return MatrixOracle(matrix)
+        matrix_path = Path(path).parent / sidecar["files"]["matrix"]
+        parameters = {"path": str(matrix_path), "format": sidecar.get("format")}
+        return make_environment(EnvironmentSpec("finite_matrix", parameters))
     return make_environment(EnvironmentSpec(**spec))

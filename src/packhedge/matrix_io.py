@@ -5,11 +5,15 @@ Binary layout: magic ``CHLM``, one version byte, ``u32 T``, ``u32 K``, then
 ``T`` rows of ``K`` comma-separated values with no header; floats are written
 with ``repr`` so both formats round-trip bit-exactly.
 
-Memory: binary I/O holds the matrix only (a C-ordered little-endian float64
-matrix is written from its own buffer, any other a block of rows at a time,
-and a file is read straight into the returned array); CSV I/O holds the
-matrix plus row blocks of ``core.block_rounds(K)`` rows.  A CSV read builds
-the blocks and joins them once, so it peaks near two matrices.
+Memory: binary writes hold the matrix only (a C-ordered little-endian
+float64 matrix is written from its own buffer, any other a block of rows at a
+time), and :func:`read_binary_rows` reads any rows of an open binary file by
+their offset, so a ``finite_matrix`` run streams a binary file a block at a
+time (``environments.MatrixFileOracle``).  CSV I/O holds the matrix plus row
+blocks of ``core.block_rounds(K)`` rows: a CSV row cannot be found by its
+offset, so a CSV file is read whole, and a read joins its blocks once, so it
+peaks near two matrices.  Whole-matrix reads of either format refuse a
+matrix above ``core.MATRIX_MAX_ENTRIES`` before they hold it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -90,10 +94,26 @@ def _csv_blocks(path: str | Path, fh) -> Iterator[np.ndarray]:
         yield np.array(rows, dtype=np.float64)
 
 
+def _too_large(path: str | Path, rounds: int, experts: int) -> ValueError:
+    return ValueError(
+        f"{path}: a matrix of {rounds} x {experts} entries is too large to load"
+        f" (guard: {core.MATRIX_MAX_ENTRIES} entries); runs stream binary matrix files"
+    )
+
+
 def read_matrix_csv(path: str | Path) -> np.ndarray:
-    """Read a CSV matrix file a block of rows at a time, and join the blocks once."""
+    """Read a CSV matrix file a block of rows at a time, and join the blocks once.
+
+    A file of more than ``core.MATRIX_MAX_ENTRIES`` entries is refused as soon
+    as the rows read exceed the guard, before the blocks are joined.
+    """
+    blocks, rounds = [], 0
     with open(path) as fh:  # the default encoding and newline translation, as Path.read_text
-        blocks = list(_csv_blocks(path, fh))
+        for block in _csv_blocks(path, fh):
+            rounds += block.shape[0]
+            if rounds * block.shape[1] > core.MATRIX_MAX_ENTRIES:
+                raise _too_large(path, rounds, block.shape[1])
+            blocks.append(block)
     if not blocks:
         raise ValueError(f"{path}: empty matrix file")
     return np.concatenate(blocks)
@@ -108,9 +128,10 @@ def write_matrix_binary(path: str | Path, matrix: np.ndarray) -> None:
             fh.write(block)
 
 
-def read_matrix_binary(path: str | Path) -> np.ndarray:
-    """Read a binary matrix file straight into the returned array (one copy)."""
-    with open(path, "rb") as fh:
+def open_matrix_binary(path: str | Path) -> tuple[BinaryIO, int, int]:
+    """Open a binary matrix file and check its header and size; return ``(file, T, K)``."""
+    fh = open(path, "rb")
+    try:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise ValueError(f"{path}: truncated header")
@@ -123,10 +144,36 @@ def read_matrix_binary(path: str | Path) -> np.ndarray:
         expected = _HEADER.size + 8 * rounds * experts
         if size != expected:
             raise ValueError(f"{path}: size {size} does not match header ({expected} bytes)")
-        matrix = np.empty((rounds, experts), dtype="<f8")
-        if fh.readinto(matrix.data) != matrix.nbytes:
-            raise ValueError(f"{path}: file shrank while it was read")
-    return matrix.astype(np.float64, copy=False)
+    except BaseException:
+        fh.close()
+        raise
+    return fh, rounds, experts
+
+
+def read_binary_rows(fh: BinaryIO, t0: int, t1: int, experts: int) -> np.ndarray:
+    """Rows ``t0 .. t1 - 1`` of the open binary matrix file ``fh`` of ``experts`` columns.
+
+    The rows are read at their offset straight into a fresh C-ordered
+    float64 array; a file shorter than that is refused with its path.
+    """
+    block = np.empty((t1 - t0, experts), dtype="<f8")
+    fh.seek(_HEADER.size + 8 * t0 * experts)
+    if fh.readinto(block.data) != block.nbytes:
+        raise ValueError(f"{fh.name}: file shrank while it was read")
+    return block.astype(np.float64, copy=False)
+
+
+def read_matrix_binary(path: str | Path) -> np.ndarray:
+    """Read a binary matrix file straight into the returned array (one copy).
+
+    A matrix of more than ``core.MATRIX_MAX_ENTRIES`` entries is refused from
+    its header, before anything is allocated.
+    """
+    fh, rounds, experts = open_matrix_binary(path)
+    with fh:
+        if rounds * experts > core.MATRIX_MAX_ENTRIES:
+            raise _too_large(path, rounds, experts)
+        return read_binary_rows(fh, 0, rounds, experts)
 
 
 def save_matrix(path: str | Path, matrix: np.ndarray, fmt: str = "csv") -> None:
@@ -138,11 +185,17 @@ def save_matrix(path: str | Path, matrix: np.ndarray, fmt: str = "csv") -> None:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
 
 
-def load_matrix(path: str | Path, fmt: str | None = None) -> np.ndarray:
-    """Read a matrix file; the format is sniffed from the magic bytes if omitted."""
+def file_format(path: str | Path, fmt: str | None = None) -> str:
+    """``fmt``, or if it is omitted the format sniffed from the file's magic bytes."""
     if fmt is None:
         with open(path, "rb") as fh:
             fmt = "binary" if fh.read(4) == MAGIC else "csv"
+    return fmt
+
+
+def load_matrix(path: str | Path, fmt: str | None = None) -> np.ndarray:
+    """Read a matrix file whole; the format is sniffed from the magic bytes if omitted."""
+    fmt = file_format(path, fmt)
     if fmt == "csv":
         return read_matrix_csv(path)
     if fmt == "binary":

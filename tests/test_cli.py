@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 import yaml
 
-from packhedge import analysis, cli, environments, many_experts, matrix_io, meta_tuner
+from packhedge import analysis, cli, core, environments, many_experts, matrix_io, meta_tuner
 from packhedge.cli import EXIT_BOUND_VIOLATION, EXIT_CONFIG, EXIT_IO, EXIT_OK
+from packhedge.core import game_rng
 
 
 def write_config(path, payload):
@@ -451,6 +452,71 @@ class TestRun:
         assert err == f"configuration error: environment: {matrix_path}: {fault}\n"
 
     @pytest.mark.parametrize(
+        ("value", "message"),
+        [(np.nan, "loss matrix contains non-finite values"),
+         (1.5, "loss values exceed [-1, 1] by 0.5")],
+        ids=["nan", "out-of-range"],
+    )
+    @pytest.mark.parametrize("fmt", matrix_io.FORMATS)
+    def test_bad_matrix_values_are_config_error(self, tmp_path, capsys, fmt, value, message):
+        matrix = np.zeros((600, 30))
+        matrix[590, 29] = value
+        matrix_path = tmp_path / "losses"
+        matrix_io.save_matrix(matrix_path, matrix, fmt)
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "hedge", "T": 600, "seed": 0},
+                "environment": {"kind": "finite_matrix", "path": str(matrix_path)},
+            },
+        )
+        argv = ["run", "--config", config, "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: environment: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        ("shape", "algorithm", "message"),
+        [((0, 3), "hedge", "environment.T: horizon 0 must equal game.T 4"),
+         ((4, 0), "hedge", "game: need at least one segment of at least one expert, got widths [0]"),
+         ((4, 0), "many_experts", "game: coverage_ids() must start at expert 0, got []")],
+    )
+    def test_binary_file_without_rows_or_columns(
+        self, tmp_path, capsys, shape, algorithm, message
+    ):
+        matrix_io.write_matrix_binary(tmp_path / "losses.bin", np.zeros(shape))
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": algorithm, "T": 4, "epsilon": 0.5, "seed": 0},
+                "environment": {"kind": "finite_matrix", "path": str(tmp_path / "losses.bin")},
+            },
+        )
+        argv = ["run", "--config", config, "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_matrix_files_above_the_guard(self, tmp_path, monkeypatch, capsys):
+        # A binary file streams, so a run plays it; a CSV file is read whole and refused.
+        monkeypatch.setattr(core, "MATRIX_MAX_ENTRIES", 20)
+        matrix = game_rng(6).uniform(-1.0, 1.0, (6, 4))
+        for fmt in matrix_io.FORMATS:
+            matrix_io.save_matrix(tmp_path / fmt, matrix, fmt)
+            config = write_config(
+                tmp_path / f"{fmt}.yaml",
+                {
+                    "game": {"algorithm": "many_experts", "T": 6, "epsilon": 0.5, "seed": 0},
+                    "environment": {"kind": "finite_matrix", "path": str(tmp_path / fmt)},
+                },
+            )
+            argv = ["run", "--config", config, "--out-dir", str(tmp_path / f"{fmt}-out")]
+            assert cli.main(argv) == (EXIT_OK if fmt == "binary" else EXIT_CONFIG)
+        assert capsys.readouterr().err == (
+            f"configuration error: environment: {tmp_path / 'csv'}: a matrix of 6 x 4 entries"
+            " is too large to load (guard: 20 entries); runs stream binary matrix files\n"
+        )
+
+    @pytest.mark.parametrize(
         ("environment", "override", "message"),
         [
             ({"kind": "clustered_binary", "K": 12, "N": 3}, "environment.seed=-1",
@@ -581,6 +647,20 @@ class TestLoadConfig:
         path.write_text("game: {algorithm: hedge, T: [5\nenvironment: :\n")
         assert cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
         assert "not valid YAML" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        ("value", "problem"),
+        [("[5", "did not find expected ',' or ']'"), ("*x", "found undefined alias"),
+         ("a: b: c", "mapping values are not allowed in this context")],
+    )
+    def test_invalid_yaml_in_set_is_config_error(self, tmp_path, capsys, value, problem):
+        config = iid_config(tmp_path, T=5)
+        argv = ["run", "--config", config, "--set", f"game.T={value}", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: --set 'game.T={value}': not valid YAML ({problem})\n"
+        )
 
 
 class TestLogLevel:

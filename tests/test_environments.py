@@ -1,5 +1,7 @@
+import gc
 import json
 import logging
+import os
 from math import comb
 
 import numpy as np
@@ -569,3 +571,130 @@ class TestExportAndSidecar:
         (tmp_path / "source.bin").unlink()
         regenerated = environment_from_sidecar(written["sidecar"])
         assert np.array_equal(regenerated.to_matrix(), matrix)
+
+    @pytest.mark.parametrize("fmt", matrix_io.FORMATS)
+    def test_finite_matrix_sidecar_builds_the_specs_oracle(self, tmp_path, fmt):
+        # The sidecar goes through make_environment: a binary export streams too.
+        spec = finite_matrix_spec(tmp_path, 5)
+        written = export_environment(spec, tmp_path / "raw", fmt=fmt)
+        regenerated = environment_from_sidecar(written["sidecar"])
+        original = make_environment(spec)
+        expected = environments.MatrixFileOracle if fmt == "binary" else environments.MatrixOracle
+        assert type(regenerated) is expected
+        assert regenerated.rows(0, 4).tobytes() == original.rows(0, 4).tobytes()
+        assert regenerated.rows(1, 3, [2, 0]).tobytes() == original.rows(1, 3, [2, 0]).tobytes()
+        assert regenerated.column_sums().tobytes() == original.column_sums().tobytes()
+
+
+def write_binary(path, matrix):
+    matrix_io.write_matrix_binary(path, matrix)
+    return path
+
+
+class TestMatrixFileOracle:
+    """The streamed binary file against the whole matrix read into a ``MatrixOracle``."""
+
+    @staticmethod
+    def awkward_matrix(T, K, seed):
+        matrix = game_rng(seed).uniform(-1.0, 1.0, (T, K))
+        draws = game_rng(seed + 1).random((T, K))
+        matrix[draws < 0.05] = -0.0
+        matrix[draws > 0.95] = 0.0
+        matrix[0, 0], matrix[-1, -1] = -1.0, 1.0
+        return matrix
+
+    # T is no multiple of block_rounds(K); 20011 rounds of one column is where
+    # a blockwise fold of a single column first differed from numpy's sum.
+    @pytest.mark.parametrize(("T", "K"), [(20011, 1), (16390, 2), (5465, 3), (333, 100)])
+    @pytest.mark.parametrize("entries", [core.BLOCK_ENTRIES, 1], ids=["module", "row_blocks"])
+    def test_matches_matrix_oracle(self, tmp_path, monkeypatch, T, K, entries):
+        monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)  # 1: one row per block
+        matrix = self.awkward_matrix(T, K, seed=K)
+        path = write_binary(tmp_path / "m.bin", matrix)
+        streamed = environments.MatrixFileOracle(path)
+        whole = environments.MatrixOracle(matrix_io.load_matrix(path))
+        assert (streamed.horizon(), streamed.num_experts()) == (T, K)
+        assert np.array_equal(streamed.coverage_ids(), np.arange(K))
+        assert streamed.column_sums().tobytes() == whole.column_sums().tobytes()
+        assert streamed.to_matrix().tobytes() == whole.to_matrix().tobytes()
+        experts = game_rng(K).integers(0, K, size=2 * K)
+        step = core.block_rounds(K)
+        for t0, t1 in [(0, 1), (0, step), (step - 1, min(T, 2 * step + 1)), (T - 1, T), (T, T)]:
+            block = streamed.rows(t0, t1)
+            assert block.flags.c_contiguous and block.dtype == np.float64
+            assert block.tobytes() == whole.rows(t0, t1).tobytes()
+            assert block.shape == (t1 - t0, K)
+            assert streamed.rows(t0, t1, experts).tobytes() == whole.rows(t0, t1, experts).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0), (0, 1)])
+    def test_no_rows_or_no_columns(self, tmp_path, shape):
+        path = write_binary(tmp_path / "m.bin", np.zeros(shape))
+        oracle = environments.MatrixFileOracle(path)
+        assert (oracle.horizon(), oracle.num_experts()) == shape
+        assert oracle.column_sums().shape == (shape[1],)
+        assert oracle.to_matrix().shape == shape
+
+    def test_grazing_file_is_clamped_after_one_warning(self, tmp_path, caplog):
+        matrix = self.awkward_matrix(400, 50, seed=4)
+        matrix[3, 7], matrix[399, 0] = 1.0 + 1e-13, -1.0 - 4e-13
+        path = write_binary(tmp_path / "m.bin", matrix)
+        with caplog.at_level(logging.WARNING, logger="packhedge.core"):
+            streamed = environments.MatrixFileOracle(path)
+            blocks = [streamed.rows(t0, t0 + 100) for t0 in range(0, 400, 100)]
+        assert [r.getMessage() for r in caplog.records] == [
+            "clamping losses grazing the [-1, 1] boundary by 4e-13"
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="packhedge.core"):
+            whole = environments.MatrixOracle(matrix_io.load_matrix(path))
+        assert len(caplog.records) == 1
+        assert np.concatenate(blocks).tobytes() == whole.to_matrix().tobytes()
+        assert streamed.rows(3, 4)[0, 7] == 1.0 and streamed.rows(399, 400)[0, 0] == -1.0
+        assert streamed.column_sums().tobytes() == whole.column_sums().tobytes()
+
+    @pytest.mark.parametrize(
+        ("value", "message"),
+        [(np.nan, "non-finite"), (-np.inf, "non-finite"), (1.5, r"exceed \[-1, 1\] by 0.5")],
+    )
+    def test_bad_values_refused_as_a_whole_matrix_is(self, tmp_path, value, message):
+        matrix = np.zeros((500, 40))
+        matrix[0, 0] = 1.5  # out of range in the first block, non-finite in the last
+        matrix[-1, -1] = value
+        path = write_binary(tmp_path / "m.bin", matrix)
+        with pytest.raises(ValueError, match=message):
+            environments.MatrixFileOracle(path)
+        with pytest.raises(ValueError, match=message):
+            environments.MatrixOracle(matrix_io.load_matrix(path))
+
+    def test_bad_header_refused_as_a_whole_file_read_is(self, tmp_path):
+        path = write_binary(tmp_path / "m.bin", np.zeros((3, 2)))
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match="does not match header"):
+            environments.MatrixFileOracle(path)
+
+    def test_file_truncated_after_open_is_refused(self, tmp_path):
+        path = write_binary(tmp_path / "m.bin", game_rng(2).uniform(-1.0, 1.0, (300, 100)))
+        oracle = environments.MatrixFileOracle(path)
+        assert oracle.rows(250, 300).shape == (50, 100)
+        os.truncate(path, 13 + 8 * 100 * 200)
+        assert oracle.rows(0, 200).shape == (200, 100)
+        with pytest.raises(ValueError, match=f"{path}: file shrank while it was read"):
+            oracle.rows(150, 300)
+
+    def test_file_closed_with_the_oracle(self, tmp_path):
+        oracle = environments.MatrixFileOracle(write_binary(tmp_path / "m.bin", np.zeros((2, 2))))
+        handle = oracle._file
+        assert not handle.closed
+        del oracle
+        gc.collect()
+        assert handle.closed
+
+    @pytest.mark.parametrize("fmt", ["binary", None])
+    def test_binary_files_stream_and_csv_files_are_read_whole(self, tmp_path, fmt):
+        matrix = game_rng(3).uniform(-1.0, 1.0, (7, 4))
+        path = write_binary(tmp_path / "m.dat", matrix)
+        spec = EnvironmentSpec("finite_matrix", {"path": str(path), "format": fmt})
+        assert isinstance(make_environment(spec), environments.MatrixFileOracle)
+        matrix_io.write_matrix_csv(tmp_path / "m.csv", matrix)
+        spec = EnvironmentSpec("finite_matrix", {"path": str(tmp_path / "m.csv")})
+        assert isinstance(make_environment(spec), environments.MatrixOracle)

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from packhedge import cli, core, environments, hedge, many_experts, matrix_io, meta_tuner
+from packhedge import analysis, cli, core, environments, hedge, many_experts, matrix_io, meta_tuner
 from packhedge.core import GameTrajectory, game_rng
 from reference import LossOnlyOracle, Prefix
 
@@ -549,6 +549,27 @@ class TestBoundedMemory:
         peak = self.peak(lambda: matrix_io.write_matrix_binary(tmp_path / "m.bin", matrix))
         assert peak < self.BLOCK_BYTES
 
+    def test_hedge_dense_streams_its_matrix_file(self, tmp_path, monkeypatch):
+        # The hedge_dense game on its 8 MB file: opened, played and summed a
+        # block of rows at a time, never through a whole-matrix read.
+        matrix = game_rng(2).uniform(-1.0, 1.0, (10_000, 100))
+        matrix_io.write_matrix_binary(tmp_path / "m.bin", matrix)
+        del matrix
+        spec = environments.EnvironmentSpec("finite_matrix", {"path": str(tmp_path / "m.bin")})
+
+        def whole_file(*args):
+            raise AssertionError("a binary matrix file was read whole")
+
+        monkeypatch.setattr(matrix_io, "read_matrix_binary", whole_file)
+        monkeypatch.setattr(matrix_io, "load_matrix", whole_file)
+
+        def game():
+            oracle = environments.make_environment(spec)
+            trajectory = hedge.play_hedge(oracle, rng=1)
+            return analysis.empirical_regret(trajectory, oracle)
+
+        assert self.peak(game) < 1.5 * 2**20
+
     def test_csv_write(self, tmp_path):
         # Rows are formatted and written a block at a time.
         matrix = game_rng(2).uniform(-1.0, 1.0, (2000, 100))
@@ -710,6 +731,14 @@ def test_trajectory_csv_matches_csv_writer(tmp_path, monkeypatch, block_rows):
     assert b"\r\n3,1,1,2,1e-05,3.0\r\n" in fast
     assert b"\r\n5,1,1,9,-1.0,-0.0\r\n6,1,1,100000,0.1,0.0\r\n" in fast
     assert b"\r\n1025,1,6,123456789,-0.0," in fast and b"\r\n1026,1,6,5,0.0," in fast
+    # An all-distinct column (with both zeros in one block of 3 rows) and one
+    # with exactly half its values distinct in each block of 1024 rows.
+    trajectory.incurred = np.linspace(-1.0, 1.0, rounds)
+    trajectory.incurred[4:6] = [-0.0, 0.0]
+    trajectory.packing_size = np.arange(rounds, dtype=np.int64) // 2
+    cli.write_trajectory_csv(tmp_path / "distinct.csv", trajectory)
+    assert (tmp_path / "distinct.csv").read_bytes() == reference_csv(trajectory)
+    assert b"\r\n5,1,2,9,-0.0,-0.0\r\n6,1,2,100000,0.0,0.0\r\n" in reference_csv(trajectory)
 
 
 #: Few distinct values, so most of a block repeats them.

@@ -148,6 +148,26 @@ class TestBinary:
             matrix_io.read_matrix_binary(path)
 
 
+class TestSizeGuard:
+    @pytest.mark.parametrize("fmt", matrix_io.FORMATS)
+    def test_whole_file_reads_refuse_above_the_guard(self, tmp_path, monkeypatch, fmt):
+        matrix = game_rng(4).uniform(-1, 1, size=(12_000, 3))
+        matrix_io.save_matrix(tmp_path / "m", matrix, fmt)
+        monkeypatch.setattr(core, "MATRIX_MAX_ENTRIES", 36_000)
+        assert matrix_io.load_matrix(tmp_path / "m").tobytes() == matrix.tobytes()
+        monkeypatch.setattr(core, "MATRIX_MAX_ENTRIES", 20_000)
+        # The binary guard reads the header; the CSV one stops at the block
+        # that crosses it (the second one here), before joining anything.
+        size = "12000 x 3" if fmt == "binary" else f"{2 * core.block_rounds(3)} x 3"
+        message = (
+            f"{tmp_path / 'm'}: a matrix of {size} entries is too large to load"
+            " (guard: 20000 entries); runs stream binary matrix files"
+        )
+        with pytest.raises(ValueError) as refused:
+            matrix_io.load_matrix(tmp_path / "m")
+        assert str(refused.value) == message
+
+
 class TestLoadMatrix:
     def test_sniffs_binary(self, tmp_path):
         path = tmp_path / "m.dat"
