@@ -381,7 +381,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 try:
                     cell_game = GameConfig(game.T, epsilon, seed, algorithm)
                 except ValueError as exc:
-                    raise ConfigError(f"sweep.epsilons: {exc}") from exc
+                    # A meta cell's accuracy is fixed: only its T x R feedback can be refused.
+                    field = "game" if label == "" else "sweep.epsilons"
+                    raise ConfigError(f"{field}: {exc}") from exc
                 environment = cfg["environment"] | grid | {"seed": seed}
                 jobs.append((cell_game, build_env_spec(environment, cell_game)))
 

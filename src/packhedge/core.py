@@ -29,10 +29,13 @@ ALGORITHMS = ("hedge", "many_experts", "meta_tuner")
 #: Overshoot past the [-1, 1] boundary tolerated (and clamped) as rounding noise.
 BOUNDARY_SLACK = 1e-12
 
-#: Entries of the largest dense ``T x K`` loss matrix the package builds: the
-#: dense generators of :mod:`~packhedge.environments` refuse a larger one
-#: before they allocate, and :meth:`LossOracle.to_matrix` refuses to
-#: materialize one.
+#: Entries of the largest array the package allocates for one instance, and
+#: so of the largest ``T x K`` loss matrix.  :func:`check_entries` applies it,
+#: before anything is allocated, to :meth:`LossOracle.to_matrix`, the dense
+#: generators' ``T x K`` matrices, ``clustered_binary``'s distinct rows and
+#: assignment, ``sparse_dictionary``'s dictionary and codes, the whole-file
+#: reads of :mod:`~packhedge.matrix_io`, and a :class:`GameConfig`'s
+#: per-round arrays.
 MATRIX_MAX_ENTRIES = 50_000_000
 
 #: Entries per block of a pass over a loss matrix, so each float64 temporary
@@ -45,6 +48,15 @@ BLOCK_ENTRIES = 1 << 14
 def block_rounds(num_experts: int) -> int:
     """Rounds per block over ``num_experts`` columns (at least one)."""
     return max(1, BLOCK_ENTRIES // num_experts)
+
+
+def check_entries(entries: int, description: str) -> None:
+    """Refuse an array of more than ``MATRIX_MAX_ENTRIES`` entries before it is allocated.
+
+    Raises ``ValueError(f"{description} (guard: N entries)")``.
+    """
+    if entries > MATRIX_MAX_ENTRIES:
+        raise ValueError(f"{description} (guard: {MATRIX_MAX_ENTRIES} entries)")
 
 
 def game_rng(*key: int) -> np.random.Generator:
@@ -144,7 +156,12 @@ def must_clamp(high: float, low: float) -> bool:
 
 @dataclass
 class GameConfig:
-    """Parameters of one seeded game: ``T`` and ``seed`` whole numbers, ``epsilon`` real."""
+    """Parameters of one seeded game: ``T`` and ``seed`` whole numbers, ``epsilon`` real.
+
+    A game whose largest per-round array would exceed ``MATRIX_MAX_ENTRIES``
+    is refused: ``T`` entries for hedge and many_experts, and the
+    meta-tuner's ``T x R`` feedback for ``R = ceil(log2 T)`` copies.
+    """
 
     T: int
     epsilon: float = 1.0
@@ -159,6 +176,11 @@ class GameConfig:
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        copies = (self.T - 1).bit_length() if self.algorithm == "meta_tuner" else 1
+        check_entries(
+            self.T * max(copies, 1),
+            f"game.T = {self.T}: the per-round arrays of {self.algorithm} are too large to play",
+        )
 
 
 @dataclass
@@ -225,27 +247,32 @@ class GameTrajectory:
 
 
 class LossOracle(ABC):
-    """Loss access for one environment instance.
+    """Loss access for one environment instance: its shape and :meth:`rows`.
 
-    An oracle serves two things: loss rows, a block of rounds at a time
-    (:meth:`rows`), and the ids of one coverage candidate per group of
-    identical experts (:meth:`coverage_ids`); everything else derives from
-    them.  The hedge kernel and the packing learner's schedule pass both
-    read :meth:`rows`.  The schedule pass reads each block of rounds over
-    the candidates once: its certificate screens the block, and the one
-    coverage kernel, :func:`uncovered_mask`, answers a flagged round on the
-    block's row already read in ``O(K log K_p)`` for ``K`` candidates and
-    ``K_p`` active experts, so structured expert sets such as clusters never
-    enumerate every expert.
+    An oracle is a ``T x K`` shape, given to ``__init__``, and one method,
+    :meth:`rows`, that serves the losses of a block of rounds; everything
+    else derives from them.  :meth:`coverage_ids` (one coverage candidate per
+    group of identical experts) defaults to every expert, and an oracle that
+    knows its groups, such as a clustered one, overrides it.  The hedge
+    kernel and the packing learner's schedule pass both read :meth:`rows`.
+    The schedule pass reads each block of rounds over the candidates once:
+    its certificate screens the block, and the one coverage kernel,
+    :func:`uncovered_mask`, answers a flagged round on the block's row
+    already read in ``O(K log K_p)`` for ``K`` candidates and ``K_p`` active
+    experts, so structured expert sets such as clusters never enumerate
+    every expert.
     """
 
-    @abstractmethod
+    def __init__(self, horizon: int, num_experts: int) -> None:
+        self._shape = (int(horizon), int(num_experts))
+
     def horizon(self) -> int:
         """Number of rounds the environment defines."""
+        return self._shape[0]
 
-    @abstractmethod
     def num_experts(self) -> int:
         """Number of experts."""
+        return self._shape[1]
 
     @abstractmethod
     def rows(
@@ -258,17 +285,18 @@ class LossOracle(ABC):
         or a fresh array (a matrix file's oracle reads each block anew).
         """
 
-    @abstractmethod
     def coverage_ids(self) -> np.ndarray:
-        """Ids of the experts whose losses coverage queries must consider.
+        """Ids of the experts whose losses coverage queries must consider: by default, all.
 
         Ids are strictly ascending, and every expert not listed copies (at
         every round) a listed expert with a smaller id, so ``ids[0] == 0``
         is required (the packing learner checks it and starts there).  So
         the first uncovered candidate is the smallest-id uncovered expert,
         no two separated experts share a candidate, and an active set as
-        large as the candidate set covers every round.
+        large as the candidate set covers every round.  Listing every expert
+        meets this for any losses.
         """
+        return np.arange(self.num_experts())
 
     def column_sums(self) -> np.ndarray:
         """Cumulative loss of every expert over the full horizon."""
@@ -277,9 +305,5 @@ class LossOracle(ABC):
     def to_matrix(self) -> np.ndarray:
         """Materialize the full ``T x K`` loss matrix (guarded by ``MATRIX_MAX_ENTRIES``)."""
         T, K = self.horizon(), self.num_experts()
-        if T * K > MATRIX_MAX_ENTRIES:
-            raise ValueError(
-                f"matrix of {T} x {K} entries is too large to materialize"
-                f" (guard: {MATRIX_MAX_ENTRIES} entries)"
-            )
+        check_entries(T * K, f"matrix of {T} x {K} entries is too large to materialize")
         return np.ascontiguousarray(self.rows(0, T))

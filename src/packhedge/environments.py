@@ -78,23 +78,14 @@ class MatrixOracle(LossOracle):
         # A read-only view: the blocks of rows and to_matrix() are this storage.
         self._m = validate_loss_matrix(matrix).view()
         self._m.flags.writeable = False
+        super().__init__(*self._m.shape)
         self.ground_truth = dict(ground_truth or {})
-        self._ids = np.arange(self._m.shape[1])
-
-    def horizon(self) -> int:
-        return int(self._m.shape[0])
-
-    def num_experts(self) -> int:
-        return int(self._m.shape[1])
 
     def rows(
         self, t0: int, t1: int, experts: np.ndarray | Sequence[int] | None = None
     ) -> np.ndarray:
         block = self._m[t0:t1]
         return block if experts is None else block.take(np.asarray(experts, dtype=np.int64), 1)
-
-    def coverage_ids(self) -> np.ndarray:
-        return self._ids
 
 
 class MatrixFileOracle(LossOracle):
@@ -114,9 +105,9 @@ class MatrixFileOracle(LossOracle):
     """
 
     def __init__(self, path: str | Path) -> None:
-        self._file, self._T, self._K = matrix_io.open_matrix_binary(path)
+        self._file, T, K = matrix_io.open_matrix_binary(path)
         weakref.finalize(self, self._file.close)
-        self._ids = np.arange(self._K)
+        super().__init__(T, K)
         self.ground_truth: dict[str, np.ndarray] = {}
         self._clamp = False
         self._sums, high, low = self._sums_and_extremes()
@@ -132,7 +123,7 @@ class MatrixFileOracle(LossOracle):
         That sum adds the rows in turn for ``K >= 2``, but sums a single
         column pairwise, so for ``K = 1`` the column is read whole.
         """
-        T, K = self._T, self._K
+        T, K = self.horizon(), self.num_experts()
         sums, highs, lows = np.zeros(K), [0.0], [0.0]
         step = core.block_rounds(K) if K > 1 else max(T, 1)
         for t0 in range(0, T if K else 0, step):
@@ -145,22 +136,13 @@ class MatrixFileOracle(LossOracle):
         # numpy's extremes, not Python's max and min, so that a NaN carries through.
         return sums, float(np.max(highs)), float(np.min(lows))
 
-    def horizon(self) -> int:
-        return self._T
-
-    def num_experts(self) -> int:
-        return self._K
-
     def rows(
         self, t0: int, t1: int, experts: np.ndarray | Sequence[int] | None = None
     ) -> np.ndarray:
-        block = matrix_io.read_binary_rows(self._file, t0, t1, self._K)
+        block = matrix_io.read_binary_rows(self._file, t0, t1, self.num_experts())
         if self._clamp:
             np.clip(block, -1.0, 1.0, out=block)
         return block if experts is None else block.take(np.asarray(experts, dtype=np.int64), 1)
-
-    def coverage_ids(self) -> np.ndarray:
-        return self._ids
 
     def column_sums(self) -> np.ndarray:
         return self._sums.copy()
@@ -188,13 +170,8 @@ class ClusteredBinaryOracle(LossOracle):
         if np.any(first_expert == self._assign.size):
             raise ValueError("every cluster must have at least one expert")
         self._candidate_ids = np.sort(first_expert)
+        super().__init__(self._rows.shape[1], self._assign.size)
         self.ground_truth = {"rows": self._rows, "assignment": self._assign}
-
-    def horizon(self) -> int:
-        return int(self._rows.shape[1])
-
-    def num_experts(self) -> int:
-        return int(self._assign.size)
 
     def rows(
         self, t0: int, t1: int, experts: np.ndarray | Sequence[int] | None = None
@@ -233,16 +210,12 @@ def make_clustered_binary(T: int, K: int, N: int, seed: int) -> ClusteredBinaryO
     cover has size ``N`` by construction.
     """
     # The N x T distinct rows are dense, and the assignment holds K ids.
-    if T * N > core.MATRIX_MAX_ENTRIES:
-        raise ValueError(
-            f"environment.N x environment.T = {N} x {T}: the distinct loss rows are too large"
-            f" to generate (guard: {core.MATRIX_MAX_ENTRIES} entries)"
-        )
-    if K > core.MATRIX_MAX_ENTRIES:
-        raise ValueError(
-            f"environment.K = {K}: the cluster assignment is too large to generate"
-            f" (guard: {core.MATRIX_MAX_ENTRIES} experts)"
-        )
+    core.check_entries(
+        T * N,
+        f"environment.N x environment.T = {N} x {T}: the distinct loss rows are too large"
+        " to generate",
+    )
+    core.check_entries(K, f"environment.K = {K}: the cluster assignment is too large to generate")
     if T < 1 or K < 1:
         raise ValueError("T and K must be >= 1")
     if N < 1 or N > K:
@@ -255,15 +228,6 @@ def make_clustered_binary(T: int, K: int, N: int, seed: int) -> ClusteredBinaryO
         [rng.permutation(N), rng.integers(0, N, size=K - N)], dtype=np.int64
     )
     return ClusteredBinaryOracle(rows, assignment)
-
-
-def _check_dense_size(T: int, K: int) -> None:
-    """Refuse a dense ``T x K`` loss matrix above ``core.MATRIX_MAX_ENTRIES`` before it is built."""
-    if T * K > core.MATRIX_MAX_ENTRIES:
-        raise ValueError(
-            f"a dense {T} x {K} loss matrix is too large to generate"
-            f" (guard: {core.MATRIX_MAX_ENTRIES} entries)"
-        )
 
 
 def _add_noise(
@@ -303,7 +267,7 @@ def make_low_rank(T: int, K: int, d: int, epsilon_noise: float, seed: int) -> Ma
     into ``[-(1 - eps), 1 - eps]`` so the noisy sum stays in range (the final
     clip is a safety net only).  Ground truth exposes ``U`` and ``W``.
     """
-    _check_dense_size(T, K)
+    core.check_entries(T * K, f"a dense {T} x {K} loss matrix is too large to generate")
     if not (1 <= d <= min(T, K)):
         raise ValueError(f"d must satisfy 1 <= d <= min(T, K), got d={d}")
     if not (0.0 <= epsilon_noise <= 0.25):
@@ -330,13 +294,13 @@ def make_sparse_dictionary(
     the ``K`` code columns has ``k`` nonzeros, uniform on ``[-1, 1]``, on a
     uniformly chosen support.  Ground truth exposes ``D`` and ``V``.
     """
-    _check_dense_size(T, K)
+    core.check_entries(T * K, f"a dense {T} x {K} loss matrix is too large to generate")
     # The T x n dictionary and the n x K codes are dense too.
-    if max(T, K) * n > core.MATRIX_MAX_ENTRIES:
-        raise ValueError(
-            f"environment.n = {n}: the {T} x {n} dictionary and {n} x {K} codes are too large"
-            f" to generate (guard: {core.MATRIX_MAX_ENTRIES} entries)"
-        )
+    core.check_entries(
+        max(T, K) * n,
+        f"environment.n = {n}: the {T} x {n} dictionary and {n} x {K} codes are too large"
+        " to generate",
+    )
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if not (0.0 <= epsilon_noise <= 0.25):
@@ -363,7 +327,7 @@ def make_bounded_variation_adversary(T: int, K: int, seed: int) -> MatrixOracle:
     ``K >= 2**T``.  Ground truth exposes the flip round per expert
     (``T + 1`` meaning "never").
     """
-    _check_dense_size(T, K)
+    core.check_entries(T * K, f"a dense {T} x {K} loss matrix is too large to generate")
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
     if T < 1:
@@ -404,7 +368,7 @@ def make_iid_stochastic(
     ``"sign"`` (+/- ``scale`` with equal probability); means plus noise must
     stay inside ``[-1, 1]``.  Ground truth exposes the true means.
     """
-    _check_dense_size(T, K)
+    core.check_entries(T * K, f"a dense {T} x {K} loss matrix is too large to generate")
     if isinstance(means, (list, tuple, np.ndarray)):
         mu = np.array([core.real_number("means", x) for x in means], dtype=np.float64)
     else:

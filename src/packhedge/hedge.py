@@ -89,7 +89,6 @@ def exponential_weights(
     n = len(uniforms)
     eta = learning_rates(starts, widths, n)
     starts, widths = np.asarray(starts).tolist(), np.asarray(widths).tolist()
-    last_column = np.repeat(np.subtract(widths, 1), np.diff(starts, append=n))
 
     chosen = np.empty(n, dtype=np.int64)
     incurred = np.empty(n, dtype=np.float64)
@@ -99,8 +98,7 @@ def exponential_weights(
         # The block's temporaries live in _play_block only, so they are freed
         # before the next block allocates its own.
         chosen[j0:j1], incurred[j0:j1], block_means, last = _play_block(
-            rows(j0, j1, width), lanes, eta[j0:j1], carry, uniforms[j0:j1],
-            last_column[j0:j1], normalize, expected,
+            rows(j0, j1, width), lanes, eta[j0:j1], carry, uniforms[j0:j1], normalize, expected
         )
         if means is not None:
             means[j0:j1] = block_means
@@ -178,17 +176,20 @@ def totals_to_weights(
     return total
 
 
-def inverse_cdf_pick(
-    weights: np.ndarray, uniforms: np.ndarray, last_column: np.ndarray
-) -> np.ndarray:
-    """Per row ``i``, the column of ``0 .. last_column[i]`` where its CDF passes ``uniforms[i]``."""
+def inverse_cdf_pick(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Per row ``i``, the column where its CDF passes ``uniforms[i]`` times the row total.
+
+    Columns past a round's own width carry weight exactly ``0.0``, so the
+    last cumulative weight is that round's total, and the pick lies within
+    its width unless the draw reached the total.
+    """
     cumulative = np.cumsum(weights, axis=1)
-    threshold = uniforms * cumulative[np.arange(len(weights)), last_column]
+    threshold = uniforms * cumulative[:, -1]
     pick = np.count_nonzero(cumulative <= threshold[:, None], axis=1)
-    for i in np.flatnonzero(pick > last_column).tolist():
+    for i in np.flatnonzero(pick == weights.shape[1]).tolist():
         # The draw reached the row total (a subnormal total can round it
-        # up), so the zero-weight padding counted too: take the last
-        # positive weight, which lies inside the round's width.
+        # up), so every column counted, the zero-weight padding too: take
+        # the last positive weight, which lies inside the round's width.
         pick[i] = np.flatnonzero(weights[i])[-1]
     return pick
 
@@ -199,7 +200,6 @@ def _play_block(
     eta: np.ndarray,
     carry: np.ndarray | None,
     uniforms: np.ndarray,
-    last_column: np.ndarray,
     normalize: bool,
     expected: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
@@ -207,7 +207,7 @@ def _play_block(
     total = running_totals(block, eta, carry, lanes)
     last = total[-1].copy()
     weights = totals_to_weights(total[:-1], lanes, normalize)
-    pick = inverse_cdf_pick(weights, uniforms, last_column)
+    pick = inverse_cdf_pick(weights, uniforms)
     means = None
     if expected:
         block = np.ascontiguousarray(block)

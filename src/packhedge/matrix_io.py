@@ -94,13 +94,6 @@ def _csv_blocks(path: str | Path, fh) -> Iterator[np.ndarray]:
         yield np.array(rows, dtype=np.float64)
 
 
-def _too_large(path: str | Path, rounds: int, experts: int) -> ValueError:
-    return ValueError(
-        f"{path}: a matrix of {rounds} x {experts} entries is too large to load"
-        f" (guard: {core.MATRIX_MAX_ENTRIES} entries); runs stream binary matrix files"
-    )
-
-
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     """Read a CSV matrix file a block of rows at a time, and join the blocks once.
 
@@ -111,8 +104,11 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     with open(path) as fh:  # the default encoding and newline translation, as Path.read_text
         for block in _csv_blocks(path, fh):
             rounds += block.shape[0]
-            if rounds * block.shape[1] > core.MATRIX_MAX_ENTRIES:
-                raise _too_large(path, rounds, block.shape[1])
+            core.check_entries(
+                rounds * block.shape[1],
+                f"{path}: a matrix of {rounds} x {block.shape[1]} entries is too large to load;"
+                " runs stream binary matrix files",
+            )
             blocks.append(block)
     if not blocks:
         raise ValueError(f"{path}: empty matrix file")
@@ -171,8 +167,11 @@ def read_matrix_binary(path: str | Path) -> np.ndarray:
     """
     fh, rounds, experts = open_matrix_binary(path)
     with fh:
-        if rounds * experts > core.MATRIX_MAX_ENTRIES:
-            raise _too_large(path, rounds, experts)
+        core.check_entries(
+            rounds * experts,
+            f"{path}: a matrix of {rounds} x {experts} entries is too large to load;"
+            " runs stream binary matrix files",
+        )
         return read_binary_rows(fh, 0, rounds, experts)
 
 

@@ -82,24 +82,16 @@ def sample_categorical(weights: np.ndarray, rng) -> ExpertId:
 
 
 class LossOnlyOracle(LossOracle):
-    """Implements only the abstract methods, element by element; the rest is the base default."""
+    """A shape and ``rows``, element by element; everything else is the base default."""
 
     def __init__(self, matrix):
         self._m = np.asarray(matrix, dtype=np.float64)
-
-    def horizon(self):
-        return self._m.shape[0]
-
-    def num_experts(self):
-        return self._m.shape[1]
+        super().__init__(*self._m.shape)
 
     def rows(self, t0, t1, experts=None):
         experts = range(self.num_experts()) if experts is None else experts
         block = [[float(self._m[t, int(i)]) for i in experts] for t in range(t0, t1)]
         return np.array(block, dtype=np.float64).reshape(t1 - t0, len(experts))
-
-    def coverage_ids(self):
-        return np.arange(self.num_experts())
 
 
 def round_losses(oracle, t, experts=None):
@@ -114,17 +106,11 @@ class Prefix(LossOracle):
         if not 0 <= horizon <= oracle.horizon():
             raise ValueError(f"horizon must be in [0, {oracle.horizon()}], got {horizon}")
         self._oracle = oracle
-        self._horizon = horizon
-
-    def horizon(self):
-        return self._horizon
-
-    def num_experts(self):
-        return self._oracle.num_experts()
+        super().__init__(horizon, oracle.num_experts())
 
     def rows(self, t0, t1, experts=None):
-        if not 0 <= t0 <= t1 <= self._horizon:
-            raise IndexError(f"rounds {t0 + 1} .. {t1} are outside 1 .. {self._horizon}")
+        if not 0 <= t0 <= t1 <= self.horizon():
+            raise IndexError(f"rounds {t0 + 1} .. {t1} are outside 1 .. {self.horizon()}")
         return self._oracle.rows(t0, t1, experts)
 
     def coverage_ids(self):

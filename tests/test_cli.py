@@ -377,10 +377,25 @@ class TestRun:
         assert done.returncode == EXIT_CONFIG
         assert done.stderr.count("\n") == 1
         assert done.stderr == (
-            "configuration error: environment: environment.N x environment.T ="
-            " 2 x 1000000000000000019884624838656: the distinct loss rows are too large to"
-            " generate (guard: 50000000 entries)\n"
+            "configuration error: game: game.T = 1000000000000000019884624838656: the per-round"
+            " arrays of many_experts are too large to play (guard: 50000000 entries)\n"
         )
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_oversize_meta_feedback_is_config_error(self, tmp_path, monkeypatch, capsys, command):
+        # 64 rounds fit under the guard, the meta-tuner's 64 x 6 feedback does not: a meta run
+        # and a sweep's meta cell are refused on game.T before any oracle is built.
+        monkeypatch.setattr(core, "MATRIX_MAX_ENTRIES", 100)
+        monkeypatch.setattr(environments, "make_environment", lambda spec: pytest.fail("built"))
+        algorithm = "meta_tuner" if command == "run" else "many_experts"
+        config = clustered_config(tmp_path, algorithm=algorithm, T=64, K=20, N=2)
+        argv = [command, "--config", config, "--seed", "0", "--set", "sweep.n_seeds=1"]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: game: game.T = 64: the per-round arrays of meta_tuner are too"
+            " large to play (guard: 100 entries)\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_oversize_clustered_experts_is_config_error(self, tmp_path, monkeypatch, capsys):
         # The oracle stores one cluster id per expert: K is refused before any draw.
@@ -393,7 +408,7 @@ class TestRun:
         assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             "configuration error: environment: environment.K = 1000000000000000019884624838656:"
-            " the cluster assignment is too large to generate (guard: 50000000 experts)\n"
+            " the cluster assignment is too large to generate (guard: 50000000 entries)\n"
         )
         assert not (tmp_path / "out").exists()
 
@@ -513,7 +528,7 @@ class TestRun:
             assert cli.main(argv) == (EXIT_OK if fmt == "binary" else EXIT_CONFIG)
         assert capsys.readouterr().err == (
             f"configuration error: environment: {tmp_path / 'csv'}: a matrix of 6 x 4 entries"
-            " is too large to load (guard: 20 entries); runs stream binary matrix files\n"
+            " is too large to load; runs stream binary matrix files (guard: 20 entries)\n"
         )
 
     @pytest.mark.parametrize(

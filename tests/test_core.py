@@ -25,9 +25,8 @@ from reference import LossOnlyOracle, first_uncovered
 
 def pick(weights, n, seed):
     """The kernel's picks of ``n`` rounds with these weights, on ``game_rng(seed).random(n)``."""
-    k = len(weights)
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (n, k))
-    return hedge.inverse_cdf_pick(weights, game_rng(seed).random(n), np.full(n, k - 1))
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (n, len(weights)))
+    return hedge.inverse_cdf_pick(weights, game_rng(seed).random(n))
 
 
 def kernel_expected(losses):
@@ -235,8 +234,7 @@ class TestLossOracleDefaults:
     """The ABC's rows()-based defaults must agree with vectorized overrides."""
 
     def test_contract_is_rows_and_candidates(self):
-        abstract = {"horizon", "num_experts", "rows", "coverage_ids"}
-        assert LossOracle.__abstractmethods__ == abstract
+        assert LossOracle.__abstractmethods__ == {"rows"}
 
     def _pair(self, seed):
         from packhedge.environments import MatrixOracle

@@ -497,20 +497,62 @@ class TestChunkedGeneration:
         assert losses.tobytes() == np.array([[0.0, 0.5, 0.0]]).tobytes()
 
 
+def _read_whole(directory, fmt):
+    """Write a 4 x 5 matrix file in ``fmt`` and read it back whole."""
+    matrix_io.save_matrix(directory / "m", np.zeros((4, 5)), fmt)
+    return matrix_io.load_matrix(directory / "m")
+
+
 class TestDenseSizeGuard:
-    GENERATORS = {
-        "low_rank": lambda T, K: make_low_rank(T, K, 2, 0.1, seed=0),
-        "sparse_dictionary": lambda T, K: make_sparse_dictionary(T, K, 3, 1, 0.1, seed=0),
-        "bounded_variation": lambda T, K: make_bounded_variation_adversary(T, K, seed=0),
-        "iid_stochastic": lambda T, K: make_iid_stochastic(T, K, 0.0, seed=0),
+    """Every array sized by the input is built at ``MATRIX_MAX_ENTRIES`` entries, refused past it."""
+
+    DENSE = "a dense 4 x 5 loss matrix is too large to generate"
+    LOAD = "{path}: a matrix of 4 x 5 entries is too large to load; runs stream binary matrix files"
+    # Per site: what builds an array of ``entries`` entries, and its refusal before the guard.
+    SITES = {
+        "low_rank": (lambda _: make_low_rank(4, 5, 2, 0.1, seed=0), 20, DENSE),
+        "sparse_dictionary": (lambda _: make_sparse_dictionary(4, 5, 3, 1, 0.1, seed=0), 20, DENSE),
+        "bounded_variation": (lambda _: make_bounded_variation_adversary(4, 5, seed=0), 20, DENSE),
+        "iid_stochastic": (lambda _: make_iid_stochastic(4, 5, 0.0, seed=0), 20, DENSE),
+        "dictionary_atoms": (
+            lambda _: make_sparse_dictionary(2, 3, 7, 1, 0.1, seed=0), 21,
+            "environment.n = 7: the 2 x 7 dictionary and 7 x 3 codes are too large to generate",
+        ),
+        "cluster_rows": (
+            lambda _: make_clustered_binary(5, 4, 4, seed=0), 20,
+            "environment.N x environment.T = 4 x 5: the distinct loss rows are too large"
+            " to generate",
+        ),
+        "cluster_assignment": (
+            lambda _: make_clustered_binary(2, 20, 2, seed=0), 20,
+            "environment.K = 20: the cluster assignment is too large to generate",
+        ),
+        "to_matrix": (
+            lambda _: environments.MatrixOracle(np.zeros((4, 5))).to_matrix(), 20,
+            "matrix of 4 x 5 entries is too large to materialize",
+        ),
+        "csv_read": (lambda directory: _read_whole(directory, "csv"), 20, LOAD),
+        "binary_read": (lambda directory: _read_whole(directory, "binary"), 20, LOAD),
+        "hedge_horizon": (
+            lambda _: core.GameConfig(20), 20,
+            "game.T = 20: the per-round arrays of hedge are too large to play",
+        ),
+        "meta_horizon": (
+            lambda _: core.GameConfig(7, algorithm="meta_tuner"), 21,
+            "game.T = 7: the per-round arrays of meta_tuner are too large to play",
+        ),
     }
 
-    @pytest.mark.parametrize("kind", list(GENERATORS))
-    def test_one_entry_over_the_limit_rejected(self, monkeypatch, kind):
-        monkeypatch.setattr(core, "MATRIX_MAX_ENTRIES", 20)
-        assert self.GENERATORS[kind](4, 5).to_matrix().shape == (4, 5)
-        with pytest.raises(ValueError, match="too large to generate"):
-            self.GENERATORS[kind](3, 7)
+    @pytest.mark.parametrize("kind", list(SITES))
+    def test_one_entry_over_the_limit_rejected(self, monkeypatch, tmp_path, kind):
+        build, entries, message = self.SITES[kind]
+        monkeypatch.setattr(core, "MATRIX_MAX_ENTRIES", entries)
+        build(tmp_path)
+        monkeypatch.setattr(core, "MATRIX_MAX_ENTRIES", entries - 1)
+        with pytest.raises(ValueError) as refused:
+            build(tmp_path)
+        guard = f" (guard: {entries - 1} entries)"
+        assert str(refused.value) == message.format(path=tmp_path / "m") + guard
 
 
 def finite_matrix_spec(directory, seed):

@@ -160,8 +160,8 @@ class TestSizeGuard:
         # that crosses it (the second one here), before joining anything.
         size = "12000 x 3" if fmt == "binary" else f"{2 * core.block_rounds(3)} x 3"
         message = (
-            f"{tmp_path / 'm'}: a matrix of {size} entries is too large to load"
-            " (guard: 20000 entries); runs stream binary matrix files"
+            f"{tmp_path / 'm'}: a matrix of {size} entries is too large to load;"
+            " runs stream binary matrix files (guard: 20000 entries)"
         )
         with pytest.raises(ValueError) as refused:
             matrix_io.load_matrix(tmp_path / "m")
