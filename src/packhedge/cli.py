@@ -53,7 +53,10 @@ class ConfigError(Exception):
 
 
 def load_config(path: str | Path) -> dict[str, Any]:
-    raw = Path(path).read_text()
+    try:
+        raw = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: {path}: not a text file ({exc})") from exc
     try:
         cfg = yaml.load(raw, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
@@ -306,9 +309,13 @@ def _sweep_cell_run(game: GameConfig, spec: EnvironmentSpec) -> dict[str, Any]:
 
 
 def _run_jobs(jobs: list[tuple[GameConfig, EnvironmentSpec]], parallelism: int):
-    """Yield ``(index, result)`` of every sweep job as it finishes."""
-    if parallelism > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
+    """Yield ``(index, result)`` of every sweep job as it finishes.
+
+    The pool starts all its workers at once, so it is no wider than the jobs.
+    """
+    workers = min(parallelism, len(jobs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_sweep_cell_run, *job): i for i, job in enumerate(jobs)}
             for future in concurrent.futures.as_completed(futures):
                 yield futures[future], future.result()
@@ -341,6 +348,8 @@ def _aggregate(rows: list[dict[str, Any]]) -> dict[str, Any]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise ConfigError("--seed: required in sweep mode")
+    if args.parallelism < 1:
+        raise ConfigError(f"--parallelism: must be >= 1, got {args.parallelism}")
     cfg, game, _ = _load(args)
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict):
@@ -455,15 +464,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"suite: unknown suite {args.suite!r}; choose from {sorted(validation.SUITES)}"
         )
-    result = validation.SUITES[args.suite](seed=args.seed)
+    result = validation.run_suite(args.suite, args.seed)
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {result.suite}: {result.summary}")
+    # A mapping-valued detail is printed one entry per line, under no key of its own.
     for key, value in sorted(result.details.items()):
-        if key in ("mean_by_env", "per_env"):
-            for env_name, stats in value.items():
-                print(f"  {env_name}: {stats}")
-        else:
-            print(f"  {key}: {value}")
+        entries = value.items() if isinstance(value, dict) else [(key, value)]
+        for name, entry in entries:
+            print(f"  {name}: {entry}")
     return EXIT_OK if result.passed else EXIT_BOUND_VIOLATION
 
 

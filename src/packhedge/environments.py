@@ -399,14 +399,14 @@ def make_iid_stochastic(
     return MatrixOracle(L, {"means": mu})
 
 
-def load_matrix_file(path: str | Path, format: str | None = None) -> LossOracle:
+def load_matrix_file(path: str | Path) -> LossOracle:
     """A matrix file's environment: a binary file is streamed, a CSV file is read whole.
 
-    The format is sniffed from the file's magic bytes if omitted.
+    The format is read from the file's magic bytes (:func:`matrix_io.file_format`).
     """
-    if matrix_io.file_format(path, format) == "binary":
+    if matrix_io.file_format(path) == "binary":
         return MatrixFileOracle(path)
-    return MatrixOracle(matrix_io.load_matrix(path, format))
+    return MatrixOracle(matrix_io.read_matrix_csv(path))
 
 
 #: Each environment kind's generator; a spec's parameters are its keyword arguments.
@@ -484,6 +484,5 @@ def environment_from_sidecar(path: str | Path) -> LossOracle:
         raise ValueError(f"{path}: sidecar carries no environment spec")
     if spec["kind"] == "finite_matrix":
         matrix_path = Path(path).parent / sidecar["files"]["matrix"]
-        parameters = {"path": str(matrix_path), "format": sidecar.get("format")}
-        return make_environment(EnvironmentSpec("finite_matrix", parameters))
+        return make_environment(EnvironmentSpec("finite_matrix", {"path": str(matrix_path)}))
     return make_environment(EnvironmentSpec(**spec))

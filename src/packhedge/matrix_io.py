@@ -101,15 +101,18 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     as the rows read exceed the guard, before the blocks are joined.
     """
     blocks, rounds = [], 0
-    with open(path) as fh:  # the default encoding and newline translation, as Path.read_text
-        for block in _csv_blocks(path, fh):
-            rounds += block.shape[0]
-            core.check_entries(
-                rounds * block.shape[1],
-                f"{path}: a matrix of {rounds} x {block.shape[1]} entries is too large to load;"
-                " runs stream binary matrix files",
-            )
-            blocks.append(block)
+    try:
+        with open(path) as fh:  # the default encoding and newline translation, as Path.read_text
+            for block in _csv_blocks(path, fh):
+                rounds += block.shape[0]
+                core.check_entries(
+                    rounds * block.shape[1],
+                    f"{path}: a matrix of {rounds} x {block.shape[1]} entries is too large to"
+                    " load; runs stream binary matrix files",
+                )
+                blocks.append(block)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a text file ({exc})") from None
     if not blocks:
         raise ValueError(f"{path}: empty matrix file")
     return np.concatenate(blocks)
@@ -184,19 +187,14 @@ def save_matrix(path: str | Path, matrix: np.ndarray, fmt: str = "csv") -> None:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
 
 
-def file_format(path: str | Path, fmt: str | None = None) -> str:
-    """``fmt``, or if it is omitted the format sniffed from the file's magic bytes."""
-    if fmt is None:
-        with open(path, "rb") as fh:
-            fmt = "binary" if fh.read(4) == MAGIC else "csv"
-    return fmt
+def file_format(path: str | Path) -> str:
+    """The file's format: ``"binary"`` if it starts with the magic bytes, ``"csv"`` otherwise."""
+    with open(path, "rb") as fh:
+        return "binary" if fh.read(len(MAGIC)) == MAGIC else "csv"
 
 
-def load_matrix(path: str | Path, fmt: str | None = None) -> np.ndarray:
-    """Read a matrix file whole; the format is sniffed from the magic bytes if omitted."""
-    fmt = file_format(path, fmt)
-    if fmt == "csv":
-        return read_matrix_csv(path)
-    if fmt == "binary":
+def load_matrix(path: str | Path) -> np.ndarray:
+    """Read a matrix file whole, in the format :func:`file_format` reads from it."""
+    if file_format(path) == "binary":
         return read_matrix_binary(path)
-    raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+    return read_matrix_csv(path)

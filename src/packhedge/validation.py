@@ -2,14 +2,15 @@
 
 Each suite runs a batch of games or randomized instances, measures the
 relevant quantity, compares it against the guarantee it is supposed to
-satisfy, and returns a structured pass/fail result.
+satisfy, and returns its verdict ``(passed, summary, details)``;
+:func:`run_suite` runs one by name, times it, and names its result.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -23,16 +24,19 @@ class ValidationResult:
     suite: str
     passed: bool
     summary: str
-    details: dict[str, Any] = field(default_factory=dict)
+    details: dict[str, Any]
+
+
+#: The outcome of one suite: whether it passed, a one-line summary, and details.
+Verdict = tuple[bool, str, dict[str, Any]]
 
 
 def _regret(trajectory, oracle: LossOracle) -> float:
     return analysis.empirical_regret(trajectory, oracle).regret
 
 
-def validate_lemma1(seed: int = 0) -> ValidationResult:
+def validate_lemma1(seed: int) -> Verdict:
     """Mean regret of plain exponential weights on i.i.d. +/-1 losses vs 4*sqrt(T ln K)."""
-    start = time.perf_counter()
     num_seeds, horizon, num_experts = 50, 10_000, 10
     regrets = []
     for s in range(num_seeds):
@@ -44,26 +48,25 @@ def validate_lemma1(seed: int = 0) -> ValidationResult:
         regrets.append(_regret(trajectory, env))
     mean_regret = float(np.mean(regrets))
     bound = hedge.hedge_regret_bound(horizon, num_experts)
-    return ValidationResult(
-        suite="lemma1",
-        passed=mean_regret <= bound,
-        summary=f"mean regret {mean_regret:.2f} vs bound {bound:.2f} "
-        f"({num_seeds} seeds, T={horizon}, K={num_experts})",
-        details={
+    return (
+        mean_regret <= bound,
+        (
+            f"mean regret {mean_regret:.2f} vs bound {bound:.2f} "
+            f"({num_seeds} seeds, T={horizon}, K={num_experts})"
+        ),
+        {
             "mean_regret": mean_regret,
             "bound": bound,
             "max_regret": float(np.max(regrets)),
             "num_seeds": num_seeds,
             "horizon": horizon,
             "num_experts": num_experts,
-            "wall_time": time.perf_counter() - start,
         },
     )
 
 
-def validate_duality(seed: int = 0) -> ValidationResult:
+def validate_duality(seed: int) -> Verdict:
     """Exact packing/cover sandwich on randomized small instances, zero violations."""
-    start = time.perf_counter()
     instances, max_experts, max_rounds, epsilons = 500, 8, 5, (0.1, 0.25, 0.5, 1.0)
     rng = game_rng(seed, 101)
     violations = 0
@@ -81,16 +84,13 @@ def validate_duality(seed: int = 0) -> ValidationResult:
                 continue
             if report.exact_cover is None:
                 raise AssertionError("duality suite instances must fit the exact budget")
-    return ValidationResult(
-        suite="duality",
-        passed=violations == 0,
-        summary=f"{violations} violations over {checks} sandwich checks "
-        f"({instances} instances)",
-        details={
+    return (
+        violations == 0,
+        f"{violations} violations over {checks} sandwich checks ({instances} instances)",
+        {
             "violations": violations,
             "checks": checks,
             "instances": instances,
-            "wall_time": time.perf_counter() - start,
         },
     )
 
@@ -129,7 +129,7 @@ def _packing_certificate_holds(matrix: np.ndarray, active: list[int], epsilon: f
     return int(np.count_nonzero(within)) == len(active)
 
 
-def validate_theorem1(seed: int = 0) -> ValidationResult:
+def validate_theorem1(seed: int) -> Verdict:
     """Per-run regret vs the observed-packing bound on every shipped environment.
 
     Also verifies, per run, that the final active set is a valid
@@ -137,7 +137,6 @@ def validate_theorem1(seed: int = 0) -> ValidationResult:
     exceeds the packing size, and (on small instances) that the packing is no
     larger than the exact cover at the same accuracy.
     """
-    start = time.perf_counter()
     seeds_per_env = 30
     runs = 0
     bound_violations = 0
@@ -187,29 +186,26 @@ def validate_theorem1(seed: int = 0) -> ValidationResult:
         and certificate_failures == 0
         and cover_bound_failures == 0
     )
-    return ValidationResult(
-        suite="theorem1",
-        passed=passed,
-        summary=(
+    return (
+        passed,
+        (
             f"{bound_violations}/{runs} per-run bound violations "
             f"({100 * violation_rate:.2f}%), {certificate_failures} certificate failures, "
             f"{cover_bound_failures} packing-vs-cover failures"
         ),
-        details={
+        {
             "runs": runs,
             "bound_violations": bound_violations,
             "violation_rate": violation_rate,
             "certificate_failures": certificate_failures,
             "cover_bound_failures": cover_bound_failures,
             "mean_by_env": mean_by_env,
-            "wall_time": time.perf_counter() - start,
         },
     )
 
 
-def validate_corollary3(seed: int = 0) -> ValidationResult:
+def validate_corollary3(seed: int) -> Verdict:
     """Binary clustered losses: packing capped at the cluster count, regret at N + 8*sqrt(T N ln N)."""
-    start = time.perf_counter()
     num_seeds, horizon, num_experts, num_clusters, epsilon = 50, 5000, 100_000, 8, 0.5
     regrets = []
     max_packing = 0
@@ -222,14 +218,13 @@ def validate_corollary3(seed: int = 0) -> ValidationResult:
     mean_regret = float(np.mean(regrets))
     bound = num_clusters + 8.0 * math.sqrt(horizon * num_clusters * math.log(num_clusters))
     passed = max_packing <= num_clusters and mean_regret <= bound
-    return ValidationResult(
-        suite="corollary3",
-        passed=passed,
-        summary=(
+    return (
+        passed,
+        (
             f"max packing {max_packing} (cap {num_clusters}), "
             f"mean regret {mean_regret:.2f} vs bound {bound:.2f} ({num_seeds} seeds)"
         ),
-        details={
+        {
             "mean_regret": mean_regret,
             "bound": bound,
             "max_packing": max_packing,
@@ -237,14 +232,12 @@ def validate_corollary3(seed: int = 0) -> ValidationResult:
             "num_seeds": num_seeds,
             "horizon": horizon,
             "num_experts": num_experts,
-            "wall_time": time.perf_counter() - start,
         },
     )
 
 
-def validate_lower_bound(seed: int = 0) -> ValidationResult:
+def validate_lower_bound(seed: int) -> Verdict:
     """Halving adversary forces linear regret on exponential weights; variation stays <= 2."""
-    start = time.perf_counter()
     num_seeds, horizon, num_experts = 200, 12, 4096
     regrets = []
     max_variation = 0.0
@@ -258,28 +251,25 @@ def validate_lower_bound(seed: int = 0) -> ValidationResult:
     mean_regret = float(np.mean(regrets))
     floor = 0.9 * horizon
     passed = mean_regret >= floor and max_variation <= 2.0
-    return ValidationResult(
-        suite="lower_bound",
-        passed=passed,
-        summary=(
+    return (
+        passed,
+        (
             f"mean regret {mean_regret:.2f} vs floor {floor:.2f}, "
             f"max variation {max_variation:.2f} (cap 2)"
         ),
-        details={
+        {
             "mean_regret": mean_regret,
             "floor": floor,
             "max_variation": max_variation,
             "num_seeds": num_seeds,
             "horizon": horizon,
             "num_experts": num_experts,
-            "wall_time": time.perf_counter() - start,
         },
     )
 
 
-def validate_logsum(seed: int = 0) -> ValidationResult:
+def validate_logsum(seed: int) -> Verdict:
     """Random strictly increasing natural sequences starting at 1 satisfy the log-sum cap."""
-    start = time.perf_counter()
     num_sequences, max_value = 1000, 10_000
     rng = game_rng(seed, 108)
     failures = 0
@@ -292,14 +282,12 @@ def validate_logsum(seed: int = 0) -> ValidationResult:
             sequence = [1] + sorted(int(x) for x in tail)
         if not analysis.logsum_bound_check(sequence):
             failures += 1
-    return ValidationResult(
-        suite="logsum",
-        passed=failures == 0,
-        summary=f"{failures} violations over {num_sequences} sequences",
-        details={
+    return (
+        failures == 0,
+        f"{failures} violations over {num_sequences} sequences",
+        {
             "failures": failures,
             "num_sequences": num_sequences,
-            "wall_time": time.perf_counter() - start,
         },
     )
 
@@ -311,81 +299,70 @@ def _meta_fixtures(run_seed: int, horizon: int) -> list[tuple[str, LossOracle]]:
     ]
 
 
-def validate_meta(seed: int = 0) -> ValidationResult:
+def validate_meta(seed: int) -> Verdict:
     """Accuracy-grid learner tracks its best copy within the meta-hedge overhead.
 
     Per fixture, the seed-averaged meta cumulative loss must not exceed the
-    best copy's by more than ``4*sqrt(T ln R)`` plus three standard errors of
-    the paired difference.  Also replays one seed's copies standalone and
-    requires bit-identical trajectories.
+    best copy's by more than the hedge bound ``4*sqrt(T ln R)`` over the ``R``
+    copies plus three standard errors of the paired difference.  Also replays
+    the first seed's copies standalone and requires bit-identical trajectories.
     """
-    start = time.perf_counter()
     num_seeds, horizon = 50, 256
     grid = meta_tuner.build_grid(horizon)
     num_copies = len(grid)
-    overhead = 4.0 * math.sqrt(horizon * math.log(num_copies))
-    per_env: dict[str, dict[str, float]] = {}
-    passed = True
-    equivalence_ok = True
-
-    fixture_names = [name for name, _ in _meta_fixtures(seed, horizon)]
-    meta_cum = {name: np.empty(num_seeds) for name in fixture_names}
-    copy_cum = {name: np.empty((num_seeds, num_copies)) for name in fixture_names}
+    overhead = hedge.hedge_regret_bound(horizon, num_copies)
+    meta_cum: dict[str, list[float]] = {}
+    copy_cum: dict[str, list[list[float]]] = {}
+    first_games = []
     for s in range(num_seeds):
-        run_seed = seed + s
-        for name, env in _meta_fixtures(run_seed, horizon):
-            trajectory = meta_tuner.play_meta(env, seed=run_seed)
-            meta_cum[name][s] = trajectory.learner_cumulative
-            copy_cum[name][s] = [c.learner_cumulative for c in trajectory.extras["copies"]]
+        for name, env in _meta_fixtures(seed + s, horizon):
+            trajectory = meta_tuner.play_meta(env, seed=seed + s)
+            meta_cum.setdefault(name, []).append(trajectory.learner_cumulative)
+            copies = trajectory.extras["copies"]
+            copy_cum.setdefault(name, []).append([c.learner_cumulative for c in copies])
+            if s == 0:
+                first_games.append((env, copies))
 
-    for name in fixture_names:
-        best_copy = int(np.argmin(copy_cum[name].mean(axis=0)))
-        diff = meta_cum[name] - copy_cum[name][:, best_copy]
-        stderr = float(diff.std(ddof=1) / math.sqrt(num_seeds))
-        margin = overhead + 3.0 * stderr
-        gap = float(diff.mean())
+    per_env: dict[str, dict[str, float]] = {}
+    for name, copy_rows in copy_cum.items():
+        copy_losses = np.array(copy_rows)
+        best_copy = int(np.argmin(copy_losses.mean(axis=0)))
+        diff = np.array(meta_cum[name]) - copy_losses[:, best_copy]
         per_env[name] = {
-            "mean_gap_to_best_copy": gap,
-            "allowance": margin,
+            "mean_gap_to_best_copy": float(diff.mean()),
+            "allowance": overhead + 3.0 * float(diff.std(ddof=1) / math.sqrt(num_seeds)),
             "best_copy": best_copy,
             "best_copy_epsilon": grid[best_copy],
         }
-        if gap > margin:
-            passed = False
 
-        env = dict(_meta_fixtures(seed, horizon))[name]
-        trajectory = meta_tuner.play_meta(env, seed=seed)
-        for r, copy_traj in enumerate(trajectory.extras["copies"], start=1):
+    equivalence_ok = True
+    for env, copies in first_games:
+        for r, copy_traj in enumerate(copies, start=1):
             standalone = many_experts.play_many_experts(env, grid[r - 1], rng=game_rng(seed, r))
-            if not (
-                np.array_equal(copy_traj.chosen, standalone.chosen)
-                and np.array_equal(copy_traj.incurred, standalone.incurred)
-                and np.array_equal(copy_traj.packing_size, standalone.packing_size)
-                and np.array_equal(copy_traj.phase, standalone.phase)
-            ):
-                equivalence_ok = False
+            equivalence_ok &= all(
+                np.array_equal(getattr(copy_traj, column), getattr(standalone, column))
+                for column in ("chosen", "incurred", "packing_size", "phase")
+            )
 
-    passed = passed and equivalence_ok
-    return ValidationResult(
-        suite="meta",
-        passed=passed,
-        summary=(
+    within = all(stats["mean_gap_to_best_copy"] <= stats["allowance"] for stats in per_env.values())
+    return (
+        within and equivalence_ok,
+        (
             f"gap-to-best-copy within allowance on {len(per_env)} fixtures; "
             f"standalone replay {'bit-identical' if equivalence_ok else 'MISMATCH'}"
         ),
-        details={
+        {
             "per_env": per_env,
             "overhead": overhead,
             "num_copies": num_copies,
             "num_seeds": num_seeds,
             "horizon": horizon,
             "equivalence_ok": equivalence_ok,
-            "wall_time": time.perf_counter() - start,
         },
     )
 
 
-SUITES: dict[str, Callable[..., ValidationResult]] = {
+SUITES: dict[str, Callable[[int], Verdict]] = {
     "duality": validate_duality,
     "lemma1": validate_lemma1,
     "theorem1": validate_theorem1,
@@ -394,3 +371,11 @@ SUITES: dict[str, Callable[..., ValidationResult]] = {
     "logsum": validate_logsum,
     "meta": validate_meta,
 }
+
+
+def run_suite(name: str, seed: int) -> ValidationResult:
+    """Run the suite ``name`` at ``seed``: its verdict, named, with its wall time in details."""
+    start = time.perf_counter()
+    passed, summary, details = SUITES[name](seed)
+    details["wall_time"] = time.perf_counter() - start
+    return ValidationResult(name, passed, summary, details)

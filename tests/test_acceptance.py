@@ -27,11 +27,11 @@ def assert_scale(result, **scale):
 
 @pytest.fixture(scope="module")
 def theorem1_result():
-    return validation.validate_theorem1(seed=0)
+    return validation.run_suite("theorem1", seed=0)
 
 
 def test_criterion_1_adaptive_hedge_regret_bound():
-    result = validation.validate_lemma1(seed=0)
+    result = validation.run_suite("lemma1", seed=0)
     assert_scale(result, num_seeds=50, horizon=10_000, num_experts=10)
     assert result.details["bound"] == pytest.approx(606.9708517540586)
     report(
@@ -42,7 +42,7 @@ def test_criterion_1_adaptive_hedge_regret_bound():
 
 
 def test_criterion_2_cover_packing_duality_suite():
-    result = validation.validate_duality(seed=0)
+    result = validation.run_suite("duality", seed=0)
     assert_scale(result, instances=500, checks=500 * 4)
     report(
         "criterion 2 (duality sandwich, 500 instances)",
@@ -87,7 +87,7 @@ def test_criterion_4_certificate_rejects_pairs_within_two_eps():
 
 
 def test_criterion_5_clustered_binary_bound():
-    result = validation.validate_corollary3(seed=0)
+    result = validation.run_suite("corollary3", seed=0)
     assert_scale(result, num_seeds=50, horizon=5000, num_experts=100_000, num_clusters=8)
     assert result.details["bound"] == pytest.approx(2315.2430185614126)
     report(
@@ -98,7 +98,7 @@ def test_criterion_5_clustered_binary_bound():
 
 
 def test_criterion_6_halving_adversary_forces_linear_regret():
-    result = validation.validate_lower_bound(seed=0)
+    result = validation.run_suite("lower_bound", seed=0)
     assert_scale(result, num_seeds=200, horizon=12, num_experts=4096)
     report(
         "criterion 6 (bounded-variation lower bound, 200 seeds)",
@@ -108,7 +108,7 @@ def test_criterion_6_halving_adversary_forces_linear_regret():
 
 
 def test_criterion_7_meta_tuner_tracks_best_copy():
-    result = validation.validate_meta(seed=0)
+    result = validation.run_suite("meta", seed=0)
     assert_scale(result, num_seeds=50, horizon=256, num_copies=8)
     report(
         "criterion 7 (accuracy grid vs best copy, 50 seeds)",
@@ -118,7 +118,7 @@ def test_criterion_7_meta_tuner_tracks_best_copy():
 
 
 def test_criterion_8_logsum_inequality():
-    result = validation.validate_logsum(seed=0)
+    result = validation.run_suite("logsum", seed=0)
     assert_scale(result, num_sequences=1000)
     report(
         "criterion 8 (log-sum inequality, 1000 sequences)",

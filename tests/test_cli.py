@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import csv
 import json
 import logging
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 import yaml
 
-from packhedge import analysis, cli, core, environments, many_experts, matrix_io, meta_tuner
+from packhedge import (
+    analysis, cli, core, environments, many_experts, matrix_io, meta_tuner, validation,
+)
 from packhedge.cli import EXIT_BOUND_VIOLATION, EXIT_CONFIG, EXIT_IO, EXIT_OK
 from packhedge.core import game_rng
 
@@ -445,15 +448,17 @@ class TestRun:
     @pytest.mark.parametrize(
         ("text", "fault"),
         [
-            ("0.5,0.25\r\n\r\n1.0,abc\r\n", "line 3: could not convert string to float: 'abc'"),
-            ("0.5,0.25\n0.1\n",
+            (b"0.5,0.25\r\n\r\n1.0,abc\r\n", "line 3: could not convert string to float: 'abc'"),
+            (b"0.5,0.25\n0.1\n",
              "line 2: ragged rows in matrix file (2 values per row expected, got 1)"),
+            (b"\xff0.5\n", "not a text file ('utf-8' codec can't decode byte 0xff in position 0:"
+             " invalid start byte)"),
         ],
-        ids=["token", "ragged"],
+        ids=["token", "ragged", "undecodable"],
     )
     def test_bad_matrix_file_names_the_file_and_line(self, tmp_path, capsys, text, fault):
         matrix_path = tmp_path / "losses.csv"
-        matrix_path.write_bytes(text.encode())
+        matrix_path.write_bytes(text)
         config = write_config(
             tmp_path / "config.yaml",
             {
@@ -489,6 +494,24 @@ class TestRun:
         assert cli.main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == f"configuration error: environment: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fmt", matrix_io.FORMATS)
+    def test_matrix_format_key_is_echoed_and_not_read(self, tmp_path, fmt):
+        # The format comes from the file; a leftover format key is echoed like any extra key.
+        path = tmp_path / "losses.bin"
+        matrix_io.write_matrix_binary(path, game_rng(8).uniform(-1.0, 1.0, (12, 5)))
+        outputs = []
+        for name, extra in (("plain", {}), ("keyed", {"format": fmt})):
+            environment = {"kind": "finite_matrix", "path": str(path), **extra}
+            config = write_config(
+                tmp_path / f"{name}.yaml",
+                {"game": {"algorithm": "hedge", "T": 12, "seed": 1}, "environment": environment},
+            )
+            assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path / name)]) == EXIT_OK
+            summary = json.loads((tmp_path / name / "summary.json").read_text())
+            assert summary.pop("environment")["parameters"] == {"T": 12, "path": str(path), **extra}
+            outputs.append(((tmp_path / name / "trajectory.csv").read_bytes(), summary))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         ("shape", "algorithm", "message"),
@@ -663,6 +686,17 @@ class TestLoadConfig:
         assert cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
         assert "not valid YAML" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "export-env"])
+    def test_config_that_is_not_text_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"game: {T: 5}\n\x80\n")
+        argv = [command, "--config", str(path), "--seed", "0", "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: config: {path}: not a text file ('utf-8' codec can't decode"
+            " byte 0x80 in position 13: invalid start byte)\n"
+        )
 
     @pytest.mark.parametrize(
         ("value", "problem"),
@@ -891,6 +925,55 @@ class TestSweep:
             ) == EXIT_OK
         assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
 
+    @pytest.mark.parametrize(("parallelism", "n_seeds", "widths"), [("64", 2, [2]), ("4", 1, [])])
+    def test_pool_is_no_wider_than_the_seed_runs(
+        self, tmp_path, monkeypatch, parallelism, n_seeds, widths
+    ):
+        started = []
+
+        class RecordingPool:
+            """Records its width and runs each job at once, in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "many_experts", "T": 16, "epsilon": 0.5},
+                "environment": {"kind": "clustered_binary", "K": 20, "N": 2},
+                "sweep": {"n_seeds": n_seeds, "epsilons": [0.5], "include_meta": False},
+            },
+        )
+        assert cli.main(
+            ["sweep", "--config", config, "--seed", "0", "--parallelism", parallelism,
+             "--out-dir", str(tmp_path / "out")]
+        ) == EXIT_OK
+        assert started == widths
+
+    @pytest.mark.parametrize("parallelism", ["0", "-3"])
+    def test_parallelism_below_one_is_config_error(self, tmp_path, capsys, monkeypatch, parallelism):
+        monkeypatch.setattr(cli, "_run_jobs", lambda *args: pytest.fail("a job ran"))
+        config = clustered_config(tmp_path)
+        argv = ["sweep", "--config", config, "--seed", "0", "--parallelism", parallelism]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: --parallelism: must be >= 1, got {parallelism}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_parallel_pool_matches_serial(self, tmp_path):
         config = write_config(
             tmp_path / "config.yaml",
@@ -1060,6 +1143,28 @@ class TestValidate:
     def test_logsum_suite_passes(self, capsys):
         assert cli.main(["validate", "logsum", "--seed", "0"]) == EXIT_OK
         assert "PASS logsum" in capsys.readouterr().out
+
+    @staticmethod
+    def stub_suite(seed):
+        return seed > 0, f"stub at seed {seed}", {"per_case": {"b": 2, "a": [1]}, "count": 3}
+
+    def test_runner_names_and_times_the_suite(self, monkeypatch):
+        monkeypatch.setitem(validation.SUITES, "stub", self.stub_suite)
+        result = validation.run_suite("stub", seed=4)
+        assert (result.suite, result.passed, result.summary) == ("stub", True, "stub at seed 4")
+        assert set(result.details) == {"per_case", "count", "wall_time"}
+        assert 0.0 <= result.details["wall_time"] < 1.0
+
+    @pytest.mark.parametrize(("seed", "status", "code"), [("1", "PASS", EXIT_OK),
+                                                          ("0", "FAIL", EXIT_BOUND_VIOLATION)])
+    def test_mapping_detail_printed_one_entry_per_line(
+        self, monkeypatch, capsys, seed, status, code
+    ):
+        monkeypatch.setitem(validation.SUITES, "stub", self.stub_suite)
+        assert cli.main(["validate", "stub", "--seed", seed]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == [f"{status} stub: stub at seed {seed}", "  count: 3", "  b: 2", "  a: [1]"]
+        assert len(lines) == 5 and lines[4].startswith("  wall_time: ")
 
 
 class TestExportEnv:

@@ -559,7 +559,7 @@ def finite_matrix_spec(directory, seed):
     """A ``finite_matrix`` spec naming a freshly written binary matrix file."""
     path = directory / "source.bin"
     matrix_io.save_matrix(path, game_rng(seed).uniform(-1, 1, size=(4, 3)), "binary")
-    return EnvironmentSpec("finite_matrix", {"path": str(path), "format": "binary"})
+    return EnvironmentSpec("finite_matrix", {"path": str(path)})
 
 
 class TestExportAndSidecar:
@@ -731,12 +731,16 @@ class TestMatrixFileOracle:
         gc.collect()
         assert handle.closed
 
-    @pytest.mark.parametrize("fmt", ["binary", None])
-    def test_binary_files_stream_and_csv_files_are_read_whole(self, tmp_path, fmt):
+    # The format is read from the file's first bytes, whatever its name says.
+    @pytest.mark.parametrize(
+        ("binary_name", "csv_name"), [("m.dat", "m.csv"), ("m.csv", "m.bin")], ids=["plain", "swapped"]
+    )
+    def test_binary_files_stream_and_csv_files_are_read_whole(self, tmp_path, binary_name, csv_name):
         matrix = game_rng(3).uniform(-1.0, 1.0, (7, 4))
-        path = write_binary(tmp_path / "m.dat", matrix)
-        spec = EnvironmentSpec("finite_matrix", {"path": str(path), "format": fmt})
-        assert isinstance(make_environment(spec), environments.MatrixFileOracle)
-        matrix_io.write_matrix_csv(tmp_path / "m.csv", matrix)
-        spec = EnvironmentSpec("finite_matrix", {"path": str(tmp_path / "m.csv")})
-        assert isinstance(make_environment(spec), environments.MatrixOracle)
+        path = write_binary(tmp_path / binary_name, matrix)
+        streamed = make_environment(EnvironmentSpec("finite_matrix", {"path": str(path)}))
+        assert isinstance(streamed, environments.MatrixFileOracle)
+        matrix_io.write_matrix_csv(tmp_path / csv_name, matrix)
+        whole = make_environment(EnvironmentSpec("finite_matrix", {"path": str(tmp_path / csv_name)}))
+        assert isinstance(whole, environments.MatrixOracle)
+        assert streamed.to_matrix().tobytes() == whole.to_matrix().tobytes() == matrix.tobytes()

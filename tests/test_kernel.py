@@ -662,7 +662,7 @@ class TestRunOutputs:
         "bounded_variation": {"K": 64},
         "iid_stochastic": {"K": 6, "means": [0.1, -0.2, 0.3, 0.0, 0.5, -0.5],
                            "noise": "uniform", "noise_scale": 0.4},
-        "finite_matrix": {"format": "binary"},
+        "finite_matrix": {},
     }
 
     @pytest.mark.parametrize("kind", list(KIND_PARAMETERS))
