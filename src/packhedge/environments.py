@@ -446,7 +446,7 @@ def export_environment(
 
     Files land next to ``out_base``: the matrix as ``<base>.<ext>``, each
     ground-truth array as ``<base>.<name>.<ext>``, and the sidecar (``spec``
-    as given, format, file listing) as ``<base>.json``.  Returns the written
+    as given and the file listing) as ``<base>.json``.  Returns the written
     paths.
     """
     if fmt not in matrix_io.FORMATS:
@@ -467,7 +467,6 @@ def export_environment(
 
     sidecar = {
         "spec": spec.as_dict(),
-        "format": fmt,
         "files": {key: Path(path).name for key, path in written.items()},
     }
     sidecar_path = base.with_suffix(".json")

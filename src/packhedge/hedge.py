@@ -11,6 +11,13 @@ span many short phases at once.  Each block takes three steps,
 :func:`inverse_cdf_pick`, at the rates of :func:`learning_rates`; the
 per-round hedge in ``tests/reference.py`` is the same learner one round at a
 time.
+
+The block's two running sums, over rounds for the log-weights and over
+experts for the inverse CDF, are many independent float64 chains, and each
+``cumsum`` runs on a ``complex128`` view that pairs two of them.  A complex
+add is two independent IEEE float64 adds and ``cumsum`` never reassociates,
+so every chain keeps the bits of its own float ``cumsum`` while the pair
+costs about one chain's time.
 """
 
 from __future__ import annotations
@@ -140,22 +147,32 @@ def running_totals(
 
     Row ``i`` of the ``(m + 1) x width`` result is for the block's round
     ``i + 1``.  Lane ``(a, b, k)``, rows ``a .. b - 1`` over ``k`` columns,
-    sums from a zero row (the first lane from ``carry`` if given), columns
-    past ``k`` hold ``+inf``, and the last row carries on to the next block.
+    sums from a zero row (the first lane from ``carry`` if given), and its
+    columns past ``k`` hold ``+inf``.  The last row carries on to the next
+    block over the last lane's width.
+
+    Each lane's ``cumsum`` over rounds runs on a ``complex128`` view of the
+    buffer, which pairs adjacent columns: a complex add is two independent
+    float64 adds and ``cumsum`` adds in order, so every column gets the bits
+    of its own float ``cumsum`` while two dependent chains run at once.  The
+    buffer is padded to an even width, and the cell past an odd lane width
+    enters the paired sum too, so the padding column and row 0 past the
+    carry are set to 0 first.
     """
     m, width = eta.size, max(k for _, _, k in lanes)
     if block.shape != (m, width):
         raise ValueError(f"loss block has shape {block.shape}, expected {(m, width)}")
-    total = np.empty((m + 1, width))
+    buffer = np.empty((m + 1, width + width % 2))
+    total = buffer[:, :width]
     np.multiply(eta[:, None], block, out=total[1:])
-    if carry is None:
-        total[0] = 0.0
-    else:
-        total[0, : carry.size] = carry
+    buffer[:, width:] = 0.0
+    buffer[0] = 0.0
+    if carry is not None:
+        buffer[0, : carry.size] = carry
     if len(lanes) > 1:
-        total[[a for a, _, _ in lanes[1:]]] = 0.0
+        buffer[[a for a, _, _ in lanes[1:]]] = 0.0
     for a, b, k in lanes:
-        lane = total[a : b + (b == m), :k]
+        lane = buffer[a : b + (b == m), : k + k % 2].view(np.complex128)
         np.cumsum(lane, axis=0, out=lane)
         if k < width:
             total[a:b, k:] = np.inf
@@ -182,11 +199,23 @@ def inverse_cdf_pick(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     Columns past a round's own width carry weight exactly ``0.0``, so the
     last cumulative weight is that round's total, and the pick lies within
     its width unless the draw reached the total.
+
+    The weights are copied expert-major, with the round count padded to even
+    by a zero round, and the ``cumsum`` over experts runs on the copy's
+    ``complex128`` view, which pairs adjacent rounds: each round gets the
+    bits of its own float ``cumsum`` (a complex add is two independent
+    float64 adds), while two dependent chains run at once.
     """
-    cumulative = np.cumsum(weights, axis=1)
-    threshold = uniforms * cumulative[:, -1]
-    pick = np.count_nonzero(cumulative <= threshold[:, None], axis=1)
-    for i in np.flatnonzero(pick == weights.shape[1]).tolist():
+    n, width = weights.shape
+    cumulative = np.empty((width, n + n % 2))
+    cumulative[:, n:] = 0.0
+    cumulative[:, :n] = weights.T
+    paired = cumulative.view(np.complex128)
+    np.cumsum(paired, axis=0, out=paired)
+    cumulative = cumulative[:, :n]
+    threshold = uniforms * cumulative[-1]
+    pick = np.count_nonzero(cumulative <= threshold, axis=0)
+    for i in np.flatnonzero(pick == width).tolist():
         # The draw reached the row total (a subnormal total can round it
         # up), so every column counted, the zero-weight padding too: take
         # the last positive weight, which lies inside the round's width.

@@ -15,8 +15,11 @@ the base-class defaults.
 own, since a game runs over every round of its oracle.  ``first_uncovered``
 is a single coverage query, for comparison with dense scans, and
 ``segmented_hedge`` plays the kernel's segments round by round from given
-uniforms.  The dense generators at the end touch whole ``T x K`` arrays at
-once, where the package works a chunk at a time in one buffer;
+uniforms.  ``running_totals`` and ``inverse_cdf_pick`` are two of the
+kernel's block steps with one float ``cumsum`` each, where the kernel pairs
+the independent sums in ``complex128`` views.  The dense generators at the
+end touch whole ``T x K`` arrays at once, where the package works a chunk at
+a time in one buffer;
 ``validate_loss_matrix`` tests every entry, where the package reads only
 the matrix's extremes.  The matrix-file writers and the CSV reader at the very
 end build each file's whole contents, or the whole list of rows, at once,
@@ -164,6 +167,53 @@ def segmented_hedge(losses, starts, widths, uniforms, normalize=True):
             means.append(float(weights @ row))
             state = update(state, row)
     return np.array(chosen, dtype=np.int64), np.array(incurred), np.array(means)
+
+
+def running_totals(
+    block: np.ndarray, eta: np.ndarray, carry: np.ndarray | None, lanes: list[tuple[int, int, int]]
+) -> np.ndarray:
+    """Sums of ``eta_r l_r`` over the earlier rounds of each round's lane: the negated log-weights.
+
+    Row ``i`` of the ``(m + 1) x width`` result is for the block's round
+    ``i + 1``.  Lane ``(a, b, k)``, rows ``a .. b - 1`` over ``k`` columns,
+    sums from a zero row (the first lane from ``carry`` if given), columns
+    past ``k`` hold ``+inf``, and the last row carries on to the next block.
+    """
+    m, width = eta.size, max(k for _, _, k in lanes)
+    if block.shape != (m, width):
+        raise ValueError(f"loss block has shape {block.shape}, expected {(m, width)}")
+    total = np.empty((m + 1, width))
+    np.multiply(eta[:, None], block, out=total[1:])
+    if carry is None:
+        total[0] = 0.0
+    else:
+        total[0, : carry.size] = carry
+    if len(lanes) > 1:
+        total[[a for a, _, _ in lanes[1:]]] = 0.0
+    for a, b, k in lanes:
+        lane = total[a : b + (b == m), :k]
+        np.cumsum(lane, axis=0, out=lane)
+        if k < width:
+            total[a:b, k:] = np.inf
+    return total
+
+
+def inverse_cdf_pick(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Per row ``i``, the column where its CDF passes ``uniforms[i]`` times the row total.
+
+    Columns past a round's own width carry weight exactly ``0.0``, so the
+    last cumulative weight is that round's total, and the pick lies within
+    its width unless the draw reached the total.
+    """
+    cumulative = np.cumsum(weights, axis=1)
+    threshold = uniforms * cumulative[:, -1]
+    pick = np.count_nonzero(cumulative <= threshold[:, None], axis=1)
+    for i in np.flatnonzero(pick == weights.shape[1]).tolist():
+        # The draw reached the row total (a subnormal total can round it
+        # up), so every column counted, the zero-weight padding too: take
+        # the last positive weight, which lies inside the round's width.
+        pick[i] = np.flatnonzero(weights[i])[-1]
+    return pick
 
 
 class TrajectoryRecorder:

@@ -615,6 +615,24 @@ class TestExportAndSidecar:
         assert np.array_equal(regenerated.to_matrix(), matrix)
 
     @pytest.mark.parametrize("fmt", matrix_io.FORMATS)
+    def test_sidecar_with_a_format_key_rebuilds_the_same_oracle(self, tmp_path, fmt):
+        # Sidecars written before the key was dropped still carry "format";
+        # nothing reads it, and the oracle they rebuild is the same.
+        for spec in (
+            EnvironmentSpec("low_rank", {"T": 8, "K": 6, "d": 2, "epsilon_noise": 0.1, "seed": 4}),
+            finite_matrix_spec(tmp_path, 4),
+        ):
+            export_environment(spec, tmp_path / spec.kind, fmt=fmt)
+            path = tmp_path / f"{spec.kind}.json"
+            sidecar = json.loads(path.read_text())
+            assert "format" not in sidecar
+            plain = environment_from_sidecar(path).to_matrix()
+            path.write_text(json.dumps({**sidecar, "format": fmt}))
+            rebuilt = environment_from_sidecar(path).to_matrix()
+            original = make_environment(spec).to_matrix()
+            assert rebuilt.tobytes() == plain.tobytes() == original.tobytes()
+
+    @pytest.mark.parametrize("fmt", matrix_io.FORMATS)
     def test_finite_matrix_sidecar_builds_the_specs_oracle(self, tmp_path, fmt):
         # The sidecar goes through make_environment: a binary export streams too.
         spec = finite_matrix_spec(tmp_path, 5)

@@ -7,7 +7,8 @@ across kernel block boundaries, with one expert, with one-round phases and
 admissions at the first and last round, and on every oracle kind.  Small
 block sizes are patched in so that games of a few rounds cross many blocks,
 or one block spans many phases.  The kernel's segments are also checked
-directly against ``reference.segmented_hedge``.
+directly against ``reference.segmented_hedge``, and its two paired running
+sums against the float ``cumsum`` steps in ``reference``.
 """
 
 import csv
@@ -316,6 +317,110 @@ class TestSegments:
             hedge.exponential_weights(
                 lambda a, b, w: np.zeros((b - a, w)), starts, widths, np.zeros(T)
             )
+
+
+#: Values a paired sum must carry bit for bit: signed zeros, the smallest
+#: subnormal and magnitudes near 1e300.
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.7e300, 1.0, -1.0])
+
+
+def edge_values(rng, shape):
+    """Uniform values on [-1, 1) with about a third replaced by ``EDGE_VALUES``."""
+    values = rng.uniform(-1.0, 1.0, shape)
+    edges = rng.random(shape) < 1 / 3
+    values[edges] = rng.choice(EDGE_VALUES, np.count_nonzero(edges))
+    return values
+
+
+@st.composite
+def block_lanes(draw):
+    """A block of 1-41 rounds cut into lanes ``(a, b, k)`` of widths 1-17."""
+    m = draw(st.integers(min_value=1, max_value=41))
+    cuts = st.lists(st.integers(min_value=1, max_value=m - 1), max_size=4, unique=True)
+    starts = [0, *sorted(draw(cuts) if m > 1 else [])]
+    width = st.integers(min_value=1, max_value=17)
+    widths = draw(st.lists(width, min_size=len(starts), max_size=len(starts)))
+    return m, list(zip(starts, [*starts[1:], m], widths))
+
+
+#: The bits of a signalling NaN: any add that reads one raises the invalid
+#: flag, which numpy reports as a RuntimeWarning.
+SIGNALLING_NAN = 0x7FF0000000000001
+
+
+class SignallingScratch:
+    """numpy as ``hedge`` sees it, but ``empty`` fills float64 buffers with a signalling NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        buffer = np.empty(shape, dtype)
+        if buffer.dtype == np.float64:
+            buffer.view(np.uint64).fill(SIGNALLING_NAN)
+        return buffer
+
+
+class TestPairedSums:
+    """The kernel's paired running sums against the float ``cumsum`` steps in ``reference``."""
+
+    @settings(max_examples=300)
+    @given(block_lanes(), st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_running_totals_match_float_cumsum(self, layout, with_carry, seed):
+        m, lanes = layout
+        rng = game_rng(seed)
+        block = edge_values(rng, (m, max(k for _, _, k in lanes)))
+        eta = np.where(rng.random(m) < 0.1, 0.0, rng.uniform(0.0, 3.0, m))
+        carry = edge_values(rng, lanes[0][2]) if with_carry else None
+        fast = hedge.running_totals(block, eta, carry, lanes)
+        slow = reference.running_totals(block, eta, carry, lanes)
+        # The last row is defined over the last lane's width: the carry.
+        assert fast.shape == slow.shape
+        assert fast[:-1].tobytes() == slow[:-1].tobytes()
+        assert fast[-1, : lanes[-1][2]].tobytes() == slow[-1, : lanes[-1][2]].tobytes()
+
+    @settings(max_examples=300)
+    @given(block_lanes(), st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_picks_match_float_cumsum(self, layout, reach, seed):
+        m, lanes = layout
+        rng = game_rng(seed)
+        weights = np.abs(edge_values(rng, (m, max(k for _, _, k in lanes))))
+        for a, b, k in lanes:
+            weights[a:b, k:] = 0.0
+            # Every round has a positive weight within its width, as exp(0) is.
+            positive = rng.choice([1.0, 5e-324, 1e300], b - a)
+            weights[np.arange(a, b), rng.integers(0, k, b - a)] = positive
+        edges = rng.choice([0.0, 1.0 - 2.0**-53], m)
+        uniforms = np.where(rng.random(m) < 0.2, edges, rng.random(m))
+        if reach:
+            # The last round's total is the smallest subnormal, and its draw
+            # rounds up to that total: the fallback picks the one weight.
+            column = int(rng.integers(0, lanes[-1][2]))
+            weights[-1] = 0.0
+            weights[-1, column] = 5e-324
+            uniforms[-1] = 1.0 - 2.0**-53
+        fast = hedge.inverse_cdf_pick(weights, uniforms)
+        slow = reference.inverse_cdf_pick(weights, uniforms)
+        assert fast.dtype == slow.dtype and fast.tobytes() == slow.tobytes()
+        if reach:
+            assert fast[-1] == column
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_every_summed_cell_is_set_first(self, monkeypatch, normalize):
+        # Blocks of 24 entries.  Widths [3, 8]: the width-3 segment continues
+        # into a block of width 8, so row 0 holds an odd carry narrower than
+        # the block.  Widths [8, 3, 5]: the width-3 segment continues out of a
+        # block of width 8, then fills odd-width blocks of its own.  Blocks of
+        # 3 rounds at width 8 pad the inverse CDF with a zero round.
+        monkeypatch.setattr(core, "BLOCK_ENTRIES", 24)
+        monkeypatch.setattr(hedge, "np", SignallingScratch())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cases = (([10, 5], [3, 8]), ([2, 12, 3], [8, 3, 5]), ([9, 4, 7], [1, 7, 3]))
+            for lengths, widths in cases:
+                starts, losses, uniforms = segments(lengths, widths, seed=sum(widths))
+                assert_segments_match(starts, widths, losses, uniforms, normalize)
 
 
 class TestRows:
