@@ -24,7 +24,8 @@ from typing import Any
 import numpy as np
 import yaml
 
-from . import __version__, analysis, environments, hedge, many_experts, meta_tuner, validation
+from . import __version__, analysis, environments, hedge, many_experts, matrix_io
+from . import meta_tuner, validation
 from .core import GameConfig, GameTrajectory, whole_number
 from .environments import EnvironmentSpec
 
@@ -295,13 +296,11 @@ def _sweep_cell_run(game: GameConfig, spec: EnvironmentSpec) -> dict[str, Any]:
     """One seeded run of a sweep cell (worker-pool entry point)."""
     try:
         oracle = _build_oracle(spec, game.T)
-        trajectory = _play(game, oracle)
-        ledger = analysis.empirical_regret(trajectory, oracle)
-        extras = trajectory.extras
+        summary = build_summary(_play(game, oracle), oracle, game, spec)
         return {
-            "regret": ledger.regret,
-            "final_packing": extras.get("final_packing"),
-            "phases": extras.get("num_phases"),
+            "regret": summary["regret"],
+            "final_packing": summary["K_p"],
+            "phases": summary["p"],
             "error": None,
         }
     except Exception as exc:  # per-cell failures are recorded, not fatal
@@ -532,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("export-env", help="write an environment's matrix and sidecar")
     common(p_exp)
-    p_exp.add_argument("--format", choices=("csv", "binary"), default="csv")
+    p_exp.add_argument("--format", choices=matrix_io.FORMATS, default="csv")
     p_exp.add_argument("--name", default=None, help="output base name (default: kind)")
     p_exp.set_defaults(func=cmd_export_env)
     return parser

@@ -59,6 +59,14 @@ def check_entries(entries: int, description: str) -> None:
         raise ValueError(f"{description} (guard: {MATRIX_MAX_ENTRIES} entries)")
 
 
+def build_grid(horizon: int) -> tuple[float, ...]:
+    """Halving accuracy ladder ``epsilon_r = 2**(1 - r)`` for ``r = 1 .. ceil(log2 T)``."""
+    if horizon < 2:
+        raise ValueError(f"horizon must be >= 2 to build a grid, got {horizon}")
+    num_levels = (horizon - 1).bit_length()  # == ceil(log2(horizon))
+    return tuple(2.0 ** (1 - r) for r in range(1, num_levels + 1))
+
+
 def game_rng(*key: int) -> np.random.Generator:
     """Independent PCG64 stream keyed by a tuple of integers.
 
@@ -160,7 +168,8 @@ class GameConfig:
 
     A game whose largest per-round array would exceed ``MATRIX_MAX_ENTRIES``
     is refused: ``T`` entries for hedge and many_experts, and the
-    meta-tuner's ``T x R`` feedback for ``R = ceil(log2 T)`` copies.
+    meta-tuner's ``T x R`` feedback for the ``R`` copies of
+    :func:`build_grid`, which also refuses a meta-tuner game of ``T = 1``.
     """
 
     T: int
@@ -176,9 +185,9 @@ class GameConfig:
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        copies = (self.T - 1).bit_length() if self.algorithm == "meta_tuner" else 1
+        copies = len(build_grid(self.T)) if self.algorithm == "meta_tuner" else 1
         check_entries(
-            self.T * max(copies, 1),
+            self.T * copies,
             f"game.T = {self.T}: the per-round arrays of {self.algorithm} are too large to play",
         )
 
@@ -283,6 +292,9 @@ class LossOracle(ABC):
         The block may be a view of the oracle's own storage, which the
         caller must not write (a dense matrix oracle's raises if written),
         or a fresh array (a matrix file's oracle reads each block anew).
+        Serving a block for any ``experts`` holds at most one read of
+        ``block_rounds(K)`` whole rows beyond the block itself, so a narrow
+        block of many rounds never reads all ``K`` columns of them at once.
         """
 
     def coverage_ids(self) -> np.ndarray:

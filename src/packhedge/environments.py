@@ -7,6 +7,7 @@ times, true means) for analysis, and enforces the ``[-1, 1]`` loss contract.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import logging
@@ -52,18 +53,14 @@ class EnvironmentSpec:
     def arguments(self) -> dict[str, Any]:
         """The keyword arguments of the kind's generator that this spec sets.
 
-        Each goes through its check in ``_KEYWORDS`` and its least value in
-        ``_LEAST``; other keys of ``parameters`` are ignored.
+        Each goes through its check in ``_KEYWORDS``, which holds its least
+        value from ``_LEAST``; other keys of ``parameters`` are ignored.
         """
-        arguments = {
+        return {
             name: check(f"environment.{name}", self.parameters[name])
             for name, (check, _) in _KEYWORDS[self.kind].items()
             if name in self.parameters
         }
-        for name, least in _LEAST.items():
-            if name in arguments:
-                core.whole_number(f"environment.{name}", arguments[name], least)
-        return arguments
 
     def as_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "parameters": dict(self.parameters)}
@@ -92,8 +89,10 @@ class MatrixFileOracle(LossOracle):
     """A binary matrix file, read a block of rows at a time; every expert is a candidate.
 
     The file stays open for the oracle's lifetime, and :meth:`rows` reads only
-    the rows asked for, at their offset, into a fresh array.  So the oracle
-    holds its column sums and one block, never the ``T x K`` matrix, and a
+    the rows asked for, at their offset, into a fresh array: all experts in
+    one read, some ``experts`` a ``core.block_rounds(K)`` of whole rows at a
+    time, keeping those experts of each.  So the oracle holds its column
+    sums and one block, never the ``T x K`` matrix, for every learner, and a
     file larger than memory can be played.  Opening the file checks its
     header and reads it once, a block of ``core.block_rounds(K)`` rows at a
     time: the values follow :func:`core.validate_loss_matrix`'s rules (the
@@ -139,10 +138,17 @@ class MatrixFileOracle(LossOracle):
     def rows(
         self, t0: int, t1: int, experts: np.ndarray | Sequence[int] | None = None
     ) -> np.ndarray:
-        block = matrix_io.read_binary_rows(self._file, t0, t1, self.num_experts())
+        K = self.num_experts()
+        if experts is not None:
+            experts = np.asarray(experts, dtype=np.int64)
+            block, step = np.empty((t1 - t0, experts.size)), core.block_rounds(K)
+            for j0 in range(t0, t1, step):
+                block[j0 - t0 : j0 - t0 + step] = self.rows(j0, min(t1, j0 + step)).take(experts, 1)
+            return block
+        block = matrix_io.read_binary_rows(self._file, t0, t1, K)
         if self._clamp:
             np.clip(block, -1.0, 1.0, out=block)
-        return block if experts is None else block.take(np.asarray(experts, dtype=np.int64), 1)
+        return block
 
     def column_sums(self) -> np.ndarray:
         return self._sums.copy()
@@ -154,11 +160,12 @@ class ClusteredBinaryOracle(LossOracle):
     Stores only the ``N x T`` distinct rows plus a cluster assignment.  The
     coverage candidates are each cluster's smallest expert id, so coverage
     and column sums cost ``O(N)`` instead of ``O(K)`` while answering exactly
-    as a scan over all ``K`` experts would.
+    as a scan over all ``K`` experts would.  The rows are checked, and kept
+    as given or clamped into a copy, by :func:`core.validate_loss_matrix`.
     """
 
     def __init__(self, rows: np.ndarray, assignment: np.ndarray) -> None:
-        self._rows = np.ascontiguousarray(rows, dtype=np.float64)
+        self._rows = validate_loss_matrix(rows)
         self._assign = np.ascontiguousarray(assignment, dtype=np.int64)
         n = self._rows.shape[0]
         if self._assign.min(initial=0) < 0 or self._assign.max(initial=-1) >= n:
@@ -421,13 +428,22 @@ GENERATORS: dict[str, Callable[..., Any]] = {
 
 KINDS = tuple(GENERATORS)
 
-#: Per kind, each generator keyword's check and whether it is required (has
-#: no default): keywords annotated ``int`` go through :func:`core.whole_number`,
-#: those annotated ``float`` through :func:`core.real_number`, others as given.
-_CHECKS = {"int": core.whole_number, "float": core.real_number}
+
+def _check(name: str, annotation: str) -> Callable[[str, Any], Any]:
+    """A generator keyword's check, by its annotation (a string under PEP 563).
+
+    ``int`` is :func:`core.whole_number`, at least ``_LEAST[name]`` where that
+    is given; ``float`` is :func:`core.real_number`; others are taken as given.
+    """
+    if annotation == "int":
+        return functools.partial(core.whole_number, least=_LEAST.get(name))
+    return core.real_number if annotation == "float" else lambda _, value: value
+
+
+#: Per kind, each generator keyword's check and whether it is required (has no default).
 _KEYWORDS: dict[str, dict[str, tuple[Callable[[str, Any], Any], bool]]] = {
     kind: {
-        name: (_CHECKS.get(p.annotation, lambda _, value: value), p.default is p.empty)
+        name: (_check(name, p.annotation), p.default is p.empty)
         for name, p in inspect.signature(generator).parameters.items()
     }
     for kind, generator in GENERATORS.items()
@@ -482,6 +498,5 @@ def environment_from_sidecar(path: str | Path) -> LossOracle:
     if spec is None:
         raise ValueError(f"{path}: sidecar carries no environment spec")
     if spec["kind"] == "finite_matrix":
-        matrix_path = Path(path).parent / sidecar["files"]["matrix"]
-        return make_environment(EnvironmentSpec("finite_matrix", {"path": str(matrix_path)}))
+        return load_matrix_file(Path(path).parent / sidecar["files"]["matrix"])
     return make_environment(EnvironmentSpec(**spec))

@@ -106,7 +106,7 @@ def uncovered_rows(values: np.ndarray, reference: np.ndarray, threshold: float) 
 
 
 def _schedule(oracle: LossOracle, epsilon: float) -> tuple[np.ndarray, list[int], dict[str, int]]:
-    """The packing after the oracle's ``T`` rounds: the schedule pass of :func:`packing_game`.
+    """The packing after the oracle's ``T`` rounds: the schedule pass of :func:`play_many_experts`.
 
     Blocks of ``core.block_rounds(K)`` rounds over the ``K`` candidates are
     read once (whole rows when every expert is a candidate) and certified at
@@ -196,7 +196,10 @@ def total_schedule(counts: Sequence[dict[str, Any]]) -> dict[str, Any]:
 
 
 def play_many_experts(
-    oracle: LossOracle, epsilon: float = 0.5, rng: int | np.random.Generator = 0
+    oracle: LossOracle,
+    epsilon: float = 0.5,
+    rng: int | np.random.Generator = 0,
+    expected: bool = False,
 ) -> GameTrajectory:
     """Run the packing learner over the oracle's ``T`` rounds at accuracy ``epsilon``.
 
@@ -207,21 +210,9 @@ def play_many_experts(
     trajectory records the phase and active-set size at the end of every
     round; its extras expose the final packing, the phase count, the
     admission certificate, and the counts of the schedule pass
-    (``schedule``).
-    """
-    return packing_game(oracle, epsilon, rng)[0]
-
-
-def packing_game(
-    oracle: LossOracle,
-    epsilon: float = 0.5,
-    rng: int | np.random.Generator = 0,
-    expected: bool = False,
-) -> tuple[GameTrajectory, np.ndarray | None]:
-    """:func:`play_many_experts`, plus with ``expected`` the expected loss of each round.
-
-    The expected loss is taken under the sampling distribution; the
-    meta-learner consumes it as low-variance feedback.
+    (``schedule``).  With ``expected``, ``extras["expected_losses"]`` also
+    holds each round's expected loss under the sampling distribution, the
+    low-variance feedback that the meta-tuner pops from each of its copies.
     """
     T = oracle.horizon()
     if T < 1:
@@ -263,7 +254,9 @@ def packing_game(
             "saturation_round": admitted[-1] if active.size >= ids.size else None,
         },
     }
-    trajectory = GameTrajectory.from_rounds(
+    if expected:
+        extras["expected_losses"] = means
+    return GameTrajectory.from_rounds(
         active[picks],
         incurred,
         admitted_at.searchsorted(rounds, side="right"),
@@ -271,4 +264,3 @@ def packing_game(
         seed,
         extras,
     )
-    return trajectory, means

@@ -14,15 +14,10 @@ from typing import Any
 
 import numpy as np
 
-from . import hedge, many_experts
-from .core import GameTrajectory, LossOracle, game_rng
-
-def build_grid(horizon: int) -> tuple[float, ...]:
-    """Halving accuracy ladder ``epsilon_r = 2**(1 - r)`` for ``r = 1 .. ceil(log2 T)``."""
-    if horizon < 2:
-        raise ValueError(f"horizon must be >= 2 to build a grid, got {horizon}")
-    num_levels = (horizon - 1).bit_length()  # == ceil(log2(horizon))
-    return tuple(2.0 ** (1 - r) for r in range(1, num_levels + 1))
+from . import hedge
+from .core import GameTrajectory, LossOracle, build_grid, game_rng
+# Bound by name: a wrapper later set on many_experts.play_many_experts sees standalone games only.
+from .many_experts import play_many_experts, total_schedule
 
 
 def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
@@ -30,9 +25,11 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
 
     Copy ``r`` draws from the stream ``game_rng(seed, r)`` and the meta layer
     from ``game_rng(seed, 0)``, so any copy can be replayed standalone; here
-    each copy is that standalone game, and the meta layer is one hedge pass
-    over the ``T x R`` feedback of the copies: each copy's expected loss
-    under its own sampling distribution.
+    each copy is that standalone game, a call of
+    :func:`~packhedge.many_experts.play_many_experts` with ``expected=True``,
+    and the meta layer is one hedge pass over the ``T x R`` feedback of the
+    copies: each copy's expected loss under its own sampling distribution,
+    popped from the copy's ``extras["expected_losses"]``.
 
     The returned trajectory records the actually played expert per round; its
     extras carry the per-copy trajectories and their summed schedule counts.
@@ -41,11 +38,11 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
     grid = build_grid(T)  # rejects an oracle of fewer than two rounds
     R = len(grid)
 
-    copies, means = zip(*(
-        many_experts.packing_game(oracle, eps, game_rng(seed, r), expected=True)
+    copies = [
+        play_many_experts(oracle, eps, game_rng(seed, r), expected=True)
         for r, eps in enumerate(grid, 1)
-    ))
-    feedback = np.column_stack(means)
+    ]
+    feedback = np.column_stack([copy.extras.pop("expected_losses") for copy in copies])
     # Sampling is scale-invariant, so the unnormalized weights suffice.
     chosen_copy, _, _ = hedge.exponential_weights(
         lambda j0, j1, _: feedback[j0:j1], [0], [R], game_rng(seed, 0).random(T)
@@ -59,7 +56,7 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
         "num_copies": R,
         "epsilons": list(grid),
         "chosen_copy": chosen_copy,
-        "copies": list(copies),
-        "schedule": many_experts.total_schedule([copy.extras["schedule"] for copy in copies]),
+        "copies": copies,
+        "schedule": total_schedule([copy.extras["schedule"] for copy in copies]),
     }
     return GameTrajectory.from_rounds(chosen, realized, np.full(T, R), np.ones(T), seed, extras)

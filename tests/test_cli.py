@@ -608,8 +608,9 @@ class TestRun:
         assert "too large to generate" in err
         assert peak < 1 << 20  # one T x K float64 array is 4 GB
 
-    def test_learner_value_error_is_config_error(self, tmp_path, capsys):
-        # The meta-tuner needs T >= 2, which the generic game section allows.
+    def test_learner_value_error_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # The meta-tuner's feedback is sized by its grid, which one round does
+        # not have: the game config refuses it before any environment is built.
         config = write_config(
             tmp_path / "bad.yaml",
             {
@@ -617,10 +618,11 @@ class TestRun:
                 "environment": {"kind": "clustered_binary", "K": 4, "N": 2},
             },
         )
+        monkeypatch.setattr(environments, "make_environment", lambda spec: pytest.fail("built"))
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("configuration error: game:")
-        assert "horizon" in err
+        assert capsys.readouterr().err == (
+            "configuration error: game: horizon must be >= 2 to build a grid, got 1\n"
+        )
 
     def test_unreadable_out_dir_is_io_error(self, tmp_path):
         config = iid_config(tmp_path, T=5)
@@ -819,6 +821,23 @@ class TestSweep:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {field}:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_meta_cell_of_one_round_refused_before_any_job(self, tmp_path, capsys, monkeypatch):
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "many_experts", "T": 1, "epsilon": 0.5},
+                "environment": {"kind": "clustered_binary", "K": 4, "N": 2},
+                "sweep": {"n_seeds": 1, "include_meta": True},
+            },
+        )
+        monkeypatch.setattr(cli, "_run_jobs", lambda *args: pytest.fail("a job ran"))
+        argv = ["sweep", "--config", config, "--seed", "0", "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: game: horizon must be >= 2 to build a grid, got 1\n"
+        )
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("parallelism", ["1", "2"])

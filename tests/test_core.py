@@ -223,6 +223,7 @@ class TestGameConfig:
             {"T": 10, "seed": True},
             {"T": 10, "epsilon": True},
             {"T": 10, "epsilon": "0.5"},
+            {"T": 1, "algorithm": "meta_tuner"},
         ],
     )
     def test_invalid(self, kwargs):

@@ -193,6 +193,33 @@ class TestClusteredBinary:
         dense = environments.MatrixOracle(env.to_matrix())
         assert np.array_equal(dense.column_sums(), dense.to_matrix().sum(axis=0))
 
+    @pytest.mark.parametrize(
+        ("value", "message"),
+        [(np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"),
+         (1.5, r"exceed \[-1, 1\] by 0.5")],
+    )
+    def test_bad_rows_refused_as_a_dense_matrix_is(self, value, message):
+        rows = np.array([[value, 0.5, -1.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(ValueError, match=message):
+            environments.ClusteredBinaryOracle(rows, np.array([0, 1, 1]))
+        with pytest.raises(ValueError, match=message):
+            environments.MatrixOracle(rows)
+
+    def test_grazing_rows_clamped_after_one_warning(self, caplog):
+        rows = np.array([[1.0 + 1e-13, -1.0, 1.0], [-1.0 - 2e-13, 1.0, 1.0]])
+        with caplog.at_level(logging.WARNING, logger="packhedge.core"):
+            env = environments.ClusteredBinaryOracle(rows, np.array([0, 1, 1]))
+        assert [r.getMessage() for r in caplog.records] == [
+            "clamping losses grazing the [-1, 1] boundary by 2e-13"
+        ]
+        assert env.rows(0, 3).tolist() == [[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
+        assert rows[0, 0] > 1.0  # the caller's rows are left as given
+
+    def test_valid_rows_kept_as_given(self):
+        env = make_clustered_binary(30, 60, 6, seed=7)
+        rows = env.ground_truth["rows"]
+        assert environments.ClusteredBinaryOracle(rows, env.ground_truth["assignment"])._rows is rows
+
     def test_desk_scale_generation(self):
         env = make_clustered_binary(5000, 100_000, 8, seed=8)
         assert env.num_experts() == 100_000
@@ -685,6 +712,36 @@ class TestMatrixFileOracle:
             assert block.tobytes() == whole.rows(t0, t1).tobytes()
             assert block.shape == (t1 - t0, K)
             assert streamed.rows(t0, t1, experts).tobytes() == whole.rows(t0, t1, experts).tobytes()
+
+    @pytest.mark.parametrize("grazing", [False, True], ids=["in_range", "grazing"])
+    def test_rows_of_some_experts_match_matrix_oracle(self, tmp_path, monkeypatch, grazing):
+        # A block of some experts is read block_rounds(K) whole rows at a time,
+        # so ranges here span one read, several, or none.
+        monkeypatch.setattr(core, "BLOCK_ENTRIES", 64)  # 8 rows of 8 columns per read
+        matrix = self.awkward_matrix(100, 8, seed=5)
+        if grazing:
+            matrix[17, 3], matrix[90, 0] = 1.0 + 1e-13, -1.0 - 1e-13
+        path = write_binary(tmp_path / "m.bin", matrix)
+        streamed = environments.MatrixFileOracle(path)
+        whole = environments.MatrixOracle(matrix_io.load_matrix(path))
+        reads = []
+        read_rows = matrix_io.read_binary_rows
+
+        def recording(fh, t0, t1, experts):
+            reads.append(t1 - t0)
+            return read_rows(fh, t0, t1, experts)
+
+        monkeypatch.setattr(matrix_io, "read_binary_rows", recording)
+        step = core.block_rounds(8)
+        ranges = [(0, 0), (5, 5), (0, 1), (0, step), (3, step + 1), (step - 1, 4 * step + 3),
+                  (97, 100), (0, 100), (100, 100)]
+        for experts in ([3], [7, 0, 5], [2, 2, 6, 2], np.arange(8)[::-1], []):
+            for t0, t1 in ranges:
+                block = streamed.rows(t0, t1, experts)
+                assert block.flags.c_contiguous and block.dtype == np.float64
+                assert block.shape == (t1 - t0, len(experts))
+                assert block.tobytes() == whole.rows(t0, t1, experts).tobytes()
+        assert reads and max(reads) == step
 
     @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0), (0, 1)])
     def test_no_rows_or_no_columns(self, tmp_path, shape):

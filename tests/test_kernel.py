@@ -599,7 +599,7 @@ def test_games_leave_the_matrix_unchanged(monkeypatch, entries):
     before = oracle.to_matrix().tobytes()
     hedge.play_hedge(oracle, rng=1)
     for epsilon in (0.25, 2.0**-6):
-        many_experts.packing_game(oracle, epsilon, rng=1, expected=True)
+        many_experts.play_many_experts(oracle, epsilon, rng=1, expected=True)
     meta_tuner.play_meta(oracle, seed=1)
     assert oracle.to_matrix().tobytes() == before
 
@@ -675,6 +675,28 @@ class TestBoundedMemory:
 
         assert self.peak(game) < 1.5 * 2**20
 
+    def file_game_peak(self, tmp_path, shape, play):
+        """Peak of ``play`` on a uniform binary matrix file of ``shape``, opened within the game."""
+        path = tmp_path / "m.bin"
+        matrix_io.write_matrix_binary(path, game_rng(2).uniform(-1.0, 1.0, shape))
+        return self.peak(lambda: play(environments.MatrixFileOracle(path)))
+
+    def test_packing_game_streams_its_matrix_file(self, tmp_path):
+        # At eps = 1 the packing is expert 0 alone, so the one phase is one
+        # column wide: its blocks are read a block_rounds(K) of whole rows at
+        # a time, not the 26 MB file at once.
+        peak = self.file_game_peak(
+            tmp_path, (16384, 200), lambda oracle: many_experts.play_many_experts(oracle, 1.0, 1)
+        )
+        assert peak < 4 * 2**20
+
+    def test_meta_game_streams_its_matrix_file(self, tmp_path):
+        # A 13 MB file, wide beside the copies' O(T * R) record of 1024 rounds.
+        peak = self.file_game_peak(
+            tmp_path, (1024, 1600), lambda oracle: meta_tuner.play_meta(oracle, seed=1)
+        )
+        assert peak < 4 * 2**20
+
     def test_csv_write(self, tmp_path):
         # Rows are formatted and written a block at a time.
         matrix = game_rng(2).uniform(-1.0, 1.0, (2000, 100))
@@ -728,7 +750,7 @@ class TestBoundedMemory:
         schedules = {e: many_experts._schedule(oracle, e) for e in epsilons}
         monkeypatch.setattr(many_experts, "_schedule", lambda o, e: schedules[e])
         return self.peak(lambda: [
-            many_experts.packing_game(oracle, e, r, expected=expected)
+            many_experts.play_many_experts(oracle, e, r, expected=expected)
             for r, e in enumerate(epsilons)
         ])
 
