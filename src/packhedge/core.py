@@ -126,18 +126,19 @@ def uncovered_mask(
     return (values - padded[pos] > threshold) & (padded[pos + 1] - values > threshold)
 
 
-def validate_loss_matrix(matrix: np.ndarray) -> np.ndarray:
+def validate_loss_matrix(matrix: np.ndarray, layout: str = "rounds x experts") -> np.ndarray:
     """Check a realized loss matrix against the ``[-1, 1]`` contract.
 
     Values that graze the boundary by less than ``BOUNDARY_SLACK`` (products
     and additive noise can overshoot by an ulp) are clamped, into a copy,
     with a logged warning; anything farther out, NaN or infinite is a hard
     error.  A float64 C-ordered matrix within the contract is returned as
-    given, after two reductions (its extremes) that allocate nothing.
+    given, after two reductions (its extremes) that allocate nothing.  A
+    matrix that is not 2-D is refused with its axes named by ``layout``.
     """
     m = np.ascontiguousarray(matrix, dtype=np.float64)
     if m.ndim != 2:
-        raise ValueError(f"loss matrix must be 2-D (rounds x experts), got shape {m.shape}")
+        raise ValueError(f"loss matrix must be 2-D ({layout}), got shape {m.shape}")
     # Extremes instead of |m|: no T x K temporary, and NaN or inf shows in them.
     if must_clamp(float(m.max(initial=0.0)), float(m.min(initial=0.0))):
         m = np.clip(m, -1.0, 1.0)

@@ -165,7 +165,7 @@ class ClusteredBinaryOracle(LossOracle):
     """
 
     def __init__(self, rows: np.ndarray, assignment: np.ndarray) -> None:
-        self._rows = validate_loss_matrix(rows)
+        self._rows = validate_loss_matrix(rows, "clusters x rounds")
         self._assign = np.ascontiguousarray(assignment, dtype=np.int64)
         n = self._rows.shape[0]
         if self._assign.min(initial=0) < 0 or self._assign.max(initial=-1) >= n:

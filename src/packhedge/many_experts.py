@@ -22,6 +22,13 @@ The packing starts at expert 0, the first coverage candidate, and admits only
 candidates, so the pass keeps the active set as columns of the candidate
 block: each block is read once, and an exact query runs on the block's row
 already in hand.
+
+One pass serves several accuracies: the meta-tuner's copies grow their
+packings in lockstep, so each block is read, and its row extremes taken,
+once for the whole grid (a binary matrix file's schedule blocks once per
+meta game), while each accuracy certifies, walks and re-certifies against
+its own active set and keeps its own counts, which the meta game sums.  A standalone game
+is the same pass with one accuracy.
 """
 
 from __future__ import annotations
@@ -63,35 +70,39 @@ def expand_packing(
     return np.concatenate((active, np.array(added, dtype=np.int64))), added
 
 
-def uncovered_rows(values: np.ndarray, reference: np.ndarray, threshold: float) -> np.ndarray:
+def uncovered_rows(
+    values: np.ndarray, low: np.ndarray, high: np.ndarray, reference: np.ndarray, threshold: float
+) -> np.ndarray:
     """Which rows of ``values`` may hold a value farther than ``threshold`` from its ``reference`` row.
 
-    The block certificate of the coverage kernel, for ``b x n`` values and
-    ``b x m`` references (``m >= 1``).  A value can only be uncovered inside a
-    *wide gap* of its sorted reference row padded with ``-inf`` and ``+inf``:
-    two neighbours at least ``2 * threshold`` apart, since rounded
-    subtraction is monotone and doubling is exact.  Each wide gap ``(lo,
-    hi)`` is tested with the kernel's own expressions, so a row with at most
-    ``log2(m) + 2`` wide gaps is flagged exactly when
-    ``uncovered_mask(values[r], reference[r], threshold).any()``.  A row with
-    more, where the ``O(n * gaps)`` test outgrows the ``O(n log m)`` query, is
-    flagged untested.  Each gap test holds at most ``core.BLOCK_ENTRIES``
-    values, the kernel's block size.
+    The block certificate of the coverage kernel, for ``b x n`` values with
+    row minima ``low`` and row maxima ``high``, and ``b x m`` references
+    (``m >= 1``).  The extremes are arguments so that a block's are taken
+    once, however many times and against however many active sets its rows
+    are certified.  A value can only be uncovered inside a *wide gap* of its
+    sorted reference row padded with ``-inf`` and ``+inf``: two neighbours at
+    least ``2 * threshold`` apart, since rounded subtraction is monotone and
+    doubling is exact.  Each wide gap ``(lo, hi)`` is tested with the
+    kernel's own expressions, so a row with at most ``log2(m) + 2`` wide gaps
+    is flagged exactly when ``uncovered_mask(values[r], reference[r],
+    threshold).any()``.  A row with more, where the ``O(n * gaps)`` test
+    outgrows the ``O(n log m)`` query, is flagged untested.  Each gap test
+    holds at most ``core.BLOCK_ENTRIES`` values, the kernel's block size.
     """
     width, m = values.shape[1], reference.shape[1]
     max_gaps = int(math.log2(m)) + 2
     ordered = np.sort(reference, axis=1)
     # The two outer gaps are always wide, and by monotone subtraction the
     # row's extreme value passes their test if any value does.
-    flagged = (ordered[:, 0] - values.min(axis=1) > threshold) | (
-        values.max(axis=1) - ordered[:, -1] > threshold
-    )
+    flagged = (ordered[:, 0] - low > threshold) | (high - ordered[:, -1] > threshold)
     wide = np.diff(ordered, axis=1) >= 2.0 * threshold
     flagged |= np.count_nonzero(wide, axis=1) > max_gaps - 2
     wide &= ~flagged[:, None]
     # Inner gap (r, g), flat index r * (m - 1) + g, opens at ordered[r, g],
     # flat index r * m + g.
     gaps = np.flatnonzero(wide)
+    if gaps.size == 0:
+        return flagged
     gap_rows = gaps // (m - 1)
     lows = ordered.ravel()[gaps + gap_rows]
     highs = ordered.ravel()[gaps + gap_rows + 1]
@@ -105,59 +116,81 @@ def uncovered_rows(values: np.ndarray, reference: np.ndarray, threshold: float) 
     return flagged
 
 
-def _schedule(oracle: LossOracle, epsilon: float) -> tuple[np.ndarray, list[int], dict[str, int]]:
-    """The packing after the oracle's ``T`` rounds: the schedule pass of :func:`play_many_experts`.
+def _schedule(
+    oracle: LossOracle, epsilons: Sequence[float]
+) -> list[tuple[np.ndarray, list[int], dict[str, int]]]:
+    """The packings after the oracle's ``T`` rounds at each of ``epsilons``: the schedule pass.
 
-    Blocks of ``core.block_rounds(K)`` rounds over the ``K`` candidates are
-    read once (whole rows when every expert is a candidate) and certified at
-    once against the active set at the start of the block, whose losses are
-    columns of the block; the rounds the certificate flags run
-    :func:`expand_packing` on their row of the block, in order.  When a
-    flagged round admits no one and the set has grown since the block's last
-    certification, the block's remaining flagged rows are certified again
-    against the grown set, and only the rows still flagged are walked.
-    Every certification but a block's first follows an admitting round, so
-    there are at most as many of them as admitting rounds.  Once the active
-    set is as large as the candidate set no later round admits anyone, so
-    nothing more is read.
+    The packings of every accuracy grow in lockstep, one block of
+    ``core.block_rounds(K)`` rounds over the ``K`` candidates at a time.  A
+    block is read once (whole rows when every expert is a candidate) and its
+    row extremes are taken once.  Then each accuracy whose active set is
+    smaller than the candidate set certifies the block at once against its
+    active set at the start of the block, whose losses are columns of the
+    block, and the rounds the certificate flags run :func:`expand_packing`
+    on their row of the block, in order.  When a flagged round admits no one
+    and the set has grown since the block's last certification, the block's
+    remaining flagged rows are certified again against the grown set, and
+    only the rows still flagged are walked.  Every certification but a
+    block's first follows an admitting round, so there are at most as many
+    of them as admitting rounds.  Once an active set is as large as the
+    candidate set no later round admits anyone, so that accuracy skips the
+    later blocks, and once every accuracy has, nothing more is read.  Each
+    accuracy's packing is the one a pass at that accuracy alone would grow.
 
-    Returns the active ids in admission order, the round at which each
-    joined (0 for expert 0), which certifies the pairwise separation of the
-    packing, and the counts of blocks, re-certifications of a block's flagged
-    rows, and exact queries of the pass.
+    Returns, per accuracy, the active ids in admission order, the round at
+    which each joined (0 for expert 0), which certifies the pairwise
+    separation of the packing, and the counts of blocks, re-certifications
+    of a block's flagged rows, and exact queries of that accuracy.
     """
     ids = oracle.coverage_ids()
+    if ids.size == 0 or ids[0] != 0:
+        raise ValueError(f"coverage_ids() must start at expert 0, got {ids[:1].tolist()}")
     # Ids rising strictly from 0, as many as the experts, are every expert:
     # read whole rows, a view of a dense oracle's matrix, not a copy.
     columns = None if ids.size == oracle.num_experts() else ids
-    threshold = 2.0 * epsilon
     T, step = oracle.horizon(), block_rounds(ids.size)
-    active = np.zeros(1, dtype=np.int64)  # columns of the candidate block
-    admitted_at = [0]
-    counts = {"blocks": 0, "recertifications": 0, "exact_queries": 0}
+    # Per accuracy: its active set as columns of the candidate block, its
+    # threshold, admission rounds and counts.
+    packings = [
+        [
+            np.zeros(1, dtype=np.int64),
+            2.0 * epsilon,
+            [0],
+            {"blocks": 0, "recertifications": 0, "exact_queries": 0},
+        ]
+        for epsilon in epsilons
+    ]
     for t0 in range(0, T, step):
-        if active.size >= ids.size:
+        growing = [packing for packing in packings if packing[0].size < ids.size]
+        if not growing:
             break
         values = oracle.rows(t0, min(T, t0 + step), columns)
-        # take, not fancy indexing: a C-ordered copy keeps the certificate's row sort fast.
-        rows = np.flatnonzero(uncovered_rows(values, values.take(active, 1), threshold))
-        counts["blocks"] += 1
-        certified = active.size
-        i = 0
-        while i < rows.size and active.size < ids.size:
-            active, added = expand_packing(values[rows[i]], active, threshold)
-            admitted_at += [t0 + int(rows[i]) + 1] * len(added)
-            counts["exact_queries"] += 1
-            i += 1
-            if added or active.size == certified or i == rows.size:
-                continue
-            rows = rows[i:]
-            block = values[rows]
-            rows = rows[uncovered_rows(block, block.take(active, 1), threshold)]
-            i = 0
+        low, high = values.min(axis=1), values.max(axis=1)
+        for packing in growing:
+            active, threshold, admitted_at, counts = packing
+            # take, not fancy indexing: a C-ordered copy keeps the certificate's row sort fast.
+            reference = values.take(active, 1)
+            rows = np.flatnonzero(uncovered_rows(values, low, high, reference, threshold))
+            counts["blocks"] += 1
             certified = active.size
-            counts["recertifications"] += 1
-    return ids[active], admitted_at, counts
+            i = 0
+            while i < rows.size and active.size < ids.size:
+                active, added = expand_packing(values[rows[i]], active, threshold)
+                admitted_at += [t0 + int(rows[i]) + 1] * len(added)
+                counts["exact_queries"] += 1
+                i += 1
+                if added or active.size == certified or i == rows.size:
+                    continue
+                rows = rows[i:]
+                block = values[rows]
+                reference = block.take(active, 1)
+                rows = rows[uncovered_rows(block, low[rows], high[rows], reference, threshold)]
+                i = 0
+                certified = active.size
+                counts["recertifications"] += 1
+            packing[0] = active
+    return [(ids[active], admitted_at, counts) for active, _, admitted_at, counts in packings]
 
 
 def packing_regret_bound(
@@ -217,14 +250,28 @@ def play_many_experts(
     T = oracle.horizon()
     if T < 1:
         raise ValueError(f"the oracle must have at least one round, got {T}")
-    ids = oracle.coverage_ids()
-    if ids.size == 0 or ids[0] != 0:
-        raise ValueError(f"coverage_ids() must start at expert 0, got {ids[:1].tolist()}")
     gen, seed = normalize_rng(rng)
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    return _play_packing(oracle, epsilon, _schedule(oracle, [epsilon])[0], gen, seed, expected)
 
-    active, admitted, counts = _schedule(oracle, epsilon)
+
+def _play_packing(
+    oracle: LossOracle,
+    epsilon: float,
+    schedule: tuple[np.ndarray, list[int], dict[str, int]],
+    gen: np.random.Generator,
+    seed: int | None,
+    expected: bool,
+) -> GameTrajectory:
+    """The packing game at ``epsilon`` from its :func:`_schedule`: one kernel pass over its phases.
+
+    The rest of :func:`play_many_experts`, and each copy of
+    :func:`~packhedge.meta_tuner.play_meta`, whose copies share one schedule
+    pass over the accuracy grid.
+    """
+    T = oracle.horizon()
+    active, admitted, counts = schedule
     admitted_at = np.array(admitted, dtype=np.int64)
     # Phase p plays rounds starts[p] + 1 .. starts[p + 1] over the first sizes[p]
     # active experts (a prefix, since active is in admission order); the
@@ -251,7 +298,9 @@ def play_many_experts(
             **counts,
             "admitting_rounds": int(starts.size) - 1,
             # The round whose admissions made the set as large as the candidate set.
-            "saturation_round": admitted[-1] if active.size >= ids.size else None,
+            "saturation_round": (
+                admitted[-1] if active.size >= oracle.coverage_ids().size else None
+            ),
         },
     }
     if expected:

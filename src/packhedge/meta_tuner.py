@@ -5,7 +5,10 @@ accuracies ``1, 1/2, 1/4, ...``; an exponential-weights layer treats the
 copies as meta-experts and plays the action of whichever copy it samples.
 Under full information every copy observes the losses regardless of the
 meta-choice, so each copy's trajectory is identical to a standalone run with
-the same derived stream.
+the same derived stream.  The copies share one schedule pass, which reads
+each block of candidate rows once for the whole grid (a binary matrix file's
+schedule blocks are read once per meta game, not once per copy); each copy
+keeps its own schedule counts, and the meta game reports their sum.
 """
 
 from __future__ import annotations
@@ -14,22 +17,26 @@ from typing import Any
 
 import numpy as np
 
-from . import hedge
+# Called through the module, so a substitute set on many_experts._schedule is
+# seen.  A copy is its share of the grid's one schedule pass, played by
+# many_experts._play_packing, never a play_many_experts call: a wrapper on
+# many_experts.play_many_experts sees standalone games only.
+from . import hedge, many_experts
 from .core import GameTrajectory, LossOracle, build_grid, game_rng
-# Bound by name: a wrapper later set on many_experts.play_many_experts sees standalone games only.
-from .many_experts import play_many_experts, total_schedule
 
 
 def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
     """Run the accuracy grid over the oracle's ``T`` rounds from one master seed.
 
     Copy ``r`` draws from the stream ``game_rng(seed, r)`` and the meta layer
-    from ``game_rng(seed, 0)``, so any copy can be replayed standalone; here
-    each copy is that standalone game, a call of
-    :func:`~packhedge.many_experts.play_many_experts` with ``expected=True``,
-    and the meta layer is one hedge pass over the ``T x R`` feedback of the
-    copies: each copy's expected loss under its own sampling distribution,
-    popped from the copy's ``extras["expected_losses"]``.
+    from ``game_rng(seed, 0)``, so any copy can be replayed standalone.  One
+    schedule pass grows the packings of the whole grid in lockstep, and each
+    copy plays its kernel pass from its own packing, as
+    :func:`~packhedge.many_experts.play_many_experts` with ``expected=True``
+    would: the same trajectory, bit for bit.  The meta layer is one hedge
+    pass over the ``T x R`` feedback of the copies: each copy's expected
+    loss under its own sampling distribution, popped from the copy's
+    ``extras["expected_losses"]``.
 
     The returned trajectory records the actually played expert per round; its
     extras carry the per-copy trajectories and their summed schedule counts.
@@ -39,8 +46,8 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
     R = len(grid)
 
     copies = [
-        play_many_experts(oracle, eps, game_rng(seed, r), expected=True)
-        for r, eps in enumerate(grid, 1)
+        many_experts._play_packing(oracle, eps, schedule, game_rng(seed, r), None, expected=True)
+        for r, (eps, schedule) in enumerate(zip(grid, many_experts._schedule(oracle, grid)), 1)
     ]
     feedback = np.column_stack([copy.extras.pop("expected_losses") for copy in copies])
     # Sampling is scale-invariant, so the unnormalized weights suffice.
@@ -57,6 +64,6 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
         "epsilons": list(grid),
         "chosen_copy": chosen_copy,
         "copies": copies,
-        "schedule": total_schedule([copy.extras["schedule"] for copy in copies]),
+        "schedule": many_experts.total_schedule([copy.extras["schedule"] for copy in copies]),
     }
     return GameTrajectory.from_rounds(chosen, realized, np.full(T, R), np.ones(T), seed, extras)

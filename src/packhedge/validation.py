@@ -305,7 +305,8 @@ def validate_meta(seed: int) -> Verdict:
     Per fixture, the seed-averaged meta cumulative loss must not exceed the
     best copy's by more than the hedge bound ``4*sqrt(T ln R)`` over the ``R``
     copies plus three standard errors of the paired difference.  Also replays
-    the first seed's copies standalone and requires bit-identical trajectories.
+    the first seed's copies standalone and requires bit-identical trajectories
+    and the same packing, admission rounds and schedule counts.
     """
     num_seeds, horizon = 50, 256
     grid = meta_tuner.build_grid(horizon)
@@ -342,6 +343,10 @@ def validate_meta(seed: int) -> Verdict:
             equivalence_ok &= all(
                 np.array_equal(getattr(copy_traj, column), getattr(standalone, column))
                 for column in ("chosen", "incurred", "packing_size", "phase")
+            ) and all(
+                # The standalone game ran its own schedule pass, the copy its share of the grid's.
+                copy_traj.extras[key] == standalone.extras[key]
+                for key in ("final_active", "admitted_at", "schedule")
             )
 
     within = all(stats["mean_gap_to_best_copy"] <= stats["allowance"] for stats in per_env.values())

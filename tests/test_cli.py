@@ -132,7 +132,7 @@ class TestRun:
         epsilons = (
             meta_tuner.build_grid(game.T) if algorithm == "meta_tuner" else [game.epsilon]
         )
-        schedules = [many_experts._schedule(oracle, e) for e in epsilons]
+        schedules = [many_experts._schedule(oracle, [e])[0] for e in epsilons]
         for key in ("blocks", "recertifications", "exact_queries"):
             assert counts[key] == sum(c[key] for _, _, c in schedules)
         assert counts["blocks"] >= len(schedules)

@@ -57,7 +57,7 @@ def dense_schedule(oracle, epsilon):
 
 
 def block_schedule(oracle, epsilon):
-    active, admitted_at, _ = many_experts._schedule(oracle, epsilon)
+    active, admitted_at, _ = many_experts._schedule(oracle, [epsilon])[0]
     return active.tolist(), admitted_at
 
 
@@ -228,11 +228,16 @@ def draw_block(block):
     return values, reference
 
 
+def extremes(values):
+    """The row minima and maxima that ``uncovered_rows`` takes with a block."""
+    return values.min(axis=1), values.max(axis=1)
+
+
 def certify(values, reference, threshold, entries):
     """``uncovered_rows`` with gap tests of at most ``entries`` values: the kernel's block size."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "BLOCK_ENTRIES", entries)
-        return uncovered_rows(values, reference, threshold)
+        return uncovered_rows(values, *extremes(values), reference, threshold)
 
 
 class TestBlockCertificate:
@@ -258,7 +263,7 @@ class TestBlockCertificate:
         values, reference = draw_block(block)
         size = data.draw(st.integers(min_value=1, max_value=reference.shape[1]))
         subset = reference[:, :size]
-        flagged = uncovered_rows(values, subset, threshold)
+        flagged = uncovered_rows(values, *extremes(values), subset, threshold)
         assert not (exact_rows(values, reference, threshold) & ~flagged).any()
         assert not (exact_rows(values, subset, threshold) & ~flagged).any()
 
@@ -377,7 +382,7 @@ class TestOnePassExpansion:
 
         oracle.rows = reading
         monkeypatch.setattr(many_experts, "expand_packing", querying)
-        active, admitted_at, counts = many_experts._schedule(oracle, 0.1)
+        active, admitted_at, counts = many_experts._schedule(oracle, [0.1])[0]
         assert (active.tolist(), admitted_at) == ([0, 1, 2, 3, 4], [0, 1, 1, 1, 1])
         assert reads == [(0, core.block_rounds(5))] and queries == [1]
         assert counts == {"blocks": 1, "recertifications": 0, "exact_queries": 1}
@@ -498,7 +503,7 @@ def test_stale_blocks_on_the_readme_shape(monkeypatch, seed):
         return expand_packing(values, active, threshold)
 
     monkeypatch.setattr(many_experts, "expand_packing", counting)
-    _, admitted_at, counts = many_experts._schedule(oracle, 0.5)
+    _, admitted_at, counts = many_experts._schedule(oracle, [0.5])[0]
     admitting = len(set(admitted_at)) - 1
     assert admitting >= 1
     assert len(calls) <= 2 * admitting

@@ -205,6 +205,12 @@ class TestClusteredBinary:
         with pytest.raises(ValueError, match=message):
             environments.MatrixOracle(rows)
 
+    def test_rows_not_2d_name_the_clusters_x_rounds_layout(self):
+        with pytest.raises(ValueError, match=r"2-D \(clusters x rounds\), got shape \(3,\)"):
+            environments.ClusteredBinaryOracle(np.zeros(3), np.array([0, 0]))
+        with pytest.raises(ValueError, match=r"2-D \(rounds x experts\), got shape \(3,\)"):
+            environments.MatrixOracle(np.zeros(3))
+
     def test_grazing_rows_clamped_after_one_warning(self, caplog):
         rows = np.array([[1.0 + 1e-13, -1.0, 1.0], [-1.0 - 2e-13, 1.0, 1.0]])
         with caplog.at_level(logging.WARNING, logger="packhedge.core"):

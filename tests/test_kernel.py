@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -504,8 +504,8 @@ def test_active_gathers_only_on_flagged_rounds(monkeypatch, entries):
     oracle = None
     certify, expand = many_experts.uncovered_rows, many_experts.expand_packing
 
-    def certifying(values, reference, threshold):
-        flags = certify(values, reference, threshold)
+    def certifying(values, low, high, reference, threshold):
+        flags = certify(values, low, high, reference, threshold)
         oracle.events.append(("certify", flags))
         return flags
 
@@ -518,7 +518,7 @@ def test_active_gathers_only_on_flagged_rounds(monkeypatch, entries):
     gathered = recertified = 0
     for epsilon in (0.25, 2.0**-5, 2.0**-9):
         oracle = EventOracle(matrix)
-        active, admitted_at, counts = many_experts._schedule(oracle, epsilon)
+        active, admitted_at, counts = many_experts._schedule(oracle, [epsilon])[0]
         admitting = set(admitted_at[1:])
         flagged, queries = replay_schedule(oracle.events, admitting)
         # The exact queries are an ordered subsequence of the block-flagged
@@ -567,7 +567,7 @@ def test_schedule_reads_each_block_and_query_once(monkeypatch, entries):
     games.append((environments.make_clustered_binary(5000, 100_000, 8, seed=0), 0.5))
     for oracle, epsilon in games:
         reads = count_reads(oracle)
-        _, _, counts = many_experts._schedule(oracle, epsilon)
+        _, _, counts = many_experts._schedule(oracle, [epsilon])[0]
         assert counts["exact_queries"] > 0
         assert len(reads) == counts["blocks"]
         assert len(set(reads)) == len(reads)
@@ -585,10 +585,86 @@ def test_schedule_reads_whole_rows_of_a_dense_oracle():
         return blocks[-1][1]
 
     oracle.rows = recording
-    many_experts._schedule(oracle, 2.0**-5)
+    many_experts._schedule(oracle, [2.0**-5])[0]
     assert blocks
     for experts, block in blocks:
         assert experts is None and np.may_share_memory(block, matrix)
+
+
+def lockstep_oracle(kind, rounds, experts, seed, path):
+    """A clustered, low-rank, bounded-variation or binary-file instance of the shape."""
+    if kind == "clustered":
+        return environments.make_clustered_binary(rounds, experts, min(experts, 6), seed)
+    if kind == "bounded_variation":
+        return environments.make_bounded_variation_adversary(rounds, max(experts, 2), seed)
+    oracle = environments.make_low_rank(rounds, experts, 1, 0.05, seed)
+    if kind == "low_rank":
+        return oracle
+    matrix_io.write_matrix_binary(path, oracle.to_matrix())
+    return environments.MatrixFileOracle(path)
+
+
+class TestLockstepSchedule:
+    """The schedule pass over several accuracies against one pass per accuracy."""
+
+    @settings(
+        max_examples=40,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(
+        st.sampled_from(["clustered", "low_rank", "bounded_variation", "matrix_file"]),
+        st.integers(min_value=3, max_value=160),
+        st.integers(min_value=1, max_value=48),
+        st.integers(min_value=0, max_value=2**16),
+        st.data(),
+    )
+    def test_matches_one_pass_per_accuracy(
+        self, block_entries, tmp_path, kind, rounds, experts, seed, data
+    ):
+        # Grid accuracies in any order, repeats included: each keeps its own state.
+        grid = core.build_grid(rounds)
+        epsilons = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=len(grid) + 2))
+        path = tmp_path / f"{kind}-{rounds}-{experts}-{seed}.bin"
+        oracle = lockstep_oracle(kind, rounds, experts, seed, path)
+        together = many_experts._schedule(oracle, epsilons)
+        assert len(together) == len(epsilons)
+        for epsilon, (active, admitted_at, counts) in zip(epsilons, together):
+            alone_active, alone_admitted_at, alone_counts = many_experts._schedule(
+                oracle, [epsilon]
+            )[0]
+            assert active.dtype == alone_active.dtype
+            assert active.tolist() == alone_active.tolist()
+            assert admitted_at == alone_admitted_at
+            assert counts == alone_counts
+
+
+@pytest.mark.parametrize("kind", ["clustered", "low_rank", "matrix_file"])
+def test_meta_game_reads_each_schedule_block_once(monkeypatch, block_entries, tmp_path, kind):
+    # The copies certify each block in lockstep: the schedule pass reads each
+    # block once, as many reads as the blocks of the copy that saturates
+    # last, not their sum over copies.
+    oracle = lockstep_oracle(kind, 400, 60, 4, tmp_path / "m.bin")
+    reads, in_pass = [], []
+    rows, schedule = oracle.rows, many_experts._schedule
+
+    def counting(t0, t1, experts=None):
+        if in_pass:
+            reads.append((t0, t1))
+        return rows(t0, t1, experts)
+
+    def passing(oracle, epsilons):
+        in_pass.append(True)
+        try:
+            return schedule(oracle, epsilons)
+        finally:
+            in_pass.clear()
+
+    oracle.rows = counting
+    monkeypatch.setattr(many_experts, "_schedule", passing)
+    copies = meta_tuner.play_meta(oracle, seed=1).extras["copies"]
+    blocks = [copy.extras["schedule"]["blocks"] for copy in copies]
+    assert len(reads) == max(blocks) < sum(blocks)
+    assert len(set(reads)) == len(reads)
 
 
 @pytest.mark.parametrize("entries", [600, core.BLOCK_ENTRIES])
@@ -715,13 +791,13 @@ class TestBoundedMemory:
         oracle = environments.make_low_rank(512, 200, 2, 0.05, 3)
         epsilons = meta_tuner.build_grid(512)
         assert len(epsilons) == 9
-        peak = self.peak(lambda: [many_experts._schedule(oracle, e) for e in epsilons])
+        peak = self.peak(lambda: many_experts._schedule(oracle, epsilons))
         assert peak < 8 * self.BLOCK_BYTES
 
     def test_schedule_pass_packing_lowrank(self):
         oracle = environments.make_low_rank(1024, 500, 2, 0.05, 3)
-        assert many_experts._schedule(oracle, 2.0**-7)[0].size > 250  # a large packing
-        peak = self.peak(lambda: many_experts._schedule(oracle, 2.0**-7))
+        assert many_experts._schedule(oracle, [2.0**-7])[0][0].size > 250  # a large packing
+        peak = self.peak(lambda: many_experts._schedule(oracle, [2.0**-7])[0])
         assert peak < 8 * self.BLOCK_BYTES
 
     @pytest.mark.parametrize("active", [125, 250, 499])
@@ -731,7 +807,10 @@ class TestBoundedMemory:
         rounds = core.block_rounds(500)
         reference = np.tile(-1.0 + 4.0 * epsilon * np.arange(active), (rounds, 1))
         values = game_rng(1).uniform(-1.0, 1.0, (rounds, 500))
-        peak = self.peak(lambda: many_experts.uncovered_rows(values, reference, 2.0 * epsilon))
+        low, high = values.min(axis=1), values.max(axis=1)
+        peak = self.peak(
+            lambda: many_experts.uncovered_rows(values, low, high, reference, 2.0 * epsilon)
+        )
         assert peak < 8 * self.BLOCK_BYTES
 
     def test_schedule_pass_on_references_spaced_four_epsilon(self):
@@ -741,14 +820,14 @@ class TestBoundedMemory:
         spaced = -1.0 + 4.0 * epsilon * np.arange(250)
         matrix = np.tile(np.concatenate((spaced, spaced + epsilon)), (256, 1))
         oracle = environments.MatrixOracle(matrix)
-        assert many_experts._schedule(oracle, epsilon)[0].size == 250
-        peak = self.peak(lambda: many_experts._schedule(oracle, epsilon))
+        assert many_experts._schedule(oracle, [epsilon])[0][0].size == 250
+        peak = self.peak(lambda: many_experts._schedule(oracle, [epsilon])[0])
         assert peak < 8 * self.BLOCK_BYTES
 
     def phase_peak(self, monkeypatch, oracle, epsilons, expected):
         """Peak of the phase pass alone: every copy's kernel call, schedules precomputed."""
-        schedules = {e: many_experts._schedule(oracle, e) for e in epsilons}
-        monkeypatch.setattr(many_experts, "_schedule", lambda o, e: schedules[e])
+        schedules = dict(zip(epsilons, many_experts._schedule(oracle, epsilons)))
+        monkeypatch.setattr(many_experts, "_schedule", lambda o, es: [schedules[e] for e in es])
         return self.peak(lambda: [
             many_experts.play_many_experts(oracle, e, r, expected=expected)
             for r, e in enumerate(epsilons)
@@ -770,8 +849,8 @@ class TestBoundedMemory:
     def test_schedule_pass_readme_shape(self, seed):
         # 2048-round blocks over 8 candidates, re-certified after false flags.
         oracle = environments.make_clustered_binary(5000, 100_000, 8, seed=seed)
-        assert many_experts._schedule(oracle, 0.5)[2]["recertifications"] > 0
-        peak = self.peak(lambda: many_experts._schedule(oracle, 0.5))
+        assert many_experts._schedule(oracle, [0.5])[0][2]["recertifications"] > 0
+        peak = self.peak(lambda: many_experts._schedule(oracle, [0.5])[0])
         assert peak < 8 * self.BLOCK_BYTES
 
     def test_packing_clustered(self):

@@ -35,7 +35,7 @@ class TestExpandPacking:
         assert added == [1, 2]
         assert active.tolist() == [0, 1, 2]
         env = environments.MatrixOracle(np.array([[-1.0, 0.0, 1.0]]))
-        assert many_experts._schedule(env, 0.2)[1] == [0, 1, 1]
+        assert many_experts._schedule(env, [0.2])[0][1] == [0, 1, 1]
 
     def test_covered_round_changes_nothing(self):
         active, added = expand_packing(np.array([0.0, 0.1, -0.1]), START, 0.4)
@@ -76,7 +76,7 @@ class TestRestart:
                 [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [-0.9, 0.9, 0.0, -0.45], [0.5] * 4]
             )
         )
-        active, admitted_at, _ = many_experts._schedule(env, 0.1)
+        active, admitted_at, _ = many_experts._schedule(env, [0.1])[0]
         assert admitted_at == [0, 3, 3, 3]
         trajectory = many_experts.play_many_experts(env, 0.1, rng=0)
         assert trajectory.extras["restarts"] == [(0, 1), (3, 4)]
