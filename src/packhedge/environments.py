@@ -325,39 +325,39 @@ def make_sparse_dictionary(
     return MatrixOracle(L, {"D": D, "V": V})
 
 
-def make_bounded_variation_adversary(T: int, K: int, seed: int) -> MatrixOracle:
+def make_bounded_variation_adversary(T: int, K: int, seed: int) -> ClusteredBinaryOracle:
     """Halving adversary: losses start at -1 and flip permanently to +1.
 
     Each round a uniformly random half (rounded down) of the experts still at
-    -1 flips to +1, so every expert moves at most once and has total variation
-    at most 2, while one expert survives at -1 throughout whenever
-    ``K >= 2**T``.  Ground truth exposes the flip round per expert
-    (``T + 1`` meaning "never").
+    -1 flips to +1, until one is left: every expert moves at most once (total
+    variation at most 2), and none after round ``(K - 1).bit_length()``.  The
+    instance is clustered, one +/-1 row per distinct flip round.  Ground truth
+    exposes the flip round per expert (``T + 1`` meaning "never").
     """
-    core.check_entries(T * K, f"a dense {T} x {K} loss matrix is too large to generate")
+    core.check_entries(K, f"environment.K = {K}: the flip rounds are too large to generate")
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if int(K).bit_length() <= T:  # K < 2**T, without building 2**T
-        logger.warning(
-            "bounded_variation with K=%d < 2**T = 2**%d: the all--1 expert may die out", K, T
-        )
+    flips = min(T, (int(K) - 1).bit_length())  # rounds until one expert is left at -1
+    core.check_entries(
+        (flips + 1) * T,
+        f"environment.T = {T}: the {flips + 1} x {T} distinct loss rows are too large to generate",
+    )
+    if flips < T:
+        logger.warning("bounded_variation with K=%d: no expert flips after round %d", K, flips)
     rng = game_rng(seed)
     flip_round = np.full(K, T + 1, dtype=np.int64)
     alive = np.arange(K)
-    for t in range(1, T + 1):
-        half = alive.size // 2
-        if half == 0:
-            break
-        flipped = rng.choice(alive, size=half, replace=False)
+    for t in range(1, flips + 1):
+        flipped = rng.choice(alive, size=alive.size // 2, replace=False)
         flip_round[flipped] = t
         alive = np.setdiff1d(alive, flipped, assume_unique=True)
-    L, step = np.empty((T, K)), core.block_rounds(K)
-    for t0 in range(0, T, step):
-        rounds = np.arange(t0 + 1, min(T, t0 + step) + 1)
-        L[t0 : t0 + step] = np.where(flip_round[None, :] <= rounds[:, None], 1.0, -1.0)
-    return MatrixOracle(L, {"flip_round": flip_round})
+    distinct, assignment = np.unique(flip_round, return_inverse=True)
+    rows = np.where(distinct[:, None] <= np.arange(1, T + 1), 1.0, -1.0)
+    oracle = ClusteredBinaryOracle(rows, assignment)
+    oracle.ground_truth = {"flip_round": flip_round}
+    return oracle
 
 
 def make_iid_stochastic(

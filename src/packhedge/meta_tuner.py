@@ -54,9 +54,9 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
     chosen_copy, _, _ = hedge.exponential_weights(
         lambda j0, j1, _: feedback[j0:j1], [0], [R], game_rng(seed, 0).random(T)
     )
-    rounds = np.arange(T)
-    chosen = np.column_stack([copy.chosen for copy in copies])[rounds, chosen_copy]
-    realized = np.column_stack([copy.incurred for copy in copies])[rounds, chosen_copy]
+    # R = ceil(log2 T) <= 32 for any u32 T, within the 64 choices of np.choose.
+    chosen = np.choose(chosen_copy, [copy.chosen for copy in copies])
+    realized = np.choose(chosen_copy, [copy.incurred for copy in copies])
 
     extras: dict[str, Any] = {
         "algorithm": "meta_tuner",

@@ -377,7 +377,14 @@ class TestBoundedVariationAdversary:
     def test_small_k_warns(self, caplog):
         with caplog.at_level(logging.WARNING):
             make_bounded_variation_adversary(10, 16, seed=5)
-        assert any("2**T" in record.message for record in caplog.records)
+        assert any("no expert flips after round 4" in record.message for record in caplog.records)
+
+    @pytest.mark.parametrize("shape", [(17, 3), (10, 16), (8, 100), (30, 1000)])
+    def test_one_survivor_and_no_flip_after_ceil_log2_k(self, shape):
+        T, K = shape
+        flip_round = make_bounded_variation_adversary(T, K, seed=6).ground_truth["flip_round"]
+        assert int((flip_round == T + 1).sum()) == 1
+        assert int(flip_round[flip_round <= T].max()) == (K - 1).bit_length()
 
 
 class TestIidStochastic:
@@ -456,7 +463,10 @@ def assert_same_bits(oracle, expected):
 
 
 class TestChunkedGeneration:
-    """Dense generators fill one buffer a chunk at a time, with the bits of whole-matrix draws."""
+    """Dense generators fill one buffer a chunk at a time, with the bits of whole-matrix draws.
+
+    The halving adversary's clustered rows expand to its dense reference matrix.
+    """
 
     @settings(max_examples=150)
     @given(
@@ -497,7 +507,8 @@ class TestChunkedGeneration:
         assert_same_bits(make_iid_stochastic(**arguments), expected)
 
     @pytest.mark.parametrize("shape", SHAPES, ids=["below", "one", "two", "ragged"])
-    def test_bounded_variation_at_module_chunks(self, shape):
+    def test_bounded_variation_matches_reference(self, shape):
+        # The clustered oracle's rows, expanded, are the reference's dense matrix.
         T, K = shape
         assert_same_bits(
             make_bounded_variation_adversary(T, K, seed=8),
@@ -545,7 +556,14 @@ class TestDenseSizeGuard:
     SITES = {
         "low_rank": (lambda _: make_low_rank(4, 5, 2, 0.1, seed=0), 20, DENSE),
         "sparse_dictionary": (lambda _: make_sparse_dictionary(4, 5, 3, 1, 0.1, seed=0), 20, DENSE),
-        "bounded_variation": (lambda _: make_bounded_variation_adversary(4, 5, seed=0), 20, DENSE),
+        "bounded_variation": (
+            lambda _: make_bounded_variation_adversary(4, 5, seed=0), 16,
+            "environment.T = 4: the 4 x 4 distinct loss rows are too large to generate",
+        ),
+        "bounded_variation_flip_rounds": (
+            lambda _: make_bounded_variation_adversary(1, 20, seed=0), 20,
+            "environment.K = 20: the flip rounds are too large to generate",
+        ),
         "iid_stochastic": (lambda _: make_iid_stochastic(4, 5, 0.0, seed=0), 20, DENSE),
         "dictionary_atoms": (
             lambda _: make_sparse_dictionary(2, 3, 7, 1, 0.1, seed=0), 21,
