@@ -203,18 +203,18 @@ def build_summary(
         "seed": game.seed,
         "environment": env_spec.as_dict(),
     }
-    if "copies" in extras:
+    if "copy_reports" in extras:
         # Every copy plays the game's oracle, so they share its best expert.
         summary["copies"] = [
             {
                 "level": level,
-                "epsilon": copy_traj.extras["epsilon"],
-                "cumulative_loss": copy_traj.learner_cumulative,
-                "regret": copy_traj.learner_cumulative - ledger.best_cumulative,
-                "final_packing": copy_traj.extras["final_packing"],
-                "phases": copy_traj.extras["num_phases"],
+                "epsilon": copy["epsilon"],
+                "cumulative_loss": copy["learner_cumulative"],
+                "regret": copy["learner_cumulative"] - ledger.best_cumulative,
+                "final_packing": copy["final_packing"],
+                "phases": copy["num_phases"],
             }
-            for level, copy_traj in enumerate(extras["copies"], start=1)
+            for level, copy in enumerate(extras["copy_reports"], start=1)
         ]
     return summary
 

@@ -250,8 +250,9 @@ class GameTrajectory:
                 raise ValueError(f"trajectory field {name} is not aligned with t")
         if n == 0:
             return
-        if abs(float(self.incurred.sum()) - self.learner_cumulative) > 1e-9:
-            raise ValueError("cumulative loss does not match the sum of incurred losses")
+        # Exact: the running sum that from_rounds records, at every round.
+        if not np.array_equal(self.cumulative, np.cumsum(self.incurred)):
+            raise ValueError("cumulative loss does not match the running sum of incurred losses")
         if np.any(np.diff(self.packing_size) < 0):
             raise ValueError("packing_size must be non-decreasing over rounds")
 

@@ -11,6 +11,7 @@ import functools
 import inspect
 import json
 import logging
+import os
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -433,11 +434,21 @@ def _check(name: str, annotation: str) -> Callable[[str, Any], Any]:
     """A generator keyword's check, by its annotation (a string under PEP 563).
 
     ``int`` is :func:`core.whole_number`, at least ``_LEAST[name]`` where that
-    is given; ``float`` is :func:`core.real_number`; others are taken as given.
+    is given; ``float`` is :func:`core.real_number`; ``str | Path`` is
+    :func:`_path`; others are taken as given.
     """
     if annotation == "int":
         return functools.partial(core.whole_number, least=_LEAST.get(name))
+    if annotation == "str | Path":
+        return _path
     return core.real_number if annotation == "float" else lambda _, value: value
+
+
+def _path(name: str, value: Any) -> Any:
+    """``value`` as given if it is a ``str`` or ``os.PathLike``: ``open`` takes an int as an fd."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ValueError(f"{name} must be a path, got {value!r}")
+    return value
 
 
 #: Per kind, each generator keyword's check and whether it is required (has no default).

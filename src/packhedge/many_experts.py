@@ -232,7 +232,6 @@ def play_many_experts(
     oracle: LossOracle,
     epsilon: float = 0.5,
     rng: int | np.random.Generator = 0,
-    expected: bool = False,
 ) -> GameTrajectory:
     """Run the packing learner over the oracle's ``T`` rounds at accuracy ``epsilon``.
 
@@ -243,9 +242,7 @@ def play_many_experts(
     trajectory records the phase and active-set size at the end of every
     round; its extras expose the final packing, the phase count, the
     admission certificate, and the counts of the schedule pass
-    (``schedule``).  With ``expected``, ``extras["expected_losses"]`` also
-    holds each round's expected loss under the sampling distribution, the
-    low-variance feedback that the meta-tuner pops from each of its copies.
+    (``schedule``).
     """
     T = oracle.horizon()
     if T < 1:
@@ -253,7 +250,7 @@ def play_many_experts(
     gen, seed = normalize_rng(rng)
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    return _play_packing(oracle, epsilon, _schedule(oracle, [epsilon])[0], gen, seed, expected)
+    return _play_packing(oracle, epsilon, _schedule(oracle, [epsilon])[0], gen, seed, False)[0]
 
 
 def _play_packing(
@@ -263,12 +260,13 @@ def _play_packing(
     gen: np.random.Generator,
     seed: int | None,
     expected: bool,
-) -> GameTrajectory:
+) -> tuple[GameTrajectory, np.ndarray | None]:
     """The packing game at ``epsilon`` from its :func:`_schedule`: one kernel pass over its phases.
 
     The rest of :func:`play_many_experts`, and each copy of
     :func:`~packhedge.meta_tuner.play_meta`, whose copies share one schedule
-    pass over the accuracy grid.
+    pass over the accuracy grid.  Returns the game and, with ``expected``, its
+    expected loss per round (a meta-tuner copy's feedback), else ``None``.
     """
     T = oracle.horizon()
     active, admitted, counts = schedule
@@ -303,8 +301,6 @@ def _play_packing(
             ),
         },
     }
-    if expected:
-        extras["expected_losses"] = means
     return GameTrajectory.from_rounds(
         active[picks],
         incurred,
@@ -312,4 +308,4 @@ def _play_packing(
         starts.searchsorted(rounds, side="right"),
         seed,
         extras,
-    )
+    ), means

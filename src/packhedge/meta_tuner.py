@@ -32,38 +32,42 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
     from ``game_rng(seed, 0)``, so any copy can be replayed standalone.  One
     schedule pass grows the packings of the whole grid in lockstep, and each
     copy plays its kernel pass from its own packing, as
-    :func:`~packhedge.many_experts.play_many_experts` with ``expected=True``
-    would: the same trajectory, bit for bit.  The meta layer is one hedge
-    pass over the ``T x R`` feedback of the copies: each copy's expected
-    loss under its own sampling distribution, popped from the copy's
-    ``extras["expected_losses"]``.
+    :func:`~packhedge.many_experts.play_many_experts` would: the same
+    trajectory, bit for bit.  The meta layer is one hedge pass over the
+    ``T x R`` feedback of the copies: each copy's expected loss under its
+    own sampling distribution.
 
     The returned trajectory records the actually played expert per round; its
-    extras carry the per-copy trajectories and their summed schedule counts.
+    extras carry the copies' summed schedule counts and one report per copy,
+    ``copy_reports``: its extras and ``learner_cumulative``, not its rounds.
     """
     T = oracle.horizon()
     grid = build_grid(T)  # rejects an oracle of fewer than two rounds
     R = len(grid)
 
-    copies = [
-        many_experts._play_packing(oracle, eps, schedule, game_rng(seed, r), None, expected=True)
-        for r, (eps, schedule) in enumerate(zip(grid, many_experts._schedule(oracle, grid)), 1)
-    ]
-    feedback = np.column_stack([copy.extras.pop("expected_losses") for copy in copies])
+    feedback = np.empty((T, R))
+    chosen, incurred, reports = [], [], []
+    for r, (eps, schedule) in enumerate(zip(grid, many_experts._schedule(oracle, grid)), 1):
+        copy, feedback[:, r - 1] = many_experts._play_packing(
+            oracle, eps, schedule, game_rng(seed, r), None, expected=True
+        )
+        chosen.append(copy.chosen)
+        incurred.append(copy.incurred)
+        reports.append(copy.extras | {"learner_cumulative": copy.learner_cumulative})
     # Sampling is scale-invariant, so the unnormalized weights suffice.
     chosen_copy, _, _ = hedge.exponential_weights(
         lambda j0, j1, _: feedback[j0:j1], [0], [R], game_rng(seed, 0).random(T)
     )
     # R = ceil(log2 T) <= 32 for any u32 T, within the 64 choices of np.choose.
-    chosen = np.choose(chosen_copy, [copy.chosen for copy in copies])
-    realized = np.choose(chosen_copy, [copy.incurred for copy in copies])
+    played = np.choose(chosen_copy, chosen)
+    realized = np.choose(chosen_copy, incurred)
 
     extras: dict[str, Any] = {
         "algorithm": "meta_tuner",
         "num_copies": R,
         "epsilons": list(grid),
         "chosen_copy": chosen_copy,
-        "copies": copies,
-        "schedule": many_experts.total_schedule([copy.extras["schedule"] for copy in copies]),
+        "copy_reports": reports,
+        "schedule": many_experts.total_schedule([report["schedule"] for report in reports]),
     }
-    return GameTrajectory.from_rounds(chosen, realized, np.full(T, R), np.ones(T), seed, extras)
+    return GameTrajectory.from_rounds(played, realized, np.full(T, R), np.ones(T), seed, extras)

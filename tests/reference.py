@@ -398,7 +398,7 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
     copy_gens = [game_rng(seed, r) for r in range(1, R + 1)]
 
     recorder = TrajectoryRecorder(T)
-    copy_recorders = [TrajectoryRecorder(T) for _ in range(R)]
+    copy_cumulative = [0.0] * R
     chosen_copy = np.empty(T, dtype=np.int64)
 
     for t in range(1, T + 1):
@@ -412,9 +412,7 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
             chosen[r] = chosen_r
             realized[r] = incurred_r
             expected[r] = mean_r
-            copy_recorders[r].add(
-                t, chosen_r, incurred_r, int(state.copies[r].active.size), state.copies[r].phase
-            )
+            copy_cumulative[r] += incurred_r
 
         r_star = sample_categorical(
             np.exp(state.meta.log_weights - state.meta.log_weights.max()), meta_gen
@@ -424,22 +422,20 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
 
         state.meta = update(state.meta, expected)
 
-    copy_trajectories = []
+    copy_reports = []
     for r in range(R):
         copy = state.copies[r]
-        copy_trajectories.append(
-            copy_recorders[r].finish(
-                None,
-                {
-                    "algorithm": "many_experts",
-                    "epsilon": grid[r],
-                    "final_active": [int(i) for i in copy.active],
-                    "admitted_at": list(copy.admitted_at),
-                    "final_packing": int(copy.active.size),
-                    "num_phases": copy.phase,
-                    "restarts": list(copy.restarts),
-                },
-            )
+        copy_reports.append(
+            {
+                "algorithm": "many_experts",
+                "epsilon": grid[r],
+                "final_active": [int(i) for i in copy.active],
+                "admitted_at": list(copy.admitted_at),
+                "final_packing": int(copy.active.size),
+                "num_phases": copy.phase,
+                "restarts": list(copy.restarts),
+                "learner_cumulative": copy_cumulative[r],
+            }
         )
 
     extras: dict[str, Any] = {
@@ -447,7 +443,7 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
         "num_copies": R,
         "epsilons": list(grid),
         "chosen_copy": chosen_copy,
-        "copies": copy_trajectories,
+        "copy_reports": copy_reports,
     }
     return recorder.finish(seed, extras)
 

@@ -193,9 +193,11 @@ class TestRun:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         _, game, spec = cli._load(argparse.Namespace(config=config, set=None, seed=None))
         oracle = cli._build_oracle(spec, game.T)
-        copies = meta_tuner.play_meta(oracle, seed=game.seed).extras["copies"]
-        assert len(summary["copies"]) == len(copies)
-        for row, copy in zip(summary["copies"], copies):
+        # Each copy replayed standalone from its own stream, as validate meta replays them.
+        grid = meta_tuner.build_grid(game.T)
+        assert len(summary["copies"]) == len(grid)
+        for r, (row, epsilon) in enumerate(zip(summary["copies"], grid), start=1):
+            copy = many_experts.play_many_experts(oracle, epsilon, rng=game_rng(game.seed, r))
             assert row["regret"] == analysis.empirical_regret(copy, oracle).regret
 
     def test_repeat_run_byte_identical(self, tmp_path):
@@ -470,6 +472,29 @@ class TestRun:
         assert cli.main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"configuration error: environment: {matrix_path}: {fault}\n"
+
+    @pytest.mark.parametrize(
+        ("value", "shown"),
+        [("3", "3"), ("true", "True"), ("[a.bin]", "['a.bin']")],
+        ids=["int", "bool", "list"],
+    )
+    def test_path_that_is_not_a_path_is_config_error(self, tmp_path, capsys, value, shown):
+        # open() takes an int (a bool too) as a file descriptor: true would open and close fd 1.
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "hedge", "T": 2, "seed": 0},
+                "environment": {"kind": "finite_matrix", "path": str(tmp_path / "losses.bin")},
+            },
+        )
+        argv = ["run", "--config", config, "--set", f"environment.path={value}",
+                "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: environment.path must be a path, got {shown}\n"
+        )
+        for fd in (0, 1, 2):
+            os.fstat(fd)
 
     @pytest.mark.parametrize(
         ("value", "message"),

@@ -289,6 +289,18 @@ class TestGameTrajectory:
         with pytest.raises(ValueError, match="cumulative"):
             trajectory.validate()
 
+    def test_long_game_validates(self):
+        # A pairwise sum of these 10**6 losses misses their running total by about 1e-8.
+        incurred = game_rng(0).uniform(0, 1, 10**6)
+        ones = np.ones(incurred.size)
+        GameTrajectory.from_rounds(ones, incurred, ones, ones).validate()
+
+    def test_edited_middle_cumulative_rejected(self):
+        trajectory = self._build([0.5, -0.5, 1.0, 0.25], [1, 1, 1, 1])
+        trajectory.cumulative[1] += 0.5
+        with pytest.raises(ValueError, match="cumulative"):
+            trajectory.validate()
+
     def test_shrinking_packing_rejected(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             self._build([0.0, 0.0], [2, 1]).validate()

@@ -39,7 +39,7 @@ def block_entries(request, monkeypatch):
 
 
 def assert_same(fast, slow):
-    """Bit-for-bit equality of two trajectories, their extras and nested copies."""
+    """Bit-for-bit equality of two trajectories, their extras and a meta game's copy reports."""
     for name in ("t", "chosen", "incurred", "cumulative", "packing_size", "phase"):
         a, b = getattr(fast, name), getattr(slow, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -53,10 +53,12 @@ def assert_same(fast, slow):
         if key == "schedule":
             continue
         other = slow.extras[key]
-        if key == "copies":
+        if key == "copy_reports":
+            # A report is its copy's extras, schedule counts included, and cumulative loss.
             assert len(value) == len(other)
             for a, b in zip(value, other):
-                assert_same(a, b)
+                assert "schedule" in a
+                assert repr({k: v for k, v in a.items() if k != "schedule"}) == repr(b)
         elif isinstance(value, np.ndarray):
             assert value.dtype == other.dtype and value.tobytes() == other.tobytes(), key
         else:
@@ -661,8 +663,8 @@ def test_meta_game_reads_each_schedule_block_once(monkeypatch, block_entries, tm
 
     oracle.rows = counting
     monkeypatch.setattr(many_experts, "_schedule", passing)
-    copies = meta_tuner.play_meta(oracle, seed=1).extras["copies"]
-    blocks = [copy.extras["schedule"]["blocks"] for copy in copies]
+    reports = meta_tuner.play_meta(oracle, seed=1).extras["copy_reports"]
+    blocks = [report["schedule"]["blocks"] for report in reports]
     assert len(reads) == max(blocks) < sum(blocks)
     assert len(set(reads)) == len(reads)
 
@@ -674,21 +676,26 @@ def test_games_leave_the_matrix_unchanged(monkeypatch, entries):
     oracle = environments.make_low_rank(300, 40, 2, 0.05, seed=4)
     before = oracle.to_matrix().tobytes()
     hedge.play_hedge(oracle, rng=1)
-    for epsilon in (0.25, 2.0**-6):
-        many_experts.play_many_experts(oracle, epsilon, rng=1, expected=True)
+    epsilons = (0.25, 2.0**-6)
+    for epsilon, schedule in zip(epsilons, many_experts._schedule(oracle, epsilons)):
+        many_experts._play_packing(oracle, epsilon, schedule, game_rng(1), None, expected=True)
     meta_tuner.play_meta(oracle, seed=1)
     assert oracle.to_matrix().tobytes() == before
 
 
 class TestBoundedMemory:
-    def peak(self, play):
+    def held_and_peak(self, play):
+        """Bytes still held while ``play``'s result is alive, and the peak of the call."""
         play()  # first calls import and cache what later games reuse
         tracemalloc.start()
         try:
-            play()
-            return tracemalloc.get_traced_memory()[1]
+            result = play()
+            return tracemalloc.get_traced_memory()  # taken while result is alive
         finally:
             tracemalloc.stop()
+
+    def peak(self, play):
+        return self.held_and_peak(play)[1]
 
     def test_hedge_dense(self):
         oracle = environments.MatrixOracle(game_rng(1).uniform(-1.0, 1.0, (4096, 200)))
@@ -775,6 +782,15 @@ class TestBoundedMemory:
         )
         assert peak < 4 * 2**20
 
+    def test_meta_game_keeps_copy_reports(self):
+        # 15 copies over 20000 rounds. The game keeps its own record and one
+        # report per copy, not the copies' rounds; its peak holds the T x R
+        # feedback and pick columns and one copy's game at a time.
+        oracle = environments.make_clustered_binary(20_000, 1000, 8, 3)
+        held, peak = self.held_and_peak(lambda: meta_tuner.play_meta(oracle, seed=3))
+        assert held < 128 * 20_000
+        assert peak < 640 * 20_000
+
     def test_csv_write(self, tmp_path):
         # Rows are formatted and written a block at a time.
         matrix = game_rng(2).uniform(-1.0, 1.0, (2000, 100))
@@ -826,25 +842,24 @@ class TestBoundedMemory:
         peak = self.peak(lambda: many_experts._schedule(oracle, [epsilon])[0])
         assert peak < 8 * self.BLOCK_BYTES
 
-    def phase_peak(self, monkeypatch, oracle, epsilons, expected):
+    def phase_peak(self, oracle, epsilons, expected):
         """Peak of the phase pass alone: every copy's kernel call, schedules precomputed."""
-        schedules = dict(zip(epsilons, many_experts._schedule(oracle, epsilons)))
-        monkeypatch.setattr(many_experts, "_schedule", lambda o, es: [schedules[e] for e in es])
+        schedules = many_experts._schedule(oracle, epsilons)
         return self.peak(lambda: [
-            many_experts.play_many_experts(oracle, e, r, expected=expected)
-            for r, e in enumerate(epsilons)
+            many_experts._play_packing(oracle, e, schedule, game_rng(r, 0), r, expected)
+            for r, (e, schedule) in enumerate(zip(epsilons, schedules))
         ])
 
-    def test_phase_pass_meta_lowrank(self, monkeypatch):
+    def test_phase_pass_meta_lowrank(self):
         # Every copy of the grid with expected losses, as the meta-tuner plays them.
         oracle = environments.make_low_rank(512, 200, 2, 0.05, 3)
         epsilons = meta_tuner.build_grid(512)
-        peak = self.phase_peak(monkeypatch, oracle, epsilons, expected=True)
+        peak = self.phase_peak(oracle, epsilons, expected=True)
         assert peak < 8 * self.BLOCK_BYTES
 
-    def test_phase_pass_packing_lowrank(self, monkeypatch):
+    def test_phase_pass_packing_lowrank(self):
         oracle = environments.make_low_rank(1024, 500, 2, 0.05, 3)
-        peak = self.phase_peak(monkeypatch, oracle, [2.0**-7], expected=False)
+        peak = self.phase_peak(oracle, [2.0**-7], expected=False)
         assert peak < 8 * self.BLOCK_BYTES
 
     @pytest.mark.parametrize("seed", [0, 4242])
@@ -867,7 +882,7 @@ class TestBoundedMemory:
         oracle = environments.make_bounded_variation_adversary(5000, 100_000, seed=7)
         packing = self.peak(lambda: many_experts.play_many_experts(oracle, epsilon=0.5, rng=7))
         assert packing < 2 * 2**20
-        # The meta game keeps its 13 copies' O(T * R) record.
+        # The meta game holds its 13 copies' O(T * R) feedback and pick columns.
         assert self.peak(lambda: meta_tuner.play_meta(oracle, seed=7)) < 6 * 2**20
 
 
