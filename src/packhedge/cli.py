@@ -15,6 +15,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 import platform
 import sys
 import time
@@ -36,6 +37,9 @@ EXIT_IO = 3
 
 #: Trajectory rows formatted per write.
 CSV_BLOCK_ROWS = 1024
+
+#: Jobs (cell x seed) a sweep may hold; each keeps its configs and result, about 700 B.
+SWEEP_MAX_JOBS = 100_000
 
 #: libyaml's parser where PyYAML was built with it (several times faster on a
 #: config); the pure-Python safe loader otherwise.
@@ -61,7 +65,14 @@ def load_config(path: str | Path) -> dict[str, Any]:
     try:
         cfg = yaml.load(raw, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config: not valid YAML ({exc})") from exc
+        # One line: the problem and where it lies, else the message's first line.
+        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+        detail = (
+            f"{problem}, line {mark.line + 1}, column {mark.column + 1}"
+            if problem and mark
+            else str(exc).partition("\n")[0]
+        )
+        raise ConfigError(f"config: {path}: not valid YAML ({detail})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be a mapping")
     return cfg
@@ -372,6 +383,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.environment.{key}: must be a non-empty list")
         env_grid[key] = values
+    # The job count is checked before any job is built.
+    cells = math.prod(map(len, env_grid.values())) * (
+        len(epsilons) + (include_meta and game.algorithm != "meta_tuner")
+    )
+    if cells * n_seeds > SWEEP_MAX_JOBS:
+        raise ConfigError(
+            f"sweep.n_seeds: {cells} cells x {n_seeds} seeds are too many jobs"
+            f" (guard: {SWEEP_MAX_JOBS} jobs)"
+        )
     grid_keys = sorted(env_grid)
     combos = list(itertools.product(*(env_grid[k] for k in grid_keys))) or [()]
 

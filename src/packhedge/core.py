@@ -62,7 +62,7 @@ def check_entries(entries: int, description: str) -> None:
 def build_grid(horizon: int) -> tuple[float, ...]:
     """Halving accuracy ladder ``epsilon_r = 2**(1 - r)`` for ``r = 1 .. ceil(log2 T)``."""
     if horizon < 2:
-        raise ValueError(f"horizon must be >= 2 to build a grid, got {horizon}")
+        raise ValueError(f"horizon T must be >= 2 to build a grid, got {horizon}")
     num_levels = (horizon - 1).bit_length()  # == ceil(log2(horizon))
     return tuple(2.0 ** (1 - r) for r in range(1, num_levels + 1))
 

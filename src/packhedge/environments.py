@@ -26,6 +26,9 @@ logger = logging.getLogger(__name__)
 
 NOISE_KINDS = ("none", "uniform", "sign")
 
+#: The refusal of a dense ``T x K`` loss matrix past ``core.MATRIX_MAX_ENTRIES``.
+_DENSE = "a dense loss matrix is too large to generate"
+
 #: The least value a generator takes for each of these keywords.
 _LEAST = {"T": 1, "K": 1, "seed": 0}
 
@@ -275,7 +278,7 @@ def make_low_rank(T: int, K: int, d: int, epsilon_noise: float, seed: int) -> Ma
     into ``[-(1 - eps), 1 - eps]`` so the noisy sum stays in range (the final
     clip is a safety net only).  Ground truth exposes ``U`` and ``W``.
     """
-    core.check_entries(T * K, f"a dense {T} x {K} loss matrix is too large to generate")
+    core.check_entries(T * K, f"environment.T x environment.K = {T} x {K}: {_DENSE}")
     if not (1 <= d <= min(T, K)):
         raise ValueError(f"d must satisfy 1 <= d <= min(T, K), got d={d}")
     if not (0.0 <= epsilon_noise <= 0.25):
@@ -302,7 +305,7 @@ def make_sparse_dictionary(
     the ``K`` code columns has ``k`` nonzeros, uniform on ``[-1, 1]``, on a
     uniformly chosen support.  Ground truth exposes ``D`` and ``V``.
     """
-    core.check_entries(T * K, f"a dense {T} x {K} loss matrix is too large to generate")
+    core.check_entries(T * K, f"environment.T x environment.K = {T} x {K}: {_DENSE}")
     # The T x n dictionary and the n x K codes are dense too.
     core.check_entries(
         max(T, K) * n,
@@ -376,14 +379,14 @@ def make_iid_stochastic(
     ``"sign"`` (+/- ``scale`` with equal probability); means plus noise must
     stay inside ``[-1, 1]``.  Ground truth exposes the true means.
     """
-    core.check_entries(T * K, f"a dense {T} x {K} loss matrix is too large to generate")
+    core.check_entries(T * K, f"environment.T x environment.K = {T} x {K}: {_DENSE}")
     if isinstance(means, (list, tuple, np.ndarray)):
         mu = np.array([core.real_number("means", x) for x in means], dtype=np.float64)
     else:
         mu = np.full(K, core.real_number("means", means))
     if mu.shape != (K,):
         raise ValueError(f"means must have length K={K}, got shape {mu.shape}")
-    if np.abs(mu).max(initial=0.0) > 1.0:
+    if not (np.abs(mu) <= 1.0).all():  # NaN fails it too
         raise ValueError("means must lie in [-1, 1]")
     if noise not in NOISE_KINDS:
         raise ValueError(f"noise must be one of {NOISE_KINDS}, got {noise!r}")

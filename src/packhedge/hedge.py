@@ -5,12 +5,13 @@ distributions stay finite for arbitrarily long games and arbitrarily large
 cumulative losses.  One kernel, :func:`exponential_weights`, plays a whole
 game in one call: a sequence of segments, each a fresh hedge over a prefix of
 the columns.  Plain hedge and the accuracy-grid meta-learner are one segment,
-and a packing game is one segment per phase, played in blocks of rounds that
-span many short phases at once.  Each block takes three steps,
-:func:`running_totals`, :func:`totals_to_weights` and
-:func:`inverse_cdf_pick`, at the rates of :func:`learning_rates`; the
-per-round hedge in ``tests/reference.py`` is the same learner one round at a
-time.
+and a packing game is one segment per phase.  Like every other pass over a
+loss matrix, the game goes in fixed blocks of rounds, ``core.block_rounds``
+of its widest segment's width, and one block may span many short phases.
+Each block takes three steps, :func:`running_totals`,
+:func:`totals_to_weights` and :func:`inverse_cdf_pick`, at the rates of
+:func:`learning_rates`; the per-round hedge in ``tests/reference.py`` is the
+same learner one round at a time.
 
 The block's two running sums, over rounds for the log-weights and over
 experts for the inverse CDF, are many independent float64 chains, and each
@@ -22,6 +23,7 @@ costs about one chain's time.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Any, Callable, Sequence
 
@@ -80,12 +82,13 @@ def exponential_weights(
     inverse CDF on the weights ``exp(lw - max lw)``, or on their
     normalisation with ``normalize``, as that hedge samples round by round.
 
-    A block reads as many rounds as fit in ``core.BLOCK_ENTRIES`` entries at
-    the width of its widest segment, in one ``rows`` call, however many
-    segments it spans.  Columns beyond a round's own width hold ``+inf``
-    log-loss, so they get zero weight; the row sums of the normalisation and
-    the expected losses are taken per segment over its exact width, since
-    zero padding regroups their pairwise sums.
+    Every block has ``core.block_rounds(max(widths))`` rounds (the last one
+    fewer), so it holds at most ``core.BLOCK_ENTRIES`` entries.  It is read
+    in one ``rows`` call at the width of the widest segment it meets, however
+    many segments it spans.  Columns beyond a round's own width hold
+    ``+inf`` log-loss, so they get zero weight; the row sums of the
+    normalisation and the expected losses are taken per segment over its
+    exact width, since zero padding regroups their pairwise sums.
 
     Returns the chosen column and the incurred loss of every round and, with
     ``expected``, the expected loss ``p @ l`` per round under the normalised
@@ -96,12 +99,20 @@ def exponential_weights(
     n = len(uniforms)
     eta = learning_rates(starts, widths, n)
     starts, widths = np.asarray(starts).tolist(), np.asarray(widths).tolist()
+    ends = starts[1:] + [n]
+    step = block_rounds(max(widths))  # rounds per block, the last one fewer
 
     chosen = np.empty(n, dtype=np.int64)
     incurred = np.empty(n, dtype=np.float64)
     means = np.empty(n, dtype=np.float64) if expected else None
     carry = None  # sum of eta_s * l_s over the rounds of a segment before the block
-    for j0, j1, width, lanes, continues in _blocks(starts, widths, n):
+    s = 0  # the segment of round j0 + 1
+    for j0 in range(0, n, step):
+        j1 = min(j0 + step, n)
+        e = bisect.bisect_left(starts, j1)  # segments s .. e - 1 meet rounds j0 + 1 .. j1
+        # Lane (a, b, k): rows a .. b - 1 of the block, over k columns.
+        lanes = [(max(starts[q], j0) - j0, min(ends[q], j1) - j0, widths[q]) for q in range(s, e)]
+        width = max(widths[s:e])
         # The block's temporaries live in _play_block only, so they are freed
         # before the next block allocates its own.
         chosen[j0:j1], incurred[j0:j1], block_means, last = _play_block(
@@ -109,35 +120,10 @@ def exponential_weights(
         )
         if means is not None:
             means[j0:j1] = block_means
-        carry = last[: lanes[-1][2]] if continues else None
+        continues = j1 < ends[e - 1]  # the last segment goes on past the block
+        carry = last[: widths[e - 1]] if continues else None
+        s = e - 1 if continues else e
     return chosen, incurred, means
-
-
-def _blocks(starts: list[int], widths: list[int], n: int):
-    """Yield ``(j0, j1, width, lanes, continues)`` for each block of rounds ``j0 + 1 .. j1``.
-
-    A block extends over the next segment while its rounds still fit in
-    ``core.BLOCK_ENTRIES`` at the width of its widest segment.  Segment ``q``
-    of the block is its own lane ``(a, b, k)``: rows ``a .. b - 1`` of the
-    block, ``k`` columns.  ``continues`` says that the last segment goes on
-    past the block.
-    """
-    ends = starts[1:] + [n]
-    s = j0 = 0  # s is the segment of round j0 + 1
-    while j0 < n:
-        width = widths[s]
-        j1 = min(ends[s], j0 + block_rounds(width))
-        e = s + 1
-        while e < len(starts) and j1 == starts[e]:
-            wider = max(width, widths[e])
-            if j0 + block_rounds(wider) <= j1:
-                break
-            width, j1 = wider, min(ends[e], j0 + block_rounds(wider))
-            e += 1
-        lanes = [(max(starts[q], j0) - j0, min(ends[q], j1) - j0, widths[q]) for q in range(s, e)]
-        continues = j1 < ends[e - 1]
-        yield j0, j1, width, lanes, continues
-        j0, s = j1, (e - 1 if continues else e)
 
 
 def running_totals(

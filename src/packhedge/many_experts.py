@@ -207,7 +207,7 @@ def packing_regret_bound(
         raise ValueError(
             f"need 1 <= phases <= final_packing, got phases={phases}, final_packing={final_packing}"
         )
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # NaN fails it too
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     return (
         2.0 * epsilon * horizon

@@ -14,6 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from packhedge import (
     analysis, cli, core, environments, many_experts, matrix_io, meta_tuner, validation,
@@ -646,7 +648,7 @@ class TestRun:
         monkeypatch.setattr(environments, "make_environment", lambda spec: pytest.fail("built"))
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "configuration error: game: horizon must be >= 2 to build a grid, got 1\n"
+            "configuration error: game: horizon T must be >= 2 to build a grid, got 1\n"
         )
 
     def test_unreadable_out_dir_is_io_error(self, tmp_path):
@@ -713,6 +715,23 @@ class TestLoadConfig:
         assert cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
         assert "not valid YAML" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("loader", [yaml.SafeLoader, cli.YAML_LOADER])
+    @pytest.mark.parametrize(
+        "text", ["game: [\n", "game: {algorithm: hedge\n", "game: {T: 5}\n\0\n"],
+        ids=["bracket", "brace", "nul"],
+    )
+    def test_invalid_yaml_is_one_line_naming_the_file(
+        self, tmp_path, monkeypatch, capsys, loader, text
+    ):
+        monkeypatch.setattr(cli, "YAML_LOADER", loader)
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config: {path}: not valid YAML (")
+        assert err.endswith(")\n") and err.count("\n") == 1
+        if text == "game: [\n":
+            assert err.endswith(", line 2, column 1)\n")
 
     @pytest.mark.parametrize("command", ["run", "sweep", "export-env"])
     def test_config_that_is_not_text_is_config_error(self, tmp_path, capsys, command):
@@ -737,6 +756,99 @@ class TestLoadConfig:
         assert capsys.readouterr().err == (
             f"configuration error: --set 'game.T={value}': not valid YAML ({problem})\n"
         )
+
+
+#: Hostile ``--set`` values, as YAML: booleans, a quoted number, +-1, 0, a
+#: fraction, NaN, +-inf, 10**30, a list, a map and null.
+HOSTILE = ["true", "false", "'5'", "1", "-1", "0", "1.5", ".nan", ".inf", "-.inf",
+           str(10**30), "[1, 2]", "{a: 1}", "null"]
+
+#: A small valid environment of each kind; ``finite_matrix`` gets an 8 x 5 binary file.
+SURFACE_ENVIRONMENTS = {
+    "finite_matrix": {},
+    "clustered_binary": {"K": 6, "N": 2},
+    "low_rank": {"K": 6, "d": 2, "epsilon_noise": 0.05},
+    "sparse_dictionary": {"K": 6, "n": 3, "k": 2, "epsilon_noise": 0.05},
+    "bounded_variation": {"K": 6},
+    "iid_stochastic": {"K": 3, "means": 0.1, "noise": "uniform", "noise_scale": 0.2},
+}
+
+#: (kind, command, field) for every generator keyword of every kind, and the
+#: ``game`` and ``sweep`` fields.
+SURFACE_FIELDS = (
+    [(kind, "run", f"environment.{name}")
+     for kind in environments.KINDS for name in environments._KEYWORDS[kind]]
+    + [("iid_stochastic", "run", f"game.{name}") for name in ("T", "epsilon", "seed", "algorithm")]
+    + [("iid_stochastic", "sweep", f"sweep.{name}")
+       for name in ("n_seeds", "epsilons", "include_meta", "environment")]
+)
+
+
+def with_every_hostile_value(test):
+    """``test`` with one explicit example per hostile value, the learners taken in turn."""
+    for i, value in enumerate(HOSTILE):
+        test = example(value=value, algorithm=core.ALGORITHMS[i % len(core.ALGORITHMS)])(test)
+    return test
+
+
+class TestConfigSurface:
+    """Every config field takes every hostile value: exit 0 or 2, never a traceback.
+
+    A ``finite_matrix`` path that names no file exits 3, as any unreadable file does.
+    """
+
+    #: Bound on the traced peak of one command: a missing size guard fails here.
+    PEAK_BYTES = 16 * 2**20
+
+    def check(self, capsys, out, kind, command, field, value, algorithm):
+        environment = {"kind": kind, **SURFACE_ENVIRONMENTS[kind]}
+        if kind == "finite_matrix":
+            environment["path"] = str(out.parent / "losses.bin")
+        config = write_config(out.parent / "config.yaml", {
+            "game": {"algorithm": algorithm, "T": 8, "epsilon": 0.25, "seed": 1},
+            "environment": environment,
+            "sweep": {"n_seeds": 1, "epsilons": [0.5], "include_meta": False},
+        })
+        argv = [command, "--config", config, "--set", f"{field}={value}", "--out-dir", str(out)]
+        if command == "sweep":
+            argv += ["--seed", "1"]  # required there; a run takes game.seed from the config
+        tracemalloc.reset_peak()
+        code = cli.main(argv)
+        assert tracemalloc.get_traced_memory()[1] < self.PEAK_BYTES, (field, value)
+        err = capsys.readouterr().err
+        if field == "environment.path" and code == EXIT_IO:
+            # A string that names no file is an I/O error, in one line naming that file.
+            assert err.startswith("I/O error: ") and err.count("\n") == 1, err
+            assert yaml.safe_load(value) in err
+            return
+        assert code in (EXIT_OK, EXIT_CONFIG), (field, value, err)
+        if code == EXIT_CONFIG:
+            assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+            name = field.rsplit(".", 1)[1]
+            assert re.search(rf"\b{name}\b", err), (field, value, err)
+        elif command == "run":
+            for name in ("summary.json", "manifest.json"):
+                json.loads((out / name).read_text(), parse_constant=pytest.fail)
+        else:
+            assert (out / "sweep.csv").exists()
+
+    @with_every_hostile_value
+    @given(
+        value=st.sampled_from(HOSTILE)
+        | st.integers(-2, 10**31).map(str)
+        | st.floats().map(lambda x: yaml.safe_dump(x).partition("\n")[0]),
+        algorithm=st.sampled_from(core.ALGORITHMS),
+    )
+    @settings(max_examples=4, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_field_takes_hostile_values(self, tmp_path_factory, capsys, value, algorithm):
+        base = tmp_path_factory.mktemp("surface")
+        matrix_io.write_matrix_binary(base / "losses.bin", game_rng(1).uniform(-1, 1, (8, 5)))
+        tracemalloc.start()
+        try:
+            for i, (kind, command, field) in enumerate(SURFACE_FIELDS):
+                self.check(capsys, base / str(i), kind, command, field, value, algorithm)
+        finally:
+            tracemalloc.stop()
 
 
 class TestLogLevel:
@@ -849,6 +961,34 @@ class TestSweep:
         assert err.startswith(f"configuration error: {field}:") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        ("overrides", "cells", "seeds"),
+        [(["sweep.n_seeds=1000000000000000000000000000000"], 2, 10**30),
+         (["sweep.n_seeds=1000", f"sweep.environment={{N: {list(range(1, 51))}, K: [20, 30]}}"],
+          200, 1000)],
+        ids=["n_seeds", "grid"],
+    )
+    def test_too_many_jobs_refused_before_any_is_built(
+        self, tmp_path, capsys, monkeypatch, overrides, cells, seeds
+    ):
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "many_experts", "T": 32, "epsilon": 0.5},
+                "environment": {"kind": "clustered_binary", "K": 20, "N": 2},
+                "sweep": {"n_seeds": 1, "epsilons": [0.5], "include_meta": True},
+            },
+        )
+        monkeypatch.setattr(cli, "_run_jobs", lambda *args: pytest.fail("a job ran"))
+        argv = ["sweep", "--config", config, "--seed", "0", "--out-dir", str(tmp_path / "out")]
+        for override in overrides:
+            argv += ["--set", override]
+        assert cli.main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: sweep.n_seeds: {cells} cells x {seeds} seeds are too many"
+            f" jobs (guard: {cli.SWEEP_MAX_JOBS} jobs)\n"
+        )
+
     def test_meta_cell_of_one_round_refused_before_any_job(self, tmp_path, capsys, monkeypatch):
         config = write_config(
             tmp_path / "config.yaml",
@@ -862,7 +1002,7 @@ class TestSweep:
         argv = ["sweep", "--config", config, "--seed", "0", "--out-dir", str(tmp_path / "out")]
         assert cli.main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "configuration error: game: horizon must be >= 2 to build a grid, got 1\n"
+            "configuration error: game: horizon T must be >= 2 to build a grid, got 1\n"
         )
         assert not (tmp_path / "out").exists()
 

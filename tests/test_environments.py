@@ -422,6 +422,12 @@ class TestIidStochastic:
         with pytest.raises(ValueError):
             make_iid_stochastic(10, 2, seed=0, **kwargs)
 
+    @pytest.mark.parametrize("means", [[float("nan"), 0.0], float("nan"), [0.0, -float("inf")]])
+    def test_mean_outside_the_range_is_named(self, means):
+        # A NaN mean fails the range check itself, not the loss matrix's later.
+        with pytest.raises(ValueError, match=r"^means must lie in \[-1, 1\]$"):
+            make_iid_stochastic(10, 2, means, seed=0)
+
 
 CHUNKED = {
     "low_rank": (make_low_rank, reference.make_low_rank),
@@ -550,7 +556,9 @@ def _read_whole(directory, fmt):
 class TestDenseSizeGuard:
     """Every array sized by the input is built at ``MATRIX_MAX_ENTRIES`` entries, refused past it."""
 
-    DENSE = "a dense 4 x 5 loss matrix is too large to generate"
+    DENSE = (
+        "environment.T x environment.K = 4 x 5: a dense loss matrix is too large to generate"
+    )
     LOAD = "{path}: a matrix of 4 x 5 entries is too large to load; runs stream binary matrix files"
     # Per site: what builds an array of ``entries`` entries, and its refusal before the guard.
     SITES = {

@@ -8,7 +8,8 @@ admissions at the first and last round, and on every oracle kind.  Small
 block sizes are patched in so that games of a few rounds cross many blocks,
 or one block spans many phases.  The kernel's segments are also checked
 directly against ``reference.segmented_hedge``, and its two paired running
-sums against the float ``cumsum`` steps in ``reference``.
+sums against the float ``cumsum`` steps in ``reference``.  A packing game's
+kernel pass reads fixed blocks of ``core.block_rounds(K_p)`` rounds.
 """
 
 import csv
@@ -170,6 +171,58 @@ class TestManyExperts:
         fast = many_experts.play_many_experts(oracle, epsilon=2.0**-7, rng=2)
         assert fast.extras["final_packing"] > 60
         assert_same(fast, reference.play_many_experts(oracle, epsilon=2.0**-7, rng=2))
+
+
+class TestFixedBlocks:
+    """A packing game's kernel pass reads fixed blocks of ``block_rounds(K_p)`` rounds."""
+
+    def kernel_reads(self, monkeypatch):
+        """Shapes of the blocks that every later kernel pass reads, in order."""
+        reads = []
+        kernel = hedge.exponential_weights
+
+        def recording(rows, *args, **kwargs):
+            def read(j0, j1, width):
+                block = rows(j0, j1, width)
+                reads.append(block.shape)
+                return block
+
+            return kernel(read, *args, **kwargs)
+
+        monkeypatch.setattr(hedge, "exponential_weights", recording)
+        return reads
+
+    def assert_fixed_blocks(self, monkeypatch, oracle, epsilon, rng):
+        reads = self.kernel_reads(monkeypatch)
+        fast = many_experts.play_many_experts(oracle, epsilon, rng=rng)
+        T = oracle.horizon()
+        # K_p, the widest phase that plays a round.
+        width = max(k for start, k in fast.extras["restarts"] if start < T)
+        step = core.block_rounds(width)
+        count = -(-T // step)
+        assert [m for m, _ in reads] == [step] * (count - 1) + [T - step * (count - 1)]
+        assert max(m * k for m, k in reads) <= core.BLOCK_ENTRIES
+        assert_same(fast, reference.play_many_experts(oracle, epsilon, rng=rng))
+        return fast, reads
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_packing_lowrank_shape(self, monkeypatch, seed):
+        oracle = environments.make_low_rank(1024, 500, 2, 0.05, seed=seed)
+        fast, _ = self.assert_fixed_blocks(monkeypatch, oracle, 2.0**-7, seed)
+        assert fast.extras["final_packing"] > 250
+
+    @pytest.mark.parametrize("entries", [core.BLOCK_ENTRIES, 600])
+    def test_late_wide_game(self, monkeypatch, entries):
+        # One active expert until all 40 are admitted at round 651: a block
+        # of the narrow phase alone is read at its own width of one column.
+        monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
+        T, K = 700, 40
+        matrix = np.tile(game_rng(9).uniform(-0.1, 0.1, (T, 1)), (1, K))
+        matrix[650:] += np.linspace(-0.9, 0.9, K)
+        oracle = environments.MatrixOracle(matrix)
+        fast, reads = self.assert_fixed_blocks(monkeypatch, oracle, 2.0**-6, 3)
+        assert fast.extras["restarts"] == [(0, 1), (651, K)]
+        assert reads[0] == (core.block_rounds(K), 1)
 
 
 class TestMeta:

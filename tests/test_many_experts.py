@@ -158,6 +158,7 @@ class TestPackingRegretBound:
             {"final_packing": 2, "phases": 0, "epsilon": 0.1, "horizon": 10},
             {"final_packing": 2, "phases": 1, "epsilon": 0.0, "horizon": 10},
             {"final_packing": 2, "phases": 1, "epsilon": 0.1, "horizon": 0},
+            {"final_packing": 2, "phases": 1, "epsilon": float("nan"), "horizon": 10},
         ],
     )
     def test_invalid_arguments(self, kwargs):
