@@ -375,7 +375,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not isinstance(include_meta, bool):
         raise ConfigError(f"sweep.include_meta: must be true or false, not {include_meta!r}")
 
-    env_sweep = sweep.get("environment") or {}
+    env_sweep = {} if sweep.get("environment") is None else sweep["environment"]
     if not isinstance(env_sweep, dict):
         raise ConfigError(f"sweep.environment: must be a mapping, not {env_sweep!r}")
     env_grid: dict[str, list[Any]] = {}
@@ -384,12 +384,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(f"sweep.environment.{key}: must be a non-empty list")
         env_grid[key] = values
     # The job count is checked before any job is built.
-    cells = math.prod(map(len, env_grid.values())) * (
+    num_cells = math.prod(map(len, env_grid.values())) * (
         len(epsilons) + (include_meta and game.algorithm != "meta_tuner")
     )
-    if cells * n_seeds > SWEEP_MAX_JOBS:
+    if num_cells * n_seeds > SWEEP_MAX_JOBS:
         raise ConfigError(
-            f"sweep.n_seeds: {cells} cells x {n_seeds} seeds are too many jobs"
+            f"sweep.n_seeds: {num_cells} cells x {n_seeds} seeds are too many jobs"
             f" (guard: {SWEEP_MAX_JOBS} jobs)"
         )
     grid_keys = sorted(env_grid)

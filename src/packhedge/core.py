@@ -33,9 +33,9 @@ BOUNDARY_SLACK = 1e-12
 #: so of the largest ``T x K`` loss matrix.  :func:`check_entries` applies it,
 #: before anything is allocated, to :meth:`LossOracle.to_matrix`, the dense
 #: generators' ``T x K`` matrices, ``clustered_binary``'s distinct rows and
-#: assignment, ``sparse_dictionary``'s dictionary and codes, the whole-file
-#: reads of :mod:`~packhedge.matrix_io`, and a :class:`GameConfig`'s
-#: per-round arrays.
+#: assignment, ``sparse_dictionary``'s dictionary and codes, CSV matrix
+#: reads (:func:`~packhedge.matrix_io.read_matrix_csv`), and a
+#: :class:`GameConfig`'s per-round arrays.
 MATRIX_MAX_ENTRIES = 50_000_000
 
 #: Entries per block of a pass over a loss matrix, so each float64 temporary

@@ -477,7 +477,9 @@ def export_environment(
     Files land next to ``out_base``: the matrix as ``<base>.<ext>``, each
     ground-truth array as ``<base>.<name>.<ext>``, and the sidecar (``spec``
     as given and the file listing) as ``<base>.json``.  Returns the written
-    paths.
+    paths.  The matrix is written from the oracle's ``rows`` a block at a
+    time, never materialized, so an export onto the binary ``finite_matrix``
+    file it streams is refused: the write would truncate the file it reads.
     """
     if fmt not in matrix_io.FORMATS:
         raise ValueError(f"format must be one of {matrix_io.FORMATS}, got {fmt!r}")
@@ -487,12 +489,15 @@ def export_environment(
     ext = "csv" if fmt == "csv" else "bin"
 
     matrix_path = base.with_suffix(f".{ext}")
-    matrix_io.save_matrix(matrix_path, oracle.to_matrix(), fmt)
+    if isinstance(oracle, MatrixFileOracle) and matrix_path.exists():
+        if matrix_path.samefile(spec.parameters["path"]):
+            raise ValueError(f"{matrix_path}: the export would write over the file it reads")
+    matrix_io.save_matrix(matrix_path, oracle, fmt)
     written = {"matrix": str(matrix_path)}
 
     for name, arr in oracle.ground_truth.items():
         gt_path = base.parent / f"{base.stem}.{name}.{ext}"
-        matrix_io.save_matrix(gt_path, np.atleast_2d(np.asarray(arr, dtype=np.float64)), fmt)
+        matrix_io.save_matrix(gt_path, arr, fmt)
         written[f"ground_truth.{name}"] = str(gt_path)
 
     sidecar = {

@@ -5,15 +5,15 @@ Binary layout: magic ``CHLM``, one version byte, ``u32 T``, ``u32 K``, then
 ``T`` rows of ``K`` comma-separated values with no header; floats are written
 with ``repr`` so both formats round-trip bit-exactly.
 
-Memory: binary writes hold the matrix only (a C-ordered little-endian
-float64 matrix is written from its own buffer, any other a block of rows at a
-time), and :func:`read_binary_rows` reads any rows of an open binary file by
-their offset, so a ``finite_matrix`` run streams a binary file a block at a
-time (``environments.MatrixFileOracle``).  CSV I/O holds the matrix plus row
-blocks of ``core.block_rounds(K)`` rows: a CSV row cannot be found by its
-offset, so a CSV file is read whole, and a read joins its blocks once, so it
-peaks near two matrices.  Whole-matrix reads of either format refuse a
-matrix above ``core.MATRIX_MAX_ENTRIES`` before they hold it.
+Memory: a matrix is written from a 2-D array or from a loss oracle's
+``rows``, a block of ``core.block_rounds(K)`` rows at a time, so a write
+holds one block beyond its source (a C-ordered little-endian float64 array
+is written from its own buffer).  :func:`read_binary_rows` reads any rows
+of an open binary file by their offset, so a binary file is only ever read
+a block at a time (``environments.MatrixFileOracle``).  A CSV row cannot be
+found by its offset, so a CSV file is read whole, in blocks joined once: a
+read peaks near two matrices, and refuses a matrix above
+``core.MATRIX_MAX_ENTRIES`` before it joins it.
 """
 
 from __future__ import annotations
@@ -34,31 +34,34 @@ _HEADER = struct.Struct("<4sBII")
 FORMATS = ("csv", "binary")
 
 
-def _as_matrix(matrix: np.ndarray) -> np.ndarray:
-    """``matrix`` as a 2-D array of any dtype and order, without a copy where it is one."""
-    m = np.atleast_2d(np.asarray(matrix))
-    if m.ndim != 2:
-        raise ValueError(f"a loss matrix must be 2-D, got shape {m.shape}")
-    return m
+def _row_blocks(source: np.ndarray | core.LossOracle) -> tuple[int, int, Iterator[np.ndarray]]:
+    """``source``'s ``T`` and ``K``, and its rows as C-ordered ``<f8`` blocks of ``block_rounds(K)``.
 
-
-def _row_blocks(m: np.ndarray) -> Iterator[np.ndarray]:
-    """The rows of 2-D ``m`` in blocks of ``core.block_rounds(K)`` rows, as C-ordered ``<f8``.
-
-    A block is a view of ``m`` where ``m`` already has that layout; otherwise
-    only that block is converted.
+    ``source`` is a loss oracle, whose blocks are what its ``rows`` returns,
+    or a 2-D array of any dtype and order, whose blocks are views where it
+    already has that layout and otherwise converted one block at a time.
     """
-    step = core.block_rounds(max(m.shape[1], 1))
-    for t0 in range(0, m.shape[0], step):
-        yield np.ascontiguousarray(m[t0 : t0 + step], dtype="<f8")
+    if isinstance(source, core.LossOracle):
+        rounds, experts, rows = source.horizon(), source.num_experts(), source.rows
+    else:
+        m = np.atleast_2d(np.asarray(source))
+        if m.ndim != 2:
+            raise ValueError(f"a loss matrix must be 2-D, got shape {m.shape}")
+        (rounds, experts), rows = m.shape, lambda t0, t1: m[t0:t1]
+    step = core.block_rounds(max(experts, 1))
+    blocks = (
+        np.ascontiguousarray(rows(t0, min(rounds, t0 + step)), dtype="<f8")
+        for t0 in range(0, rounds, step)
+    )
+    return rounds, experts, blocks
 
 
-def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
-    m = _as_matrix(matrix)
+def write_matrix_csv(path: str | Path, matrix: np.ndarray | core.LossOracle) -> None:
+    rounds, _, blocks = _row_blocks(matrix)
     with open(path, "w") as fh:  # the default encoding and newline translation, as Path.write_text
-        if m.shape[0] == 0:
+        if rounds == 0:
             fh.write("\n")  # no rows: one empty line
-        for block in _row_blocks(m):
+        for block in blocks:
             fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
 
 
@@ -118,12 +121,11 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def write_matrix_binary(path: str | Path, matrix: np.ndarray) -> None:
-    m = _as_matrix(matrix)
-    rounds, experts = m.shape
+def write_matrix_binary(path: str | Path, matrix: np.ndarray | core.LossOracle) -> None:
+    rounds, experts, blocks = _row_blocks(matrix)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, rounds, experts))
-        for block in _row_blocks(m):
+        for block in blocks:
             fh.write(block)
 
 
@@ -162,23 +164,7 @@ def read_binary_rows(fh: BinaryIO, t0: int, t1: int, experts: int) -> np.ndarray
     return block.astype(np.float64, copy=False)
 
 
-def read_matrix_binary(path: str | Path) -> np.ndarray:
-    """Read a binary matrix file straight into the returned array (one copy).
-
-    A matrix of more than ``core.MATRIX_MAX_ENTRIES`` entries is refused from
-    its header, before anything is allocated.
-    """
-    fh, rounds, experts = open_matrix_binary(path)
-    with fh:
-        core.check_entries(
-            rounds * experts,
-            f"{path}: a matrix of {rounds} x {experts} entries is too large to load;"
-            " runs stream binary matrix files",
-        )
-        return read_binary_rows(fh, 0, rounds, experts)
-
-
-def save_matrix(path: str | Path, matrix: np.ndarray, fmt: str = "csv") -> None:
+def save_matrix(path: str | Path, matrix: np.ndarray | core.LossOracle, fmt: str = "csv") -> None:
     if fmt == "csv":
         write_matrix_csv(path, matrix)
     elif fmt == "binary":
@@ -192,9 +178,3 @@ def file_format(path: str | Path) -> str:
     with open(path, "rb") as fh:
         return "binary" if fh.read(len(MAGIC)) == MAGIC else "csv"
 
-
-def load_matrix(path: str | Path) -> np.ndarray:
-    """Read a matrix file whole, in the format :func:`file_format` reads from it."""
-    if file_format(path) == "binary":
-        return read_matrix_binary(path)
-    return read_matrix_csv(path)

@@ -16,7 +16,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import analysis, environments, hedge, many_experts, meta_tuner
-from .core import LossOracle, game_rng
+from .core import GameTrajectory, LossOracle, game_rng
 
 
 @dataclass
@@ -299,14 +299,34 @@ def _meta_fixtures(run_seed: int, horizon: int) -> list[tuple[str, LossOracle]]:
     ]
 
 
+def _replays_standalone(env: LossOracle, trajectory: GameTrajectory) -> bool:
+    """Whether a meta game on ``env`` is its copies' standalone games, bit for bit.
+
+    The played expert and loss must pick the chosen copy's at every round,
+    and each copy's report must be its replay's extras and cumulative loss.
+    Each replay runs its own schedule pass, each copy its share of the grid's.
+    """
+    games = [
+        many_experts.play_many_experts(env, epsilon, rng=game_rng(trajectory.seed, r))
+        for r, epsilon in enumerate(trajectory.extras["epsilons"], start=1)
+    ]
+    picked = trajectory.extras["chosen_copy"]
+    return (
+        np.array_equal(trajectory.chosen, np.choose(picked, [g.chosen for g in games]))
+        and np.array_equal(trajectory.incurred, np.choose(picked, [g.incurred for g in games]))
+        and trajectory.extras["copy_reports"]
+        == [g.extras | {"learner_cumulative": g.learner_cumulative} for g in games]
+    )
+
+
 def validate_meta(seed: int) -> Verdict:
     """Accuracy-grid learner tracks its best copy within the meta-hedge overhead.
 
     Per fixture, the seed-averaged meta cumulative loss must not exceed the
     best copy's by more than the hedge bound ``4*sqrt(T ln R)`` over the ``R``
     copies plus three standard errors of the paired difference.  Also replays
-    the first seed's copies standalone: the played expert and loss must pick
-    theirs bit for bit, and each copy's report must be the replay's.
+    the first seed's copies standalone (:func:`_replays_standalone`), on both
+    fixtures and on the README-scale clustered instance (T=5000, K=10^5, N=8).
     """
     num_seeds, horizon = 50, 256
     grid = meta_tuner.build_grid(horizon)
@@ -321,19 +341,10 @@ def validate_meta(seed: int) -> Verdict:
             meta_cum.setdefault(name, []).append(trajectory.learner_cumulative)
             reports = trajectory.extras["copy_reports"]
             copy_cum.setdefault(name, []).append([c["learner_cumulative"] for c in reports])
-            if s > 0:
-                continue
-            # Each replay runs its own schedule pass, each copy its share of the grid's.
-            games = [
-                many_experts.play_many_experts(env, epsilon, rng=game_rng(seed, r))
-                for r, epsilon in enumerate(grid, start=1)
-            ]
-            picked = trajectory.extras["chosen_copy"]
-            equivalence_ok &= (
-                np.array_equal(trajectory.chosen, np.choose(picked, [g.chosen for g in games]))
-                and np.array_equal(trajectory.incurred, np.choose(picked, [g.incurred for g in games]))
-                and reports == [g.extras | {"learner_cumulative": g.learner_cumulative} for g in games]
-            )
+            if s == 0:
+                equivalence_ok &= _replays_standalone(env, trajectory)
+    readme = environments.make_clustered_binary(5000, 100_000, 8, seed)
+    equivalence_ok &= _replays_standalone(readme, meta_tuner.play_meta(readme, seed=seed))
 
     per_env: dict[str, dict[str, float]] = {}
     for name, copy_rows in copy_cum.items():
@@ -353,6 +364,7 @@ def validate_meta(seed: int) -> Verdict:
         (
             f"gap-to-best-copy within allowance on {len(per_env)} fixtures; "
             f"standalone replay {'bit-identical' if equivalence_ok else 'MISMATCH'}"
+            f" on {len(per_env)} fixtures and clustered_binary T=5000 K=100000"
         ),
         {
             "per_env": per_env,

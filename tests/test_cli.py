@@ -940,6 +940,11 @@ class TestSweep:
             ("sweep.epsilons=[0]", "sweep.epsilons"),
             ("sweep.include_meta=off-please", "sweep.include_meta"),
             ("sweep.environment=[1]", "sweep.environment"),
+            # Falsy values that are not a mapping: only a missing key or null is no grid.
+            ("sweep.environment=false", "sweep.environment"),
+            ("sweep.environment=0", "sweep.environment"),
+            ("sweep.environment=[]", "sweep.environment"),
+            ("sweep.environment=''", "sweep.environment"),
         ],
     )
     def test_bad_sweep_value_is_config_error(self, tmp_path, capsys, monkeypatch, override, field):
@@ -959,7 +964,25 @@ class TestSweep:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {field}:") and "Traceback" not in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["{}", "null"])
+    def test_empty_or_null_sweep_environment_is_no_grid(self, tmp_path, value):
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "many_experts", "T": 50, "epsilon": 0.5},
+                "environment": {"kind": "clustered_binary", "K": 30, "N": 2},
+                "sweep": {"n_seeds": 1, "epsilons": [0.5], "include_meta": False},
+            },
+        )
+        assert cli.main(
+            ["sweep", "--config", config, "--seed", "0", "--set", f"sweep.environment={value}",
+             "--out-dir", str(tmp_path / "out")]
+        ) == EXIT_OK
+        rows = read_rows(tmp_path / "out" / "sweep.csv")
+        assert [r["algorithm"] for r in rows] == ["many_experts", "best_epsilon"]
 
     @pytest.mark.parametrize(
         ("overrides", "cells", "seeds"),
@@ -1359,8 +1382,8 @@ class TestExportEnv:
             ["export-env", "--config", config, "--out-dir", str(tmp_path / "out"), "--format", "csv"]
         ) == EXIT_OK
         env = environments.environment_from_sidecar(tmp_path / "out" / "clustered_binary.json")
-        exported = matrix_io.load_matrix(tmp_path / "out" / "clustered_binary.csv")
-        assert np.array_equal(env.to_matrix(), exported)
+        exported = environments.load_matrix_file(tmp_path / "out" / "clustered_binary.csv")
+        assert np.array_equal(env.to_matrix(), exported.to_matrix())
 
     def test_binary_export_bit_identical(self, tmp_path):
         config = write_config(
@@ -1392,16 +1415,54 @@ class TestExportEnv:
         parameters = {k: v for k, v in environment.items() if k != "kind"}
         assert sidecar["spec"] == {"kind": "iid_stochastic", "parameters": parameters}
         env = environments.environment_from_sidecar(tmp_path / "iid_stochastic.json")
-        exported = matrix_io.load_matrix(tmp_path / "iid_stochastic.csv")
+        exported = environments.load_matrix_file(tmp_path / "iid_stochastic.csv").to_matrix()
         assert np.array_equal(env.to_matrix(), exported)
         assert np.array_equal(exported, np.full((9, 3), 0.25))
 
-    def test_oversize_readme_config_is_config_error(self, tmp_path, capsys):
-        # The README's clustered config (T=5000, K=1e5) is too large to materialise.
-        config = clustered_config(tmp_path, T=5000, K=100_000, N=8)
+    @staticmethod
+    def file_config(tmp_path):
+        """A hedge game on a 40 x 30 binary matrix file."""
+        matrix_io.write_matrix_binary(tmp_path / "source.bin", game_rng(6).uniform(-1, 1, (40, 30)))
+        return write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "hedge", "T": 40, "seed": 1},
+                "environment": {"kind": "finite_matrix", "path": str(tmp_path / "source.bin")},
+            },
+        )
+
+    @pytest.mark.parametrize("fmt", matrix_io.FORMATS)
+    @pytest.mark.parametrize("source", ["clustered", "file"])
+    def test_export_past_the_guard_writes_the_same_bytes(self, tmp_path, monkeypatch, source, fmt):
+        # The matrix is written from the oracle's rows a block at a time, so
+        # the guard on a whole matrix does not apply to it.
+        if source == "clustered":
+            config, entries = clustered_config(tmp_path, T=50, K=1000, N=8), 50 * 1000
+        else:
+            config, entries = self.file_config(tmp_path), 40 * 30
+        ext = "bin" if fmt == "binary" else "csv"
+
+        def export(out):
+            argv = ["export-env", "--config", config, "--out-dir", str(tmp_path / out)]
+            assert cli.main(argv + ["--format", fmt, "--name", "m"]) == EXIT_OK
+            return (tmp_path / out / f"m.{ext}").read_bytes()
+
+        normal = export("normal")
+        monkeypatch.setattr(core, "MATRIX_MAX_ENTRIES", entries - 1)
+        assert export("guarded") == normal
+        if source == "file" and fmt == "binary":
+            assert normal == (tmp_path / "source.bin").read_bytes()
+
+    def test_export_over_its_own_matrix_file_is_refused(self, tmp_path, capsys):
+        # Writing would truncate the file the oracle streams.
+        config = self.file_config(tmp_path)
+        before = (tmp_path / "source.bin").read_bytes()
         assert cli.main(
-            ["export-env", "--config", config, "--out-dir", str(tmp_path / "out")]
+            ["export-env", "--config", config, "--out-dir", str(tmp_path), "--format", "binary",
+             "--name", "source"]
         ) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("configuration error: export:")
-        assert "too large" in err
+        assert capsys.readouterr().err == (
+            f"configuration error: export: {tmp_path / 'source.bin'}: the export would write over"
+            " the file it reads\n"
+        )
+        assert (tmp_path / "source.bin").read_bytes() == before

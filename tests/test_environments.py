@@ -550,7 +550,7 @@ class TestChunkedGeneration:
 def _read_whole(directory, fmt):
     """Write a 4 x 5 matrix file in ``fmt`` and read it back whole."""
     matrix_io.save_matrix(directory / "m", np.zeros((4, 5)), fmt)
-    return matrix_io.load_matrix(directory / "m")
+    return environments.load_matrix_file(directory / "m").to_matrix()
 
 
 class TestDenseSizeGuard:
@@ -591,7 +591,11 @@ class TestDenseSizeGuard:
             "matrix of 4 x 5 entries is too large to materialize",
         ),
         "csv_read": (lambda directory: _read_whole(directory, "csv"), 20, LOAD),
-        "binary_read": (lambda directory: _read_whole(directory, "binary"), 20, LOAD),
+        # A binary file is streamed: only its to_matrix() holds the whole matrix.
+        "binary_read": (
+            lambda directory: _read_whole(directory, "binary"), 20,
+            "matrix of 4 x 5 entries is too large to materialize",
+        ),
         "hedge_horizon": (
             lambda _: core.GameConfig(20), 20,
             "game.T = 20: the per-round arrays of hedge are too large to play",
@@ -627,7 +631,7 @@ class TestExportAndSidecar:
         spec = EnvironmentSpec("low_rank", parameters)
         written = export_environment(spec, tmp_path / "demo", fmt="csv")
         matrix = make_environment(spec).to_matrix()
-        assert np.array_equal(matrix_io.load_matrix(written["matrix"]), matrix)
+        assert np.array_equal(environments.load_matrix_file(written["matrix"]).to_matrix(), matrix)
         assert "ground_truth.U" in written
         assert "ground_truth.E" not in written
 
@@ -635,7 +639,7 @@ class TestExportAndSidecar:
         parameters = {"T": 6, "K": 5, "n": 4, "k": 2, "epsilon_noise": 0.1, "seed": 1}
         spec = EnvironmentSpec("sparse_dictionary", parameters)
         written = export_environment(spec, tmp_path / "demo", fmt="binary")
-        reloaded = matrix_io.load_matrix(written["matrix"])
+        reloaded = environments.load_matrix_file(written["matrix"]).to_matrix()
         assert reloaded.tobytes() == make_environment(spec).to_matrix().tobytes()
 
     @pytest.mark.parametrize(
@@ -711,7 +715,7 @@ def write_binary(path, matrix):
 
 
 class TestMatrixFileOracle:
-    """The streamed binary file against the whole matrix read into a ``MatrixOracle``."""
+    """The streamed binary file against the matrix it was written from, in a ``MatrixOracle``."""
 
     @staticmethod
     def awkward_matrix(T, K, seed):
@@ -731,7 +735,7 @@ class TestMatrixFileOracle:
         matrix = self.awkward_matrix(T, K, seed=K)
         path = write_binary(tmp_path / "m.bin", matrix)
         streamed = environments.MatrixFileOracle(path)
-        whole = environments.MatrixOracle(matrix_io.load_matrix(path))
+        whole = environments.MatrixOracle(matrix)
         assert (streamed.horizon(), streamed.num_experts()) == (T, K)
         assert np.array_equal(streamed.coverage_ids(), np.arange(K))
         assert streamed.column_sums().tobytes() == whole.column_sums().tobytes()
@@ -755,7 +759,7 @@ class TestMatrixFileOracle:
             matrix[17, 3], matrix[90, 0] = 1.0 + 1e-13, -1.0 - 1e-13
         path = write_binary(tmp_path / "m.bin", matrix)
         streamed = environments.MatrixFileOracle(path)
-        whole = environments.MatrixOracle(matrix_io.load_matrix(path))
+        whole = environments.MatrixOracle(matrix)
         reads = []
         read_rows = matrix_io.read_binary_rows
 
@@ -795,7 +799,7 @@ class TestMatrixFileOracle:
         ]
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="packhedge.core"):
-            whole = environments.MatrixOracle(matrix_io.load_matrix(path))
+            whole = environments.MatrixOracle(matrix)
         assert len(caplog.records) == 1
         assert np.concatenate(blocks).tobytes() == whole.to_matrix().tobytes()
         assert streamed.rows(3, 4)[0, 7] == 1.0 and streamed.rows(399, 400)[0, 0] == -1.0
@@ -813,7 +817,7 @@ class TestMatrixFileOracle:
         with pytest.raises(ValueError, match=message):
             environments.MatrixFileOracle(path)
         with pytest.raises(ValueError, match=message):
-            environments.MatrixOracle(matrix_io.load_matrix(path))
+            environments.MatrixOracle(matrix)
 
     def test_bad_header_refused_as_a_whole_file_read_is(self, tmp_path):
         path = write_binary(tmp_path / "m.bin", np.zeros((3, 2)))

@@ -792,19 +792,13 @@ class TestBoundedMemory:
         peak = self.peak(lambda: matrix_io.write_matrix_binary(tmp_path / "m.bin", matrix))
         assert peak < self.BLOCK_BYTES
 
-    def test_hedge_dense_streams_its_matrix_file(self, tmp_path, monkeypatch):
+    def test_hedge_dense_streams_its_matrix_file(self, tmp_path):
         # The hedge_dense game on its 8 MB file: opened, played and summed a
-        # block of rows at a time, never through a whole-matrix read.
+        # block of rows at a time, never read whole.
         matrix = game_rng(2).uniform(-1.0, 1.0, (10_000, 100))
         matrix_io.write_matrix_binary(tmp_path / "m.bin", matrix)
         del matrix
         spec = environments.EnvironmentSpec("finite_matrix", {"path": str(tmp_path / "m.bin")})
-
-        def whole_file(*args):
-            raise AssertionError("a binary matrix file was read whole")
-
-        monkeypatch.setattr(matrix_io, "read_matrix_binary", whole_file)
-        monkeypatch.setattr(matrix_io, "load_matrix", whole_file)
 
         def game():
             oracle = environments.make_environment(spec)
@@ -812,6 +806,20 @@ class TestBoundedMemory:
             return analysis.empirical_regret(trajectory, oracle)
 
         assert self.peak(game) < 1.5 * 2**20
+
+    def test_export_streams_its_matrix_file(self, tmp_path):
+        # A binary file exported as binary: one block of rows at a time, so
+        # four times the rounds peak the same, within one block.
+        peaks = []
+        for rounds in (4096, 4 * 4096):
+            source = tmp_path / f"{rounds}.bin"
+            matrix_io.write_matrix_binary(source, game_rng(2).uniform(-1.0, 1.0, (rounds, 100)))
+            spec = environments.EnvironmentSpec("finite_matrix", {"path": str(source)})
+            peaks.append(
+                self.peak(lambda: environments.export_environment(spec, tmp_path / "out", "binary"))
+            )
+        assert abs(peaks[1] - peaks[0]) < self.BLOCK_BYTES
+        assert peaks[1] < 4 * self.BLOCK_BYTES
 
     def file_game_peak(self, tmp_path, shape, play):
         """Peak of ``play`` on a uniform binary matrix file of ``shape``, opened within the game."""

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from packhedge import core, matrix_io
+from packhedge import core, environments, matrix_io
 from packhedge.core import game_rng
 
 
@@ -111,7 +111,7 @@ class TestBinary:
     def test_round_trip_bit_exact(self, tmp_path):
         path = tmp_path / "m.bin"
         matrix_io.write_matrix_binary(path, AWKWARD)
-        out = matrix_io.read_matrix_binary(path)
+        out = environments.load_matrix_file(path).to_matrix()
         assert out.tobytes() == AWKWARD.tobytes()
         assert out.shape == AWKWARD.shape
 
@@ -129,7 +129,7 @@ class TestBinary:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + bytes(20))
         with pytest.raises(ValueError, match="magic"):
-            matrix_io.read_matrix_binary(path)
+            matrix_io.open_matrix_binary(path)
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -138,33 +138,31 @@ class TestBinary:
         raw[4] = 9
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="version"):
-            matrix_io.read_matrix_binary(path)
+            matrix_io.open_matrix_binary(path)
 
     def test_truncation_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         matrix_io.write_matrix_binary(path, np.zeros((2, 2)))
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(ValueError, match="size"):
-            matrix_io.read_matrix_binary(path)
+            matrix_io.open_matrix_binary(path)
 
 
 class TestSizeGuard:
-    @pytest.mark.parametrize("fmt", matrix_io.FORMATS)
-    def test_whole_file_reads_refuse_above_the_guard(self, tmp_path, monkeypatch, fmt):
+    def test_csv_reads_refuse_above_the_guard(self, tmp_path, monkeypatch):
         matrix = game_rng(4).uniform(-1, 1, size=(12_000, 3))
-        matrix_io.save_matrix(tmp_path / "m", matrix, fmt)
+        matrix_io.write_matrix_csv(tmp_path / "m", matrix)
         monkeypatch.setattr(core, "MATRIX_MAX_ENTRIES", 36_000)
-        assert matrix_io.load_matrix(tmp_path / "m").tobytes() == matrix.tobytes()
+        assert matrix_io.read_matrix_csv(tmp_path / "m").tobytes() == matrix.tobytes()
         monkeypatch.setattr(core, "MATRIX_MAX_ENTRIES", 20_000)
-        # The binary guard reads the header; the CSV one stops at the block
-        # that crosses it (the second one here), before joining anything.
-        size = "12000 x 3" if fmt == "binary" else f"{2 * core.block_rounds(3)} x 3"
+        # The read stops at the block that crosses the guard (the second one
+        # here), before joining anything.
         message = (
-            f"{tmp_path / 'm'}: a matrix of {size} entries is too large to load;"
-            " runs stream binary matrix files (guard: 20000 entries)"
+            f"{tmp_path / 'm'}: a matrix of {2 * core.block_rounds(3)} x 3 entries is too large"
+            " to load; runs stream binary matrix files (guard: 20000 entries)"
         )
         with pytest.raises(ValueError) as refused:
-            matrix_io.load_matrix(tmp_path / "m")
+            matrix_io.read_matrix_csv(tmp_path / "m")
         assert str(refused.value) == message
 
 
@@ -173,13 +171,17 @@ class TestLoadMatrix:
         path = tmp_path / "m.dat"
         matrix = game_rng(0).uniform(-1, 1, size=(4, 5))
         matrix_io.write_matrix_binary(path, matrix)
-        assert np.array_equal(matrix_io.load_matrix(path), matrix)
+        oracle = environments.load_matrix_file(path)
+        assert type(oracle) is environments.MatrixFileOracle
+        assert np.array_equal(oracle.to_matrix(), matrix)
 
     def test_sniffs_csv(self, tmp_path):
         path = tmp_path / "m.dat"
         matrix = game_rng(1).uniform(-1, 1, size=(4, 5))
         matrix_io.write_matrix_csv(path, matrix)
-        assert np.array_equal(matrix_io.load_matrix(path), matrix)
+        oracle = environments.load_matrix_file(path)
+        assert type(oracle) is environments.MatrixOracle
+        assert np.array_equal(oracle.to_matrix(), matrix)
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
@@ -203,6 +205,11 @@ LAYOUTS = {
     "int": lambda m: np.rint(m).astype(np.int64),
     "list": lambda m: m.tolist(),
 }
+
+
+def write_binary(path, matrix):
+    matrix_io.write_matrix_binary(path, matrix)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +247,7 @@ class TestStreamedIo:
             patch.setattr(core, "BLOCK_ENTRIES", entries)  # blocks of one row up to all of them
             assert_writes_reference_bytes(io_dir, matrix)
             for fmt in matrix_io.FORMATS:
-                out = matrix_io.load_matrix(io_dir / fmt)
+                out = environments.load_matrix_file(io_dir / fmt).to_matrix()
                 assert out.dtype == np.float64 and out.flags.c_contiguous
                 assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
             assert matrix_io.read_matrix_csv(io_dir / "csv").tobytes() == (
@@ -266,6 +273,29 @@ class TestStreamedIo:
     @pytest.mark.parametrize("matrix", INPUTS.values(), ids=INPUTS.keys())
     def test_odd_inputs_write_the_whole_file_bytes(self, tmp_path, matrix):
         assert_writes_reference_bytes(tmp_path, matrix)
+
+    ORACLES = {
+        "dense": lambda _: environments.make_low_rank(70, 40, 2, 0.1, seed=2),
+        "clustered": lambda _: environments.make_clustered_binary(70, 400, 5, seed=2),
+        "file": lambda path: environments.MatrixFileOracle(
+            write_binary(path, game_rng(3).uniform(-1.0, 1.0, (70, 40)))
+        ),
+    }
+
+    @pytest.mark.parametrize("entries", [core.BLOCK_ENTRIES, 100, 1])
+    @pytest.mark.parametrize("make", ORACLES.values(), ids=ORACLES.keys())
+    def test_oracles_write_their_matrix_bytes(self, tmp_path, make, entries):
+        # Written from the oracle's rows a block at a time: the bytes of its whole matrix.
+        oracle = make(tmp_path / "source.bin")
+        matrix = oracle.to_matrix()
+        for fmt in matrix_io.FORMATS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(core, "BLOCK_ENTRIES", entries)  # down to one row per block
+                matrix_io.save_matrix(tmp_path / fmt, oracle, fmt)
+            matrix_io.save_matrix(tmp_path / "whole", matrix, fmt)
+            assert (tmp_path / fmt).read_bytes() == (tmp_path / "whole").read_bytes(), fmt
+        if isinstance(oracle, environments.MatrixFileOracle):
+            assert (tmp_path / "binary").read_bytes() == (tmp_path / "source.bin").read_bytes()
 
     def test_several_blocks_read_back(self, tmp_path):
         matrix = game_rng(9).uniform(-1.0, 1.0, (700, 70))
