@@ -16,6 +16,7 @@ import itertools
 import json
 import logging
 import math
+import os
 import platform
 import sys
 import time
@@ -321,9 +322,14 @@ def _sweep_cell_run(game: GameConfig, spec: EnvironmentSpec) -> dict[str, Any]:
 def _run_jobs(jobs: list[tuple[GameConfig, EnvironmentSpec]], parallelism: int):
     """Yield ``(index, result)`` of every sweep job as it finishes.
 
-    The pool starts all its workers at once, so it is no wider than the jobs.
+    The pool starts all its workers at once, so it is no wider than the jobs
+    or than the CPUs this process may run on.
     """
-    workers = min(parallelism, len(jobs))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(parallelism, len(jobs), cpus)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_sweep_cell_run, *job): i for i, job in enumerate(jobs)}
@@ -353,6 +359,21 @@ def _aggregate(rows: list[dict[str, Any]]) -> dict[str, Any]:
         out["mean_final_packing"] = float(np.mean(packs)) if packs else None
         out["mean_phases"] = float(np.mean(phases)) if phases else None
     return out
+
+
+def _check_grid(grid: dict[str, Any], spec: EnvironmentSpec) -> None:
+    """Refuse a grid key whose values would play identical cells of ``spec``'s kind.
+
+    Such a key is one the kind does not take, or ``seed``, which each job sets.
+    """
+    for key in grid:
+        if key == "seed":
+            raise ConfigError(
+                f"sweep.environment.seed: kind {spec.kind!r} plays each job at its own seed"
+                " (--seed and sweep.n_seeds)"
+            )
+        if key != "kind" and key not in spec.arguments():
+            raise ConfigError(f"sweep.environment.{key}: kind {spec.kind!r} takes no such parameter")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -400,6 +421,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     jobs: list[tuple[GameConfig, EnvironmentSpec]] = []
     for combo in combos:
         grid = dict(zip(grid_keys, combo))
+        _check_grid(grid, build_env_spec(cfg["environment"] | grid, game))
         cells = [(game.algorithm, epsilon, epsilon) for epsilon in epsilons]
         if include_meta and game.algorithm != "meta_tuner":
             cells.append(("meta_tuner", "", 1.0))

@@ -104,28 +104,6 @@ def normalize_rng(rng: int | np.random.Generator) -> tuple[np.random.Generator, 
     raise TypeError(f"rng must be an int seed or a numpy Generator, got {type(rng)!r}")
 
 
-def uncovered_mask(
-    values: np.ndarray, reference: np.ndarray, threshold: float
-) -> np.ndarray:
-    """Which ``values`` lie farther than ``threshold`` from every ``reference`` value.
-
-    The coverage kernel of the package: ``min_s |values[i] - reference[s]| >
-    threshold`` for every ``i`` in ``O((n + m) log m)``.  Only the two sorted
-    neighbours of a value can attain the minimum, and rounded subtraction is
-    monotone, so the answer is bit-identical to the dense ``n x m`` scan.
-    The values are searched in sorted order, where consecutive searches
-    reuse the previous position; each lands where an unsorted search would.
-    """
-    ordered = np.sort(reference)
-    order = np.argsort(values)
-    pos = np.empty(values.shape, dtype=np.intp)
-    pos[order] = ordered.searchsorted(values[order])
-    padded = np.concatenate(([-np.inf], ordered, [np.inf]))
-    # padded[pos] is the largest reference below the value, padded[pos + 1]
-    # the smallest at or above it; the infinities stand in for a missing side.
-    return (values - padded[pos] > threshold) & (padded[pos + 1] - values > threshold)
-
-
 def validate_loss_matrix(matrix: np.ndarray, layout: str = "rounds x experts") -> np.ndarray:
     """Check a realized loss matrix against the ``[-1, 1]`` contract.
 
@@ -264,14 +242,7 @@ class LossOracle(ABC):
     :meth:`rows`, that serves the losses of a block of rounds; everything
     else derives from them.  :meth:`coverage_ids` (one coverage candidate per
     group of identical experts) defaults to every expert, and an oracle that
-    knows its groups, such as a clustered one, overrides it.  The hedge
-    kernel and the packing learner's schedule pass both read :meth:`rows`.
-    The schedule pass reads each block of rounds over the candidates once:
-    its certificate screens the block, and the one coverage kernel,
-    :func:`uncovered_mask`, answers a flagged round on the block's row
-    already read in ``O(K log K_p)`` for ``K`` candidates and ``K_p`` active
-    experts, so structured expert sets such as clusters never enumerate
-    every expert.
+    knows its groups, such as a clustered one, overrides it.
     """
 
     def __init__(self, horizon: int, num_experts: int) -> None:

@@ -128,8 +128,8 @@ class MatrixFileOracle(LossOracle):
         """
         T, K = self.horizon(), self.num_experts()
         sums, highs, lows = np.zeros(K), [0.0], [0.0]
-        step = core.block_rounds(K) if K > 1 else max(T, 1)
-        for t0 in range(0, T if K else 0, step):
+        step = core.block_rounds(K) if K > 1 else T
+        for t0 in range(0, T, step):
             block = self.rows(t0, min(T, t0 + step))
             highs.append(float(block.max()))
             lows.append(float(block.min()))

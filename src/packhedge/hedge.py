@@ -105,14 +105,15 @@ def exponential_weights(
     chosen = np.empty(n, dtype=np.int64)
     incurred = np.empty(n, dtype=np.float64)
     means = np.empty(n, dtype=np.float64) if expected else None
-    carry = None  # sum of eta_s * l_s over the rounds of a segment before the block
-    s = 0  # the segment of round j0 + 1
+    last = None  # the previous block's last running row
     for j0 in range(0, n, step):
         j1 = min(j0 + step, n)
+        s = bisect.bisect_right(starts, j0) - 1  # the segment of round j0 + 1
         e = bisect.bisect_left(starts, j1)  # segments s .. e - 1 meet rounds j0 + 1 .. j1
         # Lane (a, b, k): rows a .. b - 1 of the block, over k columns.
         lanes = [(max(starts[q], j0) - j0, min(ends[q], j1) - j0, widths[q]) for q in range(s, e)]
         width = max(widths[s:e])
+        carry = last[: widths[s]] if starts[s] < j0 else None  # segment s goes on from it
         # The block's temporaries live in _play_block only, so they are freed
         # before the next block allocates its own.
         chosen[j0:j1], incurred[j0:j1], block_means, last = _play_block(
@@ -120,9 +121,6 @@ def exponential_weights(
         )
         if means is not None:
             means[j0:j1] = block_means
-        continues = j1 < ends[e - 1]  # the last segment goes on past the block
-        carry = last[: widths[e - 1]] if continues else None
-        s = e - 1 if continues else e
     return chosen, incurred, means
 
 

@@ -13,11 +13,12 @@ of its phases, each phase a segment of the kernel over a prefix of the active
 set.  The schedule pass reads a block of rounds at a time and certifies
 with :func:`uncovered_rows` that the active set at the start of the block
 covers every candidate of a round; coverage only grows with the active set,
-so :func:`expand_packing`, the exact query and admission walk, runs only on
-the rounds left flagged, until the active set holds every coverage
-candidate.  When a flagged round admits no one after the set has
-grown, the block's remaining flagged rounds are certified again against the
-grown set, so one early admission does not leave the rest of a block flagged.
+so :func:`expand_packing`, the exact query by the one coverage kernel,
+:func:`uncovered_mask`, and the admission walk, runs only on the rounds left
+flagged, until the active set holds every coverage candidate.  When a
+flagged round admits no one after the set has grown, the block's remaining
+flagged rounds are certified again against the grown set, so one early
+admission does not leave the rest of a block flagged.
 The packing starts at expert 0, the first coverage candidate, and admits only
 candidates, so the pass keeps the active set as columns of the candidate
 block: each block is read once, and an exact query runs on the block's row
@@ -40,7 +41,41 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import hedge
-from .core import GameTrajectory, LossOracle, block_rounds, normalize_rng, uncovered_mask
+from .core import GameTrajectory, LossOracle, block_rounds, normalize_rng
+
+
+def _clear_of(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, threshold: float) -> np.ndarray:
+    """Which ``values`` lie farther than ``threshold`` from both ``lo`` and ``hi``.
+
+    The two-sided coverage rule for a value between the sorted neighbours
+    ``lo`` and ``hi``: only they can be its nearest reference, since rounded
+    subtraction is monotone.  :func:`uncovered_mask` applies it to each
+    value, and :func:`uncovered_rows` to each wide gap of a round, so the
+    certificate flags a round by the kernel's own expressions.
+    """
+    return (values - lo > threshold) & (hi - values > threshold)
+
+
+def uncovered_mask(
+    values: np.ndarray, reference: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Which ``values`` lie farther than ``threshold`` from every ``reference`` value.
+
+    The coverage kernel of the package: ``min_s |values[i] - reference[s]| >
+    threshold`` for every ``i`` in ``O((n + m) log m)``.  Only the two sorted
+    neighbours of a value can attain the minimum, and rounded subtraction is
+    monotone, so the answer is bit-identical to the dense ``n x m`` scan.
+    The values are searched in sorted order, where consecutive searches
+    reuse the previous position; each lands where an unsorted search would.
+    """
+    ordered = np.sort(reference)
+    order = np.argsort(values)
+    pos = np.empty(values.shape, dtype=np.intp)
+    pos[order] = ordered.searchsorted(values[order])
+    padded = np.concatenate(([-np.inf], ordered, [np.inf]))
+    # padded[pos] is the largest reference below the value, padded[pos + 1]
+    # the smallest at or above it; the infinities stand in for a missing side.
+    return _clear_of(values, padded[pos], padded[pos + 1], threshold)
 
 
 def expand_packing(
@@ -82,8 +117,8 @@ def uncovered_rows(
     are certified.  A value can only be uncovered inside a *wide gap* of its
     sorted reference row padded with ``-inf`` and ``+inf``: two neighbours at
     least ``2 * threshold`` apart, since rounded subtraction is monotone and
-    doubling is exact.  Each wide gap ``(lo, hi)`` is tested with the
-    kernel's own expressions, so a row with at most ``log2(m) + 2`` wide gaps
+    doubling is exact.  Each wide gap ``(lo, hi)`` is tested by the kernel's
+    own rule, :func:`_clear_of`, so a row with at most ``log2(m) + 2`` wide gaps
     is flagged exactly when ``uncovered_mask(values[r], reference[r],
     threshold).any()``.  A row with more, where the ``O(n * gaps)`` test
     outgrows the ``O(n log m)`` query, is flagged untested.  Each gap test
@@ -92,8 +127,8 @@ def uncovered_rows(
     width, m = values.shape[1], reference.shape[1]
     max_gaps = int(math.log2(m)) + 2
     ordered = np.sort(reference, axis=1)
-    # The two outer gaps are always wide, and by monotone subtraction the
-    # row's extreme value passes their test if any value does.
+    # The two outer gaps are always wide and open to -inf or +inf, so half the
+    # rule, on the row's extreme value (subtraction is monotone), tests each.
     flagged = (ordered[:, 0] - low > threshold) | (high - ordered[:, -1] > threshold)
     wide = np.diff(ordered, axis=1) >= 2.0 * threshold
     flagged |= np.count_nonzero(wide, axis=1) > max_gaps - 2
@@ -111,7 +146,7 @@ def uncovered_rows(
         r = gap_rows[g0 : g0 + step]
         block = values[r]
         lo, hi = lows[g0 : g0 + step, None], highs[g0 : g0 + step, None]
-        hit = ((block - lo > threshold) & (hi - block > threshold)).any(axis=1)
+        hit = _clear_of(block, lo, hi, threshold).any(axis=1)
         flagged[r[hit]] = True
     return flagged
 
@@ -169,26 +204,21 @@ def _schedule(
         low, high = values.min(axis=1), values.max(axis=1)
         for packing in growing:
             active, threshold, admitted_at, counts = packing
-            # take, not fancy indexing: a C-ordered copy keeps the certificate's row sort fast.
-            reference = values.take(active, 1)
-            rows = np.flatnonzero(uncovered_rows(values, low, high, reference, threshold))
-            counts["blocks"] += 1
-            certified = active.size
-            i = 0
-            while i < rows.size and active.size < ids.size:
-                active, added = expand_packing(values[rows[i]], active, threshold)
-                admitted_at += [t0 + int(rows[i]) + 1] * len(added)
-                counts["exact_queries"] += 1
-                i += 1
-                if added or active.size == certified or i == rows.size:
+            rows, certified, added = np.arange(values.shape[0]), 0, []  # rows still to walk
+            while rows.size and active.size < ids.size:
+                if not added and active.size > certified:
+                    sub = rows if certified else slice(None)  # first: all of values, no copy
+                    block = values[sub]
+                    # take, not fancy indexing: a C-ordered copy keeps the certificate's row sort fast.
+                    reference = block.take(active, 1)
+                    rows = rows[uncovered_rows(block, low[sub], high[sub], reference, threshold)]
+                    counts["recertifications" if certified else "blocks"] += 1
+                    certified = active.size
                     continue
-                rows = rows[i:]
-                block = values[rows]
-                reference = block.take(active, 1)
-                rows = rows[uncovered_rows(block, low[rows], high[rows], reference, threshold)]
-                i = 0
-                certified = active.size
-                counts["recertifications"] += 1
+                active, added = expand_packing(values[rows[0]], active, threshold)
+                admitted_at += [t0 + int(rows[0]) + 1] * len(added)
+                counts["exact_queries"] += 1
+                rows = rows[1:]
             packing[0] = active
     return [(ids[active], admitted_at, counts) for active, _, admitted_at, counts in packings]
 

@@ -130,7 +130,10 @@ def write_matrix_binary(path: str | Path, matrix: np.ndarray | core.LossOracle) 
 
 
 def open_matrix_binary(path: str | Path) -> tuple[BinaryIO, int, int]:
-    """Open a binary matrix file and check its header and size; return ``(file, T, K)``."""
+    """Open a binary matrix file and check its header and size; return ``(file, T, K)``.
+
+    A header of no rows or no columns is refused: a loss matrix has at least one of each.
+    """
     fh = open(path, "rb")
     try:
         header = fh.read(_HEADER.size)
@@ -141,6 +144,8 @@ def open_matrix_binary(path: str | Path) -> tuple[BinaryIO, int, int]:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
         if version != VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
+        if rounds == 0 or experts == 0:
+            raise ValueError(f"{path}: a {rounds} x {experts} matrix has no losses")
         size = os.fstat(fh.fileno()).st_size
         expected = _HEADER.size + 8 * rounds * experts
         if size != expected:

@@ -44,8 +44,8 @@ from packhedge.core import (
     LossOracle,
     game_rng,
     normalize_rng,
-    uncovered_mask,
 )
+from packhedge.many_experts import uncovered_mask
 from packhedge.meta_tuner import build_grid
 
 

@@ -541,25 +541,26 @@ class TestRun:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
-        ("shape", "algorithm", "message"),
-        [((0, 3), "hedge", "environment.T: horizon 0 must equal game.T 4"),
-         ((4, 0), "hedge", "game: need at least one segment of at least one expert, got widths [0]"),
-         ((4, 0), "many_experts", "game: coverage_ids() must start at expert 0, got []")],
+        ("shape", "algorithm"),
+        [((0, 3), "hedge"), ((4, 0), "hedge"), ((4, 0), "many_experts"), ((4, 0), "meta_tuner")],
     )
-    def test_binary_file_without_rows_or_columns(
-        self, tmp_path, capsys, shape, algorithm, message
-    ):
-        matrix_io.write_matrix_binary(tmp_path / "losses.bin", np.zeros(shape))
+    def test_binary_file_without_rows_or_columns(self, tmp_path, capsys, shape, algorithm):
+        # The file is refused when it is opened, before any learner or export reads it.
+        path = tmp_path / "losses.bin"
+        matrix_io.write_matrix_binary(path, np.zeros(shape))
         config = write_config(
             tmp_path / "config.yaml",
             {
                 "game": {"algorithm": algorithm, "T": 4, "epsilon": 0.5, "seed": 0},
-                "environment": {"kind": "finite_matrix", "path": str(tmp_path / "losses.bin")},
+                "environment": {"kind": "finite_matrix", "path": str(path)},
             },
         )
-        argv = ["run", "--config", config, "--out-dir", str(tmp_path / "out")]
-        assert cli.main(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        message = f"{path}: a {shape[0]} x {shape[1]} matrix has no losses"
+        for command, field in (("run", "environment"), ("export-env", "export")):
+            argv = [command, "--config", config, "--out-dir", str(tmp_path / command)]
+            assert cli.main(argv) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"configuration error: {field}: {message}\n"
+            assert not (tmp_path / command).exists()
 
     def test_matrix_files_above_the_guard(self, tmp_path, monkeypatch, capsys):
         # A binary file streams, so a run plays it; a CSV file is read whole and refused.
@@ -945,6 +946,9 @@ class TestSweep:
             ("sweep.environment=0", "sweep.environment"),
             ("sweep.environment=[]", "sweep.environment"),
             ("sweep.environment=''", "sweep.environment"),
+            # A key the kind does not take, or the seed each job sets, plays identical cells.
+            ("sweep.environment={M: [2, 4]}", "sweep.environment.M"),
+            ("sweep.environment={seed: [1, 2]}", "sweep.environment.seed"),
         ],
     )
     def test_bad_sweep_value_is_config_error(self, tmp_path, capsys, monkeypatch, override, field):
@@ -966,6 +970,29 @@ class TestSweep:
         assert err.startswith(f"configuration error: {field}:") and "Traceback" not in err
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_grid_over_path_plays_each_file(self, tmp_path, capsys):
+        # path is the one parameter of finite_matrix; a key it does not take is refused.
+        paths = [str(tmp_path / f"m{seed}.bin") for seed in (1, 2)]
+        for seed, path in zip((1, 2), paths):
+            matrix_io.write_matrix_binary(path, game_rng(seed).uniform(-1.0, 1.0, (16, 3)))
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "many_experts", "T": 16, "epsilon": 0.5},
+                "environment": {"kind": "finite_matrix", "path": paths[0]},
+                "sweep": {"n_seeds": 1, "epsilons": [0.5], "include_meta": False},
+            },
+        )
+        argv = ["sweep", "--config", config, "--seed", "0", "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv + ["--set", "sweep.environment={K: [2, 3]}"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: sweep.environment.K: kind 'finite_matrix' takes no such parameter\n"
+        )
+        assert cli.main(argv + ["--set", f"sweep.environment={{path: [{', '.join(paths)}]}}"]) == EXIT_OK
+        rows = read_rows(tmp_path / "out" / "sweep.csv")[:2]
+        assert [row["path"] for row in rows] == paths
+        assert rows[0]["mean_regret"] != rows[1]["mean_regret"]
 
     @pytest.mark.parametrize("value", ["{}", "null"])
     def test_empty_or_null_sweep_environment_is_no_grid(self, tmp_path, value):
@@ -1133,10 +1160,13 @@ class TestSweep:
             ) == EXIT_OK
         assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
 
-    @pytest.mark.parametrize(("parallelism", "n_seeds", "widths"), [("64", 2, [2]), ("4", 1, [])])
+    @pytest.mark.parametrize(
+        ("parallelism", "n_seeds", "widths"), [("64", 2, [2]), ("4", 1, []), ("1000000", 4, [3])]
+    )
     def test_pool_is_no_wider_than_the_seed_runs(
         self, tmp_path, monkeypatch, parallelism, n_seeds, widths
     ):
+        # Nor than the CPUs the process may use, patched to 3: no process is started.
         started = []
 
         class RecordingPool:
@@ -1157,6 +1187,8 @@ class TestSweep:
                 return future
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         config = write_config(
             tmp_path / "config.yaml",
             {
@@ -1165,11 +1197,14 @@ class TestSweep:
                 "sweep": {"n_seeds": n_seeds, "epsilons": [0.5], "include_meta": False},
             },
         )
-        assert cli.main(
-            ["sweep", "--config", config, "--seed", "0", "--parallelism", parallelism,
-             "--out-dir", str(tmp_path / "out")]
-        ) == EXIT_OK
+        for name, width in (("pooled", parallelism), ("serial", "1")):
+            assert cli.main(
+                ["sweep", "--config", config, "--seed", "0", "--parallelism", width,
+                 "--out-dir", str(tmp_path / name)]
+            ) == EXIT_OK
         assert started == widths
+        sweeps = [(tmp_path / name / "sweep.csv").read_bytes() for name in ("pooled", "serial")]
+        assert sweeps[0] == sweeps[1]
 
     @pytest.mark.parametrize("parallelism", ["0", "-3"])
     def test_parallelism_below_one_is_config_error(self, tmp_path, capsys, monkeypatch, parallelism):

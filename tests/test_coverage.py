@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from packhedge import cli, core, environments, many_experts, meta_tuner
-from packhedge.core import game_rng, uncovered_mask
-from packhedge.many_experts import expand_packing, uncovered_rows
+from packhedge.core import game_rng
+from packhedge.many_experts import expand_packing, uncovered_mask, uncovered_rows
 from reference import LossOnlyOracle, Prefix, first_uncovered
 
 
