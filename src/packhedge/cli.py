@@ -108,9 +108,13 @@ def build_env_spec(env: Any, game: GameConfig) -> EnvironmentSpec:
     if env["kind"] != "finite_matrix":
         parameters.setdefault("seed", game.seed)
     try:
-        return EnvironmentSpec(str(env["kind"]), parameters)
+        spec = EnvironmentSpec(str(env["kind"]), parameters)
+        T = spec.arguments().get("T", game.T)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if T != game.T:
+        raise ConfigError(f"environment.T: horizon {T} must equal game.T {game.T}")
+    return spec
 
 
 def _load(args: argparse.Namespace) -> tuple[dict[str, Any], GameConfig, EnvironmentSpec]:
@@ -291,16 +295,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _build_oracle(env_spec: EnvironmentSpec, horizon: int):
-    # A generator's T is checked before it runs, a matrix file's once it is read.
-    T = env_spec.arguments().get("T", horizon)
-    if T == horizon:
-        try:
-            oracle = environments.make_environment(env_spec)
-        except ValueError as exc:
-            raise ConfigError(f"environment: {exc}") from exc
-        T = oracle.horizon()
-    if T != horizon:
-        raise ConfigError(f"environment.T: horizon {T} must equal game.T {horizon}")
+    # A generator's T was checked with its spec; a matrix file's is known once it is read.
+    try:
+        oracle = environments.make_environment(env_spec)
+    except ValueError as exc:
+        raise ConfigError(f"environment: {exc}") from exc
+    if oracle.horizon() != horizon:
+        raise ConfigError(f"environment.T: horizon {oracle.horizon()} must equal game.T {horizon}")
     return oracle
 
 
@@ -364,7 +365,9 @@ def _aggregate(rows: list[dict[str, Any]]) -> dict[str, Any]:
 def _check_grid(grid: dict[str, Any], spec: EnvironmentSpec) -> None:
     """Refuse a grid key whose values would play identical cells of ``spec``'s kind.
 
-    Such a key is one the kind does not take, or ``seed``, which each job sets.
+    Such a key is one the kind does not take, or ``seed``, which each job
+    sets; a ``T`` other than ``game.T`` was refused when ``spec`` was built,
+    and several epsilons for the meta-tuner before the grid is read.
     """
     for key in grid:
         if key == "seed":
@@ -392,41 +395,38 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     epsilons = sweep.get("epsilons", [game.epsilon])
     if not isinstance(epsilons, list) or not epsilons:
         raise ConfigError("sweep.epsilons: must be a non-empty list")
+    if game.algorithm == "meta_tuner" and len(epsilons) > 1:
+        raise ConfigError("sweep.epsilons: the meta-tuner reads no epsilon, so give one value")
     include_meta = sweep.get("include_meta", True)
     if not isinstance(include_meta, bool):
         raise ConfigError(f"sweep.include_meta: must be true or false, not {include_meta!r}")
+    cells = [(game.algorithm, epsilon, epsilon) for epsilon in epsilons]
+    if include_meta and game.algorithm != "meta_tuner":
+        cells.append(("meta_tuner", "", 1.0))
 
-    env_sweep = {} if sweep.get("environment") is None else sweep["environment"]
-    if not isinstance(env_sweep, dict):
-        raise ConfigError(f"sweep.environment: must be a mapping, not {env_sweep!r}")
-    env_grid: dict[str, list[Any]] = {}
-    for key, values in env_sweep.items():
+    grid = {} if sweep.get("environment") is None else sweep["environment"]
+    if not isinstance(grid, dict):
+        raise ConfigError(f"sweep.environment: must be a mapping, not {grid!r}")
+    for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.environment.{key}: must be a non-empty list")
-        env_grid[key] = values
     # The job count is checked before any job is built.
-    num_cells = math.prod(map(len, env_grid.values())) * (
-        len(epsilons) + (include_meta and game.algorithm != "meta_tuner")
-    )
+    num_cells = math.prod(map(len, grid.values())) * len(cells)
     if num_cells * n_seeds > SWEEP_MAX_JOBS:
         raise ConfigError(
             f"sweep.n_seeds: {num_cells} cells x {n_seeds} seeds are too many jobs"
             f" (guard: {SWEEP_MAX_JOBS} jobs)"
         )
-    grid_keys = sorted(env_grid)
-    combos = list(itertools.product(*(env_grid[k] for k in grid_keys))) or [()]
+    grid_keys = sorted(grid)
 
     # Cell c is row c of sweep.csv; job i plays one seed of cell i // n_seeds.
     labels: list[dict[str, Any]] = []
     jobs: list[tuple[GameConfig, EnvironmentSpec]] = []
-    for combo in combos:
-        grid = dict(zip(grid_keys, combo))
-        _check_grid(grid, build_env_spec(cfg["environment"] | grid, game))
-        cells = [(game.algorithm, epsilon, epsilon) for epsilon in epsilons]
-        if include_meta and game.algorithm != "meta_tuner":
-            cells.append(("meta_tuner", "", 1.0))
+    for combo in itertools.product(*(grid[k] for k in grid_keys)):
+        values = dict(zip(grid_keys, combo))
+        _check_grid(values, build_env_spec(cfg["environment"] | values, game))
         for algorithm, label, epsilon in cells:
-            labels.append({"algorithm": algorithm, "epsilon": label, **grid})
+            labels.append({"algorithm": algorithm, "epsilon": label, **values})
             for seed in range(game.seed, game.seed + n_seeds):
                 try:
                     cell_game = GameConfig(game.T, epsilon, seed, algorithm)
@@ -434,25 +434,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     # A meta cell's accuracy is fixed: only its T x R feedback can be refused.
                     field = "game" if label == "" else "sweep.epsilons"
                     raise ConfigError(f"{field}: {exc}") from exc
-                environment = cfg["environment"] | grid | {"seed": seed}
+                environment = cfg["environment"] | values | {"seed": seed}
                 jobs.append((cell_game, build_env_spec(environment, cell_game)))
 
     # Progress is logged per cell as its seeds finish; sweep.csv keeps cell order.
     names = [", ".join(f"{k}={v}" for k, v in label.items()) for label in labels]
     results: list[dict[str, Any] | None] = [None] * len(jobs)
+    done, failed = [0] * len(labels), [0] * len(labels)
     for index, result in _run_jobs(jobs, args.parallelism):
         results[index] = result
         c = index // n_seeds
-        done = [r for r in results[c * n_seeds : (c + 1) * n_seeds] if r is not None]
-        failed = sum(r["error"] is not None for r in done)
-        if result["error"] is not None and failed == 1:
+        done[c] += 1
+        failed[c] += result["error"] is not None
+        if result["error"] is not None and failed[c] == 1:
             logger.warning(
                 "sweep cell %d/%d (%s) failed: %s", c + 1, len(labels), names[c], result["error"]
             )
-        if len(done) == n_seeds:
+        if done[c] == n_seeds:
             logger.info(
                 "sweep cell %d/%d (%s) finished: %d of %d seeds failed",
-                c + 1, len(labels), names[c], failed, n_seeds,
+                c + 1, len(labels), names[c], failed[c], n_seeds,
             )
     rows = [
         label | _aggregate(results[c * n_seeds : (c + 1) * n_seeds])
@@ -461,11 +462,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     # Best accuracy in hindsight per environment combo, for the meta comparison;
     # each combo's cells are consecutive.
-    per_combo = len(rows) // len(combos)
-    for start in range(0, len(rows), per_combo):
+    for start in range(0, len(labels), len(cells)):
         candidates = [
             row
-            for row in rows[start : start + per_combo]
+            for row in rows[start : start + len(cells)]
             if row["algorithm"] == game.algorithm and row.get("mean_regret") is not None
         ]
         if candidates:
@@ -475,19 +475,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = out_dir / "sweep.csv"
-    columns = (
-        ["algorithm", "epsilon"]
-        + grid_keys
-        + [
-            "n_seeds",
-            "n_failures",
-            "mean_regret",
-            "stderr_regret",
-            "mean_final_packing",
-            "mean_phases",
-            "error",
-        ]
-    )
+    columns = ["algorithm", "epsilon", *grid_keys, "n_seeds", "n_failures", "mean_regret",
+               "stderr_regret", "mean_final_packing", "mean_phases", "error"]
     with open(sweep_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()

@@ -30,7 +30,7 @@ NOISE_KINDS = ("none", "uniform", "sign")
 _DENSE = "a dense loss matrix is too large to generate"
 
 #: The least value a generator takes for each of these keywords.
-_LEAST = {"T": 1, "K": 1, "seed": 0}
+_LEAST = {"T": 1, "K": 1, "n": 1, "seed": 0}
 
 
 @dataclass
@@ -312,6 +312,8 @@ def make_sparse_dictionary(
         f"environment.n = {n}: the {T} x {n} dictionary and {n} x {K} codes are too large"
         " to generate",
     )
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if not (0.0 <= epsilon_noise <= 0.25):

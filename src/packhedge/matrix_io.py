@@ -40,6 +40,7 @@ def _row_blocks(source: np.ndarray | core.LossOracle) -> tuple[int, int, Iterato
     ``source`` is a loss oracle, whose blocks are what its ``rows`` returns,
     or a 2-D array of any dtype and order, whose blocks are views where it
     already has that layout and otherwise converted one block at a time.
+    A source of no rows or no columns is refused, as the readers refuse it.
     """
     if isinstance(source, core.LossOracle):
         rounds, experts, rows = source.horizon(), source.num_experts(), source.rows
@@ -48,7 +49,9 @@ def _row_blocks(source: np.ndarray | core.LossOracle) -> tuple[int, int, Iterato
         if m.ndim != 2:
             raise ValueError(f"a loss matrix must be 2-D, got shape {m.shape}")
         (rounds, experts), rows = m.shape, lambda t0, t1: m[t0:t1]
-    step = core.block_rounds(max(experts, 1))
+    if rounds == 0 or experts == 0:
+        raise ValueError(f"a {rounds} x {experts} matrix has no losses")
+    step = core.block_rounds(experts)
     blocks = (
         np.ascontiguousarray(rows(t0, min(rounds, t0 + step)), dtype="<f8")
         for t0 in range(0, rounds, step)
@@ -57,10 +60,8 @@ def _row_blocks(source: np.ndarray | core.LossOracle) -> tuple[int, int, Iterato
 
 
 def write_matrix_csv(path: str | Path, matrix: np.ndarray | core.LossOracle) -> None:
-    rounds, _, blocks = _row_blocks(matrix)
+    _, _, blocks = _row_blocks(matrix)
     with open(path, "w") as fh:  # the default encoding and newline translation, as Path.write_text
-        if rounds == 0:
-            fh.write("\n")  # no rows: one empty line
         for block in blocks:
             fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
 

@@ -7,8 +7,10 @@ import math
 import os
 import platform
 import re
+import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -546,8 +548,9 @@ class TestRun:
     )
     def test_binary_file_without_rows_or_columns(self, tmp_path, capsys, shape, algorithm):
         # The file is refused when it is opened, before any learner or export reads it.
+        # The writers refuse such a matrix, so the header is written here.
         path = tmp_path / "losses.bin"
-        matrix_io.write_matrix_binary(path, np.zeros(shape))
+        path.write_bytes(struct.pack("<4sBII", matrix_io.MAGIC, matrix_io.VERSION, *shape))
         config = write_config(
             tmp_path / "config.yaml",
             {
@@ -591,6 +594,8 @@ class TestRun:
              "environment.T must be >= 1, got 0"),
             ({"kind": "sparse_dictionary", "K": 12, "n": 4, "k": 2, "epsilon_noise": 0.05},
              "environment.K=0", "environment.K must be >= 1, got 0"),
+            ({"kind": "sparse_dictionary", "K": 12, "n": 4, "k": 0, "epsilon_noise": 0.05},
+             "environment.n=0", "environment.n must be >= 1, got 0"),
             ({"kind": "low_rank", "K": 12, "d": 2, "epsilon_noise": 0.05},
              "environment.K=-1", "environment.K must be >= 1, got -1"),
             ({"kind": "bounded_variation", "K": 12}, "environment.seed=-3.0",
@@ -606,10 +611,12 @@ class TestRun:
             tmp_path / "config.yaml",
             {"game": {"algorithm": "hedge", "T": 20, "seed": 3}, "environment": environment},
         )
-        argv = ["run", "--config", config, "--set", override, "--out-dir", str(tmp_path / "out")]
-        assert cli.main(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"configuration error: {message}\n"
-        assert not (tmp_path / "out").exists()
+        for command in ("run", "export-env"):
+            argv = [command, "--config", config, "--set", override]
+            argv += ["--out-dir", str(tmp_path / "out")]
+            assert cli.main(argv) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"configuration error: {message}\n"
+            assert not (tmp_path / "out").exists()
 
     def test_readme_shape_low_rank_is_config_error(self, tmp_path, monkeypatch, capsys):
         # T x K = 5e8 entries: the generator refuses before it draws or allocates anything.
@@ -949,6 +956,10 @@ class TestSweep:
             # A key the kind does not take, or the seed each job sets, plays identical cells.
             ("sweep.environment={M: [2, 4]}", "sweep.environment.M"),
             ("sweep.environment={seed: [1, 2]}", "sweep.environment.seed"),
+            # A horizon other than game.T, and the meta-tuner, which reads no epsilon.
+            ("sweep.environment={T: [32, 64]}", "environment.T"),
+            pytest.param(("game.algorithm=meta_tuner", "sweep.epsilons=[0.5, 0.25]"),
+                         "sweep.epsilons", id="meta_tuner-sweep.epsilons=[0.5, 0.25]"),
         ],
     )
     def test_bad_sweep_value_is_config_error(self, tmp_path, capsys, monkeypatch, override, field):
@@ -961,11 +972,10 @@ class TestSweep:
             },
         )
         monkeypatch.setattr(cli, "_run_jobs", lambda *args: pytest.fail("a job ran"))
-        code = cli.main(
-            ["sweep", "--config", config, "--seed", "0", "--set", override,
-             "--out-dir", str(tmp_path / "out")]
-        )
-        assert code == EXIT_CONFIG
+        argv = ["sweep", "--config", config, "--seed", "0", "--out-dir", str(tmp_path / "out")]
+        for item in [override] if isinstance(override, str) else override:
+            argv += ["--set", item]
+        assert cli.main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {field}:") and "Traceback" not in err
         assert err.count("\n") == 1
@@ -1038,6 +1048,34 @@ class TestSweep:
             f"configuration error: sweep.n_seeds: {cells} cells x {seeds} seeds are too many"
             f" jobs (guard: {cli.SWEEP_MAX_JOBS} jobs)\n"
         )
+
+    def test_cost_grows_linearly_with_the_seeds(self, tmp_path, monkeypatch):
+        # Jobs that finish at once leave the sweep's own work: building the jobs,
+        # counting each cell's progress and aggregating.  Four times the seeds
+        # cost about four times as much; a per-result rescan of the cell's seeds
+        # would cost about sixteen times.
+        ready = {"regret": 0.0, "final_packing": None, "phases": None, "error": None}
+        monkeypatch.setattr(
+            cli, "_run_jobs", lambda jobs, _: ((i, ready) for i in range(len(jobs)))
+        )
+        config = write_config(
+            tmp_path / "config.yaml",
+            {
+                "game": {"algorithm": "hedge", "T": 4},
+                "environment": {"kind": "iid_stochastic", "K": 2, "means": 0.0},
+                "sweep": {"include_meta": False},
+            },
+        )
+
+        def cost(n_seeds):
+            argv = ["sweep", "--config", config, "--seed", "0", "--set", f"sweep.n_seeds={n_seeds}",
+                    "--out-dir", str(tmp_path / "out")]
+            started = time.perf_counter()
+            assert cli.main(argv) == EXIT_OK
+            return time.perf_counter() - started
+
+        small, large = (min(cost(n) for _ in range(3)) for n in (2000, 8000))
+        assert large < 8 * small
 
     def test_meta_cell_of_one_round_refused_before_any_job(self, tmp_path, capsys, monkeypatch):
         config = write_config(

@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import re
+import struct
 from math import comb
 
 import numpy as np
@@ -332,6 +333,10 @@ class TestSparseDictionary:
     def test_invalid_sparsity(self):
         with pytest.raises(ValueError, match="k"):
             make_sparse_dictionary(5, 5, 3, 4, 0.1, seed=0)
+
+    def test_empty_dictionary_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            make_sparse_dictionary(5, 5, 0, 0, 0.1, seed=0)
 
     @pytest.mark.parametrize(
         ("T", "K", "n"), [(50_000_000, 1, 2), (1, 50_000_000, 2), (3, 4, 10**12)]
@@ -783,7 +788,9 @@ class TestMatrixFileOracle:
     @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0), (0, 1)])
     def test_no_rows_or_no_columns(self, tmp_path, shape):
         # A loss matrix has at least one row and one column: the header is refused.
-        path = write_binary(tmp_path / "m.bin", np.zeros(shape))
+        # The writers refuse such a matrix, so the header is written here.
+        path = tmp_path / "m.bin"
+        path.write_bytes(struct.pack("<4sBII", matrix_io.MAGIC, matrix_io.VERSION, *shape))
         with pytest.raises(ValueError, match=re.escape(f"{path}: a {shape[0]} x {shape[1]} matrix")):
             environments.MatrixFileOracle(path)
 

@@ -95,11 +95,6 @@ class TestCsv:
             out = matrix_io.read_matrix_csv(path)
             assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
 
-    def test_empty_matrix_is_one_newline(self, tmp_path):
-        path = tmp_path / "m.csv"
-        matrix_io.write_matrix_csv(path, np.zeros((0, 3)))
-        assert path.read_bytes() == b"\n"
-
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("\n")
@@ -259,8 +254,6 @@ class TestStreamedIo:
     INPUTS = {
         "shape-1d": np.array([0.5, -0.0, 5e-324]),
         "scalar": np.float64(-0.0),
-        "no-rows": np.zeros((0, 4)),
-        "no-columns": np.zeros((3, 0)),
         "non-finite": np.array([[np.inf, -np.inf, np.nan], [1.0, -1.0, 0.0]]),
     }
 
@@ -273,6 +266,14 @@ class TestStreamedIo:
     @pytest.mark.parametrize("matrix", INPUTS.values(), ids=INPUTS.keys())
     def test_odd_inputs_write_the_whole_file_bytes(self, tmp_path, matrix):
         assert_writes_reference_bytes(tmp_path, matrix)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0)], ids=["no-rows", "no-columns"])
+    def test_empty_inputs_are_refused(self, tmp_path, shape):
+        # No reader takes a matrix without losses, so no writer makes one.
+        for fmt in matrix_io.FORMATS:
+            with pytest.raises(ValueError, match=f"a {shape[0]} x {shape[1]} matrix has no losses"):
+                matrix_io.save_matrix(tmp_path / fmt, np.zeros(shape), fmt)
+            assert not (tmp_path / fmt).exists()
 
     ORACLES = {
         "dense": lambda _: environments.make_low_rank(70, 40, 2, 0.1, seed=2),
