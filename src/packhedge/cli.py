@@ -28,7 +28,7 @@ import yaml
 
 from . import __version__, analysis, environments, hedge, many_experts, matrix_io
 from . import meta_tuner, validation
-from .core import GameConfig, GameTrajectory, whole_number
+from .core import ConfigError, GameConfig, GameTrajectory, whole_number
 from .environments import EnvironmentSpec
 
 EXIT_OK = 0
@@ -48,10 +48,6 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # Named, not ``__name__``: under ``python -m packhedge.cli`` that is ``__main__``.
 logger = logging.getLogger("packhedge.cli")
-
-
-class ConfigError(Exception):
-    """Invalid or incomplete configuration; the message names the field."""
 
 
 # ----------------------------------------------------------------------------
@@ -109,7 +105,7 @@ def build_env_spec(env: Any, game: GameConfig) -> EnvironmentSpec:
         parameters.setdefault("seed", game.seed)
     try:
         spec = EnvironmentSpec(str(env["kind"]), parameters)
-        T = spec.arguments().get("T", game.T)
+        T = whole_number("environment.T", parameters["T"], 1)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if T != game.T:
@@ -259,7 +255,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         mark = now
 
     _, game, env_spec = _load(args)
-    oracle = _build_oracle(env_spec, game.T)
+    oracle = _build_oracle(env_spec)
     stage_done("environment")
 
     out_dir = Path(args.out_dir)
@@ -294,30 +290,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_oracle(env_spec: EnvironmentSpec, horizon: int):
-    # A generator's T was checked with its spec; a matrix file's is known once it is read.
+def _build_oracle(env_spec: EnvironmentSpec):
     try:
-        oracle = environments.make_environment(env_spec)
+        return environments.make_environment(env_spec)
     except ValueError as exc:
         raise ConfigError(f"environment: {exc}") from exc
-    if oracle.horizon() != horizon:
-        raise ConfigError(f"environment.T: horizon {oracle.horizon()} must equal game.T {horizon}")
-    return oracle
 
 
 def _sweep_cell_run(game: GameConfig, spec: EnvironmentSpec) -> dict[str, Any]:
     """One seeded run of a sweep cell (worker-pool entry point)."""
     try:
-        oracle = _build_oracle(spec, game.T)
-        summary = build_summary(_play(game, oracle), oracle, game, spec)
-        return {
-            "regret": summary["regret"],
-            "final_packing": summary["K_p"],
-            "phases": summary["p"],
-            "error": None,
-        }
+        oracle = _build_oracle(spec)
+        trajectory = _play(game, oracle)
+        trajectory.validate()
+        summary = build_summary(trajectory, oracle, game, spec)
     except Exception as exc:  # per-cell failures are recorded, not fatal
         return {"regret": None, "final_packing": None, "phases": None, "error": str(exc)}
+    return {"regret": summary["regret"], "final_packing": summary["K_p"], "phases": summary["p"],
+            "error": None}
 
 
 def _run_jobs(jobs: list[tuple[GameConfig, EnvironmentSpec]], parallelism: int):
@@ -424,7 +414,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     jobs: list[tuple[GameConfig, EnvironmentSpec]] = []
     for combo in itertools.product(*(grid[k] for k in grid_keys)):
         values = dict(zip(grid_keys, combo))
-        _check_grid(values, build_env_spec(cfg["environment"] | values, game))
+        spec = build_env_spec(cfg["environment"] | values, game)
+        _check_grid(values, spec)
+        if spec.kind == "finite_matrix":
+            _build_oracle(spec)  # every seed plays this file: its height is checked once, here
         for algorithm, label, epsilon in cells:
             labels.append({"algorithm": algorithm, "epsilon": label, **values})
             for seed in range(game.seed, game.seed + n_seeds):

@@ -141,6 +141,10 @@ def must_clamp(high: float, low: float) -> bool:
     return False
 
 
+class ConfigError(Exception):
+    """Invalid or incomplete configuration; the message names the field."""
+
+
 @dataclass
 class GameConfig:
     """Parameters of one seeded game: ``T`` and ``seed`` whole numbers, ``epsilon`` real.
@@ -226,8 +230,6 @@ class GameTrajectory:
         for name in ("chosen", "incurred", "cumulative", "packing_size", "phase"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"trajectory field {name} is not aligned with t")
-        if n == 0:
-            return
         # Exact: the running sum that from_rounds records, at every round.
         if not np.array_equal(self.cumulative, np.cumsum(self.incurred)):
             raise ValueError("cumulative loss does not match the running sum of incurred losses")
@@ -240,13 +242,15 @@ class LossOracle(ABC):
 
     An oracle is a ``T x K`` shape, given to ``__init__``, and one method,
     :meth:`rows`, that serves the losses of a block of rounds; everything
-    else derives from them.  :meth:`coverage_ids` (one coverage candidate per
-    group of identical experts) defaults to every expert, and an oracle that
-    knows its groups, such as a clustered one, overrides it.
+    else derives from them.  A shape of no round or no expert is refused.
+    :meth:`coverage_ids` (one coverage candidate per group of identical
+    experts) defaults to every expert; an oracle that knows its groups overrides it.
     """
 
     def __init__(self, horizon: int, num_experts: int) -> None:
         self._shape = (int(horizon), int(num_experts))
+        if min(self._shape) < 1:
+            raise ValueError(f"need at least one round and one expert, got shape {self._shape}")
 
     def horizon(self) -> int:
         """Number of rounds the environment defines."""

@@ -467,8 +467,15 @@ _KEYWORDS: dict[str, dict[str, tuple[Callable[[str, Any], Any], bool]]] = {
 
 
 def make_environment(spec: EnvironmentSpec) -> LossOracle:
-    """Instantiate the oracle a spec describes: its kind's generator on ``spec.arguments()``."""
-    return GENERATORS[spec.kind](**spec.arguments())
+    """Instantiate the oracle a spec describes: its kind's generator on ``spec.arguments()``.
+
+    Refuses, with :class:`core.ConfigError`, an oracle whose rounds differ from the spec's ``T``.
+    """
+    oracle = GENERATORS[spec.kind](**spec.arguments())
+    rounds, T = oracle.horizon(), spec.parameters.get("T", oracle.horizon())
+    if rounds != T:
+        raise core.ConfigError(f"environment.T: {T} rounds, but the environment has {rounds}")
+    return oracle
 
 
 def export_environment(

@@ -238,8 +238,6 @@ def play_hedge(oracle: LossOracle, rng: int | np.random.Generator = 0) -> GameTr
     The whole game is one :func:`exponential_weights` pass.
     """
     T = oracle.horizon()
-    if T < 1:
-        raise ValueError(f"the oracle must have at least one round, got {T}")
     K = oracle.num_experts()
     gen, seed = normalize_rng(rng)
     # Sampling is scale-invariant, so the unnormalized weights suffice.

@@ -274,9 +274,6 @@ def play_many_experts(
     admission certificate, and the counts of the schedule pass
     (``schedule``).
     """
-    T = oracle.horizon()
-    if T < 1:
-        raise ValueError(f"the oracle must have at least one round, got {T}")
     gen, seed = normalize_rng(rng)
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")

@@ -132,7 +132,7 @@ class TestRun:
         monkeypatch.setattr(many_experts, "expand_packing", expand)
         # The same counts from the schedule of every copy, summed.
         _, game, spec = cli._load(argparse.Namespace(config=config, set=None, seed=None))
-        oracle = cli._build_oracle(spec, game.T)
+        oracle = cli._build_oracle(spec)
         epsilons = (
             meta_tuner.build_grid(game.T) if algorithm == "meta_tuner" else [game.epsilon]
         )
@@ -196,7 +196,7 @@ class TestRun:
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         _, game, spec = cli._load(argparse.Namespace(config=config, set=None, seed=None))
-        oracle = cli._build_oracle(spec, game.T)
+        oracle = cli._build_oracle(spec)
         # Each copy replayed standalone from its own stream, as validate meta replays them.
         grid = meta_tuner.build_grid(game.T)
         assert len(summary["copies"]) == len(grid)
@@ -357,6 +357,32 @@ class TestRun:
         )
         assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
         assert "environment.T" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "export-env"])
+    @pytest.mark.parametrize(
+        ("game_T", "environment_T", "message"),
+        [(64, None, "environment.T: 64 rounds, but the environment has 300"),
+         (300, 5, "environment.T: horizon 5 must equal game.T 300")],
+        ids=["file-height", "given-T"],
+    )
+    def test_matrix_file_of_another_horizon_is_refused(
+        self, tmp_path, capsys, command, game_T, environment_T, message
+    ):
+        # Every command plays or writes exactly game.T rounds, so a file must have that many.
+        path = tmp_path / "losses.bin"
+        matrix_io.write_matrix_binary(path, game_rng(4).uniform(-1.0, 1.0, (300, 3)))
+        environment = {"kind": "finite_matrix", "path": str(path)}
+        if environment_T is not None:
+            environment["T"] = environment_T
+        config = write_config(
+            tmp_path / "config.yaml",
+            {"game": {"algorithm": "hedge", "T": game_T, "seed": 0}, "environment": environment,
+             "sweep": {"n_seeds": 2}},
+        )
+        argv = [command, "--config", config, "--seed", "0", "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_oversize_environment_horizon_is_refused_before_generating(
         self, tmp_path, monkeypatch, capsys
@@ -1287,6 +1313,26 @@ class TestSweep:
         ) == EXIT_OK
         algorithms = {row["algorithm"] for row in read_rows(tmp_path / "out" / "sweep.csv")}
         assert {"many_experts", "meta_tuner", "best_epsilon"} <= algorithms
+
+    def test_game_breaking_its_invariants_is_a_failed_cell(self, tmp_path, monkeypatch):
+        # Each seed's game is validated as a run's is, so it is no row of numbers.
+        play = cli._play
+
+        def broken(game, oracle):
+            trajectory = play(game, oracle)
+            trajectory.cumulative[-1] += 1.0
+            return trajectory
+
+        monkeypatch.setattr(cli, "_play", broken)
+        config = clustered_config(tmp_path, T=20, K=12, N=3)
+        argv = ["sweep", "--config", config, "--seed", "0", "--parallelism", "1",
+                "--set", "sweep={n_seeds: 3, include_meta: false}"]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_BOUND_VIOLATION
+        rows = read_rows(tmp_path / "out" / "sweep.csv")
+        assert [(row["n_seeds"], row["n_failures"]) for row in rows] == [("3", "3")]
+        assert rows[0]["error"] == (
+            "cumulative loss does not match the running sum of incurred losses"
+        )
 
     def test_failing_cell_recorded_and_flagged(self, tmp_path):
         config = write_config(

@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -264,6 +265,14 @@ class TestLossOracleDefaults:
         minimal, vectorized = self._pair(3)
         assert np.allclose(minimal.column_sums(), vectorized.column_sums())
         assert np.array_equal(minimal.to_matrix(), vectorized.to_matrix())
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0)], ids=["no-rounds", "no-experts"])
+    def test_empty_shape_refused_when_built(self, shape):
+        # So no learner or writer is handed an oracle without a loss.
+        message = re.escape(f"need at least one round and one expert, got shape {shape}")
+        for oracle in (environments.MatrixOracle, LossOnlyOracle):
+            with pytest.raises(ValueError, match=message):
+                oracle(np.zeros(shape))
 
 
 class TestGameTrajectory:

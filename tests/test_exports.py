@@ -1,9 +1,10 @@
+import json
 import re
 import shlex
 from pathlib import Path
 
 import packhedge
-from packhedge import cli
+from packhedge import cli, core
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -52,3 +53,47 @@ def test_readme_blocks_run(tmp_path, monkeypatch):
     for block in blocks:
         exec(block, {})
     assert len(configs) >= 2 and len(commands) >= 6 and blocks
+
+
+def test_matrix_files_play_and_export_alike(tmp_path, monkeypatch):
+    """One low_rank instance, exported as binary and as CSV, plays and exports alike.
+
+    Each file is exported again as a binary ``finite_matrix`` environment, to
+    the binary export's bytes: the binary file from the rows its
+    ``MatrixFileOracle`` streams, the CSV file from its ``MatrixOracle``.
+    Each learner plays both files: a run streams the binary file and reads
+    the CSV file whole, and both write the same trajectory bytes and the same
+    summary apart from the path of the file each read.  At K=2000 a schedule
+    block is ``block_rounds(2000) = 8`` rounds, so T=64 spans eight blocks and
+    the meta-tuner copies' shared schedule pass crosses block boundaries.
+    """
+    monkeypatch.chdir(tmp_path)
+    Path("low_rank.yaml").write_text(
+        "game: {algorithm: many_experts, T: 64, epsilon: 0.25, seed: 1}\n"
+        "environment: {kind: low_rank, K: 2000, d: 2, epsilon_noise: 0.05}\n"
+    )
+    files = {"binary": "binary/losses.bin", "csv": "csv/losses.csv"}
+    for fmt in files:
+        argv = ["--out-dir", fmt, "--format", fmt, "--name", "losses"]
+        assert cli.main(["export-env", "--config", "low_rank.yaml", *argv]) == 0
+    exported = Path(files["binary"]).read_bytes()
+
+    def as_file(command, path, *argv):
+        return cli.main([command, "--config", "low_rank.yaml", "--set",
+                         "environment.kind=finite_matrix", "--set", f"environment.path={path}",
+                         *argv])
+
+    for fmt, path in files.items():
+        argv = ["--out-dir", f"again/{fmt}", "--format", "binary", "--name", "losses"]
+        assert as_file("export-env", path, *argv) == 0
+        assert Path(f"again/{fmt}/losses.bin").read_bytes() == exported
+    for algorithm in core.ALGORITHMS:
+        outputs = []
+        for fmt, path in files.items():
+            out = Path(fmt, algorithm)
+            assert as_file("run", path, "--set", f"game.algorithm={algorithm}",
+                           "--out-dir", str(out)) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["environment"]["parameters"].pop("path") == path
+            outputs.append(((out / "trajectory.csv").read_bytes(), summary))
+        assert outputs[0] == outputs[1], algorithm

@@ -183,9 +183,9 @@ class TestPlayHedge:
         assert np.array_equal(a.cumulative, b.cumulative)
 
     def test_oracle_without_rounds_rejected(self):
-        env = environments.MatrixOracle(np.zeros((0, 2)))
+        # Refused when the oracle is built, so play_hedge never sees it.
         with pytest.raises(ValueError, match="at least one round"):
-            hedge.play_hedge(env, rng=0)
+            environments.MatrixOracle(np.zeros((0, 2)))
 
     def test_small_scale_regret_bound(self):
         regrets = []
