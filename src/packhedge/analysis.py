@@ -168,8 +168,10 @@ def packing_greedy(matrix: np.ndarray, epsilon: float) -> tuple[int, list[Expert
 
     Experts are scanned in index order.  The result is a maximal packing,
     hence simultaneously a valid ``epsilon``-packing and a valid
-    ``epsilon``-cover.
+    ``epsilon``-cover.  A NaN ``epsilon`` raises ``ValueError``.
     """
+    if math.isnan(epsilon):
+        raise ValueError(f"epsilon must be a number, got {epsilon!r}")
     m = np.asarray(matrix, dtype=np.float64)
     admitted: list[int] = []
     for j in range(m.shape[1]):

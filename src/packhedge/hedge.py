@@ -1,6 +1,6 @@
 """Exponential weights over a fixed finite expert set, with an anytime learning rate.
 
-Weights live in the natural-log domain with max-subtraction normalization, so
+Weights live in the natural-log domain with the maximum subtracted, so
 distributions stay finite for arbitrarily long games and arbitrarily large
 cumulative losses.  One kernel, :func:`exponential_weights`, plays a whole
 game in one call: a sequence of segments, each a fresh hedge over a prefix of
@@ -11,7 +11,10 @@ of its widest segment's width, and one block may span many short phases.
 Each block takes three steps, :func:`running_totals`,
 :func:`totals_to_weights` and :func:`inverse_cdf_pick`, at the rates of
 :func:`learning_rates`; the per-round hedge in ``tests/reference.py`` is the
-same learner one round at a time.
+same learner one round at a time.  Inverse-CDF sampling is scale-invariant,
+so every learner picks from the unnormalised weights ``exp(min - total)``;
+only the meta-tuner's feedback, each copy's expected loss, divides them by
+their sum.
 
 The block's two running sums, over rounds for the log-weights and over
 experts for the inverse CDF, are many independent float64 chains, and each
@@ -62,7 +65,6 @@ def exponential_weights(
     starts: Sequence[int],
     widths: Sequence[int],
     uniforms: np.ndarray,
-    normalize: bool = False,
     expected: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Exponential weights over a game of consecutive segments, one round per uniform.
@@ -79,23 +81,21 @@ def exponential_weights(
     summed in round order (a running row carried across blocks, then one
     ``cumsum`` per segment in a block), so they carry the bits of the
     per-round hedge in ``tests/reference.py``.  Each round picks an expert by
-    inverse CDF on the weights ``exp(lw - max lw)``, or on their
-    normalisation with ``normalize``, as that hedge samples round by round.
+    inverse CDF on the weights ``exp(lw - max lw)``, as that hedge samples
+    round by round.
 
     Every block has ``core.block_rounds(max(widths))`` rounds (the last one
     fewer), so it holds at most ``core.BLOCK_ENTRIES`` entries.  It is read
     in one ``rows`` call at the width of the widest segment it meets, however
     many segments it spans.  Columns beyond a round's own width hold
-    ``+inf`` log-loss, so they get zero weight; the row sums of the
-    normalisation and the expected losses are taken per segment over its
-    exact width, since zero padding regroups their pairwise sums.
+    ``+inf`` log-loss, so they get zero weight.
 
     Returns the chosen column and the incurred loss of every round and, with
-    ``expected``, the expected loss ``p @ l`` per round under the normalised
-    distribution ``p`` (so ``expected`` needs ``normalize``), else ``None``.
+    ``expected``, the expected loss ``p @ l`` per round under the
+    distribution ``p``, the weights divided by their sum, else ``None``.
+    The sums of ``p`` and of ``p @ l`` are taken per segment over its exact
+    width, since zero padding regroups their pairwise sums.
     """
-    if expected and not normalize:
-        raise ValueError("expected losses need the normalised weights (normalize=True)")
     n = len(uniforms)
     eta = learning_rates(starts, widths, n)
     starts, widths = np.asarray(starts).tolist(), np.asarray(widths).tolist()
@@ -117,7 +117,7 @@ def exponential_weights(
         # The block's temporaries live in _play_block only, so they are freed
         # before the next block allocates its own.
         chosen[j0:j1], incurred[j0:j1], block_means, last = _play_block(
-            rows(j0, j1, width), lanes, eta[j0:j1], carry, uniforms[j0:j1], normalize, expected
+            rows(j0, j1, width), lanes, eta[j0:j1], carry, uniforms[j0:j1], expected
         )
         if means is not None:
             means[j0:j1] = block_means
@@ -163,18 +163,15 @@ def running_totals(
     return total
 
 
-def totals_to_weights(
-    total: np.ndarray, lanes: list[tuple[int, int, int]], normalize: bool
-) -> np.ndarray:
-    """Weights ``exp(min - total)`` of each row, in place; ``normalize`` divides by lane sums."""
+def totals_to_weights(total: np.ndarray) -> np.ndarray:
+    """Weights ``exp(min - total)`` of each row, in place: the kernel's one pick rule.
+
+    Inverse-CDF sampling is scale-invariant, so the weights are never
+    normalised to pick; each row's largest weight is exactly ``exp(0) = 1``.
+    """
     # lw - max(lw) for lw = -total is min(total) - total, bit for bit.
     np.subtract(total.min(axis=1, keepdims=True), total, out=total)
-    np.exp(total, out=total)
-    if normalize:
-        for a, b, k in lanes:
-            p = total[a:b, :k]
-            p /= p.sum(axis=1, keepdims=True)
-    return total
+    return np.exp(total, out=total)
 
 
 def inverse_cdf_pick(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -200,9 +197,10 @@ def inverse_cdf_pick(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     threshold = uniforms * cumulative[-1]
     pick = np.count_nonzero(cumulative <= threshold, axis=0)
     for i in np.flatnonzero(pick == width).tolist():
-        # The draw reached the row total (a subnormal total can round it
-        # up), so every column counted, the zero-weight padding too: take
-        # the last positive weight, which lies inside the round's width.
+        # A guard on the input: the kernel's rows peak at exp(0) = 1, so
+        # their total is >= 1 and no draw in [0, 1) reaches it, but a draw
+        # of 1.0 does.  Then every column counted, the zero-weight padding
+        # too: take the last positive weight, inside the round's width.
         pick[i] = np.flatnonzero(weights[i])[-1]
     return pick
 
@@ -213,20 +211,21 @@ def _play_block(
     eta: np.ndarray,
     carry: np.ndarray | None,
     uniforms: np.ndarray,
-    normalize: bool,
     expected: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
     """Picks, incurred losses, expected losses (or None) and the last running row of a block."""
     total = running_totals(block, eta, carry, lanes)
     last = total[-1].copy()
-    weights = totals_to_weights(total[:-1], lanes, normalize)
+    weights = totals_to_weights(total[:-1])
     pick = inverse_cdf_pick(weights, uniforms)
     means = None
     if expected:
         block = np.ascontiguousarray(block)
         means = np.empty(eta.size)
         for a, b, k in lanes:
-            means[a:b] = np.vecdot(weights[a:b, :k], block[a:b, :k])
+            p = weights[a:b, :k]
+            p /= p.sum(axis=1, keepdims=True)
+            means[a:b] = np.vecdot(p, block[a:b, :k])
     return pick, block[np.arange(eta.size), pick], means, last
 
 
@@ -240,7 +239,6 @@ def play_hedge(oracle: LossOracle, rng: int | np.random.Generator = 0) -> GameTr
     T = oracle.horizon()
     K = oracle.num_experts()
     gen, seed = normalize_rng(rng)
-    # Sampling is scale-invariant, so the unnormalized weights suffice.
     chosen, incurred, _ = exponential_weights(
         lambda j0, j1, _: oracle.rows(j0, j1), [0], [K], gen.random(T)
     )

@@ -307,7 +307,7 @@ def _play_packing(
     played = starts < T
     picks, incurred, means = hedge.exponential_weights(
         lambda j0, j1, width: oracle.rows(j0, j1, active[:width]),
-        starts[played], sizes[played], gen.random(T), normalize=True, expected=expected,
+        starts[played], sizes[played], gen.random(T), expected=expected,
     )
 
     rounds = np.arange(1, T + 1)

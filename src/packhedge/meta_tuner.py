@@ -54,7 +54,6 @@ def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
         chosen.append(copy.chosen)
         incurred.append(copy.incurred)
         reports.append(copy.extras | {"learner_cumulative": copy.learner_cumulative})
-    # Sampling is scale-invariant, so the unnormalized weights suffice.
     chosen_copy, _, _ = hedge.exponential_weights(
         lambda j0, j1, _: feedback[j0:j1], [0], [R], game_rng(seed, 0).random(T)
     )

@@ -62,7 +62,7 @@ class HedgeState:
 
 
 def distribution(state: HedgeState) -> np.ndarray:
-    """Probability vector proportional to the weights, normalized stably."""
+    """Probability vector proportional to the weights: exp(lw - max lw) over its sum."""
     p = np.exp(state.log_weights - state.log_weights.max())
     p /= p.sum()
     return p
@@ -79,7 +79,8 @@ def sample_categorical(weights: np.ndarray, rng) -> ExpertId:
     cumulative = np.cumsum(weights)
     i = int(cumulative.searchsorted(rng.random() * cumulative[-1], side="right"))
     if i == len(weights):
-        # The draw rounded up to a (subnormal) total: take the last positive weight.
+        # Only a draw of 1.0 reaches a total >= 1, as every learner's is here
+        # (its largest weight is exp(0)): take the last positive weight.
         i = int(np.flatnonzero(weights)[-1])
     return i
 
@@ -142,13 +143,13 @@ class Draws:
         return next(self._draws)
 
 
-def segmented_hedge(losses, starts, widths, uniforms, normalize=True):
+def segmented_hedge(losses, starts, widths, uniforms):
     """Hedge restarted at every segment start over the first ``widths[p]`` columns.
 
     Round ``j`` of ``losses`` draws ``uniforms[j]``; a segment plays from a
     fresh :class:`HedgeState`, one :func:`update` per round, as a packing
     phase does.  Returns the chosen column, incurred loss and expected loss
-    ``p @ l`` (under the normalised distribution) per round.
+    ``p @ l`` (under the :func:`distribution` ``p``) per round.
     """
     gen = Draws(uniforms)
     ends = list(starts[1:]) + [losses.shape[0]]
@@ -157,14 +158,10 @@ def segmented_hedge(losses, starts, widths, uniforms, normalize=True):
         state = HedgeState.fresh(int(width))
         for t in range(start, end):
             row = losses[t, :width]
-            if normalize:
-                weights = distribution(state)
-            else:
-                weights = np.exp(state.log_weights - state.log_weights.max())
-            i = sample_categorical(weights, gen)
+            i = sample_categorical(np.exp(state.log_weights - state.log_weights.max()), gen)
             chosen.append(i)
             incurred.append(float(row[i]))
-            means.append(float(weights @ row))
+            means.append(float(distribution(state) @ row))
             state = update(state, row)
     return np.array(chosen, dtype=np.int64), np.array(incurred), np.array(means)
 
@@ -209,9 +206,10 @@ def inverse_cdf_pick(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     threshold = uniforms * cumulative[:, -1]
     pick = np.count_nonzero(cumulative <= threshold[:, None], axis=1)
     for i in np.flatnonzero(pick == weights.shape[1]).tolist():
-        # The draw reached the row total (a subnormal total can round it
-        # up), so every column counted, the zero-weight padding too: take
-        # the last positive weight, which lies inside the round's width.
+        # A guard on the input: the kernel's rows peak at exp(0) = 1, so
+        # their total is >= 1 and no draw in [0, 1) reaches it, but a draw
+        # of 1.0 does.  Then every column counted, the zero-weight padding
+        # too: take the last positive weight, inside the round's width.
         pick[i] = np.flatnonzero(weights[i])[-1]
     return pick
 
@@ -269,7 +267,7 @@ def play_hedge(oracle: LossOracle, rng: int | np.random.Generator = 0) -> GameTr
     state = HedgeState.fresh(K)
     recorder = TrajectoryRecorder(T)
     for t in range(1, T + 1):
-        # Sampling is scale-invariant, so the unnormalized weights suffice.
+        # Sampling is scale-invariant, so the weights need no division by their sum.
         weights = np.exp(state.log_weights - state.log_weights.max())
         i = sample_categorical(weights, gen)
         row = round_losses(oracle, t)
@@ -324,13 +322,13 @@ def restart(state: PackingState, t: int) -> PackingState:
 def advance(
     state: PackingState, t: int, oracle: LossOracle, gen: np.random.Generator
 ) -> tuple[PackingState, ExpertId, float, float]:
-    """One round: sample from the pre-expansion distribution, then grow/update."""
-    p = distribution(state.inner)
-    idx = sample_categorical(p, gen)
+    """One round: sample from the pre-expansion weights, then grow/update."""
+    log_weights = state.inner.log_weights
+    idx = sample_categorical(np.exp(log_weights - log_weights.max()), gen)
     row = round_losses(oracle, t, state.active)
     chosen = int(state.active[idx])
     incurred = float(row[idx])
-    mean_loss = float(p @ row)
+    mean_loss = float(distribution(state.inner) @ row)
 
     ids = oracle.coverage_ids()
     columns, added = many_experts.expand_packing(

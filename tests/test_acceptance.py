@@ -144,7 +144,8 @@ class DirectWeightHedge:
 
 
 def test_criterion_9_log_domain_agrees_with_direct_weights():
-    # The kernel's own steps: running totals, then weights, at its step sizes.
+    # The kernel's own steps: running totals, then weights, at its step sizes,
+    # divided by their sums as the kernel divides them for expected losses.
     worst = 0.0
     lanes = [(0, 100, 8)]
     eta = hedge.learning_rates([0], [8], 100)
@@ -157,8 +158,8 @@ def test_criterion_9_log_domain_agrees_with_direct_weights():
             expected[t] = reference.distribution()
             losses[t] = rng.uniform(-1.0, 1.0, size=8)
             reference.update(losses[t])
-        total = hedge.running_totals(losses, eta, None, lanes)
-        p = hedge.totals_to_weights(total[:-1], lanes, normalize=True)
+        w = hedge.totals_to_weights(hedge.running_totals(losses, eta, None, lanes)[:-1])
+        p = w / w.sum(axis=1, keepdims=True)
         worst = max(worst, float(np.abs(p - expected).max()))
     agree = worst <= 1e-9
 
@@ -173,7 +174,8 @@ def test_criterion_9_log_domain_agrees_with_direct_weights():
     for j0 in range(0, rounds, block):
         m = min(block, rounds - j0)
         carry = hedge.running_totals(rows[:m], eta[j0 : j0 + m], carry, [(0, m, 1000)])[-1]
-    p = hedge.totals_to_weights(carry[None, :], [(0, 1, 1000)], normalize=True)[0]
+    w = hedge.totals_to_weights(carry[None, :])
+    p = (w / w.sum(axis=1, keepdims=True))[0]
     stable = bool(np.all(np.isfinite(p)) and abs(p.sum() - 1.0) <= 1e-12)
 
     report(

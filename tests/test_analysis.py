@@ -226,6 +226,11 @@ class TestDualityCertificate:
             with pytest.raises(ValueError, match=f"epsilon must be {message}"):
                 search([[0.1, 0.1, 0.5]], eps, budget=budget)
 
+    def test_nan_epsilon_rejected_by_greedy_packing(self):
+        # NaN fails every comparison, so the scan used to admit expert 0 alone.
+        with pytest.raises(ValueError, match="epsilon must be a number"):
+            analysis.packing_greedy([[0.1, 0.1, 0.5]], float("nan"))
+
     def test_witnesses_are_valid(self):
         matrix = game_rng(2).uniform(-1, 1, size=(4, 6))
         report = analysis.duality_certificate(matrix, 0.5)

@@ -31,11 +31,11 @@ def pick(weights, n, seed):
 
 
 def kernel_expected(losses):
-    """Expected loss ``p @ l`` of each round of ``losses`` under the kernel's normalised weights."""
+    """Expected loss ``p @ l`` of each round of ``losses`` under the kernel's distribution ``p``."""
     losses = np.asarray(losses, dtype=np.float64)
     _, _, means = hedge.exponential_weights(
         lambda j0, j1, _: losses[j0:j1], [0], [losses.shape[1]], np.zeros(len(losses)),
-        normalize=True, expected=True,
+        expected=True,
     )
     return means
 
@@ -96,14 +96,7 @@ class TestExpectedLoss:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             hedge.exponential_weights(
-                lambda j0, j1, _: np.zeros((j1 - j0, 1)), [0], [2], np.zeros(3),
-                normalize=True, expected=True,
-            )
-
-    def test_unnormalized_distribution_rejected(self):
-        with pytest.raises(ValueError, match="normalise"):
-            hedge.exponential_weights(
-                lambda j0, j1, w: np.zeros((j1 - j0, w)), [0], [2], np.zeros(3), expected=True
+                lambda j0, j1, _: np.zeros((j1 - j0, 1)), [0], [2], np.zeros(3), expected=True
             )
 
 

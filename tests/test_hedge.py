@@ -23,10 +23,14 @@ finite_losses = st.lists(
 )
 
 
+def normalized(weights):
+    """Weights divided by their row sums, as the kernel divides them for expected losses."""
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
 def kernel_distribution(log_weights):
-    """The kernel's normalised weights of one round with these log-weights."""
-    total = -np.array([log_weights], dtype=np.float64)
-    return hedge.totals_to_weights(total, [(0, 1, total.shape[1])], normalize=True)[0]
+    """The kernel's distribution of one round with these log-weights."""
+    return normalized(hedge.totals_to_weights(-np.array([log_weights], dtype=np.float64)))[0]
 
 
 def kernel_distributions(losses, carry=None, first_round=1):
@@ -39,7 +43,7 @@ def kernel_distributions(losses, carry=None, first_round=1):
     m, k = losses.shape
     eta = hedge.learning_rates([0], [k], first_round + m - 1)[first_round - 1 :]
     total = hedge.running_totals(losses, eta, carry, [(0, m, k)])
-    return hedge.totals_to_weights(total, [(0, m + 1, k)], normalize=True)
+    return normalized(hedge.totals_to_weights(total))
 
 
 class TestLearningRate:

@@ -279,39 +279,44 @@ def segments(lengths, widths, seed=0):
     return starts, losses, game_rng(seed, 1).random(T)
 
 
-def assert_segments_match(starts, widths, losses, uniforms, normalize=True):
-    """The kernel over the segments equals their per-round reference bit for bit."""
+def assert_segments_match(starts, widths, losses, uniforms, expected=True):
+    """The kernel over the segments equals their per-round reference bit for bit.
+
+    Picks and incurred losses always, and the expected losses with
+    ``expected``; without it the kernel returns ``None`` for them.
+    """
     chosen, incurred, means = hedge.exponential_weights(
-        lambda j0, j1, width: losses[j0:j1, :width], starts, widths, uniforms,
-        normalize=normalize, expected=normalize,
+        lambda j0, j1, width: losses[j0:j1, :width], starts, widths, uniforms, expected=expected
     )
-    slow = reference.segmented_hedge(losses, starts, widths, uniforms, normalize)
+    slow = reference.segmented_hedge(losses, starts, widths, uniforms)
     assert chosen.tobytes() == slow[0].tobytes()
     assert incurred.tobytes() == slow[1].tobytes()
-    if normalize:
+    if expected:
         assert means.tobytes() == slow[2].tobytes()
+    else:
+        assert means is None
     return chosen
 
 
 class TestSegments:
     """One kernel call over many segments, against the per-round reference."""
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_lengths_around_a_block(self, block_entries, normalize):
+    @pytest.mark.parametrize("expected", [True, False])
+    def test_lengths_around_a_block(self, block_entries, expected):
         b = core.block_rounds(5)
         lengths = [1, max(1, b - 1), b, b + 1, 1, 2]
         for widths in ([5] * 6, [1, 2, 5, 3, 5, 4]):
             starts, losses, uniforms = segments(lengths, widths, seed=len(set(widths)))
-            assert_segments_match(starts, widths, losses, uniforms, normalize)
+            assert_segments_match(starts, widths, losses, uniforms, expected)
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_many_widths_in_one_block(self, block_entries, normalize):
+    @pytest.mark.parametrize("expected", [True, False])
+    def test_many_widths_in_one_block(self, block_entries, expected):
         # 60 short segments, widths rising and falling between 1 and 30.
         rng = game_rng(11)
         lengths = rng.integers(1, 4, 60).tolist()
         widths = rng.integers(1, 31, 60).tolist()
         starts, losses, uniforms = segments(lengths, widths, seed=11)
-        assert_segments_match(starts, widths, losses, uniforms, normalize)
+        assert_segments_match(starts, widths, losses, uniforms, expected)
 
     @pytest.mark.parametrize("entries", [64, core.BLOCK_ENTRIES])
     def test_segments_longer_than_a_block(self, monkeypatch, entries):
@@ -321,8 +326,8 @@ class TestSegments:
         starts, losses, uniforms = segments(lengths, widths, seed=2)
         assert_segments_match(starts, widths, losses, uniforms)
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_draw_at_the_row_total_falls_back_within_the_width(self, normalize):
+    @pytest.mark.parametrize("expected", [True, False])
+    def test_draw_at_the_row_total_falls_back_within_the_width(self, expected):
         # Segment 2 (width 3, rounds 5-10) shares a block with the wider
         # segment 3.  Its last column's weight underflows to 0 after the
         # segment's first round, and a draw of 1.0 in round 9 reaches the row
@@ -332,7 +337,7 @@ class TestSegments:
         starts, losses, uniforms = segments([4, 6, 5], widths, seed=4)
         losses[4:, 2] = 1000.0
         uniforms[8] = 1.0
-        chosen = assert_segments_match(starts, widths, losses, uniforms, normalize)
+        chosen = assert_segments_match(starts, widths, losses, uniforms, expected)
         assert chosen[8] == 1
 
     def test_no_runtime_warnings(self):
@@ -434,6 +439,9 @@ class TestPairedSums:
         assert fast.shape == slow.shape
         assert fast[:-1].tobytes() == slow[:-1].tobytes()
         assert fast[-1, : lanes[-1][2]].tobytes() == slow[-1, : lanes[-1][2]].tobytes()
+        # Every round's largest weight is exp(0) = 1, so its total is >= 1 and
+        # only a draw of 1.0 reaches it in inverse_cdf_pick.
+        assert (hedge.totals_to_weights(fast[:-1]).max(axis=1) == 1.0).all()
 
     @settings(max_examples=300)
     @given(block_lanes(), st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
@@ -461,8 +469,8 @@ class TestPairedSums:
         if reach:
             assert fast[-1] == column
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_every_summed_cell_is_set_first(self, monkeypatch, normalize):
+    @pytest.mark.parametrize("expected", [True, False])
+    def test_every_summed_cell_is_set_first(self, monkeypatch, expected):
         # Blocks of 24 entries.  Widths [3, 8]: the width-3 segment continues
         # into a block of width 8, so row 0 holds an odd carry narrower than
         # the block.  Widths [8, 3, 5]: the width-3 segment continues out of a
@@ -475,7 +483,7 @@ class TestPairedSums:
             cases = (([10, 5], [3, 8]), ([2, 12, 3], [8, 3, 5]), ([9, 4, 7], [1, 7, 3]))
             for lengths, widths in cases:
                 starts, losses, uniforms = segments(lengths, widths, seed=sum(widths))
-                assert_segments_match(starts, widths, losses, uniforms, normalize)
+                assert_segments_match(starts, widths, losses, uniforms, expected)
 
 
 class TestRows:
