@@ -12,6 +12,7 @@ from .core import (
     GameConfig,
     GameTrajectory,
     LossOracle,
+    build_grid,
     game_rng,
 )
 from .hedge import hedge_regret_bound, play_hedge
@@ -19,8 +20,8 @@ from .many_experts import (
     expand_packing,
     packing_regret_bound,
     play_many_experts,
+    play_meta,
 )
-from .meta_tuner import build_grid, play_meta
 from .environments import (
     EnvironmentSpec,
     MatrixFileOracle,

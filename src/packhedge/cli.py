@@ -27,7 +27,7 @@ import numpy as np
 import yaml
 
 from . import __version__, analysis, environments, hedge, many_experts, matrix_io
-from . import meta_tuner, validation
+from . import validation
 from .core import ConfigError, GameConfig, GameTrajectory, whole_number
 from .environments import EnvironmentSpec
 
@@ -77,10 +77,10 @@ def load_config(path: str | Path) -> dict[str, Any]:
 
 def apply_overrides(cfg: dict[str, Any], overrides: list[str]) -> None:
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set {item!r}: expected section.key=value")
-        dotted, raw_value = item.split("=", 1)
+        dotted, equals, raw_value = item.partition("=")
         keys = dotted.split(".")
+        if not equals or "" in keys:  # an empty key is stored where nothing reads it
+            raise ConfigError(f"--set {item!r}: expected section.key=value")
         node = cfg
         for key in keys[:-1]:
             node = node.setdefault(key, {})
@@ -138,7 +138,7 @@ def _play(game: GameConfig, oracle) -> GameTrajectory:
         return hedge.play_hedge(oracle, rng=game.seed)
     if game.algorithm == "many_experts":
         return many_experts.play_many_experts(oracle, game.epsilon, rng=game.seed)
-    return meta_tuner.play_meta(oracle, seed=game.seed)
+    return many_experts.play_meta(oracle, seed=game.seed)
 
 
 # ----------------------------------------------------------------------------
@@ -357,7 +357,7 @@ def _check_grid(grid: dict[str, Any], spec: EnvironmentSpec) -> None:
 
     Such a key is one the kind does not take, or ``seed``, which each job
     sets; a ``T`` other than ``game.T`` was refused when ``spec`` was built,
-    and several epsilons for the meta-tuner before the grid is read.
+    and several epsilons for hedge or the meta-tuner before the grid is read.
     """
     for key in grid:
         if key == "seed":
@@ -385,8 +385,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     epsilons = sweep.get("epsilons", [game.epsilon])
     if not isinstance(epsilons, list) or not epsilons:
         raise ConfigError("sweep.epsilons: must be a non-empty list")
-    if game.algorithm == "meta_tuner" and len(epsilons) > 1:
-        raise ConfigError("sweep.epsilons: the meta-tuner reads no epsilon, so give one value")
+    if game.algorithm != "many_experts" and len(epsilons) > 1:
+        raise ConfigError(f"sweep.epsilons: {game.algorithm} reads no epsilon, so give one value")
     include_meta = sweep.get("include_meta", True)
     if not isinstance(include_meta, bool):
         raise ConfigError(f"sweep.include_meta: must be true or false, not {include_meta!r}")

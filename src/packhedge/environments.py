@@ -485,7 +485,8 @@ def export_environment(
 
     Files land next to ``out_base``: the matrix as ``<base>.<ext>``, each
     ground-truth array as ``<base>.<name>.<ext>``, and the sidecar (``spec``
-    as given and the file listing) as ``<base>.json``.  Returns the written
+    as given and the file listing) as ``<base>.json``, where ``<base>`` is
+    the whole name of ``out_base``, every dot kept.  Returns the written
     paths.  The matrix is written from the oracle's ``rows`` a block at a
     time, never materialized, so an export onto the binary ``finite_matrix``
     file it streams is refused: the write would truncate the file it reads.
@@ -497,7 +498,7 @@ def export_environment(
     base.parent.mkdir(parents=True, exist_ok=True)
     ext = "csv" if fmt == "csv" else "bin"
 
-    matrix_path = base.with_suffix(f".{ext}")
+    matrix_path = base.parent / f"{base.name}.{ext}"
     if isinstance(oracle, MatrixFileOracle) and matrix_path.exists():
         if matrix_path.samefile(spec.parameters["path"]):
             raise ValueError(f"{matrix_path}: the export would write over the file it reads")
@@ -505,7 +506,7 @@ def export_environment(
     written = {"matrix": str(matrix_path)}
 
     for name, arr in oracle.ground_truth.items():
-        gt_path = base.parent / f"{base.stem}.{name}.{ext}"
+        gt_path = base.parent / f"{base.name}.{name}.{ext}"
         matrix_io.save_matrix(gt_path, arr, fmt)
         written[f"ground_truth.{name}"] = str(gt_path)
 
@@ -513,7 +514,7 @@ def export_environment(
         "spec": spec.as_dict(),
         "files": {key: Path(path).name for key, path in written.items()},
     }
-    sidecar_path = base.with_suffix(".json")
+    sidecar_path = base.parent / f"{base.name}.json"
     sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     written["sidecar"] = str(sidecar_path)
     return written

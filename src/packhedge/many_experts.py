@@ -24,6 +24,11 @@ candidates, so the pass keeps the active set as columns of the candidate
 block: each block is read once, and an exact query runs on the block's row
 already in hand.
 
+The accuracy grid, :func:`play_meta`, runs ``R = ceil(log2 T)`` copies of
+the learner at accuracies ``1, 1/2, 1/4, ...``: copy ``r`` draws from the
+stream ``game_rng(seed, r)``, so it replays standalone bit for bit, and a
+meta layer, drawing from ``game_rng(seed, 0)``, is one hedge pass over the
+copies' ``T x R`` expected losses and plays the action of the copy it picks.
 One pass serves several accuracies: the meta-tuner's copies grow their
 packings in lockstep, so each block is read, and its row extremes taken,
 once for the whole grid (a binary matrix file's schedule blocks once per
@@ -41,7 +46,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import hedge
-from .core import GameTrajectory, LossOracle, block_rounds, normalize_rng
+from .core import GameTrajectory, LossOracle, block_rounds, build_grid, game_rng, normalize_rng
 
 
 def _clear_of(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, threshold: float) -> np.ndarray:
@@ -153,7 +158,7 @@ def uncovered_rows(
 
 def _schedule(
     oracle: LossOracle, epsilons: Sequence[float]
-) -> list[tuple[np.ndarray, list[int], dict[str, int]]]:
+) -> list[tuple[np.ndarray, list[int], dict[str, int | None]]]:
     """The packings after the oracle's ``T`` rounds at each of ``epsilons``: the schedule pass.
 
     The packings of every accuracy grow in lockstep, one block of
@@ -176,7 +181,9 @@ def _schedule(
     Returns, per accuracy, the active ids in admission order, the round at
     which each joined (0 for expert 0), which certifies the pairwise
     separation of the packing, and the counts of blocks, re-certifications
-    of a block's flagged rows, and exact queries of that accuracy.
+    of a block's flagged rows, and exact queries of that accuracy, with its
+    ``saturation_round``: the round whose admissions made the active set as
+    large as the candidate set, or ``None`` if it never grew that large.
     """
     ids = oracle.coverage_ids()
     if ids.size == 0 or ids[0] != 0:
@@ -220,6 +227,8 @@ def _schedule(
                 counts["exact_queries"] += 1
                 rows = rows[1:]
             packing[0] = active
+    for active, _, admitted_at, counts in packings:
+        counts["saturation_round"] = admitted_at[-1] if active.size == ids.size else None
     return [(ids[active], admitted_at, counts) for active, _, admitted_at, counts in packings]
 
 
@@ -283,17 +292,17 @@ def play_many_experts(
 def _play_packing(
     oracle: LossOracle,
     epsilon: float,
-    schedule: tuple[np.ndarray, list[int], dict[str, int]],
+    schedule: tuple[np.ndarray, list[int], dict[str, int | None]],
     gen: np.random.Generator,
     seed: int | None,
     expected: bool,
 ) -> tuple[GameTrajectory, np.ndarray | None]:
     """The packing game at ``epsilon`` from its :func:`_schedule`: one kernel pass over its phases.
 
-    The rest of :func:`play_many_experts`, and each copy of
-    :func:`~packhedge.meta_tuner.play_meta`, whose copies share one schedule
-    pass over the accuracy grid.  Returns the game and, with ``expected``, its
-    expected loss per round (a meta-tuner copy's feedback), else ``None``.
+    The rest of :func:`play_many_experts`, and each copy of :func:`play_meta`,
+    whose copies share one schedule pass over the accuracy grid.  Returns the
+    game and, with ``expected``, its expected loss per round (a meta-tuner
+    copy's feedback), else ``None``.
     """
     T = oracle.horizon()
     active, admitted, counts = schedule
@@ -319,14 +328,7 @@ def _play_packing(
         "final_packing": int(active.size),
         "num_phases": int(starts.size),
         "restarts": list(zip(starts.tolist(), sizes.tolist())),
-        "schedule": {
-            **counts,
-            "admitting_rounds": int(starts.size) - 1,
-            # The round whose admissions made the set as large as the candidate set.
-            "saturation_round": (
-                admitted[-1] if active.size >= oracle.coverage_ids().size else None
-            ),
-        },
+        "schedule": {**counts, "admitting_rounds": int(starts.size) - 1},
     }
     return GameTrajectory.from_rounds(
         active[picks],
@@ -336,3 +338,49 @@ def _play_packing(
         seed,
         extras,
     ), means
+
+
+def play_meta(oracle: LossOracle, seed: int = 0) -> GameTrajectory:
+    """Run the accuracy grid over the oracle's ``T`` rounds from one master seed.
+
+    Copy ``r`` draws from the stream ``game_rng(seed, r)`` and the meta layer
+    from ``game_rng(seed, 0)``, so any copy can be replayed standalone.  One
+    schedule pass grows the packings of the whole grid in lockstep, and each
+    copy plays its kernel pass from its own packing, as
+    :func:`play_many_experts` would: the same trajectory, bit for bit.  The
+    meta layer is one hedge pass over the ``T x R`` feedback of the copies:
+    each copy's expected loss under its own sampling distribution.
+
+    The returned trajectory records the actually played expert per round; its
+    extras carry the copies' summed schedule counts and one report per copy,
+    ``copy_reports``: its extras and ``learner_cumulative``, not its rounds.
+    """
+    T = oracle.horizon()
+    grid = build_grid(T)  # rejects an oracle of fewer than two rounds
+    R = len(grid)
+
+    feedback = np.empty((T, R))
+    chosen, incurred, reports = [], [], []
+    for r, (eps, schedule) in enumerate(zip(grid, _schedule(oracle, grid)), 1):
+        copy, feedback[:, r - 1] = _play_packing(
+            oracle, eps, schedule, game_rng(seed, r), None, expected=True
+        )
+        chosen.append(copy.chosen)
+        incurred.append(copy.incurred)
+        reports.append(copy.extras | {"learner_cumulative": copy.learner_cumulative})
+    chosen_copy, _, _ = hedge.exponential_weights(
+        lambda j0, j1, _: feedback[j0:j1], [0], [R], game_rng(seed, 0).random(T)
+    )
+    # R = ceil(log2 T) <= 32 for any u32 T, within the 64 choices of np.choose.
+    played = np.choose(chosen_copy, chosen)
+    realized = np.choose(chosen_copy, incurred)
+
+    extras: dict[str, Any] = {
+        "algorithm": "meta_tuner",
+        "num_copies": R,
+        "epsilons": list(grid),
+        "chosen_copy": chosen_copy,
+        "copy_reports": reports,
+        "schedule": total_schedule([report["schedule"] for report in reports]),
+    }
+    return GameTrajectory.from_rounds(played, realized, np.full(T, R), np.ones(T), seed, extras)

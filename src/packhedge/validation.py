@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import analysis, environments, hedge, many_experts, meta_tuner
+from . import analysis, core, environments, hedge, many_experts
 from .core import GameTrajectory, LossOracle, game_rng
 
 
@@ -329,7 +329,7 @@ def validate_meta(seed: int) -> Verdict:
     fixtures and on the README-scale clustered instance (T=5000, K=10^5, N=8).
     """
     num_seeds, horizon = 50, 256
-    grid = meta_tuner.build_grid(horizon)
+    grid = core.build_grid(horizon)
     num_copies = len(grid)
     overhead = hedge.hedge_regret_bound(horizon, num_copies)
     meta_cum: dict[str, list[float]] = {}
@@ -337,14 +337,14 @@ def validate_meta(seed: int) -> Verdict:
     equivalence_ok = True
     for s in range(num_seeds):
         for name, env in _meta_fixtures(seed + s, horizon):
-            trajectory = meta_tuner.play_meta(env, seed=seed + s)
+            trajectory = many_experts.play_meta(env, seed=seed + s)
             meta_cum.setdefault(name, []).append(trajectory.learner_cumulative)
             reports = trajectory.extras["copy_reports"]
             copy_cum.setdefault(name, []).append([c["learner_cumulative"] for c in reports])
             if s == 0:
                 equivalence_ok &= _replays_standalone(env, trajectory)
     readme = environments.make_clustered_binary(5000, 100_000, 8, seed)
-    equivalence_ok &= _replays_standalone(readme, meta_tuner.play_meta(readme, seed=seed))
+    equivalence_ok &= _replays_standalone(readme, many_experts.play_meta(readme, seed=seed))
 
     per_env: dict[str, dict[str, float]] = {}
     for name, copy_rows in copy_cum.items():

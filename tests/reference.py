@@ -42,11 +42,11 @@ from packhedge.core import (
     ExpertId,
     GameTrajectory,
     LossOracle,
+    build_grid,
     game_rng,
     normalize_rng,
 )
 from packhedge.many_experts import uncovered_mask
-from packhedge.meta_tuner import build_grid
 
 
 @dataclass

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from packhedge import (
-    analysis, cli, core, environments, many_experts, matrix_io, meta_tuner, validation,
+    analysis, cli, core, environments, many_experts, matrix_io, validation,
 )
 from packhedge.cli import EXIT_BOUND_VIOLATION, EXIT_CONFIG, EXIT_IO, EXIT_OK
 from packhedge.core import game_rng
@@ -134,7 +134,7 @@ class TestRun:
         _, game, spec = cli._load(argparse.Namespace(config=config, set=None, seed=None))
         oracle = cli._build_oracle(spec)
         epsilons = (
-            meta_tuner.build_grid(game.T) if algorithm == "meta_tuner" else [game.epsilon]
+            core.build_grid(game.T) if algorithm == "meta_tuner" else [game.epsilon]
         )
         schedules = [many_experts._schedule(oracle, [e])[0] for e in epsilons]
         for key in ("blocks", "recertifications", "exact_queries"):
@@ -198,7 +198,7 @@ class TestRun:
         _, game, spec = cli._load(argparse.Namespace(config=config, set=None, seed=None))
         oracle = cli._build_oracle(spec)
         # Each copy replayed standalone from its own stream, as validate meta replays them.
-        grid = meta_tuner.build_grid(game.T)
+        grid = core.build_grid(game.T)
         assert len(summary["copies"]) == len(grid)
         for r, (row, epsilon) in enumerate(zip(summary["copies"], grid), start=1):
             copy = many_experts.play_many_experts(oracle, epsilon, rng=game_rng(game.seed, r))
@@ -302,6 +302,11 @@ class TestRun:
              "environment: means must be a real number, got '0.5'"),
             ("iid_stochastic", "environment.means=[true, false]",
              "environment: means must be a real number, got True"),
+            # An empty key, which nothing reads, or no "=" at all.
+            ("low_rank", "game..T=5", "--set 'game..T=5': expected section.key=value"),
+            ("low_rank", "game.=5", "--set 'game.=5': expected section.key=value"),
+            ("low_rank", "=5", "--set '=5': expected section.key=value"),
+            ("low_rank", "game.T", "--set 'game.T': expected section.key=value"),
         ],
     )
     def test_non_real_number_is_config_error(self, tmp_path, capsys, kind, override, message):
@@ -982,10 +987,12 @@ class TestSweep:
             # A key the kind does not take, or the seed each job sets, plays identical cells.
             ("sweep.environment={M: [2, 4]}", "sweep.environment.M"),
             ("sweep.environment={seed: [1, 2]}", "sweep.environment.seed"),
-            # A horizon other than game.T, and the meta-tuner, which reads no epsilon.
+            # A horizon other than game.T, and hedge and the meta-tuner, which read no epsilon.
             ("sweep.environment={T: [32, 64]}", "environment.T"),
             pytest.param(("game.algorithm=meta_tuner", "sweep.epsilons=[0.5, 0.25]"),
                          "sweep.epsilons", id="meta_tuner-sweep.epsilons=[0.5, 0.25]"),
+            pytest.param(("game.algorithm=hedge", "sweep.epsilons=[0.5, 0.25]"),
+                         "sweep.epsilons", id="hedge-sweep.epsilons=[0.5, 0.25]"),
         ],
     )
     def test_bad_sweep_value_is_config_error(self, tmp_path, capsys, monkeypatch, override, field):
@@ -1522,6 +1529,21 @@ class TestExportEnv:
              "--format", "binary", "--name", "demo"]
         ) == EXIT_OK
         assert first == (tmp_path / "out2" / "demo.bin").read_bytes()
+
+    def test_dotted_names_keep_every_dot(self, tmp_path):
+        config = clustered_config(tmp_path, T=20, K=12, N=3)
+        out = tmp_path / "out"
+        for name in ("seed.1", "seed.2"):
+            argv = ["export-env", "--config", config, "--out-dir", str(out), "--name", name]
+            assert cli.main(argv) == EXIT_OK
+        suffixes = ("csv", "json", "rows.csv", "assignment.csv")
+        expected = [f"seed.{i}.{suffix}" for i in (1, 2) for suffix in suffixes]
+        assert sorted(path.name for path in out.iterdir()) == sorted(expected)
+        sidecar = json.loads((out / "seed.1.json").read_text())
+        assert sidecar["files"]["matrix"] == "seed.1.csv"
+        env = environments.environment_from_sidecar(out / "seed.2.json")
+        exported = environments.load_matrix_file(out / "seed.2.csv")
+        assert np.array_equal(env.to_matrix(), exported.to_matrix())
 
     def test_iid_sidecar_echoes_the_config(self, tmp_path):
         environment = {"kind": "iid_stochastic", "T": 9, "K": 3, "means": 0.25, "seed": 4}

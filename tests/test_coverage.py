@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packhedge import cli, core, environments, many_experts, meta_tuner
+from packhedge import cli, core, environments, many_experts
 from packhedge.core import game_rng
 from packhedge.many_experts import expand_packing, uncovered_mask, uncovered_rows
 from reference import LossOnlyOracle, Prefix, first_uncovered
@@ -385,13 +385,15 @@ class TestOnePassExpansion:
         active, admitted_at, counts = many_experts._schedule(oracle, [0.1])[0]
         assert (active.tolist(), admitted_at) == ([0, 1, 2, 3, 4], [0, 1, 1, 1, 1])
         assert reads == [(0, core.block_rounds(5))] and queries == [1]
-        assert counts == {"blocks": 1, "recertifications": 0, "exact_queries": 1}
+        assert counts == {
+            "blocks": 1, "recertifications": 0, "exact_queries": 1, "saturation_round": 1
+        }
 
     def test_meta_game_matches_requery_loop(self, monkeypatch):
         oracle = environments.make_low_rank(64, 30, 2, 0.05, seed=2)
-        fast = meta_tuner.play_meta(oracle, seed=4)
+        fast = many_experts.play_meta(oracle, seed=4)
         monkeypatch.setattr(many_experts, "expand_packing", requery_expand)
-        slow = meta_tuner.play_meta(oracle, seed=4)
+        slow = many_experts.play_meta(oracle, seed=4)
         assert np.array_equal(fast.chosen, slow.chosen)
         assert np.array_equal(fast.incurred, slow.incurred)
         assert fast.extras["copy_reports"] == slow.extras["copy_reports"]
@@ -443,8 +445,8 @@ class TestBlockSchedule:
     def test_every_meta_copy_matches_per_round_pass(self, monkeypatch, entries, kind):
         monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
         oracle = oracles()[kind]
-        reports = meta_tuner.play_meta(oracle, seed=4).extras["copy_reports"]
-        assert len(reports) == len(meta_tuner.build_grid(oracle.horizon()))
+        reports = many_experts.play_meta(oracle, seed=4).extras["copy_reports"]
+        assert len(reports) == len(core.build_grid(oracle.horizon()))
         for report in reports:
             active, admitted_at = per_round_schedule(oracle, report["epsilon"])
             assert report["final_active"] == active

@@ -20,6 +20,20 @@ def test_star_import_runs():
     assert set(packhedge.__all__) <= set(namespace)
 
 
+def test_no_module_reaches_into_another():
+    """No package module names another's underscore name: each keeps its own private code."""
+    sources = sorted(Path(packhedge.__file__).parent.glob("*.py"))
+    modules = "|".join(path.stem for path in sources if path.stem != "__init__")
+    private = re.compile(rf"\b(?:{modules})\._\w+")
+    found = [
+        f"{path.name}:{number}: {match.group()}"
+        for path in sources
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        for match in private.finditer(line)
+    ]
+    assert found == []
+
+
 def test_readme_blocks_run(tmp_path, monkeypatch):
     """README's configs, commands and python blocks run as written there.
 

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference
-from packhedge import analysis, cli, core, environments, hedge, many_experts, matrix_io, meta_tuner
+from packhedge import analysis, cli, core, environments, hedge, many_experts, matrix_io
 from packhedge.core import GameTrajectory, game_rng
 from reference import LossOnlyOracle, Prefix
 
@@ -231,15 +231,15 @@ class TestMeta:
         oracle = make_oracle(kind, 40, 16, seed=8)
         for T in (2, 3, 40):
             game = Prefix(oracle, T)
-            assert_same(meta_tuner.play_meta(game, seed=5), reference.play_meta(game, seed=5))
+            assert_same(many_experts.play_meta(game, seed=5), reference.play_meta(game, seed=5))
 
     def test_low_rank_game(self):
         oracle = environments.make_low_rank(200, 120, 2, 0.05, seed=1)
-        assert_same(meta_tuner.play_meta(oracle, seed=2), reference.play_meta(oracle, seed=2))
+        assert_same(many_experts.play_meta(oracle, seed=2), reference.play_meta(oracle, seed=2))
 
     def test_one_expert(self):
         oracle = make_oracle("matrix", 20, 1)
-        assert_same(meta_tuner.play_meta(oracle, seed=1), reference.play_meta(oracle, seed=1))
+        assert_same(many_experts.play_meta(oracle, seed=1), reference.play_meta(oracle, seed=1))
 
 
 class TestKernel:
@@ -347,7 +347,7 @@ class TestSegments:
             losses[:, 0] = 1000.0  # weights that underflow to 0
             assert_segments_match(starts, [1, 4, 2, 9, 30], losses, uniforms)
             oracle = environments.make_low_rank(200, 120, 2, 0.05, seed=1)
-            meta_tuner.play_meta(oracle, seed=2)
+            many_experts.play_meta(oracle, seed=2)
             many_experts.play_many_experts(oracle, epsilon=2.0**-6, rng=3)
 
     def test_vecdot_matches_row_dots_on_column_takes(self):
@@ -724,7 +724,7 @@ def test_meta_game_reads_each_schedule_block_once(monkeypatch, block_entries, tm
 
     oracle.rows = counting
     monkeypatch.setattr(many_experts, "_schedule", passing)
-    reports = meta_tuner.play_meta(oracle, seed=1).extras["copy_reports"]
+    reports = many_experts.play_meta(oracle, seed=1).extras["copy_reports"]
     blocks = [report["schedule"]["blocks"] for report in reports]
     assert len(reads) == max(blocks) < sum(blocks)
     assert len(set(reads)) == len(reads)
@@ -740,7 +740,7 @@ def test_games_leave_the_matrix_unchanged(monkeypatch, entries):
     epsilons = (0.25, 2.0**-6)
     for epsilon, schedule in zip(epsilons, many_experts._schedule(oracle, epsilons)):
         many_experts._play_packing(oracle, epsilon, schedule, game_rng(1), None, expected=True)
-    meta_tuner.play_meta(oracle, seed=1)
+    many_experts.play_meta(oracle, seed=1)
     assert oracle.to_matrix().tobytes() == before
 
 
@@ -847,7 +847,7 @@ class TestBoundedMemory:
     def test_meta_game_streams_its_matrix_file(self, tmp_path):
         # A 13 MB file, wide beside the copies' O(T * R) record of 1024 rounds.
         peak = self.file_game_peak(
-            tmp_path, (1024, 1600), lambda oracle: meta_tuner.play_meta(oracle, seed=1)
+            tmp_path, (1024, 1600), lambda oracle: many_experts.play_meta(oracle, seed=1)
         )
         assert peak < 4 * 2**20
 
@@ -856,7 +856,7 @@ class TestBoundedMemory:
         # report per copy, not the copies' rounds; its peak holds the T x R
         # feedback and pick columns and one copy's game at a time.
         oracle = environments.make_clustered_binary(20_000, 1000, 8, 3)
-        held, peak = self.held_and_peak(lambda: meta_tuner.play_meta(oracle, seed=3))
+        held, peak = self.held_and_peak(lambda: many_experts.play_meta(oracle, seed=3))
         assert held < 128 * 20_000
         assert peak < 640 * 20_000
 
@@ -876,7 +876,7 @@ class TestBoundedMemory:
     def test_schedule_pass_meta_lowrank(self):
         # The meta_lowrank shape: every copy of the grid, one 0.8 MB matrix.
         oracle = environments.make_low_rank(512, 200, 2, 0.05, 3)
-        epsilons = meta_tuner.build_grid(512)
+        epsilons = core.build_grid(512)
         assert len(epsilons) == 9
         peak = self.peak(lambda: many_experts._schedule(oracle, epsilons))
         assert peak < 8 * self.BLOCK_BYTES
@@ -922,7 +922,7 @@ class TestBoundedMemory:
     def test_phase_pass_meta_lowrank(self):
         # Every copy of the grid with expected losses, as the meta-tuner plays them.
         oracle = environments.make_low_rank(512, 200, 2, 0.05, 3)
-        epsilons = meta_tuner.build_grid(512)
+        epsilons = core.build_grid(512)
         peak = self.phase_peak(oracle, epsilons, expected=True)
         assert peak < 8 * self.BLOCK_BYTES
 
@@ -952,7 +952,7 @@ class TestBoundedMemory:
         packing = self.peak(lambda: many_experts.play_many_experts(oracle, epsilon=0.5, rng=7))
         assert packing < 2 * 2**20
         # The meta game holds its 13 copies' O(T * R) feedback and pick columns.
-        assert self.peak(lambda: meta_tuner.play_meta(oracle, seed=7)) < 6 * 2**20
+        assert self.peak(lambda: many_experts.play_meta(oracle, seed=7)) < 6 * 2**20
 
 
 class TestRunOutputs:
@@ -986,7 +986,7 @@ class TestRunOutputs:
         assert cli.main(argv + [str(tmp_path / "fast")]) == 0
         monkeypatch.setattr(hedge, "play_hedge", reference.play_hedge)
         monkeypatch.setattr(many_experts, "play_many_experts", reference.play_many_experts)
-        monkeypatch.setattr(meta_tuner, "play_meta", reference.play_meta)
+        monkeypatch.setattr(many_experts, "play_meta", reference.play_meta)
         assert cli.main(argv + [str(tmp_path / "slow")]) == 0
         for name in ("trajectory.csv", "summary.json"):
             assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "slow" / name).read_bytes()

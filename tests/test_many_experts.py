@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from packhedge import analysis, environments, many_experts, meta_tuner
+from packhedge import analysis, environments, many_experts
 from packhedge.core import game_rng
 from packhedge.many_experts import expand_packing, packing_regret_bound
 
@@ -232,7 +232,7 @@ class TestPlayManyExperts:
         with pytest.raises(ValueError, match="start at expert 0"):
             many_experts.play_many_experts(env, 0.5, rng=0)
         with pytest.raises(ValueError, match="start at expert 0"):
-            meta_tuner.play_meta(env, seed=0)
+            many_experts.play_meta(env, seed=0)
 
     def test_packing_no_larger_than_exact_cover(self):
         for seed in range(5):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from packhedge import environments, hedge, many_experts, meta_tuner
-from packhedge.core import game_rng
-from packhedge.meta_tuner import build_grid, play_meta
+from packhedge import environments, hedge, many_experts
+from packhedge.core import build_grid, game_rng
+from packhedge.many_experts import play_meta
 
 
 class TestBuildGrid:
