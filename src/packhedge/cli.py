@@ -12,6 +12,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import logging
@@ -120,6 +121,10 @@ def _load(args: argparse.Namespace) -> tuple[dict[str, Any], GameConfig, Environ
     raw = cfg.get("game")
     if not isinstance(raw, dict):
         raise ConfigError("game: section missing")
+    keys = [f.name for f in dataclasses.fields(GameConfig)]
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"game.{key}: unknown key; the game section takes {', '.join(keys)}")
     for required in ("algorithm", "T"):
         if required not in raw:
             raise ConfigError(f"game.{required}: required and missing")
@@ -517,7 +522,13 @@ def cmd_export_env(args: argparse.Namespace) -> int:
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; callers must not change it.
+
+    Parsing keeps no state in the parser: each ``parse_args`` starts from a
+    fresh namespace, so an ``append`` list such as ``--set`` starts empty.
+    """
     parser = argparse.ArgumentParser(
         prog="packhedge",
         description="Expert-advice games at scale: run, sweep, validate, export.",

@@ -18,10 +18,15 @@ their sum.
 
 The block's two running sums, over rounds for the log-weights and over
 experts for the inverse CDF, are many independent float64 chains, and each
-``cumsum`` runs on a ``complex128`` view that pairs two of them.  A complex
-add is two independent IEEE float64 adds and ``cumsum`` never reassociates,
-so every chain keeps the bits of its own float ``cumsum`` while the pair
-costs about one chain's time.
+is one ``np.add.accumulate`` on a ``complex128`` view that pairs two of
+them.  A complex add is two independent IEEE float64 adds and the
+accumulation never reassociates, so every chain keeps the bits of its own
+float ``cumsum`` while the pair costs about one chain's time.
+
+The kernel calls ufuncs directly (``np.add.accumulate``,
+``np.minimum.reduce``, ``np.add.reduce``) rather than the functions that
+wrap them: a game runs its blocks and lanes thousands of times on small
+arrays, where the wrappers' Python layer is a large share of the cost.
 """
 
 from __future__ import annotations
@@ -79,10 +84,10 @@ def exponential_weights(
     ``j + 1``.  The log-weights of the ``s``-th round of a segment of width
     ``K`` are ``-sum_{r < s} eta_r l_r`` with ``eta_r = sqrt(8 ln K / r)``,
     summed in round order (a running row carried across blocks, then one
-    ``cumsum`` per segment in a block), so they carry the bits of the
-    per-round hedge in ``tests/reference.py``.  Each round picks an expert by
-    inverse CDF on the weights ``exp(lw - max lw)``, as that hedge samples
-    round by round.
+    ``np.add.accumulate`` per segment in a block), so they carry the bits of
+    the per-round hedge in ``tests/reference.py``.  Each round picks an
+    expert by inverse CDF on the weights ``exp(lw - max lw)``, as that hedge
+    samples round by round.
 
     Every block has ``core.block_rounds(max(widths))`` rounds (the last one
     fewer), so it holds at most ``core.BLOCK_ENTRIES`` entries.  It is read
@@ -135,13 +140,13 @@ def running_totals(
     columns past ``k`` hold ``+inf``.  The last row carries on to the next
     block over the last lane's width.
 
-    Each lane's ``cumsum`` over rounds runs on a ``complex128`` view of the
-    buffer, which pairs adjacent columns: a complex add is two independent
-    float64 adds and ``cumsum`` adds in order, so every column gets the bits
-    of its own float ``cumsum`` while two dependent chains run at once.  The
-    buffer is padded to an even width, and the cell past an odd lane width
-    enters the paired sum too, so the padding column and row 0 past the
-    carry are set to 0 first.
+    Each lane's ``np.add.accumulate`` over rounds runs on a ``complex128``
+    view of the buffer, which pairs adjacent columns: a complex add is two
+    independent float64 adds and the accumulation adds in order, so every
+    column gets the bits of its own float ``cumsum`` while two dependent
+    chains run at once.  The buffer is padded to an even width, and the cell
+    past an odd lane width enters the paired sum too, so the padding column
+    and row 0 past the carry are set to 0 first.
     """
     m, width = eta.size, max(k for _, _, k in lanes)
     if block.shape != (m, width):
@@ -157,7 +162,7 @@ def running_totals(
         buffer[[a for a, _, _ in lanes[1:]]] = 0.0
     for a, b, k in lanes:
         lane = buffer[a : b + (b == m), : k + k % 2].view(np.complex128)
-        np.cumsum(lane, axis=0, out=lane)
+        np.add.accumulate(lane, axis=0, out=lane)
         if k < width:
             total[a:b, k:] = np.inf
     return total
@@ -170,7 +175,7 @@ def totals_to_weights(total: np.ndarray) -> np.ndarray:
     normalised to pick; each row's largest weight is exactly ``exp(0) = 1``.
     """
     # lw - max(lw) for lw = -total is min(total) - total, bit for bit.
-    np.subtract(total.min(axis=1, keepdims=True), total, out=total)
+    np.subtract(np.minimum.reduce(total, axis=1, keepdims=True), total, out=total)
     return np.exp(total, out=total)
 
 
@@ -182,9 +187,9 @@ def inverse_cdf_pick(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     its width unless the draw reached the total.
 
     The weights are copied expert-major, with the round count padded to even
-    by a zero round, and the ``cumsum`` over experts runs on the copy's
-    ``complex128`` view, which pairs adjacent rounds: each round gets the
-    bits of its own float ``cumsum`` (a complex add is two independent
+    by a zero round, and the ``np.add.accumulate`` over experts runs on the
+    copy's ``complex128`` view, which pairs adjacent rounds: each round gets
+    the bits of its own float ``cumsum`` (a complex add is two independent
     float64 adds), while two dependent chains run at once.
     """
     n, width = weights.shape
@@ -192,16 +197,16 @@ def inverse_cdf_pick(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     cumulative[:, n:] = 0.0
     cumulative[:, :n] = weights.T
     paired = cumulative.view(np.complex128)
-    np.cumsum(paired, axis=0, out=paired)
+    np.add.accumulate(paired, axis=0, out=paired)
     cumulative = cumulative[:, :n]
     threshold = uniforms * cumulative[-1]
-    pick = np.count_nonzero(cumulative <= threshold, axis=0)
-    for i in np.flatnonzero(pick == width).tolist():
+    pick = np.add.reduce(cumulative <= threshold, axis=0)
+    for i in (pick == width).nonzero()[0].tolist():
         # A guard on the input: the kernel's rows peak at exp(0) = 1, so
         # their total is >= 1 and no draw in [0, 1) reaches it, but a draw
         # of 1.0 does.  Then every column counted, the zero-weight padding
         # too: take the last positive weight, inside the round's width.
-        pick[i] = np.flatnonzero(weights[i])[-1]
+        pick[i] = weights[i].nonzero()[0][-1]
     return pick
 
 
@@ -224,7 +229,7 @@ def _play_block(
         means = np.empty(eta.size)
         for a, b, k in lanes:
             p = weights[a:b, :k]
-            p /= p.sum(axis=1, keepdims=True)
+            p /= np.add.reduce(p, axis=1, keepdims=True)
             means[a:b] = np.vecdot(p, block[a:b, :k])
     return pick, block[np.arange(eta.size), pick], means, last
 

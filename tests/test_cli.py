@@ -235,6 +235,34 @@ class TestRun:
         assert summary["environment"]["parameters"]["noise_scale"] == 0.25
         assert len(read_rows(tmp_path / "out" / "trajectory.csv")) == 50
 
+    def test_set_flag_reaches_no_later_call(self, tmp_path):
+        # One parser serves every call in a process; its --set list must start empty each time.
+        config = write_config(tmp_path / "config.yaml", {
+            "game": {"algorithm": "many_experts", "T": 20, "epsilon": 0.25, "seed": 3},
+            "environment": {"kind": "clustered_binary", "K": 12, "N": 3},
+            "sweep": {"n_seeds": 1, "include_meta": False},
+        })
+        assert cli.main(["run", "--config", config, "--out-dir", str(tmp_path / "run"),
+                         "--set", "game.epsilon=0.5"]) == EXIT_OK
+        assert json.loads((tmp_path / "run" / "summary.json").read_text())["epsilon"] == 0.5
+        assert cli.main(["sweep", "--config", config, "--seed", "3",
+                         "--out-dir", str(tmp_path / "sweep")]) == EXIT_OK
+        rows = read_rows(tmp_path / "sweep" / "sweep.csv")
+        assert [row["epsilon"] for row in rows] == ["0.25", "0.25"]  # the cell and best_epsilon
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "export-env"])
+    @pytest.mark.parametrize("override", ["game.epsilonn=0.1", "game.T =5"])
+    def test_unknown_game_key_is_config_error(self, tmp_path, capsys, command, override):
+        config = clustered_config(tmp_path, T=20, K=12, N=3)
+        argv = [command, "--config", config, "--out-dir", str(tmp_path / "out"),
+                "--seed", "1", "--set", override]
+        assert cli.main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        key = override.partition("=")[0]
+        assert err.count("\n") == 1
+        assert err.startswith(f"configuration error: {key}: unknown key"), err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         config = iid_config(tmp_path, seed=7)
         assert cli.main(
