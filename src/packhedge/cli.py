@@ -383,6 +383,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: section missing")
+    keys = ("n_seeds", "epsilons", "include_meta", "environment")
+    for key in sweep:
+        if key not in keys:
+            raise ConfigError(f"sweep.{key}: unknown key; the sweep section takes {', '.join(keys)}")
     try:
         n_seeds = whole_number("n_seeds", sweep.get("n_seeds", 1), 1)
     except ValueError as exc:

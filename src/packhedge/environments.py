@@ -242,30 +242,36 @@ def make_clustered_binary(T: int, K: int, N: int, seed: int) -> ClusteredBinaryO
 
 
 def _add_noise(
-    structure: np.ndarray, epsilon_noise: float, rng: np.random.Generator
+    structure: np.ndarray, epsilon_noise: float, rng: np.random.Generator, noise: str = "uniform"
 ) -> np.ndarray:
-    """``clip(structure + E, -1, 1)`` for noise ``E`` uniform on ``[-eps, eps]``, in place.
+    """``clip(structure + E, -1, 1)`` in place, for noise ``E`` of magnitude ``epsilon_noise``.
 
-    The C-ordered ``structure`` is overwritten with the losses and returned,
-    ``core.BLOCK_ENTRIES`` entries at a time, so the step holds one ``T x K``
-    array and two chunk-sized ones.  Each chunk's noise is drawn in turn
-    from ``rng``, so the stream and its order are those of one ``T x K``
-    draw, and the structure is added to it; IEEE addition commutes, so this
-    is ``structure + E`` bit for bit (with no noise, ``0.0 + structure``
-    turns ``-0.0`` into ``0.0`` as that sum does).  Checks that no loss lies
-    farther than ``epsilon_noise`` from ``structure``.
+    ``E`` is uniform on ``[-eps, eps]``, or +/- ``eps`` with equal probability
+    for ``noise="sign"``.  The C-ordered ``T x K`` ``structure`` is overwritten
+    with the losses and returned, a block of ``core.block_rounds(K)`` rows at
+    a time, so the step holds one ``T x K`` array and two block-sized ones.
+    Each block's noise is drawn in turn from ``rng``, so the stream and its
+    order are those of one ``T x K`` draw, and the structure is added to it;
+    IEEE addition commutes, so this is ``structure + E`` bit for bit (with no
+    noise, ``0.0 + structure`` turns ``-0.0`` into ``0.0`` as that sum does).
+    Checks that no loss lies farther than ``epsilon_noise`` from ``structure``.
     """
     structure = np.ascontiguousarray(structure, dtype=np.float64)
-    flat, step, deviation = structure.reshape(-1), core.BLOCK_ENTRIES, 0.0
-    for i0 in range(0, flat.size, step):
-        chunk = flat[i0 : i0 + step]
-        n = chunk.size
-        L = rng.uniform(-epsilon_noise, epsilon_noise, n) if epsilon_noise > 0 else np.zeros(n)
-        L += chunk
+    T, K = structure.shape
+    step, deviation = core.block_rounds(max(K, 1)), 0.0
+    for t0 in range(0, T, step):
+        block = structure[t0 : t0 + step]
+        if noise == "sign":
+            L = epsilon_noise * (rng.integers(0, 2, size=block.shape) * 2.0 - 1.0)
+        elif epsilon_noise > 0:
+            L = rng.uniform(-epsilon_noise, epsilon_noise, block.shape)
+        else:
+            L = np.zeros(block.shape)
+        L += block
         np.clip(L, -1.0, 1.0, out=L)
-        residual = np.subtract(L, chunk, out=chunk)
-        deviation = max(deviation, float(residual.max()), -float(residual.min()))
-        chunk[...] = L
+        residual = np.subtract(L, block, out=block)
+        deviation = max(deviation, residual.max(initial=0.0), -residual.min(initial=0.0))
+        block[...] = L
     if deviation > epsilon_noise + 1e-12:
         raise AssertionError(f"structure residual {deviation} exceeds epsilon_noise")
     return structure
@@ -377,9 +383,10 @@ def make_iid_stochastic(
 ) -> MatrixOracle:
     """Rounds drawn i.i.d. around fixed per-expert means.
 
-    ``noise`` is ``"none"``, ``"uniform"`` (uniform on ``[-scale, scale]``), or
-    ``"sign"`` (+/- ``scale`` with equal probability); means plus noise must
-    stay inside ``[-1, 1]``.  Ground truth exposes the true means.
+    The means are tiled over the rounds, kept as given (``-0.0`` too) with no
+    noise; else :func:`_add_noise` adds ``"uniform"`` (on ``[-scale, scale]``)
+    or ``"sign"`` (+/- ``scale``) noise, and its clip never acts, since means
+    plus noise must stay inside ``[-1, 1]``.  Ground truth exposes the means.
     """
     core.check_entries(T * K, f"environment.T x environment.K = {T} x {K}: {_DENSE}")
     if isinstance(means, (list, tuple, np.ndarray)):
@@ -397,18 +404,9 @@ def make_iid_stochastic(
     if noise != "none" and float(np.abs(mu).max(initial=0.0)) + noise_scale > 1.0:
         raise ValueError("means plus noise_scale would leave [-1, 1]")
     rng = game_rng(seed)
-    if noise == "none" or noise_scale == 0.0:
-        return MatrixOracle(np.tile(mu, (T, 1)), {"means": mu})
-    # The noise is drawn a block of rounds at a time into the output; the
-    # stream and its order are those of one T x K draw.
-    L, step = np.empty((T, K)), core.block_rounds(K)
-    for t0 in range(0, T, step):
-        out = L[t0 : t0 + step]
-        if noise == "uniform":
-            E = rng.uniform(-noise_scale, noise_scale, size=out.shape)
-        else:
-            E = noise_scale * (rng.integers(0, 2, size=out.shape) * 2.0 - 1.0)
-        np.add(mu[None, :], E, out=out)
+    L = np.tile(mu, (T, 1))
+    if noise != "none" and noise_scale > 0.0:
+        L = _add_noise(L, noise_scale, rng, noise)
     return MatrixOracle(L, {"means": mu})
 
 

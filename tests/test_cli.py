@@ -1006,6 +1006,7 @@ class TestSweep:
             ("sweep.epsilons=[1.5]", "sweep.epsilons"),
             ("sweep.epsilons=[0]", "sweep.epsilons"),
             ("sweep.include_meta=off-please", "sweep.include_meta"),
+            ("sweep.n_seed=5", "sweep.n_seed"),
             ("sweep.environment=[1]", "sweep.environment"),
             # Falsy values that are not a mapping: only a missing key or null is no grid.
             ("sweep.environment=false", "sweep.environment"),

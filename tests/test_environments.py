@@ -552,6 +552,18 @@ class TestChunkedGeneration:
         losses = environments._add_noise(np.array([[-0.0, 0.5, -0.0]]), 0.0, game_rng(0))
         assert losses.tobytes() == np.array([[0.0, 0.5, 0.0]]).tobytes()
 
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 4)], ids=["no-experts", "no-rounds"])
+    @pytest.mark.parametrize("noise", ["uniform", "sign"])
+    def test_empty_matrix_refused_by_the_oracle(self, shape, noise):
+        # The noise pass hands an empty matrix on to the oracle's refusal.
+        T, K = shape
+        message = re.escape(f"need at least one round and one expert, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            make_iid_stochastic(T, K, [0.0] * K, noise, 0.5, seed=0)
+        if noise == "uniform":
+            with pytest.raises(ValueError, match=message):
+                make_sparse_dictionary(T, K, 3, 1, 0.1, seed=0)
+
 
 def _read_whole(directory, fmt):
     """Write a 4 x 5 matrix file in ``fmt`` and read it back whole."""

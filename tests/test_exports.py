@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import shlex
@@ -31,6 +32,23 @@ def test_no_module_reaches_into_another():
         for number, line in enumerate(path.read_text().splitlines(), 1)
         for match in private.finditer(line)
     ]
+    assert found == []
+
+
+def test_only_core_reads_the_block_size():
+    """Outside ``core``, no module names ``BLOCK_ENTRIES`` in code: every pass over a
+    loss matrix walks ``core.block_rounds(K)`` rows, never a chunk size of its own.
+
+    Docstrings and comments may name it: they hold no ``Name``, ``Attribute`` or import.
+    """
+    found = []
+    for path in sorted(Path(packhedge.__file__).parent.glob("*.py")):
+        if path.stem == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            # A Name's id, an Attribute's attr, an import alias's name.
+            if "BLOCK_ENTRIES" in [getattr(node, key, None) for key in ("id", "attr", "name")]:
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 
